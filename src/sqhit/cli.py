@@ -251,6 +251,8 @@ def cmd_preimage(args, cfg: Config) -> int:
         return _die(2, f"bad element input: {exc}")
     if args.k > cfg.max_k:
         return _die(3, f"order k={args.k} exceeds max_k={cfg.max_k}")
+    if not 1 <= args.position <= x.s:
+        return _die(2, f"position {args.position} out of range for arity {x.s}")
     h = HomotopySystem(x.kind, args.k, args.position)
     try:
         chain = preimage_chain(x, h)

@@ -3,12 +3,17 @@
 Vectors are rows and maps act on the right: a matrix M sends v to v*M,
 so composition reads left to right.  Bit j of a packed int is coordinate j.
 All operations are pure; inputs are never mutated.
+
+One elimination core, ``_echelon``, keeps one row per lowest-bit pivot.
+Kernels, solutions and intersections tag each row in its high bits (row
+index or row copy); rows whose low bits cancel carry the answer there.
+RREF is produced once, by back-substitution, where a ``Subspace`` is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -32,9 +37,6 @@ class BitVector:
             if c & 1:
                 bits |= 1 << j
         return cls(len(coords), bits)
-
-    def coords(self) -> List[int]:
-        return [(self.bits >> j) & 1 for j in range(self.length)]
 
     def __add__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
@@ -93,9 +95,6 @@ class BitMatrix:
             i += 1
         return BitVector(self.cols, out)
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.data[i])
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -103,31 +102,30 @@ class Subspace:
 
     ambient_dim: int
     basis: tuple
+    _pivots: Dict[int, int] = field(init=False, repr=False, compare=False)
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prev = -1
+        pivots: Dict[int, int] = {}
+        mask = 0
         for r in self.basis:
             if r == 0:
                 raise ValueError("zero basis row")
-            p = _lowest_bit(r)
-            if p <= prev:
+            p = (r & -r).bit_length() - 1
+            if mask >> p:
                 raise ValueError("pivots not strictly increasing")
-            prev = p
+            pivots[p] = r
+            mask |= 1 << p
+        object.__setattr__(self, "_pivots", pivots)
+        object.__setattr__(self, "_mask", mask)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def pivots(self) -> List[int]:
-        return [_lowest_bit(r) for r in self.basis]
-
     def reduce(self, bits: int) -> int:
         """Reduce a packed vector against the basis; zero iff contained."""
-        for row in self.basis:
-            p = _lowest_bit(row)
-            if (bits >> p) & 1:
-                bits ^= row
-        return bits
+        return _reduce_fully(self._pivots, self._mask, bits)
 
     def vectors(self):
         """Iterate all 2^dim member vectors (small subspaces only)."""
@@ -140,43 +138,71 @@ class Subspace:
             yield BitVector(self.ambient_dim, bits)
 
 
-def _lowest_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
+def _reduce(pivots: Dict[int, int], r: int) -> int:
+    """Reduce r until it is zero or its lowest bit is not a pivot."""
+    while r:
+        e = pivots.get((r & -r).bit_length() - 1)
+        if e is None:
+            break
+        r ^= e
+    return r
 
 
-def _rref_rows(rows: List[int]) -> List[int]:
-    """In-place style Gauss-Jordan on packed rows; returns sorted RREF rows."""
-    work = list(rows)
-    pivots: List[int] = []  # (pivot col, row) pairs kept implicitly via echelon list
-    echelon: List[int] = []
-    for r in work:
-        for e in echelon:
-            p = _lowest_bit(e)
-            if (r >> p) & 1:
-                r ^= e
-        if r == 0:
-            continue
-        p = _lowest_bit(r)
-        for i, e in enumerate(echelon):
-            if (e >> p) & 1:
-                echelon[i] = e ^ r
-        echelon.append(r)
-    echelon.sort(key=_lowest_bit)
-    return echelon
+def _echelon(rows: Iterable[int]) -> Dict[int, int]:
+    """Semi-echelon form of the row space: pivot -> the one kept row whose
+    lowest set bit is that pivot."""
+    pivots: Dict[int, int] = {}
+    for r in rows:
+        r = _reduce(pivots, r)
+        if r:
+            pivots[(r & -r).bit_length() - 1] = r
+    return pivots
+
+
+def _reduce_fully(pivots: Dict[int, int], mask: int, bits: int) -> int:
+    """Clear every pivot bit of bits in ascending order, one xor each;
+    mask is the union of the pivot bits."""
+    hits = bits & mask
+    while hits:
+        low = hits & -hits
+        bits ^= pivots[low.bit_length() - 1]
+        hits = bits & mask & -(low << 1)
+    return bits
+
+
+def _rref(pivots: Dict[int, int]) -> tuple:
+    """RREF rows sorted by pivot, by back-substitution in descending pivot
+    order: one xor per higher pivot bit present."""
+    done: Dict[int, int] = {}
+    mask = 0
+    for p in sorted(pivots, reverse=True):
+        done[p] = _reduce_fully(done, mask, pivots[p])
+        mask |= 1 << p
+    return tuple(done[p] for p in sorted(done))
+
+
+def _carried(pivots: Dict[int, int], n: int) -> Dict[int, int]:
+    """High parts of the rows whose low n bits cancelled, keyed by pivot."""
+    return {p - n: r >> n for p, r in pivots.items() if p >= n}
+
+
+def _tagged(m: BitMatrix) -> Iterable[int]:
+    """Rows of m with the row index tagged above the columns: (v*m | v)."""
+    return (r | 1 << (m.cols + i) for i, r in enumerate(m.data))
 
 
 def rref(m: BitMatrix) -> BitMatrix:
     """Reduced row-echelon form with zero rows pruned; row space preserved."""
-    rows = _rref_rows(list(m.data))
-    return BitMatrix(len(rows), m.cols, tuple(rows))
+    rows = _rref(_echelon(m.data))
+    return BitMatrix(len(rows), m.cols, rows)
 
 
 def rank(m: BitMatrix) -> int:
-    return len(_rref_rows(list(m.data)))
+    return len(_echelon(m.data))
 
 
 def subspace_from_rows(ambient_dim: int, rows: Iterable[int]) -> Subspace:
-    return Subspace(ambient_dim, tuple(_rref_rows(list(rows))))
+    return Subspace(ambient_dim, _rref(_echelon(rows)))
 
 
 def image_basis(m: BitMatrix) -> Subspace:
@@ -186,22 +212,7 @@ def image_basis(m: BitMatrix) -> Subspace:
 
 def kernel_basis(m: BitMatrix) -> Subspace:
     """Left kernel: all v with v*m = 0.  dim = rows - rank."""
-    n = m.rows
-    # Track row combinations through elimination: pairs (value, combo).
-    echelon: List[tuple] = []
-    kernel_rows: List[int] = []
-    for i in range(n):
-        val, combo = m.data[i], 1 << i
-        for ev, ec in echelon:
-            p = _lowest_bit(ev)
-            if (val >> p) & 1:
-                val ^= ev
-                combo ^= ec
-        if val == 0:
-            kernel_rows.append(combo)
-        else:
-            echelon.append((val, combo))
-    return subspace_from_rows(n, kernel_rows)
+    return Subspace(m.rows, _rref(_carried(_echelon(_tagged(m)), m.cols)))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -211,10 +222,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     # Low bits hold the actual coordinates (eliminated first by the
     # lowest-bit pivoting); high bits carry a copy tracking a-combinations.
-    stacked = [r | (r << n) for r in a.basis] + [r for r in b.basis]
-    mask = (1 << n) - 1
-    result = [row >> n for row in _rref_rows(stacked) if row & mask == 0]
-    return subspace_from_rows(n, result)
+    stacked = [r | (r << n) for r in a.basis] + list(b.basis)
+    return Subspace(n, _rref(_carried(_echelon(stacked), n)))
 
 
 def contains(s: Subspace, v: BitVector) -> bool:
@@ -228,28 +237,16 @@ def contains_subspace(outer: Subspace, inner: Subspace) -> bool:
 
 
 def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
-    """Some v with v*m = b, or None.  Free coordinates are fixed to 0."""
+    """Some v with v*m = b, or None.  Free coordinates are fixed to 0: v is
+    the one solution supported on rows independent of the rows before them."""
     if b.length != m.cols:
         raise ValueError("target length must equal column count")
-    echelon: List[tuple] = []
-    for i in range(m.rows):
-        val, combo = m.data[i], 1 << i
-        for ev, ec in echelon:
-            p = _lowest_bit(ev)
-            if (val >> p) & 1:
-                val ^= ev
-                combo ^= ec
-        if val:
-            echelon.append((val, combo))
-    residue, combo = b.bits, 0
-    for ev, ec in echelon:
-        p = _lowest_bit(ev)
-        if (residue >> p) & 1:
-            residue ^= ev
-            combo ^= ec
-    if residue:
+    n = m.cols
+    pivots = {p: r for p, r in _echelon(_tagged(m)).items() if p < n}
+    r = _reduce(pivots, b.bits)
+    if r & ((1 << n) - 1):
         return None
-    return BitVector(m.rows, combo)
+    return BitVector(m.rows, r >> n)
 
 
 def full_space(n: int) -> Subspace:

@@ -30,6 +30,7 @@ from .modules import (
     basis,
     concat_product,
     sq,
+    sq_support,
     windowed_basis,
 )
 
@@ -79,6 +80,21 @@ def _basis_index(b: Bidegree, kind: ModuleKind) -> Dict[Tuple[int, ...], int]:
     return {m.entries: j for j, m in enumerate(basis(b, kind))}
 
 
+def _action_matrix(dom: Tuple[Monomial, ...], cols: int, index: Dict[Tuple[int, ...], int],
+                   l: int, kind: ModuleKind) -> BitMatrix:
+    """Row u is the coordinate vector of (dom[u])Sq^l, where index gives
+    the coordinate of each codomain entry tuple."""
+    if l < 0:
+        raise ValueError("negative square index")
+    rows = []
+    for m in dom:
+        bits = 0
+        for t in sq_support(kind, m.entries, l):
+            bits |= 1 << index[t]
+        rows.append(bits)
+    return BitMatrix(len(dom), cols, tuple(rows))
+
+
 @lru_cache(maxsize=None)
 def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> SqMatrix:
     """Matrix of the right action of Sq^l from (s,d) to (s,d-l).
@@ -90,14 +106,7 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> SqMatrix:
     target = Bidegree(b.s, b.d - l)
     cod = basis(target, kind) if b.d - l >= 0 else ()
     index = _basis_index(target, kind) if cod else {}
-    rows = []
-    for m in dom:
-        img = sq(Element.single(m), l)
-        bits = 0
-        for n in img.support:
-            bits |= 1 << index[n.entries]
-        rows.append(bits)
-    return SqMatrix(b, l, kind, BitMatrix(len(dom), len(cod), tuple(rows)))
+    return SqMatrix(b, l, kind, _action_matrix(dom, len(cod), index, l, kind))
 
 
 def windowed_sq_matrix(s: int, d: int, l: int, lo: int, hi: int) -> SqMatrix:
@@ -109,14 +118,8 @@ def windowed_sq_matrix(s: int, d: int, l: int, lo: int, hi: int) -> SqMatrix:
     dom = windowed_basis(s, d, lo, hi)
     cod = windowed_basis(s, d - l, lo - l, hi)
     index = {m.entries: j for j, m in enumerate(cod)}
-    rows = []
-    for m in dom:
-        img = sq(Element.single(m), l)
-        bits = 0
-        for n in img.support:
-            bits |= 1 << index[n.entries]
-        rows.append(bits)
-    return SqMatrix(Bidegree(s, d), l, ModuleKind.NABLA, BitMatrix(len(dom), len(cod), tuple(rows)))
+    return SqMatrix(Bidegree(s, d), l, ModuleKind.NABLA,
+                    _action_matrix(dom, len(cod), index, l, ModuleKind.NABLA))
 
 
 # --- kernel / image / quotient ---------------------------------------------
@@ -500,7 +503,10 @@ def load_matrix(path: str) -> BitMatrix:
         magic = f.read(4)
         if magic != _CACHE_MAGIC:
             raise ValueError(f"bad cache magic in {path}")
-        version, rows, cols = struct.unpack("<HII", f.read(10))
+        header = f.read(10)
+        if len(header) != 10:
+            raise ValueError(f"truncated cache file {path}: header has {len(header)} of 10 bytes")
+        version, rows, cols = struct.unpack("<HII", header)
         if version != _CACHE_VERSION:
             raise ValueError(f"unsupported cache version {version}")
         row_bytes = (cols + 7) // 8

@@ -16,8 +16,7 @@ from .modules import (
     ModuleKind,
     Monomial,
     ORBIT_KINDS,
-    _cyc_canonical,
-    _sym_canonical,
+    _ORBIT_CANONICAL,
     sq,
 )
 
@@ -71,11 +70,7 @@ def shift(x: Element, i: int, r: int) -> Element:
         raise ValueError(f"position {i} out of range for arity {x.s}")
     if x.kind in ORBIT_KINDS and i != 1:
         raise ValueError("orbit kinds support position 1 only")
-    canon = None
-    if x.kind is ModuleKind.GAMMA_SYM:
-        canon = _sym_canonical
-    elif x.kind is ModuleKind.GAMMA_CYC:
-        canon = _cyc_canonical
+    canon = _ORBIT_CANONICAL.get(x.kind)
     out = []
     for m in x.support:
         e = list(m.entries)

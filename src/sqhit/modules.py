@@ -66,6 +66,10 @@ def _cyc_canonical(entries: Tuple[int, ...]) -> Tuple[int, ...]:
     return max(entries[i:] + entries[:i] for i in range(len(entries)))
 
 
+# The one place that picks the canonical entry tuple of an orbit kind.
+_ORBIT_CANONICAL = {ModuleKind.GAMMA_SYM: _sym_canonical, ModuleKind.GAMMA_CYC: _cyc_canonical}
+
+
 @dataclass(frozen=True)
 class Monomial:
     kind: ModuleKind
@@ -188,12 +192,14 @@ def _sq_mono(nabla: bool, entries: Tuple[int, ...], l: int) -> frozenset:
     """Support (entry tuples) of [entries]Sq^l, expanded by the Cartan formula.
 
     Memoized on suffixes so shared tails across monomials are reused.
+    Distinct splits l = i + (l - i) give distinct first entries a - i, so
+    no two terms coincide and nothing cancels.
     """
     if not entries:
         return frozenset([()]) if l == 0 else frozenset()
     a = entries[0]
     rest = entries[1:]
-    out: set = set()
+    out: list = []
     for i in range(l + 1):
         b = a - i
         if nabla:
@@ -202,29 +208,33 @@ def _sq_mono(nabla: bool, entries: Tuple[int, ...], l: int) -> frozenset:
         else:
             if b < 1 or not binom_mod2(b, i):
                 continue
-        for t in _sq_mono(nabla, rest, l - i):
-            _toggle(out, (b,) + t)
+        out.extend((b,) + t for t in _sq_mono(nabla, rest, l - i))
+    return frozenset(out)
+
+
+def sq_support(kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
+    """Support (canonical entry tuples) of [entries]Sq^l for a monomial of
+    the given kind.  Orbit kinds act through the plain representative; terms
+    that land in one orbit cancel mod 2."""
+    terms = _sq_mono(kind is ModuleKind.NABLA, entries, l)
+    canon = _ORBIT_CANONICAL.get(kind)
+    if canon is None:
+        return terms
+    out: set = set()
+    for t in terms:
+        _toggle(out, canon(t))
     return frozenset(out)
 
 
 def sq(x: Element, l: int) -> Element:
-    """Total right action of Sq^l on an element.
-
-    Orbit kinds act through a plain-monomial representative and project
-    each output term back to its canonical orbit form.
-    """
+    """Total right action of Sq^l on an element."""
     if l < 0:
         raise ValueError("negative square index")
     if l == 0:
         return x
-    nabla = x.kind is ModuleKind.NABLA
-    orbit = x.kind in ORBIT_KINDS
     acc: set = set()
     for m in x.support:
-        for t in _sq_mono(nabla, m.entries, l):
-            if orbit:
-                t = _sym_canonical(t) if x.kind is ModuleKind.GAMMA_SYM else _cyc_canonical(t)
-            _toggle(acc, t)
+        acc ^= sq_support(x.kind, m.entries, l)
     return Element(x.kind, x.s, x.d - l, frozenset(Monomial(x.kind, t) for t in acc))
 
 
@@ -251,7 +261,7 @@ def basis(b: Bidegree, kind: ModuleKind) -> Tuple[Monomial, ...]:
         return (Monomial(kind, ()),) if d == 0 else ()
     if kind is ModuleKind.GAMMA:
         return tuple(Monomial(kind, t) for t in _compositions(d, s))
-    canon = _sym_canonical if kind is ModuleKind.GAMMA_SYM else _cyc_canonical
+    canon = _ORBIT_CANONICAL[kind]
     reps = sorted({canon(t) for t in _compositions(d, s)})
     return tuple(Monomial(kind, t) for t in reps)
 
@@ -293,7 +303,7 @@ def project_to_orbit(x: Element, kind: ModuleKind) -> Element:
         raise ValueError("projection starts from a gamma element")
     if kind not in ORBIT_KINDS:
         raise ValueError("target must be an orbit kind")
-    canon = _sym_canonical if kind is ModuleKind.GAMMA_SYM else _cyc_canonical
+    canon = _ORBIT_CANONICAL[kind]
     acc: set = set()
     for m in x.support:
         _toggle(acc, canon(m.entries))
@@ -324,14 +334,15 @@ def element_from_json(obj: dict) -> Element:
     if kind is None:
         raise ValueError(f"unknown kind tag {obj['kind']!r}")
     s, d = obj["s"], obj["d"]
-    if not isinstance(s, int) or not isinstance(d, int):
+    # type() and not isinstance(): JSON true/false load as bool, an int subclass.
+    if type(s) is not int or type(d) is not int:
         raise ValueError("s and d must be integers")
     monos = obj["monomials"]
     if not isinstance(monos, list):
         raise ValueError("monomials must be a list")
     out = []
     for t in monos:
-        if not isinstance(t, list) or not all(isinstance(a, int) for a in t):
+        if not isinstance(t, list) or not all(type(a) is int for a in t):
             raise ValueError(f"bad monomial {t!r}")
         out.append(Monomial(kind, tuple(t)))
     x = Element.from_monomials(kind, s, d, out)

@@ -58,6 +58,17 @@ class TestSq:
         code, _, err = run(capsys, "sq", "--in", str(path), "--l", "1")
         assert code == 2 and err
 
+    @pytest.mark.parametrize("obj", [
+        {"kind": "gamma", "s": True, "d": 3, "monomials": [[3]]},
+        {"kind": "gamma", "s": 1, "d": True, "monomials": [[1]]},
+        {"kind": "gamma", "s": 1, "d": 1, "monomials": [[True]]},
+    ])
+    def test_boolean_fields_exit_2(self, capsys, tmp_path, obj):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "sq", "--in", str(path), "--l", "0")
+        assert code == 2 and out == "" and "bad element input" in err
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sq", "--in", str(tmp_path / "nope.json"), "--l", "1")
         assert code == 2
@@ -155,6 +166,13 @@ class TestPreimage:
         path = write_element(tmp_path, x)
         code, _, err = run(capsys, "preimage", "--in", path, "--k", "0")
         assert code == 4 and "not annihilated" in err
+
+    def test_position_beyond_arity_exit_2(self, capsys, tmp_path):
+        x = element_from_json({"kind": "gamma", "s": 1, "d": 8, "monomials": [[8]]})
+        path = write_element(tmp_path, x)
+        code, out, err = run(capsys, "preimage", "--in", path, "--k", "1", "--position", "3")
+        assert code == 2 and out == ""
+        assert "position 3" in err and "arity 1" in err
 
     def test_guardrail_exit_3(self, capsys, tmp_path):
         x = element_from_json({"kind": "gamma", "s": 1, "d": 3, "monomials": [[3]]})

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sqhit import f2linalg
 from sqhit.f2linalg import BitMatrix, BitVector, Subspace
 
@@ -156,3 +157,59 @@ def test_intersect_exhaustive_small(m):
     inter = f2linalg.intersect(sa, sb)
     members = {v.bits for v in sa.vectors()} & {v.bits for v in sb.vectors()}
     assert {v.bits for v in inter.vectors()} == members
+
+
+# --- Differential tests against the reference elimination in oracles.py -------
+
+sparse_matrices = st.integers(1, 48).flatmap(
+    lambda r: st.integers(1, 48).flatmap(
+        lambda c: st.lists(
+            st.sets(st.integers(0, c - 1), min_size=1, max_size=min(4, c)).map(
+                lambda cols: sum(1 << j for j in cols)),
+            min_size=r, max_size=r).map(
+            lambda rows: BitMatrix(r, c, tuple(rows)))))
+
+any_matrices = st.one_of(matrices, sparse_matrices)
+
+
+@given(any_matrices)
+def test_rref_and_image_match_oracle(m):
+    expected = oracles.rref_rows(m.data)
+    assert f2linalg.rref(m).data == expected
+    assert f2linalg.image_basis(m).basis == expected
+    assert f2linalg.rank(m) == len(expected)
+
+
+@given(any_matrices)
+def test_kernel_matches_oracle(m):
+    assert f2linalg.kernel_basis(m).basis == oracles.kernel_rows(m.data)
+
+
+@given(any_matrices, any_matrices)
+def test_intersect_matches_oracle(a, b):
+    n = a.cols
+    sa = f2linalg.image_basis(a)
+    sb = f2linalg.subspace_from_rows(n, [r & ((1 << n) - 1) for r in b.data])
+    expected = oracles.intersect_rows(sa.basis, sb.basis, n)
+    assert f2linalg.intersect(sa, sb).basis == expected
+
+
+@given(any_matrices, st.integers(0, (1 << 48) - 1), st.booleans())
+def test_solve_matches_oracle(m, bits, reachable):
+    if reachable:
+        target = m.apply(BitVector(m.rows, bits & ((1 << m.rows) - 1)))
+    else:
+        target = BitVector(m.cols, bits & ((1 << m.cols) - 1))
+    got = f2linalg.solve(m, target)
+    expected = oracles.solve_rows(m.data, target.bits)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.bits == expected
+        assert m.apply(got) == target
+
+
+@given(any_matrices, st.integers(0, (1 << 48) - 1))
+def test_subspace_reduce_matches_oracle(m, bits):
+    sub = f2linalg.image_basis(m)
+    bits &= (1 << m.cols) - 1
+    assert sub.reduce(bits) == oracles.reduce_rows(sub.basis, bits)

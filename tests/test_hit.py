@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from oracles import naive_sq
 from sqhit import f2linalg, hit
 from sqhit.f2linalg import BitMatrix, BitVector
@@ -116,6 +117,29 @@ class TestDeltaAndImage:
         assert len(rep.witnesses["unhit_coset"]) >= 1
         for x in rep.witnesses["unhit_coset"]:
             assert sq(x, 1).is_zero() and sq(x, 2).is_zero()
+
+    @pytest.mark.parametrize("s,d,k", [(5, 9, 1), (4, 18, 2)])
+    def test_bases_match_oracle_path(self, s, d, k):
+        # Rows through element-level sq, elimination through the reference loops.
+        def rows(src, l):
+            target = Bidegree(src.s, src.d - l)
+            return [hit.element_to_vector(sq(Element.single(m), l), target, G).bits
+                    for m in basis(src, G)]
+
+        b = Bidegree(s, d)
+        blocks = [rows(b, 1 << i) for i in range(k + 1)]
+        stacked, offset = [0] * len(basis(b, G)), 0
+        for i, blk in enumerate(blocks):
+            stacked = [r | (x << offset) for r, x in zip(stacked, blk)]
+            offset += len(basis(Bidegree(s, d - (1 << i)), G))
+        assert hit.delta_basis(b, k, G).basis == oracles.kernel_rows(stacked)
+
+        image = None
+        for i in range(k + 1):
+            l = (1 << (i + 1)) - 1
+            im = oracles.rref_rows(rows(Bidegree(s, d + l), l))
+            image = im if image is None else oracles.intersect_rows(image, im, len(basis(b, G)))
+        assert hit.spike_image_basis(b, k, G).basis == image
 
     def test_explorer_single_generator_column(self):
         rows = hit.ker_vs_im_explorer(1, [1], range(1, 17), G)
@@ -257,6 +281,12 @@ class TestMatrixCache:
         open(path, "wb").write(data[:-1])
         with pytest.raises(ValueError):
             hit.load_matrix(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.sqm"
+        path.write_bytes(b"SQHM\x01\x00")
+        with pytest.raises(ValueError, match="truncated cache file"):
+            hit.load_matrix(str(path))
 
     def test_cache_get_clear_stat(self, tmp_path):
         cache = hit.MatrixCache(str(tmp_path))
