@@ -1,5 +1,5 @@
 """Command-line front end: element I/O, single-shot computations, reports,
-verification suites, preimage chains, and cache management.
+verification suites and preimage chains.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 guardrail
 exceeded, 4 input outside the null subspace or not annihilated.
@@ -12,13 +12,11 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
 
-from . import f2linalg, hit, suites
-from .f2linalg import BitVector
+from . import hit, suites
 from .homotopy import (
     AnnihilationError,
     HomotopySystem,
@@ -35,15 +33,10 @@ from .modules import (
     sq,
 )
 
-CACHE_ENV = "SQHIT_CACHE_DIR"
-
-
 @dataclass
 class Config:
-    cache_dir: Optional[str] = None
     max_k: int = 4
     max_dim: int = 200000
-    output_format: str = "text"
 
 
 def load_config(path: Optional[str]) -> Config:
@@ -57,19 +50,12 @@ def load_config(path: Optional[str]) -> Config:
                 if "=" not in line:
                     raise ValueError(f"bad config line: {line!r}")
                 key, value = (p.strip() for p in line.split("=", 1))
-                if key == "cache_dir":
-                    cfg.cache_dir = value
-                elif key == "max_k":
+                if key == "max_k":
                     cfg.max_k = int(value)
                 elif key == "max_dim":
                     cfg.max_dim = int(value)
-                elif key == "output_format":
-                    cfg.output_format = value
                 else:
                     raise ValueError(f"unknown config key: {key}")
-    env_dir = os.environ.get(CACHE_ENV)
-    if env_dir:
-        cfg.cache_dir = env_dir
     if cfg.max_k <= 0 or cfg.max_dim <= 0:
         raise ValueError("guardrails must be positive")
     return cfg
@@ -89,20 +75,24 @@ def _parse_kind(tag: str) -> ModuleKind:
 
 def _basis_size(kind: ModuleKind, s: int, d: int) -> int:
     # Gamma composition count bounds every positive kind.
-    if s == 0:
-        return 1 if d == 0 else 0
+    if s <= 0:
+        return 1 if s == d == 0 else 0
     if d < s:
         return 0
     return math.comb(d - 1, s - 1)
 
 
-def _check_guardrails(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> Optional[str]:
-    if k > cfg.max_k:
-        return f"order k={k} exceeds max_k={cfg.max_k}"
-    size = _basis_size(kind, s, d + (1 << (k + 1)))
+def _check_dim(cfg: Config, kind: ModuleKind, s: int, d: int) -> Optional[str]:
+    size = _basis_size(kind, s, d)
     if size > cfg.max_dim:
         return f"basis size {size} exceeds max_dim={cfg.max_dim}"
     return None
+
+
+def _check_guardrails(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> Optional[str]:
+    if k > cfg.max_k:
+        return f"order k={k} exceeds max_k={cfg.max_k}"
+    return _check_dim(cfg, kind, s, d + (1 << (k + 1)))
 
 
 def _read_element(path: str) -> Element:
@@ -123,6 +113,9 @@ def _write_element(x: Element, path: Optional[str]) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_basis(args, cfg: Config) -> int:
+    guard = _check_dim(cfg, args.kind, args.s, args.d)
+    if guard:
+        return _die(3, guard)
     b = Bidegree(args.s, args.d)
     monos = basis(b, args.kind)
     if args.count:
@@ -146,31 +139,15 @@ def cmd_sq(args, cfg: Config) -> int:
     return 0
 
 
-def _subspace_elements(sub, b: Bidegree, kind: ModuleKind) -> List[Element]:
-    return [hit.vector_to_element(BitVector(sub.ambient_dim, r), b, kind) for r in sub.basis]
-
-
-def cmd_delta(args, cfg: Config) -> int:
+def cmd_subspace(args, cfg: Config) -> int:
+    """delta or image: args.subspace is hit.delta_basis or hit.spike_image_basis."""
     guard = _check_guardrails(cfg, args.kind, args.s, args.d, args.k)
     if guard:
         return _die(3, guard)
     b = Bidegree(args.s, args.d)
-    sub = hit.delta_basis(b, args.k, args.kind)
-    return _print_subspace(sub, b, args.kind, args.json)
-
-
-def cmd_image(args, cfg: Config) -> int:
-    guard = _check_guardrails(cfg, args.kind, args.s, args.d, args.k)
-    if guard:
-        return _die(3, guard)
-    b = Bidegree(args.s, args.d)
-    sub = hit.spike_image_basis(b, args.k, args.kind)
-    return _print_subspace(sub, b, args.kind, args.json)
-
-
-def _print_subspace(sub, b: Bidegree, kind: ModuleKind, as_json: bool) -> int:
-    elems = _subspace_elements(sub, b, kind)
-    if as_json:
+    sub = args.subspace(b, args.k, args.kind)
+    elems = hit.subspace_elements(sub, b, args.kind)
+    if args.json:
         print(json.dumps({"dim": sub.dim, "basis": [element_to_json(e) for e in elems]}))
     else:
         print(f"dim = {sub.dim}")
@@ -179,25 +156,26 @@ def _print_subspace(sub, b: Bidegree, kind: ModuleKind, as_json: bool) -> int:
     return 0
 
 
+REPORT_COLUMNS = ("kind", "s", "d", "k", "dim_delta", "dim_image", "dim_unhit", "degenerate")
+
+
+def _report_row(rep: hit.DeltaReport) -> dict:
+    """One report as its REPORT_COLUMNS row, as unhit and report print it."""
+    return dict(zip(REPORT_COLUMNS, (rep.kind.value, rep.bidegree.s, rep.bidegree.d, rep.k,
+                                     rep.dim_delta, rep.dim_image, rep.dim_unhit, rep.degenerate)))
+
+
 def cmd_unhit(args, cfg: Config) -> int:
     guard = _check_guardrails(cfg, args.kind, args.s, args.d, args.k)
     if guard:
         return _die(3, guard)
-    b = Bidegree(args.s, args.d)
-    report = hit.unhit_report(b, args.k, args.kind, witnesses=args.witnesses)
-    out = {
-        "kind": args.kind.value, "s": b.s, "d": b.d, "k": args.k,
-        "dim_delta": report.dim_delta, "dim_image": report.dim_image,
-        "dim_unhit": report.dim_unhit, "degenerate": report.degenerate,
-    }
+    report = hit.unhit_report(Bidegree(args.s, args.d), args.k, args.kind, witnesses=args.witnesses)
+    out = _report_row(report)
     if report.witnesses is not None:
         out["witnesses"] = {key: [element_to_json(e) for e in val]
                             for key, val in report.witnesses.items()}
     print(json.dumps(out))
     return 0
-
-
-REPORT_COLUMNS = ["kind", "s", "d", "k", "dim_delta", "dim_image", "dim_unhit", "degenerate"]
 
 
 def cmd_report(args, cfg: Config) -> int:
@@ -207,12 +185,7 @@ def cmd_report(args, cfg: Config) -> int:
             guard = _check_guardrails(cfg, args.kind, s, d, args.k)
             if guard:
                 return _die(3, guard)
-            rep = hit.unhit_report(Bidegree(s, d), args.k, args.kind)
-            rows.append({
-                "kind": args.kind.value, "s": s, "d": d, "k": args.k,
-                "dim_delta": rep.dim_delta, "dim_image": rep.dim_image,
-                "dim_unhit": rep.dim_unhit, "degenerate": rep.degenerate,
-            })
+            rows.append(_report_row(hit.unhit_report(Bidegree(s, d), args.k, args.kind)))
     if args.format == "json":
         print(json.dumps(rows))
     else:
@@ -267,25 +240,15 @@ def cmd_preimage(args, cfg: Config) -> int:
 
 
 def cmd_explore(args, cfg: Config) -> int:
-    rows = hit.ker_vs_im_explorer(
-        args.l, range(args.s_min, args.s_max + 1), range(args.d_min, args.d_max + 1), args.kind)
-    out = []
-    for row in rows:
-        out.append({**{key: row[key] for key in ("s", "d", "dim", "dim_ker", "dim_im", "dim_intersection")},
-                    "ker_not_im": [element_to_json(e) for e in row["ker_not_im"]]})
-    print(json.dumps(out))
-    return 0
-
-
-def cmd_cache(args, cfg: Config) -> int:
-    if not cfg.cache_dir:
-        return _die(2, f"no cache directory configured (set {CACHE_ENV} or cache_dir in --config)")
-    cache = hit.MatrixCache(cfg.cache_dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(json.dumps({"removed": removed}))
-    else:
-        print(json.dumps(cache.stat()))
+    s_range, d_range = range(args.s_min, args.s_max + 1), range(args.d_min, args.d_max + 1)
+    for s in s_range:
+        for d in d_range:
+            guard = _check_dim(cfg, args.kind, s, d + args.l)
+            if guard:
+                return _die(3, guard)
+    rows = hit.ker_vs_im_explorer(args.l, s_range, d_range, args.kind)
+    print(json.dumps([{**row, "ker_not_im": [element_to_json(e) for e in row["ker_not_im"]]}
+                      for row in rows]))
     return 0
 
 
@@ -316,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", default=None)
     p.set_defaults(func=cmd_sq)
 
-    for name, func, help_text in (
-        ("delta", cmd_delta, "basis of the intersected kernels"),
-        ("image", cmd_image, "basis of the intersected spike images"),
+    for name, subspace, help_text in (
+        ("delta", hit.delta_basis, "basis of the intersected kernels"),
+        ("image", hit.spike_image_basis, "basis of the intersected spike images"),
     ):
         p = sub.add_parser(name, help=help_text)
         add_kind(p)
@@ -326,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_subspace, subspace=subspace)
 
     p = sub.add_parser("unhit", help="per-bidegree quotient report")
     add_kind(p)
@@ -366,10 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-min", type=int, default=1)
     p.add_argument("--d-max", type=int, required=True)
     p.set_defaults(func=cmd_explore)
-
-    p = sub.add_parser("cache", help="matrix cache management")
-    p.add_argument("action", choices=("clear", "stat"))
-    p.set_defaults(func=cmd_cache)
 
     return parser
 

@@ -14,8 +14,6 @@ non-trivial quotient class in bidegree (5,9).
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -73,6 +71,14 @@ def element_to_vector(x: Element, b: Bidegree, kind: ModuleKind) -> BitVector:
 def vector_to_element(v: BitVector, b: Bidegree, kind: ModuleKind) -> Element:
     monos = basis(b, kind)
     return Element.from_monomials(kind, b.s, b.d, (monos[j] for j in range(v.length) if v[j]))
+
+
+def subspace_elements(sub: Subspace, b: Bidegree, kind: ModuleKind,
+                      outside: Optional[Subspace] = None) -> List[Element]:
+    """The RREF basis rows of sub as elements of (s,d); with outside given,
+    only the rows that do not lie in it."""
+    return [vector_to_element(BitVector(sub.ambient_dim, r), b, kind)
+            for r in sub.basis if outside is None or outside.reduce(r) != 0]
 
 
 @lru_cache(maxsize=None)
@@ -168,12 +174,10 @@ def unhit_report(b: Bidegree, k: int, kind: ModuleKind, witnesses: bool = False)
         raise InternalInconsistencyError(f"image not contained in kernel at {b}")
     report_witnesses = None
     if witnesses:
-        coset = [vector_to_element(BitVector(delta.ambient_dim, r), b, kind)
-                 for r in delta.basis if image.reduce(r) != 0]
         report_witnesses = {
-            "delta": [vector_to_element(BitVector(delta.ambient_dim, r), b, kind) for r in delta.basis],
-            "image": [vector_to_element(BitVector(image.ambient_dim, r), b, kind) for r in image.basis],
-            "unhit_coset": coset,
+            "delta": subspace_elements(delta, b, kind),
+            "image": subspace_elements(image, b, kind),
+            "unhit_coset": subspace_elements(delta, b, kind, outside=image),
         }
     return DeltaReport(
         kind=kind,
@@ -198,15 +202,13 @@ def ker_vs_im_explorer(l: int, s_range, d_range, kind: ModuleKind) -> List[dict]
             ker = f2linalg.kernel_basis(mat)
             im = f2linalg.image_basis(sq_matrix(Bidegree(s, d + l), l, kind).matrix)
             inter = f2linalg.intersect(ker, im)
-            witnesses = [vector_to_element(BitVector(n, r), b, kind)
-                         for r in ker.basis if im.reduce(r) != 0]
             rows.append({
                 "s": s, "d": d,
                 "dim": n,
                 "dim_ker": ker.dim,
                 "dim_im": im.dim,
                 "dim_intersection": inter.dim,
-                "ker_not_im": witnesses,
+                "ker_not_im": subspace_elements(ker, b, kind, outside=im),
             })
     return rows
 
@@ -480,74 +482,3 @@ def counterexample_suite() -> dict:
         "dim_image_5_9": report.dim_image,
         "dim_unhit_5_9": report.dim_unhit,
     }
-
-
-# --- binary matrix cache ----------------------------------------------------
-
-_CACHE_MAGIC = b"SQHM"
-_CACHE_VERSION = 1
-
-
-def save_matrix(path: str, m: BitMatrix) -> None:
-    """Write a matrix as magic, version, dims, then packed little-endian rows."""
-    row_bytes = (m.cols + 7) // 8
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(struct.pack("<HII", _CACHE_VERSION, m.rows, m.cols))
-        for r in m.data:
-            f.write(r.to_bytes(row_bytes, "little"))
-
-
-def load_matrix(path: str) -> BitMatrix:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"bad cache magic in {path}")
-        header = f.read(10)
-        if len(header) != 10:
-            raise ValueError(f"truncated cache file {path}: header has {len(header)} of 10 bytes")
-        version, rows, cols = struct.unpack("<HII", header)
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported cache version {version}")
-        row_bytes = (cols + 7) // 8
-        data = []
-        for _ in range(rows):
-            chunk = f.read(row_bytes)
-            if len(chunk) != row_bytes:
-                raise ValueError(f"truncated cache file {path}")
-            data.append(int.from_bytes(chunk, "little"))
-    return BitMatrix(rows, cols, tuple(data))
-
-
-class MatrixCache:
-    """Write-once disk cache of action matrices keyed by (kind, s, d, l)."""
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, kind: ModuleKind, s: int, d: int, l: int) -> str:
-        return os.path.join(self.directory, f"{kind.value}_{s}_{d}_{l}.sqm")
-
-    def get(self, b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
-        path = self._path(kind, b.s, b.d, l)
-        if os.path.exists(path):
-            return load_matrix(path)
-        m = sq_matrix(b, l, kind).matrix
-        tmp = path + ".tmp"
-        save_matrix(tmp, m)
-        os.replace(tmp, path)
-        return m
-
-    def clear(self) -> int:
-        removed = 0
-        for name in os.listdir(self.directory):
-            if name.endswith(".sqm"):
-                os.remove(os.path.join(self.directory, name))
-                removed += 1
-        return removed
-
-    def stat(self) -> dict:
-        files = [n for n in os.listdir(self.directory) if n.endswith(".sqm")]
-        size = sum(os.path.getsize(os.path.join(self.directory, n)) for n in files)
-        return {"files": len(files), "bytes": size, "directory": self.directory}

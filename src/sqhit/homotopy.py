@@ -98,12 +98,16 @@ def _mono_in_null(m: Monomial, h: HomotopySystem) -> bool:
     return all(e[0] - e[j] > (1 << k) for j in range(1, len(e)))
 
 
+def _check_position(x: Element, h: HomotopySystem) -> None:
+    if not x.is_zero() and h.kind is not ModuleKind.NABLA and h.position > x.s:
+        raise ValueError(f"position {h.position} out of range for arity {x.s}")
+
+
 def in_null(x: Element, h: HomotopySystem) -> bool:
     """True iff every support monomial satisfies the null-subspace condition."""
     if x.kind is not h.kind:
         raise ValueError(f"kind mismatch: element {x.kind.value}, system {h.kind.value}")
-    if not x.is_zero() and h.kind is not ModuleKind.NABLA and h.position > x.s:
-        raise ValueError(f"position {h.position} out of range for arity {x.s}")
+    _check_position(x, h)
     return all(_mono_in_null(m, h) for m in x.support)
 
 
@@ -142,6 +146,7 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     Sq^(2^i), i <= order.  Each certificate is re-verified before return;
     a failure there indicates an implementation bug, not bad input.
     """
+    _check_position(x, h)
     for m in x.support:
         if not _mono_in_null(m, h):
             raise NullMembershipError(m)

@@ -14,7 +14,10 @@ from typing import Callable, Dict, List, Optional
 from . import f2linalg, hit
 from .f2linalg import BitVector
 from .homotopy import (
+    AnnihilationError,
+    ChainCertificateError,
     HomotopySystem,
+    NullMembershipError,
     in_null,
     preimage_chain,
     shift,
@@ -238,12 +241,13 @@ def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int,
                     image = hit.spike_image_basis(b, k, kind)
                     for r in inter.basis:
                         x = hit.vector_to_element(BitVector(inter.ambient_dim, r), b, kind)
+                        note = f"certificate k={k} pos={i}"
                         try:
                             preimage_chain(x, h)
                             ok = f2linalg.contains(image, BitVector(inter.ambient_dim, r))
-                        except Exception:
-                            ok = False
-                        rec.check(ok, lambda x=x, k=k, i=i: _fail_json(x, f"certificate k={k} pos={i}"))
+                        except (NullMembershipError, AnnihilationError, ChainCertificateError) as exc:
+                            ok, note = False, f"{note}: {exc}"
+                        rec.check(ok, lambda x=x, note=note: _fail_json(x, note))
     return rec.result
 
 
@@ -334,18 +338,13 @@ def suite_structure(seed: int = 0, s_max: int = 4, d_max: int = 12) -> SuiteResu
     for s in range(2, s_max + 1):
         for d in range(s, d_max + 1):
             b = Bidegree(s, d)
-            mat1 = hit.sq_matrix(b, 1, ModuleKind.GAMMA).matrix
-            ker1 = f2linalg.kernel_basis(mat1)
-            for r in ker1.basis:
-                x = hit.vector_to_element(BitVector(ker1.ambient_dim, r), b, ModuleKind.GAMMA)
+            ker1 = f2linalg.kernel_basis(hit.sq_matrix(b, 1, ModuleKind.GAMMA).matrix)
+            for x in hit.subspace_elements(ker1, b, ModuleKind.GAMMA):
                 rec.check(not hit.check_sq1_relations(x), lambda x=x: _fail_json(x, "sq1 checker on kernel vector"))
             ker2 = f2linalg.kernel_basis(hit.sq_matrix(b, 2, ModuleKind.GAMMA).matrix)
-            for r in ker2.basis:
-                x = hit.vector_to_element(BitVector(ker2.ambient_dim, r), b, ModuleKind.GAMMA)
+            for x in hit.subspace_elements(ker2, b, ModuleKind.GAMMA):
                 rec.check(not hit.check_sq2_relations(x), lambda x=x: _fail_json(x, "sq2 checker on kernel vector"))
-            delta1 = hit.delta_basis(b, 1, ModuleKind.GAMMA)
-            for r in delta1.basis:
-                x = hit.vector_to_element(BitVector(delta1.ambient_dim, r), b, ModuleKind.GAMMA)
+            for x in hit.subspace_elements(hit.delta_basis(b, 1, ModuleKind.GAMMA), b, ModuleKind.GAMMA):
                 rec.check(not hit.check_delta1_structure(x), lambda x=x: _fail_json(x, "delta1 checker on kernel vector"))
             # Coincidence on random elements covers the converse direction.
             for _ in range(6):
@@ -408,10 +407,13 @@ def suite_counterexample(seed: int = 0) -> SuiteResult:
     rec = _Recorder("counterexample")
     try:
         report = hit.counterexample_suite()
-        rec.check(report["dim_unhit_5_9"] >= 1, lambda: json.dumps({"case": "unhit dimension"}))
-        rec.result.passed += 4  # the four element-level assertions inside
     except AssertionError as exc:
         rec.check(False, lambda exc=exc: json.dumps({"case": str(exc)}))
+        return rec.result
+    for key, value in report.items():
+        if isinstance(value, bool):
+            rec.check(value, lambda key=key: json.dumps({"case": key}))
+    rec.check(report["dim_unhit_5_9"] >= 1, lambda: json.dumps({"case": "unhit dimension"}))
     return rec.result
 
 

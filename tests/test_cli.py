@@ -24,6 +24,11 @@ class TestBasis:
         code, out, _ = run(capsys, "basis", "--kind", "gamma", "--s", "5", "--d", "9", "--count")
         assert code == 0 and out.strip() == "70"
 
+    def test_guardrail_max_dim(self, capsys):
+        # C(59, 11) ~ 1.3e11 compositions: refused before any enumeration.
+        code, out, err = run(capsys, "basis", "--kind", "gamma", "--s", "12", "--d", "60", "--count")
+        assert code == 3 and out == "" and "max_dim" in err
+
     def test_json_listing(self, capsys):
         code, out, _ = run(capsys, "basis", "--kind", "gamma", "--s", "2", "--d", "3", "--json")
         assert code == 0
@@ -131,7 +136,8 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "counterexample")
         assert code == 0
         payload = json.loads(out)
-        assert payload["ok"] and payload["suites"][0]["failed"] == 0
+        assert payload["ok"]
+        assert payload["suites"] == [{"name": "counterexample", "passed": 5, "failed": 0}]
 
     def test_unknown_suite_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "no-such-suite")
@@ -189,17 +195,22 @@ class TestExplore:
             assert row["dim_ker"] == row["dim_im"]
             assert row["ker_not_im"] == []
 
+    def test_guardrail_max_dim(self, capsys):
+        # Checked on every (s, d + l) before any basis is enumerated.
+        code, out, err = run(capsys, "explore-ker-im", "--l", "2", "--s-max", "12", "--d-max", "60")
+        assert code == 3 and out == "" and "max_dim" in err
 
-class TestCache:
-    def test_requires_directory(self, capsys, monkeypatch):
-        monkeypatch.delenv("SQHIT_CACHE_DIR", raising=False)
-        code, _, err = run(capsys, "cache", "stat")
-        assert code == 2 and "cache" in err
 
-    def test_stat_and_clear(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SQHIT_CACHE_DIR", str(tmp_path))
-        code, out, _ = run(capsys, "cache", "stat")
-        assert code == 0 and json.loads(out)["files"] == 0
-        hit.MatrixCache(str(tmp_path)).get(hit.Bidegree(2, 4), 1, hit.ModuleKind.GAMMA)
-        code, out, _ = run(capsys, "cache", "clear")
-        assert code == 0 and json.loads(out)["removed"] == 1
+
+class TestRemovedCache:
+    def test_cache_dir_config_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("cache_dir = x\n")
+        code, out, err = run(capsys, "--config", str(cfg), "basis", "--kind", "gamma",
+                             "--s", "1", "--d", "1")
+        assert code == 2 and out == "" and "unknown config key" in err
+
+    def test_cache_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "cache", "stat")
+        assert exc.value.code == 2

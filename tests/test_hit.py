@@ -258,43 +258,3 @@ class TestCounterexample:
         # The degree-1 first-factor part of z is exactly w.
         dec = hit.decompose_first_factor(hit.unhit_witness_5_9())
         assert dec.terms[1].same(hit.sq2_kernel_witness())
-
-
-class TestMatrixCache:
-    def test_round_trip(self, tmp_path):
-        m = hit.sq_matrix(Bidegree(3, 7), 2, G).matrix
-        path = str(tmp_path / "m.sqm")
-        hit.save_matrix(path, m)
-        assert hit.load_matrix(path) == m
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.sqm"
-        path.write_bytes(b"XXXX" + bytes(10))
-        with pytest.raises(ValueError):
-            hit.load_matrix(str(path))
-
-    def test_truncation_rejected(self, tmp_path):
-        m = hit.sq_matrix(Bidegree(2, 6), 1, G).matrix
-        path = str(tmp_path / "m.sqm")
-        hit.save_matrix(path, m)
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:-1])
-        with pytest.raises(ValueError):
-            hit.load_matrix(path)
-
-    def test_truncated_header_rejected(self, tmp_path):
-        path = tmp_path / "short.sqm"
-        path.write_bytes(b"SQHM\x01\x00")
-        with pytest.raises(ValueError, match="truncated cache file"):
-            hit.load_matrix(str(path))
-
-    def test_cache_get_clear_stat(self, tmp_path):
-        cache = hit.MatrixCache(str(tmp_path))
-        b = Bidegree(2, 5)
-        first = cache.get(b, 1, G)
-        second = cache.get(b, 1, G)
-        assert first == second == hit.sq_matrix(b, 1, G).matrix
-        st = cache.stat()
-        assert st["files"] == 1 and st["bytes"] > 0
-        assert cache.clear() == 1
-        assert cache.stat()["files"] == 0

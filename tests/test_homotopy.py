@@ -136,6 +136,10 @@ class TestPreimageChain:
         with pytest.raises(NullMembershipError):
             preimage_chain(mono(1, 1), HomotopySystem(G, 1, 1))
 
+    def test_position_beyond_arity(self):
+        with pytest.raises(ValueError, match="position 3 out of range for arity 1"):
+            preimage_chain(mono(8), HomotopySystem(G, 1, 3))
+
     def test_rejects_unannihilated(self):
         # [2] has [2]Sq^1 = [1] != 0.
         with pytest.raises(AnnihilationError) as exc:
