@@ -4,11 +4,8 @@ from .modules import (
     Bidegree,
     Element,
     ModuleKind,
-    Monomial,
     basis,
     binom_mod2,
-    canonicalize_cyc,
-    canonicalize_sym,
     concat_product,
     element_from_json,
     element_to_json,

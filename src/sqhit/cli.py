@@ -30,6 +30,7 @@ from .modules import (
     basis,
     element_from_json,
     element_to_json,
+    monomial_str,
     sq,
 )
 
@@ -122,10 +123,10 @@ def cmd_basis(args, cfg: Config) -> int:
         print(len(monos))
         return 0
     if args.json:
-        print(json.dumps([list(m.entries) for m in monos]))
+        print(json.dumps([list(t) for t in monos]))
     else:
-        for m in monos:
-            print(list(m.entries))
+        for t in monos:
+            print(list(t))
     return 0
 
 
@@ -230,7 +231,8 @@ def cmd_preimage(args, cfg: Config) -> int:
     try:
         chain = preimage_chain(x, h)
     except NullMembershipError as exc:
-        return _die(4, f"element outside null subspace: offending monomial {exc.monomial}")
+        offending = monomial_str(exc.kind, exc.entries)
+        return _die(4, f"element outside null subspace: offending monomial {offending}")
     except AnnihilationError as exc:
         return _die(4, f"element not annihilated: failing i={exc.failing_i}")
     for i, y in enumerate(chain):

@@ -24,7 +24,6 @@ from .modules import (
     Bidegree,
     Element,
     ModuleKind,
-    Monomial,
     basis,
     concat_product,
     sq,
@@ -35,14 +34,6 @@ from .modules import (
 
 class InternalInconsistencyError(RuntimeError):
     """A construction that is guaranteed to succeed failed; indicates a bug."""
-
-
-@dataclass(frozen=True)
-class SqMatrix:
-    source: Bidegree
-    l: int
-    kind: ModuleKind
-    matrix: BitMatrix
 
 
 @dataclass(frozen=True)
@@ -63,8 +54,8 @@ def element_to_vector(x: Element, b: Bidegree, kind: ModuleKind) -> BitVector:
     monos = basis(b, kind)
     index = _basis_index(b, kind)
     bits = 0
-    for m in x.support:
-        bits |= 1 << index[m.entries]
+    for t in x.support:
+        bits |= 1 << index[t]
     return BitVector(len(monos), bits)
 
 
@@ -83,10 +74,10 @@ def subspace_elements(sub: Subspace, b: Bidegree, kind: ModuleKind,
 
 @lru_cache(maxsize=None)
 def _basis_index(b: Bidegree, kind: ModuleKind) -> Dict[Tuple[int, ...], int]:
-    return {m.entries: j for j, m in enumerate(basis(b, kind))}
+    return {t: j for j, t in enumerate(basis(b, kind))}
 
 
-def _action_matrix(dom: Tuple[Monomial, ...], cols: int, index: Dict[Tuple[int, ...], int],
+def _action_matrix(dom: Tuple[Tuple[int, ...], ...], cols: int, index: Dict[Tuple[int, ...], int],
                    l: int, kind: ModuleKind) -> BitMatrix:
     """Row u is the coordinate vector of (dom[u])Sq^l, where index gives
     the coordinate of each codomain entry tuple."""
@@ -95,14 +86,14 @@ def _action_matrix(dom: Tuple[Monomial, ...], cols: int, index: Dict[Tuple[int, 
     rows = []
     for m in dom:
         bits = 0
-        for t in sq_support(kind, m.entries, l):
+        for t in sq_support(kind, m, l):
             bits |= 1 << index[t]
         rows.append(bits)
     return BitMatrix(len(dom), cols, tuple(rows))
 
 
 @lru_cache(maxsize=None)
-def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> SqMatrix:
+def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     """Matrix of the right action of Sq^l from (s,d) to (s,d-l).
 
     Row u is the coordinate vector of (basis monomial u)Sq^l in the
@@ -112,10 +103,10 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> SqMatrix:
     target = Bidegree(b.s, b.d - l)
     cod = basis(target, kind) if b.d - l >= 0 else ()
     index = _basis_index(target, kind) if cod else {}
-    return SqMatrix(b, l, kind, _action_matrix(dom, len(cod), index, l, kind))
+    return _action_matrix(dom, len(cod), index, l, kind)
 
 
-def windowed_sq_matrix(s: int, d: int, l: int, lo: int, hi: int) -> SqMatrix:
+def windowed_sq_matrix(s: int, d: int, l: int, lo: int, hi: int) -> BitMatrix:
     """Nabla action matrix on an explicit entry window.
 
     The codomain window is widened to [lo-l, hi] so no image term is
@@ -123,9 +114,8 @@ def windowed_sq_matrix(s: int, d: int, l: int, lo: int, hi: int) -> SqMatrix:
     """
     dom = windowed_basis(s, d, lo, hi)
     cod = windowed_basis(s, d - l, lo - l, hi)
-    index = {m.entries: j for j, m in enumerate(cod)}
-    return SqMatrix(Bidegree(s, d), l, ModuleKind.NABLA,
-                    _action_matrix(dom, len(cod), index, l, ModuleKind.NABLA))
+    index = {t: j for j, t in enumerate(cod)}
+    return _action_matrix(dom, len(cod), index, l, ModuleKind.NABLA)
 
 
 # --- kernel / image / quotient ---------------------------------------------
@@ -139,7 +129,7 @@ def delta_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
     n = len(dom)
     if n == 0:
         return f2linalg.zero_space(0)
-    blocks = [sq_matrix(b, 1 << i, kind).matrix for i in range(k + 1)]
+    blocks = [sq_matrix(b, 1 << i, kind) for i in range(k + 1)]
     rows = []
     for u in range(n):
         combined, offset = 0, 0
@@ -161,7 +151,7 @@ def spike_image_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
     for i in range(k + 1):
         l = (1 << (i + 1)) - 1
         src = Bidegree(b.s, b.d + l)
-        im = f2linalg.image_basis(sq_matrix(src, l, kind).matrix)
+        im = f2linalg.image_basis(sq_matrix(src, l, kind))
         result = im if result is None else f2linalg.intersect(result, im)
     assert result is not None and result.ambient_dim == n
     return result
@@ -198,9 +188,9 @@ def ker_vs_im_explorer(l: int, s_range, d_range, kind: ModuleKind) -> List[dict]
         for d in d_range:
             b = Bidegree(s, d)
             n = len(basis(b, kind))
-            mat = sq_matrix(b, l, kind).matrix
+            mat = sq_matrix(b, l, kind)
             ker = f2linalg.kernel_basis(mat)
-            im = f2linalg.image_basis(sq_matrix(Bidegree(s, d + l), l, kind).matrix)
+            im = f2linalg.image_basis(sq_matrix(Bidegree(s, d + l), l, kind))
             inter = f2linalg.intersect(ker, im)
             rows.append({
                 "s": s, "d": d,
@@ -229,9 +219,9 @@ def decompose_first_factor(x: Element) -> FirstFactorDecomposition:
         raise ValueError("first-factor decomposition is defined on gamma elements")
     if x.s < 2:
         raise ValueError("arity must be >= 2")
-    grouped: Dict[int, List[Monomial]] = {}
-    for m in x.support:
-        grouped.setdefault(m.entries[0], []).append(Monomial(ModuleKind.GAMMA, m.entries[1:]))
+    grouped: Dict[int, List[Tuple[int, ...]]] = {}
+    for t in x.support:
+        grouped.setdefault(t[0], []).append(t[1:])
     terms = {
         i: Element.from_monomials(ModuleKind.GAMMA, x.s - 1, x.d - i, tails)
         for i, tails in grouped.items()
@@ -242,7 +232,7 @@ def decompose_first_factor(x: Element) -> FirstFactorDecomposition:
 def recompose_first_factor(dec: FirstFactorDecomposition) -> Element:
     out = Element.zero(ModuleKind.GAMMA, dec.s, dec.d)
     for i, part in dec.terms.items():
-        head = Element.single(Monomial(ModuleKind.GAMMA, (i,)))
+        head = Element.single(ModuleKind.GAMMA, (i,))
         out = out + concat_product(head, part)
     return out
 
@@ -316,7 +306,7 @@ def _solve_sq1_preimage(target: Element, s: int, d: int) -> Element:
     if target.is_zero() and d < s:
         return Element.zero(ModuleKind.GAMMA, s, d)
     b = Bidegree(s, d)
-    mat = sq_matrix(b, 1, ModuleKind.GAMMA).matrix
+    mat = sq_matrix(b, 1, ModuleKind.GAMMA)
     tvec = element_to_vector(target, Bidegree(s, d - 1), ModuleKind.GAMMA)
     v = f2linalg.solve(mat, tvec)
     if v is None:
@@ -397,8 +387,8 @@ def i1_membership(x: Element) -> Tuple[bool, Optional[Element]]:
 
     # Candidates w live in bidegree (s-1, d+1), inside ker Sq^3.
     src = Bidegree(s1, d + 1)
-    ker3 = f2linalg.kernel_basis(sq_matrix(src, 3, ModuleKind.GAMMA).matrix)
-    mat2 = sq_matrix(src, 2, ModuleKind.GAMMA).matrix
+    ker3 = f2linalg.kernel_basis(sq_matrix(src, 3, ModuleKind.GAMMA))
+    mat2 = sq_matrix(src, 2, ModuleKind.GAMMA)
     restricted = BitMatrix(ker3.dim, mat2.cols,
                            tuple(mat2.apply(BitVector(mat2.rows, r)).bits for r in ker3.basis))
     x1vec = element_to_vector(x1, Bidegree(s1, d - 1), ModuleKind.GAMMA)
@@ -412,10 +402,10 @@ def i1_membership(x: Element) -> Tuple[bool, Optional[Element]]:
     w = vector_to_element(BitVector(mat2.rows, wbits), src, ModuleKind.GAMMA)
 
     # The tail preimage shifts every odd first factor [i] up to [i+3].
-    witness = concat_product(Element.single(Monomial(ModuleKind.GAMMA, (2,))), w)
+    witness = concat_product(Element.single(ModuleKind.GAMMA, (2,)), w)
     for i in sorted(dec.terms):
         if i % 2 == 1:
-            head = Element.single(Monomial(ModuleKind.GAMMA, (i + 3,)))
+            head = Element.single(ModuleKind.GAMMA, (i + 3,))
             witness = witness + concat_product(head, dec.terms[i])
     if not sq(witness, 3).same(x):
         raise InternalInconsistencyError("constructed Sq^3 preimage failed verification")
@@ -428,8 +418,7 @@ def sq2_kernel_witness() -> Element:
     """A class in bidegree (4,8) killed by Sq^2 but not a Sq^2 image."""
     terms = [(1, 1, 2, 4), (1, 2, 1, 4), (1, 2, 4, 1), (2, 1, 4, 1),
              (2, 2, 2, 2), (4, 1, 1, 2), (4, 2, 1, 1)]
-    return Element.from_monomials(ModuleKind.GAMMA, 4, 8,
-                                  (Monomial(ModuleKind.GAMMA, t) for t in terms))
+    return Element.from_monomials(ModuleKind.GAMMA, 4, 8, terms)
 
 
 def unhit_witness_5_9() -> Element:
@@ -443,8 +432,7 @@ def unhit_witness_5_9() -> Element:
         (4, 1, 1, 1, 2), (4, 1, 1, 2, 1), (4, 1, 2, 1, 1), (4, 2, 1, 1, 1),
         (5, 1, 1, 1, 1),
     ]
-    return Element.from_monomials(ModuleKind.GAMMA, 5, 9,
-                                  (Monomial(ModuleKind.GAMMA, t) for t in terms))
+    return Element.from_monomials(ModuleKind.GAMMA, 5, 9, terms)
 
 
 def counterexample_suite() -> dict:
@@ -457,7 +445,7 @@ def counterexample_suite() -> dict:
 
     if not sq(w, 2).is_zero():
         raise AssertionError("witness w is not killed by Sq^2")
-    im2 = f2linalg.image_basis(sq_matrix(Bidegree(4, 10), 2, ModuleKind.GAMMA).matrix)
+    im2 = f2linalg.image_basis(sq_matrix(Bidegree(4, 10), 2, ModuleKind.GAMMA))
     wvec = element_to_vector(w, Bidegree(4, 8), ModuleKind.GAMMA)
     if f2linalg.contains(im2, wvec):
         raise AssertionError("witness w unexpectedly lies in im Sq^2")
@@ -466,7 +454,7 @@ def counterexample_suite() -> dict:
     zvec = element_to_vector(z, Bidegree(5, 9), ModuleKind.GAMMA)
     if not f2linalg.contains(delta, zvec):
         raise AssertionError("witness z is not killed by Sq^1 and Sq^2")
-    im3 = f2linalg.image_basis(sq_matrix(Bidegree(5, 12), 3, ModuleKind.GAMMA).matrix)
+    im3 = f2linalg.image_basis(sq_matrix(Bidegree(5, 12), 3, ModuleKind.GAMMA))
     if f2linalg.contains(im3, zvec):
         raise AssertionError("witness z unexpectedly lies in im Sq^3")
 

@@ -9,14 +9,14 @@ turns kernel membership into constructive spike-square preimages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from .modules import (
     Element,
     ModuleKind,
-    Monomial,
     ORBIT_KINDS,
     _ORBIT_CANONICAL,
+    monomial_str,
     sq,
 )
 
@@ -28,9 +28,10 @@ class PreconditionError(ValueError):
 class NullMembershipError(ValueError):
     """Input element has a monomial outside the null subspace."""
 
-    def __init__(self, monomial: Monomial):
-        self.monomial = monomial
-        super().__init__(f"monomial {monomial} lies outside the null subspace")
+    def __init__(self, kind: ModuleKind, entries: Tuple[int, ...]):
+        self.kind = kind
+        self.entries = entries
+        super().__init__(f"monomial {monomial_str(kind, entries)} lies outside the null subspace")
 
 
 class AnnihilationError(ValueError):
@@ -73,18 +74,17 @@ def shift(x: Element, i: int, r: int) -> Element:
     canon = _ORBIT_CANONICAL.get(x.kind)
     out = []
     for m in x.support:
-        e = list(m.entries)
+        e = list(m)
         e[i - 1] += r
         t = tuple(e)
         if canon is not None:
             t = canon(t)
-        out.append(Monomial(x.kind, t))
+        out.append(t)
     return Element.from_monomials(x.kind, x.s, x.d + r, out)
 
 
-def _mono_in_null(m: Monomial, h: HomotopySystem) -> bool:
+def _mono_in_null(e: Tuple[int, ...], h: HomotopySystem) -> bool:
     k = h.order
-    e = m.entries
     if h.kind is ModuleKind.NABLA:
         return True
     if h.kind is ModuleKind.GAMMA:
@@ -147,9 +147,9 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     a failure there indicates an implementation bug, not bad input.
     """
     _check_position(x, h)
-    for m in x.support:
-        if not _mono_in_null(m, h):
-            raise NullMembershipError(m)
+    outside = [t for t in x.support if not _mono_in_null(t, h)]
+    if outside:
+        raise NullMembershipError(h.kind, min(outside))
     for i in range(h.order + 1):
         if not sq(x, 1 << i).is_zero():
             raise AnnihilationError(i)

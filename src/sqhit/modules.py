@@ -1,4 +1,4 @@
-"""Monomial modules over F_2 with a right action of the Steenrod squares.
+"""Modules of monomials over F_2 with a right action of the Steenrod squares.
 
 Four module kinds share one monomial calculus:
 
@@ -7,17 +7,16 @@ Four module kinds share one monomial calculus:
 * ``gamma-sym`` -- symmetric-group orbits, stored non-increasing,
 * ``gamma-cyc`` -- cyclic orbits, stored as the lex-maximal rotation.
 
-Elements are finite F_2-sums of monomials of one kind and one bidegree;
-addition is symmetric difference of supports.
+Elements are finite F_2-sums of monomials (entry tuples) of one kind and
+one bidegree; addition is symmetric difference of supports.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 
 class ModuleKind(str, Enum):
@@ -70,41 +69,9 @@ def _cyc_canonical(entries: Tuple[int, ...]) -> Tuple[int, ...]:
 _ORBIT_CANONICAL = {ModuleKind.GAMMA_SYM: _sym_canonical, ModuleKind.GAMMA_CYC: _cyc_canonical}
 
 
-@dataclass(frozen=True)
-class Monomial:
-    kind: ModuleKind
-    entries: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        k = self.kind
-        if k in POSITIVE_KINDS and any(a < 1 for a in self.entries):
-            raise ValueError(f"{k.value} entries must be >= 1: {self.entries}")
-        if k is ModuleKind.GAMMA_SYM and self.entries != _sym_canonical(self.entries):
-            raise ValueError(f"gamma-sym monomial not sorted non-increasing: {self.entries}")
-        if k is ModuleKind.GAMMA_CYC and self.entries != _cyc_canonical(self.entries):
-            raise ValueError(f"gamma-cyc monomial not in canonical rotation: {self.entries}")
-
-    @property
-    def s(self) -> int:
-        return len(self.entries)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.entries)
-
-    def __repr__(self):
-        return f"{self.kind.value}{list(self.entries)}"
-
-
-def canonicalize_sym(m: Monomial) -> Monomial:
-    """Sort entries non-increasing; the symmetric-orbit representative."""
-    return Monomial(ModuleKind.GAMMA_SYM, _sym_canonical(m.entries))
-
-
-def canonicalize_cyc(m: Monomial) -> Monomial:
-    """Pick the lexicographically maximal cyclic rotation."""
-    return Monomial(ModuleKind.GAMMA_CYC, _cyc_canonical(m.entries))
+def monomial_str(kind: ModuleKind, entries: Tuple[int, ...]) -> str:
+    """A monomial as it is printed, e.g. ``gamma[1, 2]``."""
+    return f"{kind.value}{list(entries)}"
 
 
 def _toggle(acc: set, item) -> None:
@@ -118,6 +85,9 @@ def _toggle(acc: set, item) -> None:
 class Element:
     """Finite F_2-sum of monomials of one kind, arity and internal degree.
 
+    The support is a frozenset of entry tuples; this constructor is the one
+    place that checks them against the kind, arity and degree.
+
     A zero element carries a nominal degree; addition lets a zero absorb
     the other side's degree so bookkeeping never blocks on empty sums.
     """
@@ -128,24 +98,31 @@ class Element:
     support: frozenset
 
     def __post_init__(self):
-        for m in self.support:
-            if m.kind is not self.kind or m.s != self.s or m.degree != self.d:
-                raise ValueError(f"monomial {m} inconsistent with element ({self.kind.value},{self.s},{self.d})")
+        kind, s, d = self.kind, self.s, self.d
+        positive = kind in POSITIVE_KINDS
+        canon = _ORBIT_CANONICAL.get(kind)
+        for t in self.support:
+            if len(t) != s or sum(t) != d:
+                raise ValueError(f"monomial {monomial_str(kind, t)} inconsistent with element ({kind.value},{s},{d})")
+            if positive and min(t, default=1) < 1:
+                raise ValueError(f"{kind.value} entries must be >= 1: {monomial_str(kind, t)}")
+            if canon is not None and canon(t) != t:
+                raise ValueError(f"monomial {monomial_str(kind, t)} is not canonical; expected {list(canon(t))}")
 
     @classmethod
     def zero(cls, kind: ModuleKind, s: int, d: int) -> "Element":
         return cls(kind, s, d, frozenset())
 
     @classmethod
-    def from_monomials(cls, kind: ModuleKind, s: int, d: int, monomials: Iterable[Monomial]) -> "Element":
+    def from_monomials(cls, kind: ModuleKind, s: int, d: int, terms: Iterable[Tuple[int, ...]]) -> "Element":
         acc: set = set()
-        for m in monomials:
-            _toggle(acc, m)
+        for t in terms:
+            _toggle(acc, t)
         return cls(kind, s, d, frozenset(acc))
 
     @classmethod
-    def single(cls, m: Monomial) -> "Element":
-        return cls(m.kind, m.s, m.degree, frozenset([m]))
+    def single(cls, kind: ModuleKind, entries: Tuple[int, ...]) -> "Element":
+        return cls(kind, len(entries), sum(entries), frozenset([entries]))
 
     def is_zero(self) -> bool:
         return not self.support
@@ -169,22 +146,20 @@ class Element:
             return self.support == other.support
         return self.d == other.d and self.support == other.support
 
-    def sorted_support(self) -> List[Monomial]:
-        return sorted(self.support, key=lambda m: m.entries)
+    def sorted_support(self) -> List[Tuple[int, ...]]:
+        return sorted(self.support)
 
     def __repr__(self):
         if self.is_zero():
             return f"0({self.kind.value},{self.s},{self.d})"
-        return " + ".join(repr(m) for m in self.sorted_support())
+        return " + ".join(monomial_str(self.kind, t) for t in self.sorted_support())
 
 
 def sq_single(a: int, i: int, kind: ModuleKind) -> Element:
     """Right action of Sq^i on the arity-1 monomial [a]."""
     if i < 0:
         raise ValueError("negative square index")
-    if kind in POSITIVE_KINDS and a < 1:
-        raise ValueError(f"entry {a} invalid for kind {kind.value}")
-    return sq(Element.single(Monomial(kind, (a,))), i)
+    return sq(Element.single(kind, (a,)), i)
 
 
 @lru_cache(maxsize=None)
@@ -233,9 +208,9 @@ def sq(x: Element, l: int) -> Element:
     if l == 0:
         return x
     acc: set = set()
-    for m in x.support:
-        acc ^= sq_support(x.kind, m.entries, l)
-    return Element(x.kind, x.s, x.d - l, frozenset(Monomial(x.kind, t) for t in acc))
+    for t in x.support:
+        acc ^= sq_support(x.kind, t, l)
+    return Element(x.kind, x.s, x.d - l, frozenset(acc))
 
 
 def _compositions(d: int, s: int):
@@ -250,7 +225,7 @@ def _compositions(d: int, s: int):
 
 
 @lru_cache(maxsize=None)
-def basis(b: Bidegree, kind: ModuleKind) -> Tuple[Monomial, ...]:
+def basis(b: Bidegree, kind: ModuleKind) -> Tuple[Tuple[int, ...], ...]:
     """The fixed lexicographic coordinate basis of one graded piece."""
     if kind is ModuleKind.NABLA:
         raise ValueError("nabla graded pieces are infinite; use windowed_basis")
@@ -258,15 +233,14 @@ def basis(b: Bidegree, kind: ModuleKind) -> Tuple[Monomial, ...]:
     if s < 0 or d < 0:
         raise ValueError("bidegree out of range")
     if s == 0:
-        return (Monomial(kind, ()),) if d == 0 else ()
+        return ((),) if d == 0 else ()
     if kind is ModuleKind.GAMMA:
-        return tuple(Monomial(kind, t) for t in _compositions(d, s))
+        return tuple(_compositions(d, s))
     canon = _ORBIT_CANONICAL[kind]
-    reps = sorted({canon(t) for t in _compositions(d, s)})
-    return tuple(Monomial(kind, t) for t in reps)
+    return tuple(sorted({canon(t) for t in _compositions(d, s)}))
 
 
-def windowed_basis(s: int, d: int, lo: int, hi: int) -> Tuple[Monomial, ...]:
+def windowed_basis(s: int, d: int, lo: int, hi: int) -> Tuple[Tuple[int, ...], ...]:
     """All nabla monomials of degree d with every entry in [lo,hi], lex order."""
     if lo > hi:
         raise ValueError("empty window")
@@ -282,7 +256,7 @@ def windowed_basis(s: int, d: int, lo: int, hi: int) -> Tuple[Monomial, ...]:
             for rest in gen(n - 1, rem - first):
                 yield (first,) + rest
 
-    return tuple(Monomial(ModuleKind.NABLA, t) for t in gen(s, d))
+    return tuple(gen(s, d))
 
 
 def concat_product(x: Element, y: Element) -> Element:
@@ -293,8 +267,8 @@ def concat_product(x: Element, y: Element) -> Element:
     acc: set = set()
     for m in x.support:
         for n in y.support:
-            _toggle(acc, m.entries + n.entries)
-    return Element(ModuleKind.GAMMA, s, d, frozenset(Monomial(ModuleKind.GAMMA, t) for t in acc))
+            _toggle(acc, m + n)
+    return Element(ModuleKind.GAMMA, s, d, frozenset(acc))
 
 
 def project_to_orbit(x: Element, kind: ModuleKind) -> Element:
@@ -305,9 +279,9 @@ def project_to_orbit(x: Element, kind: ModuleKind) -> Element:
         raise ValueError("target must be an orbit kind")
     canon = _ORBIT_CANONICAL[kind]
     acc: set = set()
-    for m in x.support:
-        _toggle(acc, canon(m.entries))
-    return Element(kind, x.s, x.d, frozenset(Monomial(kind, t) for t in acc))
+    for t in x.support:
+        _toggle(acc, canon(t))
+    return Element(kind, x.s, x.d, frozenset(acc))
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -320,7 +294,7 @@ def element_to_json(x: Element) -> dict:
         "kind": x.kind.value,
         "s": x.s,
         "d": x.d,
-        "monomials": [list(m.entries) for m in x.sorted_support()],
+        "monomials": [list(t) for t in x.sorted_support()],
     }
 
 
@@ -344,7 +318,7 @@ def element_from_json(obj: dict) -> Element:
     for t in monos:
         if not isinstance(t, list) or not all(type(a) is int for a in t):
             raise ValueError(f"bad monomial {t!r}")
-        out.append(Monomial(kind, tuple(t)))
+        out.append(tuple(t))
     x = Element.from_monomials(kind, s, d, out)
     if len(x.support) != len(monos):
         raise ValueError("duplicate monomials in element JSON")

@@ -28,7 +28,6 @@ from .modules import (
     Bidegree,
     Element,
     ModuleKind,
-    Monomial,
     ORBIT_KINDS,
     basis,
     concat_product,
@@ -79,7 +78,7 @@ def suite_adem(seed: int = 0, s_max: int = 4, d_max: int = 16) -> SuiteResult:
     for s in range(1, s_max + 1):
         for d in range(s, d_max + 1):
             for m in basis(Bidegree(s, d), ModuleKind.GAMMA):
-                x = Element.single(m)
+                x = Element.single(ModuleKind.GAMMA, m)
                 for n in range(1, d + 1):
                     y = sq(sq(x, 2 * n - 1), n)
                     rec.check(y.is_zero(), lambda x=x, n=n: _fail_json(x, f"Sq^{2*n-1}Sq^{n} != 0"))
@@ -88,7 +87,7 @@ def suite_adem(seed: int = 0, s_max: int = 4, d_max: int = 16) -> SuiteResult:
     for _ in range(200):
         s = rng.randint(1, 4)
         entries = tuple(rng.randint(-16, 16) for _ in range(s))
-        x = Element.single(Monomial(ModuleKind.NABLA, entries))
+        x = Element.single(ModuleKind.NABLA, entries)
         n = rng.randint(1, 8)
         y = sq(sq(x, 2 * n - 1), n)
         rec.check(y.is_zero(), lambda x=x, n=n: _fail_json(x, f"nabla Sq^{2*n-1}Sq^{n} != 0"))
@@ -135,7 +134,7 @@ def suite_composition(seed: int = 0, s_max: int = 3, d_max: int = 10) -> SuiteRe
     for s in range(1, s_max + 1):
         for d in range(s, d_max + 1):
             for m in basis(Bidegree(s, d), ModuleKind.GAMMA):
-                x = Element.single(m)
+                x = Element.single(ModuleKind.GAMMA, m)
                 rec.check(sq(sq(x, 1), 2).same(sq(x, 3)),
                           lambda x=x: _fail_json(x, "Sq^1Sq^2 != Sq^3"))
     return rec.result
@@ -153,9 +152,9 @@ def suite_homotopy(seed: int = 0, s_max: int = 4, d_max: int = 16, k_max: int = 
                 h = HomotopySystem(ModuleKind.GAMMA, k, i)
                 for d in range(s, d_max + 1):
                     for mono in basis(Bidegree(s, d), ModuleKind.GAMMA):
-                        if mono.entries[i - 1] < threshold:
+                        if mono[i - 1] < threshold:
                             continue
-                        x = Element.single(mono)
+                        x = Element.single(ModuleKind.GAMMA, mono)
                         for m in range(k + 1):
                             rec.check(verify_homotopy(x, h, m),
                                       lambda x=x, m=m, i=i: _fail_json(x, f"homotopy m={m} pos={i}"))
@@ -168,7 +167,7 @@ def suite_homotopy(seed: int = 0, s_max: int = 4, d_max: int = 16, k_max: int = 
     for _ in range(nabla_trials):
         s = rng.randint(1, 4)
         entries = tuple(rng.randint(-64, 64) for _ in range(s))
-        x = Element.single(Monomial(ModuleKind.NABLA, entries))
+        x = Element.single(ModuleKind.NABLA, entries)
         h = HomotopySystem(ModuleKind.NABLA, 4, rng.randint(1, s))
         for m in range(5):
             rec.check(verify_homotopy(x, h, m),
@@ -199,11 +198,10 @@ def suite_homotopy(seed: int = 0, s_max: int = 4, d_max: int = 16, k_max: int = 
             sigma_i = b + 1
         elif i - 1 == b:
             sigma_i = a + 1
-        x = Element.single(mono)
+        x = Element.single(ModuleKind.GAMMA, mono)
         shifted_then_permuted = Element.from_monomials(
-            ModuleKind.GAMMA, s, d + r,
-            (Monomial(ModuleKind.GAMMA, transpose(mm.entries)) for mm in shift(x, i, r).support))
-        permuted = Element.single(Monomial(ModuleKind.GAMMA, transpose(mono.entries)))
+            ModuleKind.GAMMA, s, d + r, (transpose(t) for t in shift(x, i, r).support))
+        permuted = Element.single(ModuleKind.GAMMA, transpose(mono))
         permuted_then_shifted = shift(permuted, sigma_i, r)
         rec.check(shifted_then_permuted.same(permuted_then_shifted),
                   lambda x=x: _fail_json(x, f"shift/permutation i={i} r={r}"))
@@ -214,7 +212,7 @@ def _null_span(b: Bidegree, kind: ModuleKind, h: HomotopySystem) -> f2linalg.Sub
     monos = basis(b, kind)
     rows = []
     for j, m in enumerate(monos):
-        if in_null(Element.single(m), h):
+        if in_null(Element.single(kind, m), h):
             rows.append(1 << j)
     return f2linalg.subspace_from_rows(len(monos), rows)
 
@@ -274,8 +272,8 @@ def suite_orbit(seed: int = 0) -> SuiteResult:
         else:
             rot = rng.randrange(s)
             perm = perm[rot:] + perm[:rot]
-        translated = Element.single(Monomial(ModuleKind.GAMMA, tuple(mono.entries[p] for p in perm)))
-        x = Element.single(mono)
+        translated = Element.single(ModuleKind.GAMMA, tuple(mono[p] for p in perm))
+        x = Element.single(ModuleKind.GAMMA, mono)
         lhs = sq(project_to_orbit(x, kind), l)
         rhs = project_to_orbit(sq(translated, l), kind)
         rec.check(lhs.same(rhs), lambda x=x, l=l, kind=kind: _fail_json(x, f"orbit action {kind.value} l={l}"))
@@ -338,10 +336,10 @@ def suite_structure(seed: int = 0, s_max: int = 4, d_max: int = 12) -> SuiteResu
     for s in range(2, s_max + 1):
         for d in range(s, d_max + 1):
             b = Bidegree(s, d)
-            ker1 = f2linalg.kernel_basis(hit.sq_matrix(b, 1, ModuleKind.GAMMA).matrix)
+            ker1 = f2linalg.kernel_basis(hit.sq_matrix(b, 1, ModuleKind.GAMMA))
             for x in hit.subspace_elements(ker1, b, ModuleKind.GAMMA):
                 rec.check(not hit.check_sq1_relations(x), lambda x=x: _fail_json(x, "sq1 checker on kernel vector"))
-            ker2 = f2linalg.kernel_basis(hit.sq_matrix(b, 2, ModuleKind.GAMMA).matrix)
+            ker2 = f2linalg.kernel_basis(hit.sq_matrix(b, 2, ModuleKind.GAMMA))
             for x in hit.subspace_elements(ker2, b, ModuleKind.GAMMA):
                 rec.check(not hit.check_sq2_relations(x), lambda x=x: _fail_json(x, "sq2 checker on kernel vector"))
             for x in hit.subspace_elements(hit.delta_basis(b, 1, ModuleKind.GAMMA), b, ModuleKind.GAMMA):
@@ -369,7 +367,7 @@ def suite_i1_membership(seed: int = 0, s_max: int = 4, d_max: int = 12) -> Suite
             delta1 = hit.delta_basis(b, 1, ModuleKind.GAMMA)
             if delta1.dim == 0:
                 continue
-            im3 = f2linalg.image_basis(hit.sq_matrix(Bidegree(s, d + 3), 3, ModuleKind.GAMMA).matrix)
+            im3 = f2linalg.image_basis(hit.sq_matrix(Bidegree(s, d + 3), 3, ModuleKind.GAMMA))
             for r in delta1.basis:
                 x = hit.vector_to_element(BitVector(delta1.ambient_dim, r), b, ModuleKind.GAMMA)
                 member, witness = hit.i1_membership(x)
@@ -388,7 +386,7 @@ def suite_builder(seed: int = 0, trials: int = 40) -> SuiteResult:
     while cases < trials:
         s1 = rng.randint(1, 3)
         d1 = rng.randint(s1, s1 + 6)
-        ker2 = f2linalg.kernel_basis(hit.sq_matrix(Bidegree(s1, d1), 2, ModuleKind.GAMMA).matrix)
+        ker2 = f2linalg.kernel_basis(hit.sq_matrix(Bidegree(s1, d1), 2, ModuleKind.GAMMA))
         if ker2.dim == 0:
             continue
         cases += 1

@@ -10,7 +10,7 @@ must match basis for basis.
 import itertools
 import math
 
-from sqhit.modules import Element, ModuleKind, Monomial, ORBIT_KINDS, _cyc_canonical, _sym_canonical
+from sqhit.modules import Element, ModuleKind
 
 
 def series_binom_mod2(a: int, i: int) -> int:
@@ -31,6 +31,16 @@ def series_binom_mod2(a: int, i: int) -> int:
     return inv[i]
 
 
+def sym_canonical(t: tuple) -> tuple:
+    """Symmetric-orbit representative: the entries sorted non-increasing."""
+    return tuple(sorted(t, reverse=True))
+
+
+def cyc_canonical(t: tuple) -> tuple:
+    """Cyclic-orbit representative: the lexicographically greatest rotation."""
+    return max((t[i:] + t[:i] for i in range(len(t))), default=t)
+
+
 def gamma_coeff(a: int, i: int) -> int:
     b = a - i
     if i == 0:
@@ -46,8 +56,7 @@ def naive_sq(x: Element, l: int) -> Element:
         return x
     plain_kind = ModuleKind.NABLA if x.kind is ModuleKind.NABLA else ModuleKind.GAMMA
     acc = set()
-    for mono in x.support:
-        entries = mono.entries
+    for entries in x.support:
         s = len(entries)
         for comp in itertools.product(range(l + 1), repeat=s):
             if sum(comp) != l:
@@ -64,14 +73,14 @@ def naive_sq(x: Element, l: int) -> Element:
                 continue
             t = tuple(out)
             if x.kind is ModuleKind.GAMMA_SYM:
-                t = _sym_canonical(t)
+                t = sym_canonical(t)
             elif x.kind is ModuleKind.GAMMA_CYC:
-                t = _cyc_canonical(t)
+                t = cyc_canonical(t)
             if t in acc:
                 acc.discard(t)
             else:
                 acc.add(t)
-    return Element.from_monomials(x.kind, x.s, x.d - l, (Monomial(x.kind, t) for t in acc))
+    return Element.from_monomials(x.kind, x.s, x.d - l, acc)
 
 
 # --- Reference elimination ----------------------------------------------------

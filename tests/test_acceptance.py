@@ -8,7 +8,7 @@ import random
 
 from oracles import naive_sq, series_binom_mod2
 from sqhit import hit, suites
-from sqhit.modules import Bidegree, Element, ModuleKind, Monomial, basis, gen_binom_mod2, sq
+from sqhit.modules import Bidegree, Element, ModuleKind, basis, gen_binom_mod2, sq
 
 G = ModuleKind.GAMMA
 
@@ -20,8 +20,8 @@ def report(name, ok):
 
 def test_criterion_1_counterexample_reproduction():
     result = hit.counterexample_suite()
-    m2 = hit.sq_matrix(Bidegree(4, 10), 2, G).matrix
-    m3 = hit.sq_matrix(Bidegree(5, 12), 3, G).matrix
+    m2 = hit.sq_matrix(Bidegree(4, 10), 2, G)
+    m3 = hit.sq_matrix(Bidegree(5, 12), 3, G)
     ok = (
         result["w_killed_by_sq2"]
         and result["w_not_in_im_sq2"]
@@ -92,8 +92,7 @@ def test_criterion_8_oracle_cross_checks():
             while len(entries_list) < rng.randint(1, 4):
                 cuts = [rng.randint(-12, 12) for _ in range(s - 1)]
                 entries_list.add(tuple(cuts) + (d - sum(cuts),))
-            x = Element.from_monomials(kind, s, d,
-                                       (Monomial(kind, t) for t in entries_list))
+            x = Element.from_monomials(kind, s, d, entries_list)
         l = rng.randint(0, 6)
         if not sq(x, l).same(naive_sq(x, l)):
             ok = False

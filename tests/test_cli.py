@@ -4,7 +4,7 @@ import pytest
 
 from sqhit import hit
 from sqhit.cli import main
-from sqhit.modules import element_from_json, element_to_json, sq
+from sqhit.modules import Element, ModuleKind, element_from_json, element_to_json, sq
 
 
 def write_element(tmp_path, x, name="x.json"):
@@ -73,6 +73,25 @@ class TestSq:
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "sq", "--in", str(path), "--l", "0")
         assert code == 2 and out == "" and "bad element input" in err
+
+    @pytest.mark.parametrize("kind,s,d,term", [
+        ("gamma-sym", 2, 3, (1, 2)),   # not sorted non-increasing
+        ("gamma-cyc", 3, 4, (1, 2, 1)),  # not the lex-greatest rotation
+        ("gamma", 2, 2, (0, 2)),       # entry below 1
+        ("gamma", 1, 5, (3,)),         # wrong degree
+        ("gamma", 2, 3, (3,)),         # wrong arity
+    ])
+    def test_malformed_term_rejected(self, capsys, tmp_path, kind, s, d, term):
+        obj = {"kind": kind, "s": s, "d": d, "monomials": [list(term)]}
+        with pytest.raises(ValueError):
+            element_from_json(obj)
+        with pytest.raises(ValueError):
+            Element(ModuleKind(kind), s, d, frozenset([term]))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "sq", "--in", str(path), "--l", "1")
+        assert code == 2 and out == "" and "bad element input" in err
+        assert ", ".join(map(str, term)) in err
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sq", "--in", str(tmp_path / "nope.json"), "--l", "1")
@@ -166,6 +185,8 @@ class TestPreimage:
         path = write_element(tmp_path, hit.unhit_witness_5_9())
         code, _, err = run(capsys, "preimage", "--in", path, "--k", "1")
         assert code == 4 and "null" in err
+        # The lexicographically least offending term, whatever the hash seed.
+        assert err.strip().endswith("offending monomial gamma[1, 1, 1, 2, 4]")
 
     def test_annihilation_rejection_exit_4(self, capsys, tmp_path):
         x = element_from_json({"kind": "gamma", "s": 1, "d": 2, "monomials": [[2]]})

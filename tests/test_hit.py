@@ -4,65 +4,64 @@ import oracles
 from oracles import naive_sq
 from sqhit import f2linalg, hit
 from sqhit.f2linalg import BitMatrix, BitVector
-from sqhit.modules import Bidegree, Element, ModuleKind, Monomial, basis, sq
+from sqhit.modules import Bidegree, Element, ModuleKind, basis, sq
 
 G = ModuleKind.GAMMA
 
 
 def gamma(*tuples):
-    monos = [Monomial(G, t) for t in tuples]
-    return Element.from_monomials(G, len(tuples[0]), sum(tuples[0]), monos)
+    return Element.from_monomials(G, len(tuples[0]), sum(tuples[0]), tuples)
 
 
 class TestSqMatrix:
     def test_single_column_action(self):
-        m = hit.sq_matrix(Bidegree(1, 2), 1, G).matrix
+        m = hit.sq_matrix(Bidegree(1, 2), 1, G)
         assert (m.rows, m.cols) == (1, 1)
         assert m.data == (1,)
 
     def test_killed_generator(self):
-        m = hit.sq_matrix(Bidegree(1, 3), 1, G).matrix
+        m = hit.sq_matrix(Bidegree(1, 3), 1, G)
         assert m.data == (0,)
 
     def test_l_zero_is_identity(self):
         b = Bidegree(2, 5)
-        m = hit.sq_matrix(b, 0, G).matrix
+        m = hit.sq_matrix(b, 0, G)
         assert m == BitMatrix.identity(len(basis(b, G)))
 
     def test_rows_match_action(self):
         b = Bidegree(3, 7)
-        m = hit.sq_matrix(b, 2, G).matrix
+        m = hit.sq_matrix(b, 2, G)
         for j, mono in enumerate(basis(b, G)):
-            img = sq(Element.single(mono), 2)
+            img = sq(Element.single(G, mono), 2)
             v = hit.element_to_vector(img, Bidegree(3, 5), G)
             assert m.data[j] == v.bits
 
     def test_dimensions_used_by_counterexample(self):
-        m2 = hit.sq_matrix(Bidegree(4, 10), 2, G).matrix
-        m3 = hit.sq_matrix(Bidegree(5, 12), 3, G).matrix
+        m2 = hit.sq_matrix(Bidegree(4, 10), 2, G)
+        m3 = hit.sq_matrix(Bidegree(5, 12), 3, G)
         assert (m2.rows, m2.cols) == (84, 35)
         assert (m3.rows, m3.cols) == (330, 70)
 
     def test_windowed_hand_case(self):
-        m = hit.windowed_sq_matrix(1, 0, 1, -1, 1).matrix
+        m = hit.windowed_sq_matrix(1, 0, 1, -1, 1)
         # degree -1 with one slot leaves the single codomain monomial (-1,).
         assert (m.rows, m.cols) == (1, 1)
         assert m.data == (1,)
-        x = Element.single(Monomial(ModuleKind.NABLA, (0,)))
-        assert sq(x, 1).sorted_support()[0].entries == (-1,)
+        x = Element.single(ModuleKind.NABLA, (0,))
+        assert sq(x, 1).sorted_support()[0] == (-1,)
 
     def test_windowed_matches_naive(self):
         sm = hit.windowed_sq_matrix(2, 1, 2, -2, 3)
         from sqhit.modules import windowed_basis
         dom = windowed_basis(2, 1, -2, 3)
         cod = windowed_basis(2, -1, -4, 3)
-        index = {m.entries: j for j, m in enumerate(cod)}
+        index = {m: j for j, m in enumerate(cod)}
         for j, mono in enumerate(dom):
-            img = naive_sq(Element.single(mono), 2)
+            img = naive_sq(Element.single(ModuleKind.NABLA, mono), 2)
             bits = 0
             for n in img.support:
-                bits |= 1 << index[n.entries]
-            assert sm.matrix.data[j] == bits
+                bits |= 1 << index[n]
+            assert sm.data[j] == bits
 
 
 class TestVectorConversion:
@@ -123,7 +122,7 @@ class TestDeltaAndImage:
         # Rows through element-level sq, elimination through the reference loops.
         def rows(src, l):
             target = Bidegree(src.s, src.d - l)
-            return [hit.element_to_vector(sq(Element.single(m), l), target, G).bits
+            return [hit.element_to_vector(sq(Element.single(G, m), l), target, G).bits
                     for m in basis(src, G)]
 
         b = Bidegree(s, d)
@@ -171,8 +170,8 @@ class TestFirstFactorStructure:
             for d in range(s, s + 7):
                 b = Bidegree(s, d)
                 monos = basis(b, G)
-                mat1 = hit.sq_matrix(b, 1, G).matrix
-                mat2 = hit.sq_matrix(b, 2, G).matrix
+                mat1 = hit.sq_matrix(b, 1, G)
+                mat2 = hit.sq_matrix(b, 2, G)
                 for r in range(1, 1 << min(len(monos), 7)):
                     x = hit.vector_to_element(BitVector(len(monos), r), b, G)
                     assert (hit.check_sq1_relations(x) == []) == sq(x, 1).is_zero()
@@ -212,7 +211,7 @@ class TestImageMembership:
         for d in range(2, 11):
             b = Bidegree(2, d)
             delta = hit.delta_basis(b, 1, G)
-            im3 = f2linalg.image_basis(hit.sq_matrix(Bidegree(2, d + 3), 3, G).matrix)
+            im3 = f2linalg.image_basis(hit.sq_matrix(Bidegree(2, d + 3), 3, G))
             for r in delta.basis:
                 x = hit.vector_to_element(BitVector(delta.ambient_dim, r), b, G)
                 ok, witness = hit.i1_membership(x)
@@ -240,7 +239,7 @@ class TestCounterexample:
         w = hit.sq2_kernel_witness()
         assert (w.s, w.d) == (4, 8) and len(w.support) == 7
         assert sq(w, 2).is_zero()
-        im2 = f2linalg.image_basis(hit.sq_matrix(Bidegree(4, 10), 2, G).matrix)
+        im2 = f2linalg.image_basis(hit.sq_matrix(Bidegree(4, 10), 2, G))
         assert not f2linalg.contains(im2, hit.element_to_vector(w, Bidegree(4, 8), G))
 
     def test_z_properties(self):
