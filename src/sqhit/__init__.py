@@ -5,6 +5,7 @@ from .modules import (
     Element,
     ModuleKind,
     basis,
+    basis_size,
     binom_mod2,
     concat_product,
     element_from_json,

@@ -2,7 +2,8 @@
 verification suites and preimage chains.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 guardrail
-exceeded, 4 input outside the null subspace or not annihilated.
+exceeded, 4 input outside the null subspace or not annihilated, 5 internal
+error (a computed result failed its own check; a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
@@ -19,6 +19,7 @@ from typing import List, Optional
 from . import hit, suites
 from .homotopy import (
     AnnihilationError,
+    ChainCertificateError,
     HomotopySystem,
     NullMembershipError,
     preimage_chain,
@@ -28,6 +29,7 @@ from .modules import (
     Element,
     ModuleKind,
     basis,
+    basis_size,
     element_from_json,
     element_to_json,
     monomial_str,
@@ -74,19 +76,9 @@ def _parse_kind(tag: str) -> ModuleKind:
         raise argparse.ArgumentTypeError(f"unknown kind {tag!r}")
 
 
-def _basis_size(kind: ModuleKind, s: int, d: int) -> int:
-    # Gamma composition count bounds every positive kind.
-    if s <= 0:
-        return 1 if s == d == 0 else 0
-    if d < s:
-        return 0
-    return math.comb(d - 1, s - 1)
-
-
 def _check_dim(cfg: Config, kind: ModuleKind, s: int, d: int) -> Optional[str]:
-    size = _basis_size(kind, s, d)
-    if size > cfg.max_dim:
-        return f"basis size {size} exceeds max_dim={cfg.max_dim}"
+    if basis_size(Bidegree(s, d), kind, cfg.max_dim) > cfg.max_dim:
+        return f"basis size exceeds max_dim={cfg.max_dim}"
     return None
 
 
@@ -346,6 +338,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args, cfg)
     except ValueError as exc:
         return _die(2, str(exc))
+    except (hit.InternalInconsistencyError, ChainCertificateError) as exc:
+        return _die(5, f"internal error: {exc}")
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ one bidegree; addition is symmetric difference of supports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 
 class ModuleKind(str, Enum):
@@ -207,37 +208,146 @@ def sq(x: Element, l: int) -> Element:
         raise ValueError("negative square index")
     if l == 0:
         return x
+    if x.kind in POSITIVE_KINDS and l > x.d - x.s:
+        # Every entry stays >= 1, so no term reaches degree d - l < s.
+        return Element.zero(x.kind, x.s, x.d - l)
     acc: set = set()
     for t in x.support:
         acc ^= sq_support(x.kind, t, l)
     return Element(x.kind, x.s, x.d - l, frozenset(acc))
 
 
-def _compositions(d: int, s: int):
-    """Compositions of d into s positive parts, ascending lexicographic."""
+def _compositions(d: int, s: int, cap: int):
+    """Compositions of d into s parts in 1..cap, ascending lexicographic."""
     if s == 0:
         if d == 0:
             yield ()
         return
-    for first in range(1, d - s + 2):
-        for rest in _compositions(d - first, s - 1):
+    for first in range(max(1, d - (s - 1) * cap), min(cap, d - s + 1) + 1):
+        for rest in _compositions(d - first, s - 1, cap):
             yield (first,) + rest
+
+
+def _partitions(d: int, s: int, cap: int):
+    """Partitions of d into s parts in 1..cap, each entry tuple non-increasing,
+    ascending lexicographic.  The first part is at least ceil(d/s), so every
+    branch yields."""
+    if s == 0:
+        if d == 0:
+            yield ()
+        return
+    for first in range(max(1, -(-d // s)), min(cap, d - s + 1) + 1):
+        for rest in _partitions(d - first, s - 1, first):
+            yield (first,) + rest
+
+
+def _necklaces(d: int, s: int):
+    """Lex-greatest rotations of the compositions of d into s parts, ascending
+    lexicographic.  Such a rotation starts with its maximum a, so only the
+    compositions (a, rest) with rest in 1..a are tried."""
+    for a in range(max(1, -(-d // s)), d - s + 2):
+        for rest in _compositions(d - a, s - 1, a):
+            t = (a,) + rest
+            if _cyc_canonical(t) == t:
+                yield t
+
+
+def _finite_piece(b: Bidegree, kind: ModuleKind) -> Bidegree:
+    """The bidegree of a graded piece that has a finite basis, or ValueError."""
+    if kind is ModuleKind.NABLA:
+        raise ValueError("nabla graded pieces are infinite; use windowed_basis")
+    if b.s < 0 or b.d < 0:
+        raise ValueError("bidegree out of range")
+    return b
 
 
 @lru_cache(maxsize=None)
 def basis(b: Bidegree, kind: ModuleKind) -> Tuple[Tuple[int, ...], ...]:
-    """The fixed lexicographic coordinate basis of one graded piece."""
-    if kind is ModuleKind.NABLA:
-        raise ValueError("nabla graded pieces are infinite; use windowed_basis")
-    s, d = b
-    if s < 0 or d < 0:
-        raise ValueError("bidegree out of range")
+    """The fixed coordinate basis of one graded piece, in ascending
+    lexicographic order of entry tuples: compositions for gamma; for
+    gamma-sym the partitions, entries non-increasing; for gamma-cyc the
+    necklaces, each entry tuple its own lex-greatest rotation."""
+    s, d = _finite_piece(b, kind)
     if s == 0:
         return ((),) if d == 0 else ()
     if kind is ModuleKind.GAMMA:
-        return tuple(_compositions(d, s))
-    canon = _ORBIT_CANONICAL[kind]
-    return tuple(sorted({canon(t) for t in _compositions(d, s)}))
+        return tuple(_compositions(d, s, d))
+    if kind is ModuleKind.GAMMA_SYM:
+        return tuple(_partitions(d, s, d))
+    return tuple(_necklaces(d, s))
+
+
+def _binomial(n: int, k: int, cap) -> int:
+    """C(n, k), or cap + 1 once it passes cap.  C(n, j) grows with j up to
+    n/2 and at least doubles, so at most log2(cap) + 1 steps run."""
+    k = min(k, n - k)
+    c = 1
+    for j in range(k):
+        c = c * (n - j) // (j + 1)
+        if c > cap:
+            return cap + 1
+    return c
+
+
+def _partitions_at_most(n: int, k: int, cap) -> int:
+    """Partitions of n into at most k parts, or cap + 1 once they pass cap.
+    Counted part size by part size; the count only grows, and a large n is
+    refused first by the at-most-three-parts count, at least (n+3)^2 // 12."""
+    k = min(k, n)
+    if k <= 1:
+        return 1
+    if k == 2:
+        return min(n // 2 + 1, cap + 1)
+    if (n + 3) ** 2 // 12 > cap:
+        return cap + 1
+    ways = [1] + [0] * n
+    for part in range(1, k + 1):
+        for i in range(part, n + 1):
+            ways[i] += ways[i - part]
+        if ways[n] > cap:
+            return cap + 1
+    return ways[n]
+
+
+def _divisor_phis(n: int):
+    """Pairs (j, phi(j)) for the divisors j of n, from its prime factors."""
+    pairs = [(1, 1)]
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        pairs = [(j * p ** i, f * (p ** i - p ** (i - 1) if i else 1))
+                 for j, f in pairs for i in range(e + 1)]
+        p += 1
+    return pairs
+
+
+def basis_size(b: Bidegree, kind: ModuleKind, limit: Optional[int] = None) -> int:
+    """len(basis(b, kind)), counted without enumerating; with a limit,
+    min(len, limit + 1), and the work stays small however large b is.
+
+    gamma: C(d-1, s-1) compositions.  gamma-sym: p(d, s) partitions, where
+    p(d, s) = p(d-1, s-1) + p(d-s, s) is the number of partitions of d - s
+    into at most s parts (take 1 from each part).  gamma-cyc: by Burnside,
+    (1/s) * sum over j | gcd(s, d) of phi(j) * C(d/j - 1, s/j - 1) necklaces.
+    """
+    s, d = _finite_piece(b, kind)
+    cap = math.inf if limit is None else limit
+    if s == 0 or d <= s:
+        return int(d == s)
+    if kind is ModuleKind.GAMMA:
+        return _binomial(d - 1, s - 1, cap)
+    if kind is ModuleKind.GAMMA_SYM:
+        return _partitions_at_most(d - s, s, cap)
+    # The j = 1 term alone is at most s times the count.
+    if _binomial(d - 1, s - 1, s * cap) > s * cap:
+        return cap + 1
+    fixed = sum(f * math.comb(d // j - 1, s // j - 1) for j, f in _divisor_phis(math.gcd(s, d)))
+    return min(fixed // s, cap + 1)
 
 
 def windowed_basis(s: int, d: int, lo: int, hi: int) -> Tuple[Tuple[int, ...], ...]:

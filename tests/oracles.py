@@ -1,10 +1,10 @@
 """Independent brute-force oracles used to freeze and cross-check expectations.
 
 These deliberately avoid the library's bit tricks: binomial parity comes from
-math.comb and explicit power-series arithmetic, and the square action is an
-itertools enumeration over compositions.  The reference elimination at the
-end is the slow dense-scan algorithm that the library's single sparse core
-must match basis for basis.
+math.comb and explicit power-series arithmetic, the square action is an
+itertools enumeration over compositions, and orbit bases canonicalise every
+composition.  The reference elimination at the end is the slow dense-scan
+algorithm that the library's single sparse core must match basis for basis.
 """
 
 import itertools
@@ -39,6 +39,19 @@ def sym_canonical(t: tuple) -> tuple:
 def cyc_canonical(t: tuple) -> tuple:
     """Cyclic-orbit representative: the lexicographically greatest rotation."""
     return max((t[i:] + t[:i] for i in range(len(t))), default=t)
+
+
+def orbit_basis(kind: ModuleKind, s: int, d: int) -> tuple:
+    """Orbit representatives by brute force: canonicalise every composition
+    of d into s >= 1 positive parts (cut points from itertools), then sort."""
+    if d < s:
+        return ()
+    canon = {ModuleKind.GAMMA_SYM: sym_canonical, ModuleKind.GAMMA_CYC: cyc_canonical}[kind]
+    reps = set()
+    for cuts in itertools.combinations(range(1, d), s - 1):
+        bounds = (0,) + cuts + (d,)
+        reps.add(canon(tuple(b - a for a, b in zip(bounds, bounds[1:]))))
+    return tuple(sorted(reps))
 
 
 def gamma_coeff(a: int, i: int) -> int:

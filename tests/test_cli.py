@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
-from sqhit import hit
+from sqhit import cli, hit
 from sqhit.cli import main
+from sqhit.homotopy import ChainCertificateError
 from sqhit.modules import Element, ModuleKind, element_from_json, element_to_json, sq
 
 
@@ -28,6 +30,31 @@ class TestBasis:
         # C(59, 11) ~ 1.3e11 compositions: refused before any enumeration.
         code, out, err = run(capsys, "basis", "--kind", "gamma", "--s", "12", "--d", "60", "--count")
         assert code == 3 and out == "" and "max_dim" in err
+
+    def test_orbit_guardrail_counts_partitions(self, capsys):
+        # 638 partitions, not the 1.56 M compositions of 30 into 8 parts.
+        code, out, _ = run(capsys, "basis", "--kind", "gamma-sym", "--s", "8", "--d", "30", "--count")
+        assert code == 0 and out.strip() == "638"
+
+    def test_orbit_guardrail_counts_necklaces(self, capsys):
+        # 23322657491 necklaces.
+        code, out, err = run(capsys, "basis", "--kind", "gamma-cyc", "--s", "12", "--d", "60")
+        assert code == 3 and out == "" and "basis size exceeds max_dim=200000" in err
+
+    @pytest.mark.parametrize("kind,s,d", [
+        ("gamma", "500000000", "1000000000"),
+        ("gamma-sym", "2", "1000000000"),
+        ("gamma-sym", "1000", "1000000000"),
+        ("gamma-cyc", "2", "1000000000"),
+        ("gamma-cyc", "500000000", "1000000000"),
+    ])
+    def test_guardrail_refuses_huge_bidegree_at_once(self, capsys, kind, s, d):
+        # The count stops once it passes max_dim: no list of d entries, no
+        # d-digit binomial.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "basis", "--kind", kind, "--s", s, "--d", d, "--count")
+        assert code == 3 and out == "" and "max_dim" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_json_listing(self, capsys):
         code, out, _ = run(capsys, "basis", "--kind", "gamma", "--s", "2", "--d", "3", "--json")
@@ -97,6 +124,13 @@ class TestSq:
         code, _, _ = run(capsys, "sq", "--in", str(tmp_path / "nope.json"), "--l", "1")
         assert code == 2
 
+    def test_huge_square_returns_zero_at_once(self, capsys, tmp_path):
+        x = element_from_json({"kind": "gamma", "s": 3, "d": 8, "monomials": [[2, 3, 3]]})
+        path = write_element(tmp_path, x)
+        code, out, _ = run(capsys, "sq", "--in", path, "--l", "100000000")
+        assert code == 0
+        assert json.loads(out) == {"d": 8 - 10**8, "kind": "gamma", "monomials": [], "s": 3}
+
 
 class TestDeltaImageUnhit:
     def test_delta_json(self, capsys):
@@ -114,6 +148,14 @@ class TestDeltaImageUnhit:
         assert payload["dim_delta"] == 32
         assert payload["dim_image"] == 31
         assert payload["dim_unhit"] == 1
+
+    def test_orbit_bidegree_past_gamma_count(self, capsys):
+        # The guardrail sizes (8, 34): its gamma count C(33, 7) = 4272048
+        # exceeds max_dim, its 1297 partitions do not.
+        code, out, _ = run(capsys, "unhit", "--kind", "gamma-sym", "--s", "8", "--d", "30", "--k", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["dim_delta"], payload["dim_image"], payload["dim_unhit"]) == (147, 147, 0)
 
     def test_guardrail_max_k(self, capsys):
         code, _, err = run(capsys, "delta", "--kind", "gamma", "--s", "1", "--d", "3", "--k", "9")
@@ -221,6 +263,26 @@ class TestExplore:
         code, out, err = run(capsys, "explore-ker-im", "--l", "2", "--s-max", "12", "--d-max", "60")
         assert code == 3 and out == "" and "max_dim" in err
 
+
+class TestInternalError:
+    @pytest.mark.parametrize("argv,target,exc", [
+        (("unhit", "--kind", "gamma", "--s", "5", "--d", "9", "--k", "1"),
+         (hit, "unhit_report"), hit.InternalInconsistencyError("image not contained in kernel at (5, 9)")),
+        (("preimage", "--k", "0"),
+         (cli, "preimage_chain"), ChainCertificateError("y_0 Sq^1 != x")),
+    ])
+    def test_exit_5_without_traceback(self, capsys, tmp_path, monkeypatch, argv, target, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(*target, fail)
+        if argv[0] == "preimage":
+            x = element_from_json({"kind": "gamma", "s": 1, "d": 3, "monomials": [[3]]})
+            argv = argv + ("--in", write_element(tmp_path, x))
+        code, out, err = run(capsys, *argv)
+        assert code == 5 and out == ""
+        assert err.strip() == f"internal error: {exc}"
+        assert "Traceback" not in err
 
 
 class TestRemovedCache:

@@ -1,16 +1,20 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import naive_sq, series_binom_mod2
+from oracles import naive_sq, orbit_basis, series_binom_mod2
 from sqhit.modules import (
     Bidegree,
+    ORBIT_KINDS,
+    POSITIVE_KINDS,
     Element,
     ModuleKind,
     basis,
+    basis_size,
     binom_mod2,
     concat_product,
     element_from_json,
@@ -117,6 +121,12 @@ class TestAction:
     def test_too_high_degree_vanishes(self):
         assert sq(gamma((1, 2)), 5).is_zero()
 
+    def test_huge_square_is_zero_at_once(self):
+        # l > d - s: no term keeps every entry >= 1, whatever the kind.
+        for x in (gamma((2, 3, 3)), project_to_orbit(gamma((2, 3, 3)), ModuleKind.GAMMA_CYC)):
+            out = sq(x, 10**8)
+            assert out.is_zero() and (out.kind, out.s, out.d) == (x.kind, 3, 8 - 10**8)
+
     @given(st.data())
     def test_matches_naive_oracle(self, data):
         s = data.draw(st.integers(1, 3))
@@ -163,6 +173,44 @@ class TestBases:
     def test_necklace_basis_has_canonical_reps(self):
         for m in basis(Bidegree(3, 6), ModuleKind.GAMMA_CYC):
             assert cyc(*m) == [m]
+
+    @pytest.mark.parametrize("kind", ORBIT_KINDS)
+    def test_orbit_basis_matches_oracle(self, kind):
+        # Tuple for tuple and in the same order: the basis order fixes the
+        # matrix coordinates.
+        for s in range(1, 7):
+            for d in range(0, 19):
+                assert basis(Bidegree(s, d), kind) == orbit_basis(kind, s, d), (kind, s, d)
+
+    @pytest.mark.parametrize("kind", POSITIVE_KINDS)
+    def test_basis_size_matches_enumeration(self, kind):
+        for s in range(0, 7):
+            for d in range(0, 19):
+                assert basis_size(Bidegree(s, d), kind) == len(basis(Bidegree(s, d), kind)), (kind, s, d)
+
+    def test_basis_size_beyond_enumeration(self):
+        assert basis_size(Bidegree(8, 30), ModuleKind.GAMMA_SYM) == 638
+        assert basis_size(Bidegree(12, 60), ModuleKind.GAMMA) == 279871768995
+        with pytest.raises(ValueError):
+            basis_size(Bidegree(1, 1), ModuleKind.NABLA)
+
+    @pytest.mark.parametrize("kind", POSITIVE_KINDS)
+    def test_basis_size_limit_clips(self, kind):
+        # With a limit the count is min(len, limit + 1), over the same box.
+        for s in range(0, 7):
+            for d in range(0, 19):
+                n = len(basis(Bidegree(s, d), kind))
+                for limit in (1, 5, 40):
+                    assert basis_size(Bidegree(s, d), kind, limit) == min(n, limit + 1), (kind, s, d, limit)
+
+    @pytest.mark.parametrize("kind", POSITIVE_KINDS)
+    def test_basis_size_limit_bounds_the_work(self, kind):
+        start = time.perf_counter()
+        for s, d in ((2, 10**9), (1000, 10**9), (5 * 10**8, 10**9), (3, 10**6)):
+            assert basis_size(Bidegree(s, d), kind, 200000) == 200001, (kind, s, d)
+        # s = d: one element, with no divisor sum over gcd(s, d) = 10^9.
+        assert basis_size(Bidegree(10**9, 10**9), kind, 200000) == 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCanonicalForms:
