@@ -14,7 +14,6 @@ from .modules import (
     project_to_orbit,
     sq,
     sq_single,
-    windowed_basis,
 )
 from .homotopy import HomotopySystem, in_null, preimage_chain, shift, verify_commutation, verify_homotopy
 from .hit import (

@@ -36,6 +36,12 @@ from .modules import (
     sq,
 )
 
+# modules._sq_mono expands a monomial one recursion level per entry (two
+# with its cache), so larger arities are refused before they reach Python's
+# recursion limit of 1000.  An enumeration also holds s entries per monomial.
+MAX_ARITY = 256
+
+
 @dataclass
 class Config:
     max_k: int = 4
@@ -76,10 +82,16 @@ def _parse_kind(tag: str) -> ModuleKind:
         raise argparse.ArgumentTypeError(f"unknown kind {tag!r}")
 
 
+def _check_arity(s: int) -> Optional[str]:
+    if s > MAX_ARITY:
+        return f"arity s={s} exceeds the largest supported arity {MAX_ARITY}"
+    return None
+
+
 def _check_dim(cfg: Config, kind: ModuleKind, s: int, d: int) -> Optional[str]:
     if basis_size(Bidegree(s, d), kind, cfg.max_dim) > cfg.max_dim:
         return f"basis size exceeds max_dim={cfg.max_dim}"
-    return None
+    return _check_arity(s)
 
 
 def _check_guardrails(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> Optional[str]:
@@ -127,6 +139,14 @@ def cmd_sq(args, cfg: Config) -> int:
         x = _read_element(args.input)
     except (json.JSONDecodeError, ValueError, OSError) as exc:
         return _die(2, f"bad element input: {exc}")
+    guard = _check_arity(x.s)
+    if guard:
+        return _die(3, guard)
+    # Nabla terms have no lower bound to stop at: each term splits into all
+    # C(l + s - 1, s - 1) Cartan terms, the compositions of l + s into s parts.
+    if (x.kind is ModuleKind.NABLA and args.l > 0
+            and basis_size(Bidegree(x.s, x.s + args.l), ModuleKind.GAMMA, cfg.max_dim) > cfg.max_dim):
+        return _die(3, f"Sq^{args.l} splits an arity-{x.s} term into more than max_dim={cfg.max_dim} terms")
     y = sq(x, args.l)
     _write_element(y, args.output)
     return 0
@@ -217,6 +237,9 @@ def cmd_preimage(args, cfg: Config) -> int:
         return _die(2, f"bad element input: {exc}")
     if args.k > cfg.max_k:
         return _die(3, f"order k={args.k} exceeds max_k={cfg.max_k}")
+    guard = _check_arity(x.s)
+    if guard:
+        return _die(3, guard)
     if not 1 <= args.position <= x.s:
         return _die(2, f"position {args.position} out of range for arity {x.s}")
     h = HomotopySystem(x.kind, args.k, args.position)

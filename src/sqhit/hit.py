@@ -14,6 +14,7 @@ non-trivial quotient class in bidegree (5,9).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -25,10 +26,11 @@ from .modules import (
     Element,
     ModuleKind,
     basis,
+    basis_size,
+    binom_mod2,
     concat_product,
     sq,
     sq_support,
-    windowed_basis,
 )
 
 
@@ -77,19 +79,56 @@ def _basis_index(b: Bidegree, kind: ModuleKind) -> Dict[Tuple[int, ...], int]:
     return {t: j for j, t in enumerate(basis(b, kind))}
 
 
-def _action_matrix(dom: Tuple[Tuple[int, ...], ...], cols: int, index: Dict[Tuple[int, ...], int],
-                   l: int, kind: ModuleKind) -> BitMatrix:
-    """Row u is the coordinate vector of (dom[u])Sq^l, where index gives
-    the coordinate of each codomain entry tuple."""
-    if l < 0:
-        raise ValueError("negative square index")
-    rows = []
-    for m in dom:
-        bits = 0
-        for t in sq_support(kind, m, l):
-            bits |= 1 << index[t]
-        rows.append(bits)
-    return BitMatrix(len(dom), cols, tuple(rows))
+# Gamma action rows keyed (s, d, l): row u is (basis monomial u of (s, d))Sq^l
+# packed over the basis of (s, d - l).  Filled arity by arity, and shared by
+# every matrix whose first-entry blocks need them.
+_GAMMA_ROWS: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
+
+
+def _gamma_block(s: int, d: int, l: int) -> Tuple[int, ...]:
+    """Rows of Sq^l on gamma (s, d), s >= 1, d - l >= s, from the cached
+    arity-(s-1) rows.
+
+    The basis is in ascending lex order, so the monomials (a | m) with first
+    entry a form one block laid out like the basis of (s-1, d-a).  By the
+    Cartan formula the row of (a | m) is the OR, over the i with C(a-i, i)
+    odd, of the row of m under Sq^(l-i) shifted to the columns of first
+    entry a-i; distinct i give disjoint columns, so nothing cancels.
+    """
+    if s == 1:
+        return (binom_mod2(d - l, l),)
+    top = d - l - s + 1  # the largest first entry in the codomain
+    offset = [0, 0]  # offset[a]: the codomain columns before first entry a
+    for a in range(1, top):
+        offset.append(offset[a] + math.comb(d - l - a - 1, s - 2))
+    rows: List[int] = []
+    for a in range(1, d - s + 2):
+        acc = None
+        # a - i <= top keeps the tail's codomain (s-1, d-a-(l-i)) nonempty.
+        for i in range(max(0, a - top), min(l, a - 1) + 1):
+            if (a - i) & i == i:  # C(a-i, i) odd
+                tail, shift = _GAMMA_ROWS[s - 1, d - a, l - i], offset[a - i]
+                if acc is None:
+                    acc = [r << shift for r in tail]
+                else:
+                    acc = [x | (r << shift) for x, r in zip(acc, tail)]
+        rows.extend(acc if acc is not None else [0] * math.comb(d - a - 1, s - 2))
+    return tuple(rows)
+
+
+def _gamma_rows(s: int, d: int, l: int) -> Tuple[int, ...]:
+    """Rows of Sq^l on gamma (s, d), s >= 1, d - l >= s.  The blocks of every
+    lower arity are built first, in a loop, so no call goes deeper than one
+    arity: an arity-t tail has degree e in [t, d-s+t] and needs the squares
+    j <= l whose codomain (t, e-j) is nonempty."""
+    for t in range(1, s):
+        for e in range(t, d - s + t + 1):
+            for j in range(min(l, e - t) + 1):
+                if (t, e, j) not in _GAMMA_ROWS:
+                    _GAMMA_ROWS[t, e, j] = _gamma_block(t, e, j)
+    if (s, d, l) not in _GAMMA_ROWS:
+        _GAMMA_ROWS[s, d, l] = _gamma_block(s, d, l)
+    return _GAMMA_ROWS[s, d, l]
 
 
 @lru_cache(maxsize=None)
@@ -97,25 +136,30 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     """Matrix of the right action of Sq^l from (s,d) to (s,d-l).
 
     Row u is the coordinate vector of (basis monomial u)Sq^l in the
-    lexicographic basis of the target piece.
+    lexicographic basis of the target piece.  Gamma rows come from
+    first-entry blocks (``_gamma_rows``) and need no basis; an orbit is not
+    closed under the first-entry split, so orbit rows come from
+    ``sq_support`` on each basis monomial.
     """
-    dom = basis(b, kind)
+    n = basis_size(b, kind)
+    if l < 0:
+        raise ValueError("negative square index")
     target = Bidegree(b.s, b.d - l)
-    cod = basis(target, kind) if b.d - l >= 0 else ()
-    index = _basis_index(target, kind) if cod else {}
-    return _action_matrix(dom, len(cod), index, l, kind)
-
-
-def windowed_sq_matrix(s: int, d: int, l: int, lo: int, hi: int) -> BitMatrix:
-    """Nabla action matrix on an explicit entry window.
-
-    The codomain window is widened to [lo-l, hi] so no image term is
-    truncated; results carry the window through the basis ordering.
-    """
-    dom = windowed_basis(s, d, lo, hi)
-    cod = windowed_basis(s, d - l, lo - l, hi)
-    index = {t: j for j, t in enumerate(cod)}
-    return _action_matrix(dom, len(cod), index, l, ModuleKind.NABLA)
+    cols = basis_size(target, kind) if target.d >= 0 else 0
+    if kind is ModuleKind.GAMMA:
+        if cols == 0 or b.s == 0:
+            # No codomain gives zero rows.  At arity 0 a nonempty codomain
+            # means (0, 0) Sq^0, the identity on the one monomial ().
+            return BitMatrix(n, cols, (int(cols > 0),) * n)
+        return BitMatrix(n, cols, _gamma_rows(b.s, b.d, l))
+    index = _basis_index(target, kind) if cols else {}
+    rows = []
+    for m in basis(b, kind):
+        bits = 0
+        for t in sq_support(kind, m, l):
+            bits |= 1 << index[t]
+        rows.append(bits)
+    return BitMatrix(n, cols, tuple(rows))
 
 
 # --- kernel / image / quotient ---------------------------------------------
@@ -125,8 +169,7 @@ def delta_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
     """Intersection of the kernels of Sq^(2^i), i <= k, in RREF coordinates."""
     if k < 0:
         raise ValueError("order must be >= 0")
-    dom = basis(b, kind)
-    n = len(dom)
+    n = basis_size(b, kind)
     if n == 0:
         return f2linalg.zero_space(0)
     blocks = [sq_matrix(b, 1 << i, kind) for i in range(k + 1)]
@@ -146,7 +189,7 @@ def spike_image_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
     """Intersection of the images of Sq^(2^(i+1)-1), i <= k, landing in (s,d)."""
     if k < 0:
         raise ValueError("order must be >= 0")
-    n = len(basis(b, kind))
+    n = basis_size(b, kind)
     result = None
     for i in range(k + 1):
         l = (1 << (i + 1)) - 1

@@ -176,7 +176,9 @@ def _sq_mono(nabla: bool, entries: Tuple[int, ...], l: int) -> frozenset:
     a = entries[0]
     rest = entries[1:]
     out: list = []
-    for i in range(l + 1):
+    # The last entry takes what is left of l, so a call costs no more than
+    # its Cartan splits: C(l + s - 1, s - 1) for s entries.
+    for i in range(l + 1) if rest else (l,):
         b = a - i
         if nabla:
             if not gen_binom_mod2(b, i):
@@ -217,28 +219,39 @@ def sq(x: Element, l: int) -> Element:
     return Element(x.kind, x.s, x.d - l, frozenset(acc))
 
 
-def _compositions(d: int, s: int, cap: int):
-    """Compositions of d into s parts in 1..cap, ascending lexicographic."""
+def _compositions(d: int, s: int, cap: int, nonincreasing: bool = False):
+    """Tuples of s entries in 1..cap summing to d, ascending lexicographic;
+    with nonincreasing, only the partitions (entries never increase), whose
+    entry at each position is at least the ceiling of what is left over the
+    positions left.  Every entry tried at a position extends to a whole
+    tuple.  One list is stepped in place, so no depth grows with s."""
     if s == 0:
         if d == 0:
             yield ()
         return
-    for first in range(max(1, d - (s - 1) * cap), min(cap, d - s + 1) + 1):
-        for rest in _compositions(d - first, s - 1, cap):
-            yield (first,) + rest
-
-
-def _partitions(d: int, s: int, cap: int):
-    """Partitions of d into s parts in 1..cap, each entry tuple non-increasing,
-    ascending lexicographic.  The first part is at least ceil(d/s), so every
-    branch yields."""
-    if s == 0:
-        if d == 0:
-            yield ()
+    if not s <= d <= s * cap:
         return
-    for first in range(max(1, -(-d // s)), min(cap, d - s + 1) + 1):
-        for rest in _partitions(d - first, s - 1, first):
-            yield (first,) + rest
+    t, high = [0] * s, [0] * s
+    i, rem = 0, d
+    while True:
+        while i < s:  # fill positions i.. with their least entries
+            parts = s - i
+            c = t[i - 1] if nonincreasing and i else cap
+            t[i] = max(1, -(-rem // parts)) if nonincreasing else max(1, rem - (parts - 1) * c)
+            high[i] = min(c, rem - parts + 1)
+            rem -= t[i]
+            i += 1
+        yield tuple(t)
+        # Step the rightmost entry still below its high end; refill after it.
+        i -= 1
+        while t[i] == high[i]:
+            rem += t[i]
+            i -= 1
+            if i < 0:
+                return
+        t[i] += 1
+        rem -= 1
+        i += 1
 
 
 def _necklaces(d: int, s: int):
@@ -255,7 +268,7 @@ def _necklaces(d: int, s: int):
 def _finite_piece(b: Bidegree, kind: ModuleKind) -> Bidegree:
     """The bidegree of a graded piece that has a finite basis, or ValueError."""
     if kind is ModuleKind.NABLA:
-        raise ValueError("nabla graded pieces are infinite; use windowed_basis")
+        raise ValueError("nabla graded pieces are infinite")
     if b.s < 0 or b.d < 0:
         raise ValueError("bidegree out of range")
     return b
@@ -273,7 +286,7 @@ def basis(b: Bidegree, kind: ModuleKind) -> Tuple[Tuple[int, ...], ...]:
     if kind is ModuleKind.GAMMA:
         return tuple(_compositions(d, s, d))
     if kind is ModuleKind.GAMMA_SYM:
-        return tuple(_partitions(d, s, d))
+        return tuple(_compositions(d, s, d, nonincreasing=True))
     return tuple(_necklaces(d, s))
 
 
@@ -348,25 +361,6 @@ def basis_size(b: Bidegree, kind: ModuleKind, limit: Optional[int] = None) -> in
         return cap + 1
     fixed = sum(f * math.comb(d // j - 1, s // j - 1) for j, f in _divisor_phis(math.gcd(s, d)))
     return min(fixed // s, cap + 1)
-
-
-def windowed_basis(s: int, d: int, lo: int, hi: int) -> Tuple[Tuple[int, ...], ...]:
-    """All nabla monomials of degree d with every entry in [lo,hi], lex order."""
-    if lo > hi:
-        raise ValueError("empty window")
-
-    def gen(n: int, rem: int):
-        if n == 0:
-            if rem == 0:
-                yield ()
-            return
-        first_lo = max(lo, rem - (n - 1) * hi)
-        first_hi = min(hi, rem - (n - 1) * lo)
-        for first in range(first_lo, first_hi + 1):
-            for rest in gen(n - 1, rem - first):
-                yield (first,) + rest
-
-    return tuple(gen(s, d))
 
 
 def concat_product(x: Element, y: Element) -> Element:

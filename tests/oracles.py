@@ -2,15 +2,17 @@
 
 These deliberately avoid the library's bit tricks: binomial parity comes from
 math.comb and explicit power-series arithmetic, the square action is an
-itertools enumeration over compositions, and orbit bases canonicalise every
-composition.  The reference elimination at the end is the slow dense-scan
-algorithm that the library's single sparse core must match basis for basis.
+itertools enumeration over compositions, bases are itertools compositions
+(canonicalised for the orbit kinds), and gamma action matrices are built
+monomial by monomial.  The reference elimination at the end is the slow
+dense-scan algorithm that the library's single sparse core must match basis
+for basis.
 """
 
 import itertools
 import math
 
-from sqhit.modules import Element, ModuleKind
+from sqhit.modules import Element, ModuleKind, sq_support
 
 
 def series_binom_mod2(a: int, i: int) -> int:
@@ -41,17 +43,49 @@ def cyc_canonical(t: tuple) -> tuple:
     return max((t[i:] + t[:i] for i in range(len(t))), default=t)
 
 
-def orbit_basis(kind: ModuleKind, s: int, d: int) -> tuple:
-    """Orbit representatives by brute force: canonicalise every composition
-    of d into s >= 1 positive parts (cut points from itertools), then sort."""
+def gamma_basis(s: int, d: int) -> tuple:
+    """Compositions of d into s >= 1 positive parts by brute force (cut
+    points from itertools), sorted."""
     if d < s:
         return ()
-    canon = {ModuleKind.GAMMA_SYM: sym_canonical, ModuleKind.GAMMA_CYC: cyc_canonical}[kind]
-    reps = set()
+    comps = []
     for cuts in itertools.combinations(range(1, d), s - 1):
         bounds = (0,) + cuts + (d,)
-        reps.add(canon(tuple(b - a for a, b in zip(bounds, bounds[1:]))))
-    return tuple(sorted(reps))
+        comps.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    return tuple(sorted(comps))
+
+
+def orbit_basis(kind: ModuleKind, s: int, d: int) -> tuple:
+    """Orbit representatives by brute force: canonicalise every composition
+    of d into s >= 1 positive parts, then sort."""
+    canon = {ModuleKind.GAMMA_SYM: sym_canonical, ModuleKind.GAMMA_CYC: cyc_canonical}[kind]
+    return tuple(sorted({canon(t) for t in gamma_basis(s, d)}))
+
+
+def gamma_action_rows(s: int, d: int, l: int, support=None) -> tuple:
+    """(rows, cols, packed rows) of Sq^l from gamma (s, d) to (s, d - l),
+    monomial by monomial: row u has bit j set when codomain monomial j is
+    in the support of (domain monomial u)Sq^l.  support(entries, l) gives
+    that support; by default modules.sq_support, the builder sqhit.hit
+    used for every kind before gamma rows came from first-entry blocks."""
+    if support is None:
+        support = lambda entries, l: sq_support(ModuleKind.GAMMA, entries, l)
+
+    def piece(s, d):
+        if s == 0:
+            return ((),) if d == 0 else ()
+        return gamma_basis(s, d)
+
+    dom = piece(s, d)
+    cod = piece(s, d - l) if d - l >= 0 else ()
+    index = {t: j for j, t in enumerate(cod)}
+    rows = []
+    for m in dom:
+        bits = 0
+        for t in support(m, l):
+            bits |= 1 << index[t]
+        rows.append(bits)
+    return len(dom), len(cod), tuple(rows)
 
 
 def gamma_coeff(a: int, i: int) -> int:

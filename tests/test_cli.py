@@ -56,6 +56,21 @@ class TestBasis:
         assert code == 3 and out == "" and "max_dim" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("kind,s,d", [
+        ("gamma", "2000", "2000"),
+        ("gamma-cyc", "1000000000", "1000000000"),
+    ])
+    def test_guardrail_refuses_huge_arity(self, capsys, kind, s, d):
+        # One basis element, but of an arity past MAX_ARITY.
+        code, out, err = run(capsys, "basis", "--kind", kind, "--s", s, "--d", d, "--count")
+        assert code == 3 and out == ""
+        assert err.strip() == f"arity s={s} exceeds the largest supported arity {cli.MAX_ARITY}"
+
+    def test_largest_supported_arity(self, capsys):
+        code, out, _ = run(capsys, "basis", "--kind", "gamma", "--s", str(cli.MAX_ARITY),
+                           "--d", str(cli.MAX_ARITY + 1), "--count")
+        assert code == 0 and out.strip() == str(cli.MAX_ARITY)
+
     def test_json_listing(self, capsys):
         code, out, _ = run(capsys, "basis", "--kind", "gamma", "--s", "2", "--d", "3", "--json")
         assert code == 0
@@ -130,6 +145,33 @@ class TestSq:
         code, out, _ = run(capsys, "sq", "--in", path, "--l", "100000000")
         assert code == 0
         assert json.loads(out) == {"d": 8 - 10**8, "kind": "gamma", "monomials": [], "s": 3}
+
+    def test_huge_arity_refused(self, capsys, tmp_path):
+        x = Element.single(ModuleKind.GAMMA, (2,) + (1,) * 1499)
+        code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "1")
+        assert code == 3 and out == ""
+        assert err.strip() == f"arity s=1500 exceeds the largest supported arity {cli.MAX_ARITY}"
+
+    def test_largest_supported_arity(self, capsys, tmp_path):
+        x = Element.single(ModuleKind.GAMMA, (2,) + (1,) * (cli.MAX_ARITY - 1))
+        code, out, _ = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "1")
+        assert code == 0
+        assert element_from_json(json.loads(out)).sorted_support() == [(1,) * cli.MAX_ARITY]
+
+    @pytest.mark.parametrize("entries", [(3, -3), (3,)])
+    def test_nabla_square_past_max_dim_refused_at_once(self, capsys, tmp_path, entries):
+        # Nabla terms split into all C(l + s - 1, s - 1) Cartan terms; at
+        # s = 2 that is 3000001 > max_dim.  One entry has one split, so
+        # (3,) runs, and the last entry's split is not looped over.
+        x = Element.single(ModuleKind.NABLA, entries)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "3000000")
+        assert time.perf_counter() - start < 1.0
+        if len(entries) == 2:
+            assert code == 3 and out == ""
+            assert err.strip() == "Sq^3000000 splits an arity-2 term into more than max_dim=200000 terms"
+        else:
+            assert code == 0 and json.loads(out)["monomials"] == []
 
 
 class TestDeltaImageUnhit:

@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from oracles import naive_sq
-from sqhit import f2linalg, hit
+from sqhit import f2linalg, hit, modules
 from sqhit.f2linalg import BitMatrix, BitVector
 from sqhit.modules import Bidegree, Element, ModuleKind, basis, sq
 
@@ -42,26 +42,67 @@ class TestSqMatrix:
         assert (m2.rows, m2.cols) == (84, 35)
         assert (m3.rows, m3.cols) == (330, 70)
 
-    def test_windowed_hand_case(self):
-        m = hit.windowed_sq_matrix(1, 0, 1, -1, 1)
-        # degree -1 with one slot leaves the single codomain monomial (-1,).
-        assert (m.rows, m.cols) == (1, 1)
-        assert m.data == (1,)
-        x = Element.single(ModuleKind.NABLA, (0,))
-        assert sq(x, 1).sorted_support()[0] == (-1,)
+    # The six matrices of unhit at gamma (4,18), k=2: Sq^1, Sq^2, Sq^4 out of
+    # (4,18) and the spike squares Sq^1, Sq^3, Sq^7 into it.
+    UNHIT_4_18_2 = [((4, 18), 1), ((4, 18), 2), ((4, 18), 4), ((4, 19), 1), ((4, 21), 3), ((4, 25), 7)]
 
-    def test_windowed_matches_naive(self):
-        sm = hit.windowed_sq_matrix(2, 1, 2, -2, 3)
-        from sqhit.modules import windowed_basis
-        dom = windowed_basis(2, 1, -2, 3)
-        cod = windowed_basis(2, -1, -4, 3)
-        index = {m: j for j, m in enumerate(cod)}
-        for j, mono in enumerate(dom):
-            img = naive_sq(Element.single(ModuleKind.NABLA, mono), 2)
-            bits = 0
-            for n in img.support:
-                bits |= 1 << index[n]
-            assert sm.data[j] == bits
+    @pytest.mark.parametrize("s", range(0, 6))
+    def test_first_entry_blocks_match_oracle(self, s):
+        # d < s (no domain) and d - l < s (no codomain) lie inside the box.
+        for d in range(0, 17):
+            for l in range(0, 8):
+                m = hit.sq_matrix(Bidegree(s, d), l, G)
+                assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(s, d, l), (s, d, l)
+
+    @pytest.mark.parametrize("b,l", UNHIT_4_18_2)
+    def test_unhit_matrices_match_oracle(self, b, l):
+        m = hit.sq_matrix(Bidegree(*b), l, G)
+        assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(*b, l)
+
+    def test_first_entry_blocks_match_naive_sq(self):
+        def support(entries, l):
+            return naive_sq(Element.single(G, entries), l).support
+
+        for s in range(1, 4):
+            for d in range(s, 13):
+                for l in range(0, 6):
+                    m = hit.sq_matrix(Bidegree(s, d), l, G)
+                    assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(s, d, l, support), (s, d, l)
+
+    def test_high_arity_needs_no_recursion(self):
+        # The arities are built in a loop: arity 1500 is past Python's
+        # recursion limit.
+        m = hit.sq_matrix(Bidegree(1500, 1501), 1, G)
+        assert (m.rows, m.cols) == (1500, 1)
+        # Sq^1 takes (.., 2, ..) to (.., 1, ..) with C(1, 1) = 1.
+        assert m.data == (1,) * 1500
+
+    @pytest.mark.parametrize("kind", [G, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC])
+    def test_bad_arguments_rejected(self, kind):
+        for b, l in [(Bidegree(-1, 3), 1), (Bidegree(2, -1), 0), (Bidegree(2, 5), -1)]:
+            with pytest.raises(ValueError):
+                hit.sq_matrix(b, l, kind)
+
+    def test_nabla_rejected(self):
+        with pytest.raises(ValueError, match="infinite"):
+            hit.sq_matrix(Bidegree(1, 1), 1, ModuleKind.NABLA)
+
+    def test_gamma_unhit_enumerates_no_basis(self, monkeypatch):
+        def no_gamma_basis(b, kind):
+            if kind is G:
+                raise AssertionError(f"gamma basis enumerated at {b}")
+            return basis(b, kind)
+
+        # hit holds its own reference to modules.basis.
+        monkeypatch.setattr(modules, "basis", no_gamma_basis)
+        monkeypatch.setattr(hit, "basis", no_gamma_basis)
+        for cached in (hit.sq_matrix, hit.delta_basis, hit.spike_image_basis):
+            cached.cache_clear()
+        monkeypatch.setattr(hit, "_GAMMA_ROWS", {})
+        rep = hit.unhit_report(Bidegree(4, 18), 2, G)
+        assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (60, 59, 1)
+        for cached in (hit.sq_matrix, hit.delta_basis, hit.spike_image_basis):
+            cached.cache_clear()
 
 
 class TestVectorConversion:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import naive_sq, orbit_basis, series_binom_mod2
+from oracles import gamma_basis, naive_sq, orbit_basis, series_binom_mod2
+from sqhit import modules
 from sqhit.modules import (
     Bidegree,
     ORBIT_KINDS,
@@ -23,7 +24,6 @@ from sqhit.modules import (
     project_to_orbit,
     sq,
     sq_single,
-    windowed_basis,
 )
 
 G = ModuleKind.GAMMA
@@ -100,6 +100,16 @@ class TestSingleFactorAction:
     def test_nabla_crosses_zero(self):
         out = sq_single(1, 2, ModuleKind.NABLA)
         assert out.sorted_support()[0] == (-1,)
+        assert sq_single(0, 1, ModuleKind.NABLA).sorted_support() == [(-1,)]
+
+    def test_last_entry_takes_the_rest_of_the_square(self):
+        # One entry has one Cartan split, whatever l is: the expansion
+        # memoizes the monomial and its empty tail, not one tail per i <= l.
+        before = modules._sq_mono.cache_info().currsize
+        # [3]Sq^l = C(3 - l, l)[3 - l], and C(3 - 2^20, 2^20) is odd.
+        out = sq_single(3, 1 << 20, ModuleKind.NABLA)
+        assert out.sorted_support() == [(3 - (1 << 20),)]
+        assert modules._sq_mono.cache_info().currsize - before <= 2
 
     def test_invalid_gamma_entry(self):
         with pytest.raises(ValueError):
@@ -160,15 +170,20 @@ class TestBases:
         with pytest.raises(ValueError):
             basis(Bidegree(1, 1), ModuleKind.NABLA)
 
-    def test_windowed_singleton(self):
-        assert list(windowed_basis(1, 0, -1, 1)) == [(0,)]
+    def test_gamma_basis_matches_oracle(self):
+        # Tuple for tuple and in the same order, as for the orbit kinds.
+        for s in range(1, 7):
+            for d in range(0, 19):
+                assert basis(Bidegree(s, d), G) == gamma_basis(s, d), (s, d)
 
-    def test_windowed_enumeration(self):
-        got = list(windowed_basis(2, 0, -1, 1))
-        assert got == [(-1, 1), (0, 0), (1, -1)]
-
-    def test_windowed_out_of_reach(self):
-        assert windowed_basis(1, 5, -1, 1) == ()
+    def test_high_arity_needs_no_recursion(self):
+        # Each generator steps one list in place; 2000 parts are past
+        # Python's recursion limit.
+        ones = (1,) * 2000
+        assert basis(Bidegree(2000, 2000), G) == (ones,)
+        assert basis(Bidegree(2000, 2001), ModuleKind.GAMMA_SYM) == ((2,) + ones[1:],)
+        assert basis(Bidegree(2000, 2001), ModuleKind.GAMMA_CYC) == ((2,) + ones[1:],)
+        assert len(basis(Bidegree(2000, 2001), G)) == 2000
 
     def test_necklace_basis_has_canonical_reps(self):
         for m in basis(Bidegree(3, 6), ModuleKind.GAMMA_CYC):
