@@ -38,7 +38,7 @@ from .modules import (
 
 # modules._sq_mono expands a monomial one recursion level per entry (two
 # with its cache), so larger arities are refused before they reach Python's
-# recursion limit of 1000.  An enumeration also holds s entries per monomial.
+# recursion limit of 1000.
 MAX_ARITY = 256
 
 
@@ -122,10 +122,14 @@ def cmd_basis(args, cfg: Config) -> int:
     if guard:
         return _die(3, guard)
     b = Bidegree(args.s, args.d)
-    monos = basis(b, args.kind)
+    count = basis_size(b, args.kind)
     if args.count:
-        print(len(monos))
+        print(count)
         return 0
+    # A listing holds s entries for each of its monomials.
+    if count * args.s > cfg.max_dim:
+        return _die(3, f"listing {count} monomials of arity {args.s} exceeds max_dim={cfg.max_dim} entries")
+    monos = basis(b, args.kind)
     if args.json:
         print(json.dumps([list(t) for t in monos]))
     else:
@@ -147,6 +151,11 @@ def cmd_sq(args, cfg: Config) -> int:
     if (x.kind is ModuleKind.NABLA and args.l > 0
             and basis_size(Bidegree(x.s, x.s + args.l), ModuleKind.GAMMA, cfg.max_dim) > cfg.max_dim):
         return _die(3, f"Sq^{args.l} splits an arity-{x.s} term into more than max_dim={cfg.max_dim} terms")
+    # On the positive kinds every entry but the last tries each of the l + 1
+    # splits of Sq^l; past d - s the result is zero at once.
+    if x.kind is not ModuleKind.NABLA and x.s >= 2 and cfg.max_dim < args.l <= x.d - x.s:
+        return _die(3, f"Sq^{args.l} tries {args.l + 1} Cartan splits at each entry of an arity-{x.s} term,"
+                       f" more than max_dim={cfg.max_dim}")
     y = sq(x, args.l)
     _write_element(y, args.output)
     return 0

@@ -1,8 +1,10 @@
 """Exact linear algebra over GF(2) with int-packed bit rows.
 
 Vectors are rows and maps act on the right: a matrix M sends v to v*M,
-so composition reads left to right.  Bit j of a packed int is coordinate j.
-All operations are pure; inputs are never mutated.
+so composition reads left to right.  A vector is a plain int whose bit j
+is coordinate j; its length is that of the matrix side or subspace it
+meets, and a bit at or beyond that length raises ValueError.  All
+operations are pure; inputs are never mutated.
 
 One elimination core, ``_echelon``, keeps one row per lowest-bit pivot.
 Kernels, solutions and intersections tag each row in its high bits (row
@@ -13,41 +15,13 @@ RREF is produced once, by back-substitution, where a ``Subspace`` is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """A vector in F_2^length with coordinates packed into an int."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("negative length")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits set outside declared length")
-
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> "BitVector":
-        coords = list(coords)
-        bits = 0
-        for j, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << j
-        return cls(len(coords), bits)
-
-    def __add__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    def __getitem__(self, j: int) -> int:
-        return (self.bits >> j) & 1
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
+def _check_bits(bits: int, length: int) -> None:
+    """A packed vector of F_2^length has no bit at or above length."""
+    if bits < 0 or bits >> length:
+        raise ValueError(f"bits set outside length {length}")
 
 
 @dataclass(frozen=True)
@@ -65,35 +39,17 @@ class BitMatrix:
             if r < 0 or r >> self.cols:
                 raise ValueError("row has bits outside column range")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "BitMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        packed = tuple(BitVector.from_coords(r).bits for r in rows)
-        return cls(len(rows), cols, packed)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    def apply(self, v: BitVector) -> BitVector:
-        """Right action v*M; v indexes the rows of M."""
-        if v.length != self.rows:
-            raise ValueError("vector length must equal row count")
+    def apply(self, bits: int) -> int:
+        """Right action v*M; bit i of v picks row i of M."""
+        _check_bits(bits, self.rows)
         out = 0
-        bits = v.bits
         i = 0
         while bits:
             if bits & 1:
                 out ^= self.data[i]
             bits >>= 1
             i += 1
-        return BitVector(self.cols, out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -126,16 +82,6 @@ class Subspace:
     def reduce(self, bits: int) -> int:
         """Reduce a packed vector against the basis; zero iff contained."""
         return _reduce_fully(self._pivots, self._mask, bits)
-
-    def vectors(self):
-        """Iterate all 2^dim member vectors (small subspaces only)."""
-        n = self.dim
-        for mask in range(1 << n):
-            bits = 0
-            for i in range(n):
-                if (mask >> i) & 1:
-                    bits ^= self.basis[i]
-            yield BitVector(self.ambient_dim, bits)
 
 
 def _reduce(pivots: Dict[int, int], r: int) -> int:
@@ -191,16 +137,6 @@ def _tagged(m: BitMatrix) -> Iterable[int]:
     return (r | 1 << (m.cols + i) for i, r in enumerate(m.data))
 
 
-def rref(m: BitMatrix) -> BitMatrix:
-    """Reduced row-echelon form with zero rows pruned; row space preserved."""
-    rows = _rref(_echelon(m.data))
-    return BitMatrix(len(rows), m.cols, rows)
-
-
-def rank(m: BitMatrix) -> int:
-    return len(_echelon(m.data))
-
-
 def subspace_from_rows(ambient_dim: int, rows: Iterable[int]) -> Subspace:
     return Subspace(ambient_dim, _rref(_echelon(rows)))
 
@@ -226,32 +162,23 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(n, _rref(_carried(_echelon(stacked), n)))
 
 
-def contains(s: Subspace, v: BitVector) -> bool:
-    if s.ambient_dim != v.length:
-        raise ValueError("length mismatch")
-    return s.reduce(v.bits) == 0
+def contains(s: Subspace, bits: int) -> bool:
+    _check_bits(bits, s.ambient_dim)
+    return s.reduce(bits) == 0
 
 
 def contains_subspace(outer: Subspace, inner: Subspace) -> bool:
     return all(outer.reduce(r) == 0 for r in inner.basis)
 
 
-def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
-    """Some v with v*m = b, or None.  Free coordinates are fixed to 0: v is
-    the one solution supported on rows independent of the rows before them."""
-    if b.length != m.cols:
-        raise ValueError("target length must equal column count")
+def solve(m: BitMatrix, bits: int) -> Optional[int]:
+    """Some v with v*m = bits, or None.  Free coordinates are fixed to 0: v
+    is the one solution supported on rows independent of the rows before
+    them."""
+    _check_bits(bits, m.cols)
     n = m.cols
     pivots = {p: r for p, r in _echelon(_tagged(m)).items() if p < n}
-    r = _reduce(pivots, b.bits)
+    r = _reduce(pivots, bits)
     if r & ((1 << n) - 1):
         return None
-    return BitVector(m.rows, r >> n)
-
-
-def full_space(n: int) -> Subspace:
-    return Subspace(n, tuple(1 << i for i in range(n)))
-
-
-def zero_space(n: int) -> Subspace:
-    return Subspace(n, ())
+    return r >> n

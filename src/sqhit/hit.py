@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import f2linalg
-from .f2linalg import BitMatrix, BitVector, Subspace
+from .f2linalg import BitMatrix, Subspace
 from .modules import (
     Bidegree,
     Element,
@@ -52,25 +52,27 @@ class DeltaReport:
 
 # --- matrices ---------------------------------------------------------------
 
-def element_to_vector(x: Element, b: Bidegree, kind: ModuleKind) -> BitVector:
-    monos = basis(b, kind)
+def element_to_vector(x: Element, b: Bidegree, kind: ModuleKind) -> int:
+    """x as a packed vector over the basis of (s,d): bit j is basis monomial j."""
     index = _basis_index(b, kind)
     bits = 0
     for t in x.support:
         bits |= 1 << index[t]
-    return BitVector(len(monos), bits)
+    return bits
 
 
-def vector_to_element(v: BitVector, b: Bidegree, kind: ModuleKind) -> Element:
+def vector_to_element(bits: int, b: Bidegree, kind: ModuleKind) -> Element:
+    """The element whose support is the basis monomials j with bit j set."""
     monos = basis(b, kind)
-    return Element.from_monomials(kind, b.s, b.d, (monos[j] for j in range(v.length) if v[j]))
+    return Element.from_monomials(kind, b.s, b.d,
+                                  (monos[j] for j in range(bits.bit_length()) if bits >> j & 1))
 
 
 def subspace_elements(sub: Subspace, b: Bidegree, kind: ModuleKind,
                       outside: Optional[Subspace] = None) -> List[Element]:
     """The RREF basis rows of sub as elements of (s,d); with outside given,
     only the rows that do not lie in it."""
-    return [vector_to_element(BitVector(sub.ambient_dim, r), b, kind)
+    return [vector_to_element(r, b, kind)
             for r in sub.basis if outside is None or outside.reduce(r) != 0]
 
 
@@ -164,14 +166,11 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
 
 # --- kernel / image / quotient ---------------------------------------------
 
-@lru_cache(maxsize=None)
 def delta_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
     """Intersection of the kernels of Sq^(2^i), i <= k, in RREF coordinates."""
     if k < 0:
         raise ValueError("order must be >= 0")
     n = basis_size(b, kind)
-    if n == 0:
-        return f2linalg.zero_space(0)
     blocks = [sq_matrix(b, 1 << i, kind) for i in range(k + 1)]
     rows = []
     for u in range(n):
@@ -184,7 +183,6 @@ def delta_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
     return f2linalg.kernel_basis(stacked)
 
 
-@lru_cache(maxsize=None)
 def spike_image_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
     """Intersection of the images of Sq^(2^(i+1)-1), i <= k, landing in (s,d)."""
     if k < 0:
@@ -230,7 +228,7 @@ def ker_vs_im_explorer(l: int, s_range, d_range, kind: ModuleKind) -> List[dict]
     for s in s_range:
         for d in d_range:
             b = Bidegree(s, d)
-            n = len(basis(b, kind))
+            n = basis_size(b, kind)
             mat = sq_matrix(b, l, kind)
             ker = f2linalg.kernel_basis(mat)
             im = f2linalg.image_basis(sq_matrix(Bidegree(s, d + l), l, kind))
@@ -432,17 +430,16 @@ def i1_membership(x: Element) -> Tuple[bool, Optional[Element]]:
     src = Bidegree(s1, d + 1)
     ker3 = f2linalg.kernel_basis(sq_matrix(src, 3, ModuleKind.GAMMA))
     mat2 = sq_matrix(src, 2, ModuleKind.GAMMA)
-    restricted = BitMatrix(ker3.dim, mat2.cols,
-                           tuple(mat2.apply(BitVector(mat2.rows, r)).bits for r in ker3.basis))
+    restricted = BitMatrix(ker3.dim, mat2.cols, tuple(mat2.apply(r) for r in ker3.basis))
     x1vec = element_to_vector(x1, Bidegree(s1, d - 1), ModuleKind.GAMMA)
     combo = f2linalg.solve(restricted, x1vec)
     if combo is None:
         return False, None
     wbits = 0
     for j in range(ker3.dim):
-        if combo[j]:
+        if combo >> j & 1:
             wbits ^= ker3.basis[j]
-    w = vector_to_element(BitVector(mat2.rows, wbits), src, ModuleKind.GAMMA)
+    w = vector_to_element(wbits, src, ModuleKind.GAMMA)
 
     # The tail preimage shifts every odd first factor [i] up to [i+3].
     witness = concat_product(Element.single(ModuleKind.GAMMA, (2,)), w)

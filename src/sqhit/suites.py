@@ -9,10 +9,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from . import f2linalg, hit
-from .f2linalg import BitVector
 from .homotopy import (
     AnnihilationError,
     ChainCertificateError,
@@ -217,32 +216,28 @@ def _null_span(b: Bidegree, kind: ModuleKind, h: HomotopySystem) -> f2linalg.Sub
     return f2linalg.subspace_from_rows(len(monos), rows)
 
 
-def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int,
-                       positions: Optional[List[int]] = None) -> SuiteResult:
+def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> SuiteResult:
     """Certify that kernel classes supported on null monomials are spike
     images, constructively, via verified preimage chains."""
     rec = _Recorder(f"certify-{kind.value}")
     for k in range(k_max + 1):
         for s in range(1, s_max + 1):
-            pos_list = positions or (list(range(1, s + 1)) if kind is ModuleKind.GAMMA else [1])
-            for i in pos_list:
-                if i > s:
+            positions = range(1, s + 1) if kind is ModuleKind.GAMMA else (1,)
+            for d in range(s, d_max + 1):
+                b = Bidegree(s, d)
+                delta = hit.delta_basis(b, k, kind)
+                if delta.dim == 0:
                     continue
-                h = HomotopySystem(kind, k, i)
-                for d in range(s, d_max + 1):
-                    b = Bidegree(s, d)
-                    delta = hit.delta_basis(b, k, kind)
-                    if delta.dim == 0:
-                        continue
-                    null = _null_span(b, kind, h)
-                    inter = f2linalg.intersect(delta, null)
-                    image = hit.spike_image_basis(b, k, kind)
+                image = hit.spike_image_basis(b, k, kind)
+                for i in positions:
+                    h = HomotopySystem(kind, k, i)
+                    inter = f2linalg.intersect(delta, _null_span(b, kind, h))
                     for r in inter.basis:
-                        x = hit.vector_to_element(BitVector(inter.ambient_dim, r), b, kind)
+                        x = hit.vector_to_element(r, b, kind)
                         note = f"certificate k={k} pos={i}"
                         try:
                             preimage_chain(x, h)
-                            ok = f2linalg.contains(image, BitVector(inter.ambient_dim, r))
+                            ok = f2linalg.contains(image, r)
                         except (NullMembershipError, AnnihilationError, ChainCertificateError) as exc:
                             ok, note = False, f"{note}: {exc}"
                         rec.check(ok, lambda x=x, note=note: _fail_json(x, note))
@@ -303,8 +298,8 @@ def suite_ideal(seed: int = 0, trials: int = 60) -> SuiteResult:
         if image1.dim == 0 or delta2.dim == 0:
             continue
         cases += 1
-        x = hit.vector_to_element(BitVector(image1.ambient_dim, rng.choice(image1.basis)), b1, ModuleKind.GAMMA)
-        y = hit.vector_to_element(BitVector(delta2.ambient_dim, rng.choice(delta2.basis)), b2, ModuleKind.GAMMA)
+        x = hit.vector_to_element(rng.choice(image1.basis), b1, ModuleKind.GAMMA)
+        y = hit.vector_to_element(rng.choice(delta2.basis), b2, ModuleKind.GAMMA)
         prod_b = Bidegree(s1 + s2, d1 + d2)
         target = hit.spike_image_basis(prod_b, k, ModuleKind.GAMMA)
         for p in (concat_product(x, y), concat_product(y, x)):
@@ -369,9 +364,9 @@ def suite_i1_membership(seed: int = 0, s_max: int = 4, d_max: int = 12) -> Suite
                 continue
             im3 = f2linalg.image_basis(hit.sq_matrix(Bidegree(s, d + 3), 3, ModuleKind.GAMMA))
             for r in delta1.basis:
-                x = hit.vector_to_element(BitVector(delta1.ambient_dim, r), b, ModuleKind.GAMMA)
+                x = hit.vector_to_element(r, b, ModuleKind.GAMMA)
                 member, witness = hit.i1_membership(x)
-                direct = f2linalg.contains(im3, BitVector(delta1.ambient_dim, r))
+                direct = f2linalg.contains(im3, r)
                 rec.check(member == direct, lambda x=x: _fail_json(x, "criterion vs direct image membership"))
                 if member:
                     rec.check(sq(witness, 3).same(x), lambda x=x: _fail_json(x, "witness Sq^3 mismatch"))
@@ -390,7 +385,7 @@ def suite_builder(seed: int = 0, trials: int = 40) -> SuiteResult:
         if ker2.dim == 0:
             continue
         cases += 1
-        x1 = hit.vector_to_element(BitVector(ker2.ambient_dim, rng.choice(ker2.basis)),
+        x1 = hit.vector_to_element(rng.choice(ker2.basis),
                                    Bidegree(s1, d1), ModuleKind.GAMMA)
         x = hit.build_delta1_element(x1, d1 + 1)
         ok = sq(x, 1).is_zero() and sq(x, 2).is_zero()

@@ -71,6 +71,25 @@ class TestBasis:
                            "--d", str(cli.MAX_ARITY + 1), "--count")
         assert code == 0 and out.strip() == str(cli.MAX_ARITY)
 
+    @pytest.mark.parametrize("kind,s,d,count", [
+        ("gamma", "5", "9", 70),
+        ("gamma-sym", "8", "30", 638),
+        ("gamma-cyc", "4", "12", 43),
+    ])
+    def test_count_enumerates_no_basis(self, capsys, monkeypatch, kind, s, d, count):
+        def no_basis(b, kind):
+            raise AssertionError(f"basis enumerated at {b}")
+
+        monkeypatch.setattr(cli, "basis", no_basis)
+        code, out, _ = run(capsys, "basis", "--kind", kind, "--s", s, "--d", d, "--count")
+        assert code == 0 and out.strip() == str(count)
+
+    def test_listing_guard_counts_entries(self, capsys):
+        # 32896 monomials under max_dim, but 256 entries each: 8.4 M entries.
+        code, out, err = run(capsys, "basis", "--kind", "gamma", "--s", "256", "--d", "258")
+        assert code == 3 and out == ""
+        assert err.strip() == "listing 32896 monomials of arity 256 exceeds max_dim=200000 entries"
+
     def test_json_listing(self, capsys):
         code, out, _ = run(capsys, "basis", "--kind", "gamma", "--s", "2", "--d", "3", "--json")
         assert code == 0
@@ -157,6 +176,25 @@ class TestSq:
         code, out, _ = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "1")
         assert code == 0
         assert element_from_json(json.loads(out)).sorted_support() == [(1,) * cli.MAX_ARITY]
+
+    @pytest.mark.parametrize("kind", ["gamma", "gamma-sym", "gamma-cyc"])
+    def test_positive_square_past_max_dim_refused_at_once(self, capsys, tmp_path, kind):
+        # Every entry but the last tries all l + 1 splits of Sq^l, so a huge
+        # l with l <= d - s is refused; l > d - s still gives zero at once.
+        cfg = tmp_path / "cfg"
+        cfg.write_text("max_dim = 1000\n")
+        path = write_element(tmp_path, Element.single(ModuleKind(kind), (5000, 5000)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--config", str(cfg), "sq", "--in", path, "--l", "5000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.strip() == ("Sq^5000 tries 5001 Cartan splits at each entry of an arity-2 term,"
+                               " more than max_dim=1000")
+        code, out, _ = run(capsys, "--config", str(cfg), "sq", "--in", path, "--l", "10000")
+        assert code == 0 and json.loads(out)["monomials"] == []
+        one = write_element(tmp_path, Element.single(ModuleKind(kind), (10000,)), "one.json")
+        code, out, _ = run(capsys, "--config", str(cfg), "sq", "--in", one, "--l", "5000")
+        assert code == 0 and json.loads(out)["monomials"] == [[5000]]
 
     @pytest.mark.parametrize("entries", [(3, -3), (3,)])
     def test_nabla_square_past_max_dim_refused_at_once(self, capsys, tmp_path, entries):

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from sqhit import f2linalg, hit
-from sqhit.f2linalg import BitVector
 from sqhit.homotopy import (
     AnnihilationError,
     HomotopySystem,
@@ -158,7 +157,7 @@ class TestPreimageChain:
         inter = f2linalg.intersect(delta, null)
         assert inter.dim > 0
         for r in inter.basis:
-            x = hit.vector_to_element(BitVector(len(monos), r), b, G)
+            x = hit.vector_to_element(r, b, G)
             chain = preimage_chain(x, h)
             assert sq(chain[1], 3).same(x)
             assert in_null(chain[1], h)
