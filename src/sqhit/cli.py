@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional
 
-from . import hit, suites
+from . import hit
 from .homotopy import (
     AnnihilationError,
     ChainCertificateError,
@@ -30,15 +30,17 @@ from .modules import (
     ModuleKind,
     basis,
     basis_size,
+    cartan_steps,
     element_from_json,
     element_to_json,
     monomial_str,
     sq,
 )
 
-# modules._sq_mono expands a monomial one recursion level per entry (two
-# with its cache), so larger arities are refused before they reach Python's
-# recursion limit of 1000.
+# modules._sq_mono and modules._sym_mono (the gamma-sym split on the largest
+# part) expand a monomial one recursion level per entry (two with their
+# cache), so larger arities are refused before they reach Python's recursion
+# limit of 1000.
 MAX_ARITY = 256
 
 
@@ -151,11 +153,15 @@ def cmd_sq(args, cfg: Config) -> int:
     if (x.kind is ModuleKind.NABLA and args.l > 0
             and basis_size(Bidegree(x.s, x.s + args.l), ModuleKind.GAMMA, cfg.max_dim) > cfg.max_dim):
         return _die(3, f"Sq^{args.l} splits an arity-{x.s} term into more than max_dim={cfg.max_dim} terms")
-    # On the positive kinds every entry but the last tries each of the l + 1
-    # splits of Sq^l; past d - s the result is zero at once.
-    if x.kind is not ModuleKind.NABLA and x.s >= 2 and cfg.max_dim < args.l <= x.d - x.s:
-        return _die(3, f"Sq^{args.l} tries {args.l + 1} Cartan splits at each entry of an arity-{x.s} term,"
-                       f" more than max_dim={cfg.max_dim}")
+    # On the positive kinds the expansion runs at most ``cartan_steps`` loop
+    # steps on a term; past d - s the result is zero at once.
+    if x.kind is not ModuleKind.NABLA and args.l <= x.d - x.s:
+        steps = max((cartan_steps(t, args.l) for t in x.support), default=0)
+        if steps > cfg.max_dim:
+            # Past max_dim, l alone says why: an entry may try all l + 1 splits.
+            what = (f"tries {args.l + 1} Cartan splits at each entry of" if args.l > cfg.max_dim
+                    else f"runs up to {steps} Cartan steps on")
+            return _die(3, f"Sq^{args.l} {what} an arity-{x.s} term, more than max_dim={cfg.max_dim}")
     y = sq(x, args.l)
     _write_element(y, args.output)
     return 0
@@ -220,6 +226,8 @@ def cmd_report(args, cfg: Config) -> int:
 
 
 def cmd_verify(args, cfg: Config) -> int:
+    from . import suites  # the one command that needs it
+
     if args.suite == "all":
         names = list(suites.SUITES)
     elif args.suite in suites.SUITES:

@@ -139,9 +139,9 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
 
     Row u is the coordinate vector of (basis monomial u)Sq^l in the
     lexicographic basis of the target piece.  Gamma rows come from
-    first-entry blocks (``_gamma_rows``) and need no basis; an orbit is not
-    closed under the first-entry split, so orbit rows come from
-    ``sq_support`` on each basis monomial.
+    first-entry blocks (``_gamma_rows``) and need no basis; orbit rows come
+    from ``sq_support`` on each basis monomial, which for gamma-sym splits
+    off the largest part of the partition.
     """
     n = basis_size(b, kind)
     if l < 0:

@@ -14,9 +14,11 @@ one bidegree; addition is symmetric difference of supports.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import neg
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 
@@ -177,8 +179,10 @@ def _sq_mono(nabla: bool, entries: Tuple[int, ...], l: int) -> frozenset:
     rest = entries[1:]
     out: list = []
     # The last entry takes what is left of l, so a call costs no more than
-    # its Cartan splits: C(l + s - 1, s - 1) for s entries.
-    for i in range(l + 1) if rest else (l,):
+    # its Cartan splits; a gamma entry a tries only the i <= a - 1 that keep
+    # it >= 1 (``cartan_steps`` counts the steps).
+    top = l if nabla else min(l, a - 1)
+    for i in range(top + 1) if rest else (l,):
         b = a - i
         if nabla:
             if not gen_binom_mod2(b, i):
@@ -190,12 +194,58 @@ def _sq_mono(nabla: bool, entries: Tuple[int, ...], l: int) -> frozenset:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def _sym_mono(entries: Tuple[int, ...], l: int) -> frozenset:
+    """Support (partitions) of [entries]Sq^l in gamma-sym, for a partition
+    entries = (a, *rest), by the Cartan formula on the largest part.
+
+    The plain terms are C(a - i, i)(a - i | t) over the plain terms t of
+    [rest]Sq^(l - i).  rest is a partition too, and sorting (a - i | t)
+    inserts a - i into sorted(t), so the parity of the plain terms that
+    sort to each partition is that of the gamma-sym support of
+    [rest]Sq^(l - i) with a - i inserted.  For one i the insertion is
+    one-to-one; across i terms may meet and cancel mod 2.
+    """
+    if not entries:
+        return frozenset([()]) if l == 0 else frozenset()
+    a = entries[0]
+    rest = entries[1:]
+    out: set = set()
+    for i in range(min(l, a - 1) + 1) if rest else (l,):
+        b = a - i
+        if b < 1 or b & i != i:  # C(b, i) even
+            continue
+        # rest is non-increasing, so b goes before the first entry below it.
+        out ^= {t[:j] + (b,) + t[j:] for t in _sym_mono(rest, l - i)
+                for j in (bisect_left(t, -b, key=neg),)}
+    return frozenset(out)
+
+
+def cartan_steps(entries: Tuple[int, ...], l: int) -> int:
+    """An upper bound on the loop steps ``_sq_mono`` and ``_sym_mono`` run
+    on [entries]Sq^l, entries >= 1, with their suffix memo, over every entry
+    but the last (which takes what is left of l).  The suffix from entry k
+    is met with at most D_k distinct squares, D_0 = 1 and
+    D_(k+1) = min(l + 1, D_k + a_k - 1), and loops min(l, a_k - 1) + 1
+    times for each."""
+    steps, reach = 0, 1
+    for a in entries[:-1]:
+        steps += reach * (min(l, a - 1) + 1)
+        reach = min(l + 1, reach + a - 1)
+    return steps
+
+
 def sq_support(kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
     """Support (canonical entry tuples) of [entries]Sq^l for a monomial of
-    the given kind.  Orbit kinds act through the plain representative; terms
-    that land in one orbit cancel mod 2."""
-    terms = _sq_mono(kind is ModuleKind.NABLA, entries, l)
+    the given kind.  gamma-sym splits off the largest part (``_sym_mono``);
+    gamma-cyc acts through the plain representative, and terms that land in
+    one necklace cancel mod 2."""
+    # One table lookup tells the kinds apart: this runs once per term of
+    # every sq, and reading a ModuleKind member costs more than the lookup.
     canon = _ORBIT_CANONICAL.get(kind)
+    if canon is _sym_canonical:
+        return _sym_mono(entries, l)
+    terms = _sq_mono(kind is ModuleKind.NABLA, entries, l)
     if canon is None:
         return terms
     out: set = set()

@@ -3,15 +3,17 @@
 These deliberately avoid the library's bit tricks: binomial parity comes from
 math.comb and explicit power-series arithmetic, the square action is an
 itertools enumeration over compositions, bases are itertools compositions
-(canonicalised for the orbit kinds), and gamma action matrices are built
-monomial by monomial.  The reference elimination at the end is the slow
-dense-scan algorithm that the library's single sparse core must match basis
-for basis.
+(canonicalised for the orbit kinds), and action matrices are built
+monomial by monomial.  The gamma-sym action keeps its old path: the plain
+expansion, then sort and cancel.  The reference elimination at the end is
+the slow dense-scan algorithm that the library's single sparse core must
+match basis for basis.
 """
 
 import itertools
 import math
 
+from sqhit import modules
 from sqhit.modules import Element, ModuleKind, sq_support
 
 
@@ -62,19 +64,30 @@ def orbit_basis(kind: ModuleKind, s: int, d: int) -> tuple:
     return tuple(sorted({canon(t) for t in gamma_basis(s, d)}))
 
 
-def gamma_action_rows(s: int, d: int, l: int, support=None) -> tuple:
-    """(rows, cols, packed rows) of Sq^l from gamma (s, d) to (s, d - l),
-    monomial by monomial: row u has bit j set when codomain monomial j is
-    in the support of (domain monomial u)Sq^l.  support(entries, l) gives
-    that support; by default modules.sq_support, the builder sqhit.hit
-    used for every kind before gamma rows came from first-entry blocks."""
+def sym_sq_support(entries: tuple, l: int) -> frozenset:
+    """gamma-sym support of [entries]Sq^l the way sqhit.modules built it
+    before it split off the largest part: the plain gamma Cartan expansion,
+    each term sorted, and terms that sort alike cancelled mod 2."""
+    out = set()
+    for t in modules._sq_mono(False, entries, l):
+        out ^= {sym_canonical(t)}
+    return frozenset(out)
+
+
+def gamma_action_rows(s: int, d: int, l: int, support=None, kind=ModuleKind.GAMMA) -> tuple:
+    """(rows, cols, packed rows) of Sq^l from (s, d) to (s, d - l) of a
+    positive kind (gamma by default), monomial by monomial: row u has bit j
+    set when codomain monomial j is in the support of (domain monomial
+    u)Sq^l.  support(entries, l) gives that support; by default
+    modules.sq_support, the builder sqhit.hit used for every kind before
+    gamma rows came from first-entry blocks."""
     if support is None:
-        support = lambda entries, l: sq_support(ModuleKind.GAMMA, entries, l)
+        support = lambda entries, l: sq_support(kind, entries, l)
 
     def piece(s, d):
         if s == 0:
             return ((),) if d == 0 else ()
-        return gamma_basis(s, d)
+        return gamma_basis(s, d) if kind is ModuleKind.GAMMA else orbit_basis(kind, s, d)
 
     dom = piece(s, d)
     cod = piece(s, d - l) if d - l >= 0 else ()

@@ -196,6 +196,30 @@ class TestSq:
         code, out, _ = run(capsys, "--config", str(cfg), "sq", "--in", one, "--l", "5000")
         assert code == 0 and json.loads(out)["monomials"] == [[5000]]
 
+    @pytest.mark.parametrize("s,steps", [(3, 3600060000), (4, 10800000000)])
+    def test_positive_expansion_past_max_dim_refused_at_once(self, capsys, tmp_path, s, steps):
+        # l = 150000 <= max_dim, but the memoised suffixes loop again over
+        # what is left of l: 60000 splits at the first entry, then 60000
+        # for each of the 60000 squares left to the second, and so on.
+        x = Element.single(ModuleKind.GAMMA, (60000,) * s)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "150000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.strip() == (f"Sq^150000 runs up to {steps} Cartan steps on an arity-{s} term,"
+                               " more than max_dim=200000")
+
+    def test_square_past_max_dim_with_few_steps_runs(self, capsys, tmp_path):
+        # l > max_dim, but the first entry 2 has two splits and the last
+        # entry one.  (An orbit representative starts with its largest part.)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("max_dim = 1000\n")
+        x = Element.single(ModuleKind.GAMMA, (2, 9998))
+        code, out, _ = run(capsys, "--config", str(cfg), "sq", "--in", write_element(tmp_path, x), "--l", "5000")
+        assert code == 0
+        # Sq^1 on 2 gives 1, and Sq^4999 on 9998 gives 4999: C(4999, 4999) = 1.
+        assert json.loads(out)["monomials"] == [[1, 4999]]
+
     @pytest.mark.parametrize("entries", [(3, -3), (3,)])
     def test_nabla_square_past_max_dim_refused_at_once(self, capsys, tmp_path, entries):
         # Nabla terms split into all C(l + s - 1, s - 1) Cartan terms; at

@@ -70,6 +70,28 @@ class TestSqMatrix:
                     m = hit.sq_matrix(Bidegree(s, d), l, G)
                     assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(s, d, l, support), (s, d, l)
 
+    def test_sym_rows_match_naive_sq(self):
+        K = ModuleKind.GAMMA_SYM
+
+        def support(entries, l):
+            return naive_sq(Element.single(K, entries), l).support
+
+        for s in range(1, 6):
+            for d in range(s, 17):
+                for l in range(0, 8):
+                    m = hit.sq_matrix(Bidegree(s, d), l, K)
+                    assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(s, d, l, support, K), (s, d, l)
+
+    def test_sym_unhit_expands_no_plain_terms(self, monkeypatch):
+        def no_plain_expansion(*args):
+            raise AssertionError("gamma-sym rows expanded through _sq_mono")
+
+        hit.sq_matrix.cache_clear()
+        monkeypatch.setattr(modules, "_sq_mono", no_plain_expansion)
+        rep = hit.unhit_report(Bidegree(6, 24), 1, ModuleKind.GAMMA_SYM)
+        hit.sq_matrix.cache_clear()
+        assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (50, 47, 3)
+
     def test_high_arity_needs_no_recursion(self):
         # The arities are built in a loop: arity 1500 is past Python's
         # recursion limit.

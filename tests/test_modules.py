@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import gamma_basis, naive_sq, orbit_basis, series_binom_mod2
+from oracles import gamma_basis, naive_sq, orbit_basis, series_binom_mod2, sym_sq_support
 from sqhit import modules
 from sqhit.modules import (
     Bidegree,
@@ -139,13 +139,32 @@ class TestAction:
 
     @given(st.data())
     def test_matches_naive_oracle(self, data):
+        kind = data.draw(st.sampled_from(POSITIVE_KINDS))
         s = data.draw(st.integers(1, 3))
         d = data.draw(st.integers(s, s + 6))
-        monos = basis(Bidegree(s, d), G)
+        monos = basis(Bidegree(s, d), kind)
         support = data.draw(st.sets(st.sampled_from(monos), max_size=5))
-        x = Element.from_monomials(G, s, d, support)
+        x = Element.from_monomials(kind, s, d, support)
         l = data.draw(st.integers(0, 5))
         assert sq(x, l).same(naive_sq(x, l))
+
+    def test_sym_support_matches_sorted_plain_expansion(self):
+        cases = 0
+        for s in range(1, 8):
+            for d in range(s, 27):
+                for m in basis(Bidegree(s, d), ModuleKind.GAMMA_SYM):
+                    for l in range(9):
+                        assert modules.sq_support(ModuleKind.GAMMA_SYM, m, l) == sym_sq_support(m, l), (m, l)
+                        cases += 1
+        assert cases == 54162
+
+    def test_sym_high_arity_needs_no_deeper_recursion(self):
+        # The largest-part split recurses once per entry, like _sq_mono.
+        threes = Element.single(ModuleKind.GAMMA_SYM, (3,) * 256)
+        assert sq(threes, 2).is_zero()
+        # Sq^1 lowers one of the 255 twos to 1; all 255 terms sort alike.
+        twos = Element.single(ModuleKind.GAMMA_SYM, (3,) + (2,) * 255)
+        assert sq(twos, 1).sorted_support() == [(3,) + (2,) * 254 + (1,)]
 
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=3), st.integers(0, 5))
     def test_nabla_matches_naive_oracle(self, entries, l):
