@@ -153,12 +153,15 @@ def cmd_sq(args, cfg: Config) -> int:
     if (x.kind is ModuleKind.NABLA and args.l > 0
             and basis_size(Bidegree(x.s, x.s + args.l), ModuleKind.GAMMA, cfg.max_dim) > cfg.max_dim):
         return _die(3, f"Sq^{args.l} splits an arity-{x.s} term into more than max_dim={cfg.max_dim} terms")
-    # On the positive kinds the expansion runs at most ``cartan_steps`` loop
-    # steps on a term; past d - s the result is zero at once.
+    # On the positive kinds the expansion of a term takes at most
+    # ``cartan_steps`` steps, counting loop steps and terms built, so many
+    # splits in a row are refused as well as one long loop; past d - s the
+    # result is zero at once.
     if x.kind is not ModuleKind.NABLA and args.l <= x.d - x.s:
         steps = max((cartan_steps(t, args.l) for t in x.support), default=0)
         if steps > cfg.max_dim:
-            # Past max_dim, l alone says why: an entry may try all l + 1 splits.
+            # Past max_dim the message still speaks of l + 1 splits at each
+            # entry, which overstates the loop of an entry a <= l.
             what = (f"tries {args.l + 1} Cartan splits at each entry of" if args.l > cfg.max_dim
                     else f"runs up to {steps} Cartan steps on")
             return _die(3, f"Sq^{args.l} {what} an arity-{x.s} term, more than max_dim={cfg.max_dim}")

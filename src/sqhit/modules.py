@@ -213,7 +213,7 @@ def _sym_mono(entries: Tuple[int, ...], l: int) -> frozenset:
     out: set = set()
     for i in range(min(l, a - 1) + 1) if rest else (l,):
         b = a - i
-        if b < 1 or b & i != i:  # C(b, i) even
+        if b < 1 or not binom_mod2(b, i):
             continue
         # rest is non-increasing, so b goes before the first entry below it.
         out ^= {t[:j] + (b,) + t[j:] for t in _sym_mono(rest, l - i)
@@ -221,16 +221,36 @@ def _sym_mono(entries: Tuple[int, ...], l: int) -> frozenset:
     return frozenset(out)
 
 
+def _odd_splits(a: int) -> int:
+    """The number of i >= 0 with C(a - i, i) odd, for a >= 0: Stern's
+    diatomic number s(a + 1), by s(2n) = s(n) and s(2n + 1) = s(n) + s(n + 1)."""
+    n, lo, hi = a + 1, 1, 0
+    while n:
+        if n & 1:
+            hi += lo
+        else:
+            lo += hi
+        n >>= 1
+    return hi
+
+
 def cartan_steps(entries: Tuple[int, ...], l: int) -> int:
-    """An upper bound on the loop steps ``_sq_mono`` and ``_sym_mono`` run
-    on [entries]Sq^l, entries >= 1, with their suffix memo, over every entry
-    but the last (which takes what is left of l).  The suffix from entry k
-    is met with at most D_k distinct squares, D_0 = 1 and
-    D_(k+1) = min(l + 1, D_k + a_k - 1), and loops min(l, a_k - 1) + 1
-    times for each."""
+    """An upper bound on the work ``_sq_mono`` and ``_sym_mono`` do on
+    [entries]Sq^l, entries >= 1, with their suffix memo: loop steps plus
+    terms built, over every entry but the last (which takes what is left
+    of l).  The suffix from entry k is met with at most D_k distinct
+    squares, D_0 = 1 and D_(k+1) = min(l + 1, D_k + a_k - 1).  For each it
+    loops min(l, a_k - 1) + 1 times, and at each of the at most
+    c_k = min(l + 1, _odd_splits(a_k)) splits with C(a_k - i, i) odd it
+    builds a term from every term of the suffix from entry k + 1, of which
+    there are at most c_(k+1) ... c_(s-2), one per choice of odd splits."""
+    odd = [min(l + 1, _odd_splits(a)) for a in entries[:-1]]
+    tails = [1]  # tails[-1 - k]: the term bound of the suffix from entry k + 1
+    for c in reversed(odd[1:]):
+        tails.append(tails[-1] * c)
     steps, reach = 0, 1
-    for a in entries[:-1]:
-        steps += reach * (min(l, a - 1) + 1)
+    for a, c, tail in zip(entries, odd, reversed(tails)):
+        steps += reach * (min(l, a - 1) + 1 + c * tail)
         reach = min(l + 1, reach + a - 1)
     return steps
 

@@ -196,18 +196,43 @@ class TestSq:
         code, out, _ = run(capsys, "--config", str(cfg), "sq", "--in", one, "--l", "5000")
         assert code == 0 and json.loads(out)["monomials"] == [[5000]]
 
-    @pytest.mark.parametrize("s,steps", [(3, 3600060000), (4, 10800000000)])
-    def test_positive_expansion_past_max_dim_refused_at_once(self, capsys, tmp_path, s, steps):
-        # l = 150000 <= max_dim, but the memoised suffixes loop again over
-        # what is left of l: 60000 splits at the first entry, then 60000
-        # for each of the 60000 squares left to the second, and so on.
-        x = Element.single(ModuleKind.GAMMA, (60000,) * s)
+    @pytest.mark.parametrize("kind,entries,l,steps", [
+        ("gamma", (60000,) * 3, 150000, 3636848449),
+        ("gamma", (60000,) * 4, 150000, 33203427936),
+        ("gamma", (2,) * 40, 20, 2199022208152),
+        ("gamma-cyc", (2,) * 40, 20, 2199022208152),
+    ])
+    def test_positive_expansion_past_max_dim_refused_at_once(self, capsys, tmp_path, kind, entries, l, steps):
+        # l <= max_dim, but the memoised suffixes loop again over what is
+        # left of l: on 60000s, 60000 splits at the first entry, then 60000
+        # for each of the 60000 squares left to the second, and so on.  On
+        # forty 2s every loop is short, but Sq^20 has C(40, 20) plain terms.
+        x = Element.single(ModuleKind(kind), entries)
         start = time.perf_counter()
-        code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "150000")
+        code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", str(l))
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert err.strip() == (f"Sq^150000 runs up to {steps} Cartan steps on an arity-{s} term,"
+        assert err.strip() == (f"Sq^{l} runs up to {steps} Cartan steps on an arity-{len(entries)} term,"
                                " more than max_dim=200000")
+
+    def test_many_short_splits_refused_at_once(self, capsys, tmp_path):
+        # Each 2 splits as i = 0 or 1 and loops twice only, but the terms
+        # multiply: C(2^19 + 2^18, 2^18) is odd, so Sq^262272 gives at
+        # least C(255, 128) terms.
+        x = Element.single(ModuleKind.GAMMA, (2,) * 255 + (1 << 20,))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "262272")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("Sq^262272 ") and err.strip().endswith("an arity-256 term, more than max_dim=200000")
+
+    def test_entries_with_one_odd_split_run(self, capsys, tmp_path):
+        # 3 has one odd split (C(3, 0)), so nineteen 3s build few terms
+        # however many entries there are; Sq^10 lowers the last entry.
+        x = Element.single(ModuleKind.GAMMA, (3,) * 19 + (20,))
+        code, out, _ = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "10")
+        assert code == 0
+        assert json.loads(out)["monomials"] == [[3] * 19 + [10]]
 
     def test_square_past_max_dim_with_few_steps_runs(self, capsys, tmp_path):
         # l > max_dim, but the first entry 2 has two splits and the last

@@ -172,6 +172,34 @@ class TestAction:
         assert sq(x, l).same(naive_sq(x, l))
 
 
+class TestCartanSteps:
+    def test_odd_splits_is_the_odd_diagonal_count(self):
+        for a in range(600):
+            assert modules._odd_splits(a) == sum(binom_mod2(a - i, i) for i in range(a + 1)), a
+
+    def test_hand_values(self):
+        # The first entry of [2, 9998] loops twice and builds two terms.
+        assert modules.cartan_steps((2, 9998), 5000) == 4
+        # 60000 has 607 odd splits: the first entry loops 60000 times and
+        # builds 607 * 607 terms, then each of the 60000 squares left to the
+        # second loops 60000 times and builds 607 terms.
+        assert modules._odd_splits(60000) == 607
+        assert modules.cartan_steps((60000,) * 3, 150000) == 60000 + 607 * 607 + 60000 * (60000 + 607)
+        assert modules.cartan_steps((7,), 3) == 0
+
+    def test_bounds_the_terms_built(self):
+        # The top call builds one term per odd split of each entry but the
+        # last; for gamma-sym, terms that sort alike meet in one partition.
+        for s in range(2, 5):
+            for d in range(s, 16):
+                for m in basis(Bidegree(s, d), ModuleKind.GAMMA):
+                    for l in range(d - s + 1):
+                        steps = modules.cartan_steps(m, l)
+                        assert len(modules._sq_mono(False, m, l)) <= steps, (m, l)
+                        if m == tuple(sorted(m, reverse=True)):
+                            assert len(modules._sym_mono(m, l)) <= steps, (m, l)
+
+
 class TestBases:
     def test_compositions_of_three(self):
         assert list(basis(Bidegree(2, 3), G)) == [(1, 2), (2, 1)]
