@@ -160,11 +160,8 @@ def cmd_sq(args, cfg: Config) -> int:
     if x.kind is not ModuleKind.NABLA and args.l <= x.d - x.s:
         steps = max((cartan_steps(t, args.l) for t in x.support), default=0)
         if steps > cfg.max_dim:
-            # Past max_dim the message still speaks of l + 1 splits at each
-            # entry, which overstates the loop of an entry a <= l.
-            what = (f"tries {args.l + 1} Cartan splits at each entry of" if args.l > cfg.max_dim
-                    else f"runs up to {steps} Cartan steps on")
-            return _die(3, f"Sq^{args.l} {what} an arity-{x.s} term, more than max_dim={cfg.max_dim}")
+            return _die(3, f"Sq^{args.l} runs up to {steps} Cartan steps on an arity-{x.s} term,"
+                           f" more than max_dim={cfg.max_dim}")
     y = sq(x, args.l)
     _write_element(y, args.output)
     return 0

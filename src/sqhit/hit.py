@@ -25,12 +25,12 @@ from .modules import (
     Bidegree,
     Element,
     ModuleKind,
+    _SQ_EXPANSION,
     basis,
     basis_size,
     binom_mod2,
     concat_product,
     sq,
-    sq_support,
 )
 
 
@@ -140,8 +140,9 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     Row u is the coordinate vector of (basis monomial u)Sq^l in the
     lexicographic basis of the target piece.  Gamma rows come from
     first-entry blocks (``_gamma_rows``) and need no basis; orbit rows come
-    from ``sq_support`` on each basis monomial, which for gamma-sym splits
-    off the largest part of the partition.
+    from the kind's expansion (``modules.sq_support``) of each basis
+    monomial, which for gamma-sym splits off the largest part of the
+    partition.
     """
     n = basis_size(b, kind)
     if l < 0:
@@ -155,10 +156,11 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
             return BitMatrix(n, cols, (int(cols > 0),) * n)
         return BitMatrix(n, cols, _gamma_rows(b.s, b.d, l))
     index = _basis_index(target, kind) if cols else {}
+    expand = _SQ_EXPANSION[kind]
     rows = []
     for m in basis(b, kind):
         bits = 0
-        for t in sq_support(kind, m, l):
+        for t in expand(m, l):
             bits |= 1 << index[t]
         rows.append(bits)
     return BitMatrix(n, cols, tuple(rows))

@@ -9,13 +9,13 @@ turns kernel membership into constructive spike-square preimages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import filterfalse
+from typing import Callable, List, Tuple
 
 from .modules import (
     Element,
     ModuleKind,
     ORBIT_KINDS,
-    _ORBIT_CANONICAL,
     monomial_str,
     sq,
 )
@@ -62,7 +62,15 @@ class HomotopySystem:
 
 
 def shift(x: Element, i: int, r: int) -> Element:
-    """Add r to entry i of every monomial; orbit kinds re-canonicalize."""
+    """Add r to entry i of every monomial.
+
+    The support is built directly: adding r to one entry is one-to-one, so
+    no two terms meet and none cancels.  Orbit kinds shift their leading
+    entry (i = 1), which is a maximum of its monomial (the largest part of
+    a partition, the first entry of a lex-greatest rotation); with r > 0 it
+    becomes the strict maximum, so the shifted tuple is still canonical and
+    needs no re-canonicalisation.
+    """
     if r < 0:
         raise ValueError("shift amount must be >= 0")
     if x.is_zero():
@@ -71,31 +79,25 @@ def shift(x: Element, i: int, r: int) -> Element:
         raise ValueError(f"position {i} out of range for arity {x.s}")
     if x.kind in ORBIT_KINDS and i != 1:
         raise ValueError("orbit kinds support position 1 only")
-    canon = _ORBIT_CANONICAL.get(x.kind)
-    out = []
-    for m in x.support:
-        e = list(m)
-        e[i - 1] += r
-        t = tuple(e)
-        if canon is not None:
-            t = canon(t)
-        out.append(t)
-    return Element.from_monomials(x.kind, x.s, x.d + r, out)
+    j = i - 1
+    support = frozenset(t[:j] + (t[j] + r,) + t[i:] for t in x.support)
+    return Element(x.kind, x.s, x.d + r, support)
 
 
-def _mono_in_null(e: Tuple[int, ...], h: HomotopySystem) -> bool:
-    k = h.order
+def _null_predicate(h: HomotopySystem) -> Callable[[Tuple[int, ...]], bool]:
+    """The null-subspace condition of h on one monomial, decided on the
+    kind once: callers test every support term with it."""
+    bound = 1 << h.order
     if h.kind is ModuleKind.NABLA:
-        return True
+        return lambda e: True
     if h.kind is ModuleKind.GAMMA:
-        return e[h.position - 1] >= (1 << k)
+        p = h.position - 1
+        return lambda e: e[p] >= bound
     # Arity-1 orbit pieces coincide with the plain module; the difference
     # conditions below are vacuous there but the entry bound is still needed.
-    if len(e) < 2:
-        return e[0] >= (1 << k)
     if h.kind is ModuleKind.GAMMA_SYM:
-        return e[0] - e[1] >= (1 << k)
-    return all(e[0] - e[j] > (1 << k) for j in range(1, len(e)))
+        return lambda e: e[0] - e[1] >= bound if len(e) > 1 else e[0] >= bound
+    return lambda e: e[0] - max(e[1:]) > bound if len(e) > 1 else e[0] >= bound
 
 
 def _check_position(x: Element, h: HomotopySystem) -> None:
@@ -108,7 +110,7 @@ def in_null(x: Element, h: HomotopySystem) -> bool:
     if x.kind is not h.kind:
         raise ValueError(f"kind mismatch: element {x.kind.value}, system {h.kind.value}")
     _check_position(x, h)
-    return all(_mono_in_null(m, h) for m in x.support)
+    return all(map(_null_predicate(h), x.support))
 
 
 def _psi(x: Element, h: HomotopySystem, m: int) -> Element:
@@ -142,22 +144,24 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     """The elements y_i = x psi^(2^i) ... psi^2 psi^1, each with
     y_i Sq^(2^(i+1)-1) = x, for i = 0..order.
 
+    The steps are incremental, y_i = y_(i-1) psi^(2^i): every psi adds to
+    the same entry, so the shifts commute and order k takes k + 1 shifts.
     Rejects inputs outside the null subspace or not killed by every
     Sq^(2^i), i <= order.  Each certificate is re-verified before return;
     a failure there indicates an implementation bug, not bad input.
     """
     _check_position(x, h)
-    outside = [t for t in x.support if not _mono_in_null(t, h)]
+    null = _null_predicate(h)
+    outside = list(filterfalse(null, x.support))
     if outside:
         raise NullMembershipError(h.kind, min(outside))
     for i in range(h.order + 1):
         if not sq(x, 1 << i).is_zero():
             raise AnnihilationError(i)
     chain: List[Element] = []
+    y = x
     for i in range(h.order + 1):
-        y = x
-        for m in range(i, -1, -1):
-            y = _psi(y, h, m)
+        y = _psi(y, h, i)
         spike = (1 << (i + 1)) - 1
         if not sq(y, spike).same(x):
             raise ChainCertificateError(f"y_{i} Sq^{spike} != x")

@@ -17,8 +17,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from operator import neg
+from functools import lru_cache, partial
+from itertools import chain, repeat
+from operator import eq, neg
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 
@@ -101,10 +102,17 @@ class Element:
     support: frozenset
 
     def __post_init__(self):
-        kind, s, d = self.kind, self.s, self.d
+        kind, s, d, support = self.kind, self.s, self.d, self.support
         positive = kind in POSITIVE_KINDS
         canon = _ORBIT_CANONICAL.get(kind)
-        for t in self.support:
+        # Each check is one pass over the whole support; the loop below runs
+        # only when a pass fails, to name the first failing term.
+        if (all(map(eq, map(len, support), repeat(s)))
+                and all(map(eq, map(sum, support), repeat(d)))
+                and (not positive or all(map((1).__le__, chain.from_iterable(support))))
+                and (canon is None or all(map(eq, map(canon, support), support)))):
+            return
+        for t in support:
             if len(t) != s or sum(t) != d:
                 raise ValueError(f"monomial {monomial_str(kind, t)} inconsistent with element ({kind.value},{s},{d})")
             if positive and min(t, default=1) < 1:
@@ -255,23 +263,33 @@ def cartan_steps(entries: Tuple[int, ...], l: int) -> int:
     return steps
 
 
+def _cyc_mono(entries: Tuple[int, ...], l: int) -> frozenset:
+    """Support (necklaces) of [entries]Sq^l in gamma-cyc: the plain
+    expansion of the representative, each term canonicalised; terms that
+    land in one necklace cancel mod 2 (a necklace is not closed under the
+    split, so there is no orbit-level recursion as for gamma-sym)."""
+    out: set = set()
+    for t in _sq_mono(False, entries, l):
+        _toggle(out, _cyc_canonical(t))
+    return frozenset(out)
+
+
+# The one place that picks the expansion of a kind: (entries, l) -> support
+# of [entries]Sq^l.  Callers look it up once per call, not once per term.
+_SQ_EXPANSION = {
+    ModuleKind.GAMMA: partial(_sq_mono, False),
+    ModuleKind.NABLA: partial(_sq_mono, True),
+    ModuleKind.GAMMA_SYM: _sym_mono,
+    ModuleKind.GAMMA_CYC: _cyc_mono,
+}
+
+
 def sq_support(kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
     """Support (canonical entry tuples) of [entries]Sq^l for a monomial of
     the given kind.  gamma-sym splits off the largest part (``_sym_mono``);
     gamma-cyc acts through the plain representative, and terms that land in
     one necklace cancel mod 2."""
-    # One table lookup tells the kinds apart: this runs once per term of
-    # every sq, and reading a ModuleKind member costs more than the lookup.
-    canon = _ORBIT_CANONICAL.get(kind)
-    if canon is _sym_canonical:
-        return _sym_mono(entries, l)
-    terms = _sq_mono(kind is ModuleKind.NABLA, entries, l)
-    if canon is None:
-        return terms
-    out: set = set()
-    for t in terms:
-        _toggle(out, canon(t))
-    return frozenset(out)
+    return _SQ_EXPANSION[kind](entries, l)
 
 
 def sq(x: Element, l: int) -> Element:
@@ -283,9 +301,10 @@ def sq(x: Element, l: int) -> Element:
     if x.kind in POSITIVE_KINDS and l > x.d - x.s:
         # Every entry stays >= 1, so no term reaches degree d - l < s.
         return Element.zero(x.kind, x.s, x.d - l)
+    expand = _SQ_EXPANSION[x.kind]
     acc: set = set()
     for t in x.support:
-        acc ^= sq_support(x.kind, t, l)
+        acc ^= expand(t, l)
     return Element(x.kind, x.s, x.d - l, frozenset(acc))
 
 

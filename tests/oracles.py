@@ -5,7 +5,8 @@ math.comb and explicit power-series arithmetic, the square action is an
 itertools enumeration over compositions, bases are itertools compositions
 (canonicalised for the orbit kinds), and action matrices are built
 monomial by monomial.  The gamma-sym action keeps its old path: the plain
-expansion, then sort and cancel.  The reference elimination at the end is
+expansion, then sort and cancel.  Homotopy chains keep their old nested
+shifts, each one canonicalised and toggled.  The reference elimination at the end is
 the slow dense-scan algorithm that the library's single sparse core must
 match basis for basis.
 """
@@ -141,6 +142,53 @@ def naive_sq(x: Element, l: int) -> Element:
             else:
                 acc.add(t)
     return Element.from_monomials(x.kind, x.s, x.d - l, acc)
+
+
+# --- Homotopy chains ------------------------------------------------------------
+# sqhit.homotopy as it was before its chains took one shift per step: each
+# shift canonicalises every term and toggles it into a new element, and
+# y_i is rebuilt from x by i + 1 nested shifts.
+
+
+def toggled_shift(x: Element, i: int, r: int) -> Element:
+    """Add r to entry i of every term, canonicalise orbit kinds with this
+    module's own forms, and toggle the terms into an element."""
+    canon = {ModuleKind.GAMMA_SYM: sym_canonical, ModuleKind.GAMMA_CYC: cyc_canonical}.get(x.kind)
+    out = []
+    for m in x.support:
+        e = list(m)
+        e[i - 1] += r
+        t = tuple(e)
+        if canon is not None:
+            t = canon(t)
+        out.append(t)
+    return Element.from_monomials(x.kind, x.s, x.d + r, out)
+
+
+def nested_chain(x: Element, order: int, position: int) -> list:
+    """y_i = x psi^(2^i) ... psi^2 psi^1 for i = 0..order, each from x."""
+    chain = []
+    for i in range(order + 1):
+        y = x
+        for m in range(i, -1, -1):
+            y = toggled_shift(y, position, 1 << m)
+        chain.append(y)
+    return chain
+
+
+def null_monomial(kind: ModuleKind, order: int, position: int, e: tuple) -> bool:
+    """The null-subspace condition on one monomial, kind by kind, read term
+    by term."""
+    bound = 1 << order
+    if kind is ModuleKind.NABLA:
+        return True
+    if kind is ModuleKind.GAMMA:
+        return e[position - 1] >= bound
+    if len(e) < 2:
+        return e[0] >= bound
+    if kind is ModuleKind.GAMMA_SYM:
+        return e[0] - e[1] >= bound
+    return all(e[0] - e[j] > bound for j in range(1, len(e)))
 
 
 # --- Reference elimination ----------------------------------------------------

@@ -6,7 +6,16 @@ import pytest
 from sqhit import cli, hit
 from sqhit.cli import main
 from sqhit.homotopy import ChainCertificateError
-from sqhit.modules import Element, ModuleKind, element_from_json, element_to_json, sq
+from sqhit.modules import (
+    Bidegree,
+    Element,
+    ModuleKind,
+    basis,
+    element_from_json,
+    element_to_json,
+    monomial_str,
+    sq,
+)
 
 
 def write_element(tmp_path, x, name="x.json"):
@@ -141,6 +150,12 @@ class TestSq:
         ("gamma", 2, 2, (0, 2)),       # entry below 1
         ("gamma", 1, 5, (3,)),         # wrong degree
         ("gamma", 2, 3, (3,)),         # wrong arity
+        # The same faults in pieces with at least 50 good terms.
+        ("gamma-sym", 6, 24, (3, 5, 4, 4, 4, 4)),
+        ("gamma-cyc", 5, 14, (1, 5, 3, 2, 3)),
+        ("gamma", 4, 12, (0, 5, 4, 3)),
+        ("gamma", 4, 12, (3, 3, 3, 4)),
+        ("gamma", 4, 12, (6, 6)),
     ])
     def test_malformed_term_rejected(self, capsys, tmp_path, kind, s, d, term):
         obj = {"kind": kind, "s": s, "d": d, "monomials": [list(term)]}
@@ -148,6 +163,11 @@ class TestSq:
             element_from_json(obj)
         with pytest.raises(ValueError):
             Element(ModuleKind(kind), s, d, frozenset([term]))
+        # Among good terms (up to 50), the message still names the bad one.
+        good = basis(Bidegree(s, d), ModuleKind(kind))[:50]
+        with pytest.raises(ValueError) as exc:
+            Element(ModuleKind(kind), s, d, frozenset(good + (term,)))
+        assert monomial_str(ModuleKind(kind), term) in str(exc.value)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "sq", "--in", str(path), "--l", "1")
@@ -179,7 +199,7 @@ class TestSq:
 
     @pytest.mark.parametrize("kind", ["gamma", "gamma-sym", "gamma-cyc"])
     def test_positive_square_past_max_dim_refused_at_once(self, capsys, tmp_path, kind):
-        # Every entry but the last tries all l + 1 splits of Sq^l, so a huge
+        # The first entry loops over all 5000 splits of Sq^5000, so a huge
         # l with l <= d - s is refused; l > d - s still gives zero at once.
         cfg = tmp_path / "cfg"
         cfg.write_text("max_dim = 1000\n")
@@ -188,7 +208,7 @@ class TestSq:
         code, out, err = run(capsys, "--config", str(cfg), "sq", "--in", path, "--l", "5000")
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert err.strip() == ("Sq^5000 tries 5001 Cartan splits at each entry of an arity-2 term,"
+        assert err.strip() == ("Sq^5000 runs up to 5162 Cartan steps on an arity-2 term,"
                                " more than max_dim=1000")
         code, out, _ = run(capsys, "--config", str(cfg), "sq", "--in", path, "--l", "10000")
         assert code == 0 and json.loads(out)["monomials"] == []

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from sqhit import f2linalg, hit
+from oracles import nested_chain, null_monomial, toggled_shift
+from sqhit import f2linalg, hit, suites
 from sqhit.homotopy import (
     AnnihilationError,
     HomotopySystem,
@@ -46,6 +47,28 @@ class TestShift:
         with pytest.raises(ValueError):
             shift(x, 2, 1)
 
+    def test_matches_toggled_shift_exhaustive(self):
+        # Every orbit monomial with s <= 5, d <= 14 (and every gamma one
+        # with s <= 4, d <= 10, at each position) under every r <= 8.
+        pieces = [(kind, s, d) for kind in (ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC)
+                  for s in range(1, 6) for d in range(s, 15)]
+        pieces += [(G, s, d) for s in range(1, 5) for d in range(s, 11)]
+        for kind, s, d in pieces:
+            for m in basis(Bidegree(s, d), kind):
+                x = Element.single(kind, m)
+                for i in range(1, s + 1) if kind is G else (1,):
+                    for r in range(9):
+                        assert shift(x, i, r) == toggled_shift(x, i, r), (kind, m, i, r)
+
+    @pytest.mark.parametrize("kind,s,d,i", [
+        (G, 4, 14, 2), (ModuleKind.GAMMA_SYM, 5, 24, 1), (ModuleKind.GAMMA_CYC, 4, 22, 1),
+    ])
+    def test_many_terms_keep_their_count(self, kind, s, d, i):
+        x = Element.from_monomials(kind, s, d, basis(Bidegree(s, d), kind))
+        for r in (0, 1, 5):
+            y = shift(x, i, r)
+            assert len(y.support) == len(x.support) and y == toggled_shift(x, i, r)
+
 
 class TestNullPredicate:
     def test_threshold_inclusive(self):
@@ -70,6 +93,16 @@ class TestNullPredicate:
     def test_kind_mismatch(self):
         with pytest.raises(ValueError):
             in_null(mono(1), HomotopySystem(ModuleKind.NABLA, 0, 1))
+
+    def test_matches_termwise_condition(self):
+        for kind in (G, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC):
+            for s in range(1, 5):
+                for d in range(s, 15):
+                    for m in basis(Bidegree(s, d), kind):
+                        for k in range(3):
+                            for p in range(1, s + 1) if kind is G else (1,):
+                                h = HomotopySystem(kind, k, p)
+                                assert in_null(Element.single(kind, m), h) == null_monomial(kind, k, p, m)
 
 
 class TestIdentities:
@@ -144,6 +177,31 @@ class TestPreimageChain:
         with pytest.raises(AnnihilationError) as exc:
             preimage_chain(mono(2), HomotopySystem(G, 0, 1))
         assert exc.value.failing_i == 0
+
+    @pytest.mark.parametrize("kind,s,d,orders,positions", [
+        (G, 4, 14, (0,), range(1, 5)),
+        (G, 4, 16, (1,), range(1, 5)),
+        (G, 4, 18, (2,), range(1, 5)),
+        (ModuleKind.GAMMA_SYM, 5, 24, range(3), (1,)),
+        (ModuleKind.GAMMA_CYC, 4, 22, range(3), (1,)),
+    ], ids=["gamma-4-14-k0", "gamma-4-16-k1", "gamma-4-18-k2", "gamma-sym-5-24", "gamma-cyc-4-22"])
+    def test_matches_nested_chain(self, kind, s, d, orders, positions):
+        # Seeded sums of null kernel classes, as the benchmark draws them.
+        rng = random.Random(17)
+        b = Bidegree(s, d)
+        for k in orders:
+            delta = hit.delta_basis(b, k, kind)
+            for p in positions:
+                h = HomotopySystem(kind, k, p)
+                vectors = f2linalg.intersect(delta, suites._null_span(b, kind, h)).basis
+                assert vectors
+                for _ in range(8):
+                    acc = 0
+                    for v in rng.sample(vectors, (len(vectors) + 1) // 2):
+                        acc ^= v
+                    x = hit.vector_to_element(acc, b, kind)
+                    chain = preimage_chain(x, h)
+                    assert chain == nested_chain(x, k, p), (kind, k, p, x)
 
     def test_order_one_exhaustive_bidegree(self):
         # Every kernel class at (5,12) supported on first-entry >= 2 monomials

@@ -342,8 +342,20 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             element_from_json({"kind": "gamma", "s": 1, "d": 1, "monomials": [[1], [1]]})
 
+    def test_arity_zero_round_trip(self):
+        obj = {"kind": "gamma", "s": 0, "d": 0, "monomials": [[]]}
+        x = element_from_json(obj)
+        assert x.support == frozenset({()})
+        assert element_to_json(x) == obj
+
 
 class TestDegreeBookkeeping:
+    @pytest.mark.parametrize("kind", list(ModuleKind))
+    def test_arity_zero_element(self, kind):
+        # The empty monomial has no entries to take a minimum of.
+        x = Element(kind, 0, 0, frozenset({()}))
+        assert x.sorted_support() == [()]
+
     @given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 4))
     def test_sq_output_bidegree(self, s, dd, l):
         d = s + dd
