@@ -3,6 +3,7 @@
 from .modules import (
     Bidegree,
     Element,
+    ExpansionTooLarge,
     ModuleKind,
     basis,
     basis_size,
@@ -13,7 +14,6 @@ from .modules import (
     gen_binom_mod2,
     project_to_orbit,
     sq,
-    sq_single,
 )
 from .homotopy import HomotopySystem, in_null, preimage_chain, shift, verify_commutation, verify_homotopy
 from .hit import (
@@ -26,7 +26,6 @@ from .hit import (
     decompose_first_factor,
     delta_basis,
     i1_membership,
-    ker_vs_im_explorer,
     spike_image_basis,
     sq2_kernel_witness,
     sq_matrix,

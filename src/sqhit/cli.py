@@ -27,10 +27,10 @@ from .homotopy import (
 from .modules import (
     Bidegree,
     Element,
+    ExpansionTooLarge,
     ModuleKind,
     basis,
     basis_size,
-    cartan_steps,
     element_from_json,
     element_to_json,
     monomial_str,
@@ -148,21 +148,11 @@ def cmd_sq(args, cfg: Config) -> int:
     guard = _check_arity(x.s)
     if guard:
         return _die(3, guard)
-    # Nabla terms have no lower bound to stop at: each term splits into all
-    # C(l + s - 1, s - 1) Cartan terms, the compositions of l + s into s parts.
-    if (x.kind is ModuleKind.NABLA and args.l > 0
-            and basis_size(Bidegree(x.s, x.s + args.l), ModuleKind.GAMMA, cfg.max_dim) > cfg.max_dim):
-        return _die(3, f"Sq^{args.l} splits an arity-{x.s} term into more than max_dim={cfg.max_dim} terms")
-    # On the positive kinds the expansion of a term takes at most
-    # ``cartan_steps`` steps, counting loop steps and terms built, so many
-    # splits in a row are refused as well as one long loop; past d - s the
-    # result is zero at once.
-    if x.kind is not ModuleKind.NABLA and args.l <= x.d - x.s:
-        steps = max((cartan_steps(t, args.l) for t in x.support), default=0)
-        if steps > cfg.max_dim:
-            return _die(3, f"Sq^{args.l} runs up to {steps} Cartan steps on an arity-{x.s} term,"
-                           f" more than max_dim={cfg.max_dim}")
-    y = sq(x, args.l)
+    try:
+        y = sq(x, args.l, limit=cfg.max_dim)
+    except ExpansionTooLarge:
+        return _die(3, f"Sq^{args.l} takes too many Cartan steps on an arity-{x.s} term,"
+                       f" more than max_dim={cfg.max_dim}")
     _write_element(y, args.output)
     return 0
 
@@ -273,19 +263,6 @@ def cmd_preimage(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_explore(args, cfg: Config) -> int:
-    s_range, d_range = range(args.s_min, args.s_max + 1), range(args.d_min, args.d_max + 1)
-    for s in s_range:
-        for d in d_range:
-            guard = _check_dim(cfg, args.kind, s, d + args.l)
-            if guard:
-                return _die(3, guard)
-    rows = hit.ker_vs_im_explorer(args.l, s_range, d_range, args.kind)
-    print(json.dumps([{**row, "ker_not_im": [element_to_json(e) for e in row["ker_not_im"]]}
-                      for row in rows]))
-    return 0
-
-
 # --- parser -----------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,15 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--position", type=int, default=1)
     p.add_argument("--out-prefix", default=None)
     p.set_defaults(func=cmd_preimage)
-
-    p = sub.add_parser("explore-ker-im", help="compare ker Sq^l and im Sq^l")
-    add_kind(p, default="gamma")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--s-min", type=int, default=1)
-    p.add_argument("--s-max", type=int, required=True)
-    p.add_argument("--d-min", type=int, default=1)
-    p.add_argument("--d-max", type=int, required=True)
-    p.set_defaults(func=cmd_explore)
 
     return parser
 

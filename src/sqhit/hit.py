@@ -224,28 +224,6 @@ def unhit_report(b: Bidegree, k: int, kind: ModuleKind, witnesses: bool = False)
     )
 
 
-def ker_vs_im_explorer(l: int, s_range, d_range, kind: ModuleKind) -> List[dict]:
-    """Per-bidegree comparison of ker Sq^l and im Sq^l; pure exploration."""
-    rows = []
-    for s in s_range:
-        for d in d_range:
-            b = Bidegree(s, d)
-            n = basis_size(b, kind)
-            mat = sq_matrix(b, l, kind)
-            ker = f2linalg.kernel_basis(mat)
-            im = f2linalg.image_basis(sq_matrix(Bidegree(s, d + l), l, kind))
-            inter = f2linalg.intersect(ker, im)
-            rows.append({
-                "s": s, "d": d,
-                "dim": n,
-                "dim_ker": ker.dim,
-                "dim_im": im.dim,
-                "dim_intersection": inter.dim,
-                "ker_not_im": subspace_elements(ker, b, kind, outside=im),
-            })
-    return rows
-
-
 # --- first-factor structure theory (arity >= 2, gamma) ----------------------
 
 @dataclass(frozen=True)

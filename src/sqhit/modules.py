@@ -66,7 +66,9 @@ def _sym_canonical(entries: Tuple[int, ...]) -> Tuple[int, ...]:
 def _cyc_canonical(entries: Tuple[int, ...]) -> Tuple[int, ...]:
     if len(entries) <= 1:
         return entries
-    return max(entries[i:] + entries[:i] for i in range(len(entries)))
+    # The lex-greatest rotation starts with the largest entry.
+    top = max(entries)
+    return max(entries[i:] + entries[:i] for i, a in enumerate(entries) if a == top)
 
 
 # The one place that picks the canonical entry tuple of an orbit kind.
@@ -166,11 +168,24 @@ class Element:
         return " + ".join(monomial_str(self.kind, t) for t in self.sorted_support())
 
 
-def sq_single(a: int, i: int, kind: ModuleKind) -> Element:
-    """Right action of Sq^i on the arity-1 monomial [a]."""
-    if i < 0:
-        raise ValueError("negative square index")
-    return sq(Element.single(kind, (a,)), i)
+class ExpansionTooLarge(Exception):
+    """A limited ``sq`` spent its allowance of Cartan steps on one term."""
+
+
+# The Cartan steps one term of a limited ``sq`` may still take.  The
+# expansions below charge it at each cache miss (a hit costs nothing): the
+# loop steps, counted before the loop runs, and the entries of the terms
+# they build, so the work done before a refusal does not grow with the
+# arity.  It is module state because the memo is: lru_cache keys on the
+# arguments, and an allowance among them would defeat it.
+_allowance = math.inf
+
+
+def _charge(steps: int) -> None:
+    global _allowance
+    _allowance -= steps
+    if _allowance < 0:
+        raise ExpansionTooLarge
 
 
 @lru_cache(maxsize=None)
@@ -186,10 +201,10 @@ def _sq_mono(nabla: bool, entries: Tuple[int, ...], l: int) -> frozenset:
     a = entries[0]
     rest = entries[1:]
     out: list = []
-    # The last entry takes what is left of l, so a call costs no more than
-    # its Cartan splits; a gamma entry a tries only the i <= a - 1 that keep
-    # it >= 1 (``cartan_steps`` counts the steps).
+    # The last entry takes what is left of l, in one step; a gamma entry a
+    # tries only the i <= a - 1 that keep it >= 1.
     top = l if nabla else min(l, a - 1)
+    _charge(top + 1 if rest else 1)
     for i in range(top + 1) if rest else (l,):
         b = a - i
         if nabla:
@@ -198,7 +213,9 @@ def _sq_mono(nabla: bool, entries: Tuple[int, ...], l: int) -> frozenset:
         else:
             if b < 1 or not binom_mod2(b, i):
                 continue
-        out.extend((b,) + t for t in _sq_mono(nabla, rest, l - i))
+        tails = _sq_mono(nabla, rest, l - i)
+        _charge(len(tails) * len(entries))
+        out.extend((b,) + t for t in tails)
     return frozenset(out)
 
 
@@ -219,48 +236,18 @@ def _sym_mono(entries: Tuple[int, ...], l: int) -> frozenset:
     a = entries[0]
     rest = entries[1:]
     out: set = set()
-    for i in range(min(l, a - 1) + 1) if rest else (l,):
+    top = min(l, a - 1)
+    _charge(top + 1 if rest else 1)
+    for i in range(top + 1) if rest else (l,):
         b = a - i
         if b < 1 or not binom_mod2(b, i):
             continue
+        tails = _sym_mono(rest, l - i)
+        _charge(len(tails) * len(entries))
         # rest is non-increasing, so b goes before the first entry below it.
-        out ^= {t[:j] + (b,) + t[j:] for t in _sym_mono(rest, l - i)
+        out ^= {t[:j] + (b,) + t[j:] for t in tails
                 for j in (bisect_left(t, -b, key=neg),)}
     return frozenset(out)
-
-
-def _odd_splits(a: int) -> int:
-    """The number of i >= 0 with C(a - i, i) odd, for a >= 0: Stern's
-    diatomic number s(a + 1), by s(2n) = s(n) and s(2n + 1) = s(n) + s(n + 1)."""
-    n, lo, hi = a + 1, 1, 0
-    while n:
-        if n & 1:
-            hi += lo
-        else:
-            lo += hi
-        n >>= 1
-    return hi
-
-
-def cartan_steps(entries: Tuple[int, ...], l: int) -> int:
-    """An upper bound on the work ``_sq_mono`` and ``_sym_mono`` do on
-    [entries]Sq^l, entries >= 1, with their suffix memo: loop steps plus
-    terms built, over every entry but the last (which takes what is left
-    of l).  The suffix from entry k is met with at most D_k distinct
-    squares, D_0 = 1 and D_(k+1) = min(l + 1, D_k + a_k - 1).  For each it
-    loops min(l, a_k - 1) + 1 times, and at each of the at most
-    c_k = min(l + 1, _odd_splits(a_k)) splits with C(a_k - i, i) odd it
-    builds a term from every term of the suffix from entry k + 1, of which
-    there are at most c_(k+1) ... c_(s-2), one per choice of odd splits."""
-    odd = [min(l + 1, _odd_splits(a)) for a in entries[:-1]]
-    tails = [1]  # tails[-1 - k]: the term bound of the suffix from entry k + 1
-    for c in reversed(odd[1:]):
-        tails.append(tails[-1] * c)
-    steps, reach = 0, 1
-    for a, c, tail in zip(entries, odd, reversed(tails)):
-        steps += reach * (min(l, a - 1) + 1 + c * tail)
-        reach = min(l + 1, reach + a - 1)
-    return steps
 
 
 def _cyc_mono(entries: Tuple[int, ...], l: int) -> frozenset:
@@ -292,8 +279,11 @@ def sq_support(kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
     return _SQ_EXPANSION[kind](entries, l)
 
 
-def sq(x: Element, l: int) -> Element:
-    """Total right action of Sq^l on an element."""
+def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
+    """Total right action of Sq^l on an element.  With a limit, the
+    expansion of each term may take at most that many Cartan steps (loop
+    steps plus entries built, see ``_allowance``), or ExpansionTooLarge is
+    raised."""
     if l < 0:
         raise ValueError("negative square index")
     if l == 0:
@@ -301,10 +291,16 @@ def sq(x: Element, l: int) -> Element:
     if x.kind in POSITIVE_KINDS and l > x.d - x.s:
         # Every entry stays >= 1, so no term reaches degree d - l < s.
         return Element.zero(x.kind, x.s, x.d - l)
+    global _allowance
     expand = _SQ_EXPANSION[x.kind]
+    allowance = math.inf if limit is None else limit
     acc: set = set()
-    for t in x.support:
-        acc ^= expand(t, l)
+    try:
+        for t in x.support:
+            _allowance = allowance
+            acc ^= expand(t, l)
+    finally:
+        _allowance = math.inf
     return Element(x.kind, x.s, x.d - l, frozenset(acc))
 
 

@@ -4,17 +4,17 @@ These deliberately avoid the library's bit tricks: binomial parity comes from
 math.comb and explicit power-series arithmetic, the square action is an
 itertools enumeration over compositions, bases are itertools compositions
 (canonicalised for the orbit kinds), and action matrices are built
-monomial by monomial.  The gamma-sym action keeps its old path: the plain
-expansion, then sort and cancel.  Homotopy chains keep their old nested
+monomial by monomial.  The gamma-sym action keeps its old path, on its
+own plain Cartan recursion: expand, then sort and cancel.  Homotopy chains keep their old nested
 shifts, each one canonicalised and toggled.  The reference elimination at the end is
 the slow dense-scan algorithm that the library's single sparse core must
 match basis for basis.
 """
 
+import functools
 import itertools
 import math
 
-from sqhit import modules
 from sqhit.modules import Element, ModuleKind, sq_support
 
 
@@ -65,12 +65,25 @@ def orbit_basis(kind: ModuleKind, s: int, d: int) -> tuple:
     return tuple(sorted({canon(t) for t in gamma_basis(s, d)}))
 
 
+@functools.lru_cache(maxsize=None)
+def plain_sq_terms(entries: tuple, l: int) -> tuple:
+    """The gamma terms of [entries]Sq^l by the Cartan formula, one entry at
+    a time: the first entry a takes i, with coefficient gamma_coeff(a, i),
+    and the rest takes l - i.  Distinct i give distinct first entries, so
+    no term repeats."""
+    if not entries:
+        return ((),) if l == 0 else ()
+    a, rest = entries[0], entries[1:]
+    return tuple((a - i,) + t for i in range(l + 1) if gamma_coeff(a, i)
+                 for t in plain_sq_terms(rest, l - i))
+
+
 def sym_sq_support(entries: tuple, l: int) -> frozenset:
     """gamma-sym support of [entries]Sq^l the way sqhit.modules built it
     before it split off the largest part: the plain gamma Cartan expansion,
     each term sorted, and terms that sort alike cancelled mod 2."""
     out = set()
-    for t in modules._sq_mono(False, entries, l):
+    for t in plain_sq_terms(entries, l):
         out ^= {sym_canonical(t)}
     return frozenset(out)
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -208,8 +210,7 @@ class TestSq:
         code, out, err = run(capsys, "--config", str(cfg), "sq", "--in", path, "--l", "5000")
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert err.strip() == ("Sq^5000 runs up to 5162 Cartan steps on an arity-2 term,"
-                               " more than max_dim=1000")
+        assert err.strip() == "Sq^5000 takes too many Cartan steps on an arity-2 term, more than max_dim=1000"
         code, out, _ = run(capsys, "--config", str(cfg), "sq", "--in", path, "--l", "10000")
         assert code == 0 and json.loads(out)["monomials"] == []
         one = write_element(tmp_path, Element.single(ModuleKind(kind), (10000,)), "one.json")
@@ -227,13 +228,27 @@ class TestSq:
         # left of l: on 60000s, 60000 splits at the first entry, then 60000
         # for each of the 60000 squares left to the second, and so on.  On
         # forty 2s every loop is short, but Sq^20 has C(40, 20) plain terms.
+        # steps is an upper bound on the loop steps and terms built, far
+        # above max_dim; the expansion stops once it has counted max_dim
+        # steps, and the message names no count.
         x = Element.single(ModuleKind(kind), entries)
         start = time.perf_counter()
         code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", str(l))
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert err.strip() == (f"Sq^{l} runs up to {steps} Cartan steps on an arity-{len(entries)} term,"
+        assert err.strip() == (f"Sq^{l} takes too many Cartan steps on an arity-{len(entries)} term,"
                                " more than max_dim=200000")
+        assert str(steps) not in err
+
+    def test_orbit_terms_that_cancel_are_not_refused(self, capsys, tmp_path):
+        # gamma-sym [2]*40 under Sq^20: C(40, 20) plain terms, but all sort
+        # to [2]*20 + [1]*20 and cancel (C(40, 20) is even), and the split
+        # on the largest part builds at most one partition per split.
+        x = Element.single(ModuleKind.GAMMA_SYM, (2,) * 40)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "20")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and json.loads(out)["monomials"] == []
 
     def test_many_short_splits_refused_at_once(self, capsys, tmp_path):
         # Each 2 splits as i = 0 or 1 and loops twice only, but the terms
@@ -267,16 +282,17 @@ class TestSq:
 
     @pytest.mark.parametrize("entries", [(3, -3), (3,)])
     def test_nabla_square_past_max_dim_refused_at_once(self, capsys, tmp_path, entries):
-        # Nabla terms split into all C(l + s - 1, s - 1) Cartan terms; at
-        # s = 2 that is 3000001 > max_dim.  One entry has one split, so
-        # (3,) runs, and the last entry's split is not looped over.
+        # A nabla entry has no lower bound, so the first of two entries
+        # loops over all 3000001 splits of l > max_dim.  One entry has one
+        # split, so (3,) runs: the last entry's split is not looped over.
         x = Element.single(ModuleKind.NABLA, entries)
         start = time.perf_counter()
         code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "3000000")
         assert time.perf_counter() - start < 1.0
         if len(entries) == 2:
             assert code == 3 and out == ""
-            assert err.strip() == "Sq^3000000 splits an arity-2 term into more than max_dim=200000 terms"
+            assert err.strip() == ("Sq^3000000 takes too many Cartan steps on an arity-2 term,"
+                                   " more than max_dim=200000")
         else:
             assert code == 0 and json.loads(out)["monomials"] == []
 
@@ -399,18 +415,15 @@ class TestPreimage:
         assert code == 3
 
 
-class TestExplore:
-    def test_single_generator_column_json(self, capsys):
-        code, out, _ = run(capsys, "explore-ker-im", "--l", "1", "--s-max", "1", "--d-max", "8")
-        assert code == 0
-        for row in json.loads(out):
-            assert row["dim_ker"] == row["dim_im"]
-            assert row["ker_not_im"] == []
-
-    def test_guardrail_max_dim(self, capsys):
-        # Checked on every (s, d + l) before any basis is enumerated.
-        code, out, err = run(capsys, "explore-ker-im", "--l", "2", "--s-max", "12", "--d-max", "60")
-        assert code == 3 and out == "" and "max_dim" in err
+class TestReadme:
+    def test_usage_block_names_every_command(self):
+        # Each `sqhit CMD` line of README's usage block names a subcommand
+        # of the parser, and each subcommand has a line.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        usage = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = {line.split()[1] for line in usage.splitlines() if line.startswith("sqhit ")}
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert documented == set(sub.choices)
 
 
 class TestInternalError:

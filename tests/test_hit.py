@@ -209,12 +209,6 @@ class TestDeltaAndImage:
             image = im if image is None else oracles.intersect_rows(image, im, len(basis(b, G)))
         assert hit.spike_image_basis(b, k, G).basis == image
 
-    def test_explorer_single_generator_column(self):
-        rows = hit.ker_vs_im_explorer(1, [1], range(1, 17), G)
-        for row in rows:
-            assert row["dim_ker"] == row["dim_im"] == row["dim_intersection"]
-            assert row["ker_not_im"] == []
-
 
 class TestFirstFactorStructure:
     def test_decompose_round_trip(self):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import gamma_basis, naive_sq, orbit_basis, series_binom_mod2, sym_sq_support
+from oracles import cyc_canonical, gamma_basis, naive_sq, orbit_basis, series_binom_mod2, sym_sq_support
 from sqhit import modules
 from sqhit.modules import (
     Bidegree,
@@ -22,8 +23,8 @@ from sqhit.modules import (
     element_to_json,
     gen_binom_mod2,
     project_to_orbit,
+    ExpansionTooLarge,
     sq,
-    sq_single,
 )
 
 G = ModuleKind.GAMMA
@@ -86,34 +87,39 @@ class TestBinomialParity:
         assert gen_binom_mod2(a, i) == series_binom_mod2(a, i)
 
 
+def sq1(kind, a, i):
+    """[a]Sq^i for the arity-1 monomial [a] of the given kind."""
+    return sq(Element.single(kind, (a,)), i)
+
+
 class TestSingleFactorAction:
     def test_two_down_to_one(self):
-        assert sq_single(2, 1, G).sorted_support()[0] == (1,)
+        assert sq1(G, 2, 1).sorted_support()[0] == (1,)
 
     def test_three_killed(self):
-        assert sq_single(3, 1, G).is_zero()
+        assert sq1(G, 3, 1).is_zero()
 
     def test_sq0_is_identity(self):
         for a in (1, 2, 7):
-            assert sq_single(a, 0, G).sorted_support()[0] == (a,)
+            assert sq1(G, a, 0).sorted_support()[0] == (a,)
 
     def test_nabla_crosses_zero(self):
-        out = sq_single(1, 2, ModuleKind.NABLA)
+        out = sq1(ModuleKind.NABLA, 1, 2)
         assert out.sorted_support()[0] == (-1,)
-        assert sq_single(0, 1, ModuleKind.NABLA).sorted_support() == [(-1,)]
+        assert sq1(ModuleKind.NABLA, 0, 1).sorted_support() == [(-1,)]
 
     def test_last_entry_takes_the_rest_of_the_square(self):
         # One entry has one Cartan split, whatever l is: the expansion
         # memoizes the monomial and its empty tail, not one tail per i <= l.
         before = modules._sq_mono.cache_info().currsize
         # [3]Sq^l = C(3 - l, l)[3 - l], and C(3 - 2^20, 2^20) is odd.
-        out = sq_single(3, 1 << 20, ModuleKind.NABLA)
+        out = sq1(ModuleKind.NABLA, 3, 1 << 20)
         assert out.sorted_support() == [(3 - (1 << 20),)]
         assert modules._sq_mono.cache_info().currsize - before <= 2
 
     def test_invalid_gamma_entry(self):
         with pytest.raises(ValueError):
-            sq_single(0, 1, G)
+            sq1(G, 0, 1)
 
 
 class TestAction:
@@ -172,32 +178,63 @@ class TestAction:
         assert sq(x, l).same(naive_sq(x, l))
 
 
-class TestCartanSteps:
-    def test_odd_splits_is_the_odd_diagonal_count(self):
-        for a in range(600):
-            assert modules._odd_splits(a) == sum(binom_mod2(a - i, i) for i in range(a + 1)), a
+def clear_expansion_caches():
+    modules._sq_mono.cache_clear()
+    modules._sym_mono.cache_clear()
 
+
+class TestCartanSteps:
     def test_hand_values(self):
-        # The first entry of [2, 9998] loops twice and builds two terms.
-        assert modules.cartan_steps((2, 9998), 5000) == 4
-        # 60000 has 607 odd splits: the first entry loops 60000 times and
-        # builds 607 * 607 terms, then each of the 60000 squares left to the
-        # second loops 60000 times and builds 607 terms.
-        assert modules._odd_splits(60000) == 607
-        assert modules.cartan_steps((60000,) * 3, 150000) == 60000 + 607 * 607 + 60000 * (60000 + 607)
-        assert modules.cartan_steps((7,), 3) == 0
+        # The count is exact: an allowance of steps is enough and one less
+        # is not.
+        for kind, entries, l, steps in (
+            # [2, 2]Sq^1: the first entry loops twice (2 steps); each of its
+            # splits expands [2] (one step, and one one-entry term built: 2)
+            # and builds one two-entry term (2), so 2 + 2 * (2 + 2) = 10.
+            (G, (2, 2), 1, 10),
+            # gamma-sym [2, 2, 2]Sq^1: the first entry loops twice (2).  Its
+            # split i = 0 expands [2, 2]Sq^1 for 10 steps as above, where
+            # the two terms meet in [2, 1] and cancel, so it builds nothing;
+            # its split i = 1 expands [2, 2]Sq^0 (one step, and one
+            # two-entry term from the cached [2]Sq^0: 3) and builds one
+            # three-entry term (3).
+            (ModuleKind.GAMMA_SYM, (2, 2, 2), 1, 18),
+        ):
+            x = Element.single(kind, entries)
+            clear_expansion_caches()
+            out = sq(x, l, limit=steps)
+            assert out.same(naive_sq(x, l))
+            clear_expansion_caches()
+            with pytest.raises(ExpansionTooLarge):
+                sq(x, l, limit=steps - 1)
+            # The allowance is reset after a refusal, also for callers that
+            # expand without sq, as hit.sq_matrix does.
+            clear_expansion_caches()
+            assert modules.sq_support(kind, entries, l) == out.support
+
+    def test_allowance_is_per_term(self):
+        # [2, 2]Sq^1 takes 10 steps and [3, 1]Sq^1 takes 3 (2 loop steps,
+        # and one for [1]Sq^1, which is 0); each term gets the whole limit.
+        x = gamma((2, 2), (3, 1))
+        clear_expansion_caches()
+        assert sq(x, 1, limit=10).same(naive_sq(x, 1))
 
     def test_bounds_the_terms_built(self):
-        # The top call builds one term per odd split of each entry but the
-        # last; for gamma-sym, terms that sort alike meet in one partition.
-        for s in range(2, 5):
-            for d in range(s, 16):
-                for m in basis(Bidegree(s, d), ModuleKind.GAMMA):
-                    for l in range(d - s + 1):
-                        steps = modules.cartan_steps(m, l)
-                        assert len(modules._sq_mono(False, m, l)) <= steps, (m, l)
-                        if m == tuple(sorted(m, reverse=True)):
-                            assert len(modules._sym_mono(m, l)) <= steps, (m, l)
+        # On forty 2s every loop takes at most two steps, at most 40 * 21
+        # suffix squares, so loop steps alone stay below 1680; but gamma
+        # Sq^20 builds C(40, 20) plain terms, and the entries built pass the
+        # allowance.  In gamma-sym those terms meet and cancel (C(40, 20) is
+        # even), and the same square takes 7026 steps.
+        for kind, refused in ((G, True), (ModuleKind.GAMMA_CYC, True), (ModuleKind.GAMMA_SYM, False)):
+            x = Element.single(kind, (2,) * 40)
+            clear_expansion_caches()
+            start = time.perf_counter()
+            if refused:
+                with pytest.raises(ExpansionTooLarge):
+                    sq(x, 20, limit=200000)
+            else:
+                assert sq(x, 20, limit=10000).is_zero()
+            assert time.perf_counter() - start < 1.0
 
 
 class TestBases:
@@ -287,6 +324,14 @@ class TestCanonicalForms:
         assert cyc(1, 2, 1) == [(2, 1, 1)]
         assert cyc(1, 3, 2) == [(3, 2, 1)]
         assert cyc(2, 2, 2) == [(2, 2, 2)]
+
+    def test_cyc_matches_oracle_on_every_small_tuple(self):
+        # Only rotations that start at an occurrence of the largest entry
+        # are compared; ties between such occurrences need the later entries.
+        tuples = [t for s in range(1, 8) for t in itertools.product(range(1, 6), repeat=s)]
+        assert len(tuples) == 97655
+        for t in tuples:
+            assert modules._cyc_canonical(t) == cyc_canonical(t), t
 
     def test_projection_cancellation(self):
         assert project_to_orbit(gamma((1, 2), (2, 1)), ModuleKind.GAMMA_SYM).is_zero()
