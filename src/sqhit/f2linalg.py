@@ -9,12 +9,15 @@ operations are pure; inputs are never mutated.
 One elimination core, ``_echelon``, keeps one row per lowest-bit pivot.
 Kernels, solutions and intersections tag each row in its high bits (row
 index or row copy); rows whose low bits cancel carry the answer there.
-RREF is produced once, by back-substitution, where a ``Subspace`` is built.
+A ``Subspace`` is the semi-echelon form that elimination leaves, which is
+enough for its dimension and for membership.  RREF is built by
+back-substitution only where a basis is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Optional
 
 
@@ -52,36 +55,31 @@ class BitMatrix:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of F_2^ambient_dim given by a reduced row-echelon basis."""
+    """A subspace of F_2^ambient_dim in semi-echelon form: pivots maps each
+    pivot to the one row whose lowest set bit it is."""
 
     ambient_dim: int
-    basis: tuple
-    _pivots: Dict[int, int] = field(init=False, repr=False, compare=False)
-    _mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pivots: Dict[int, int] = {}
-        mask = 0
-        for r in self.basis:
-            if r == 0:
-                raise ValueError("zero basis row")
-            p = (r & -r).bit_length() - 1
-            if mask >> p:
-                raise ValueError("pivots not strictly increasing")
-            pivots[p] = r
-            mask |= 1 << p
-        object.__setattr__(self, "_pivots", pivots)
-        object.__setattr__(self, "_mask", mask)
+    pivots: Dict[int, int]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The reduced row-echelon basis, sorted by pivot."""
+        return _rref(self.pivots)
 
     def reduce(self, bits: int) -> int:
-        """Reduce a packed vector against the basis; zero iff contained."""
-        return _reduce_fully(self._pivots, self._mask, bits)
+        """Reduce a packed vector against the rows; zero iff contained."""
+        return _reduce(self.pivots, bits)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
 
 
 def _reduce(pivots: Dict[int, int], r: int) -> int:
@@ -105,24 +103,19 @@ def _echelon(rows: Iterable[int]) -> Dict[int, int]:
     return pivots
 
 
-def _reduce_fully(pivots: Dict[int, int], mask: int, bits: int) -> int:
-    """Clear every pivot bit of bits in ascending order, one xor each;
-    mask is the union of the pivot bits."""
-    hits = bits & mask
-    while hits:
-        low = hits & -hits
-        bits ^= pivots[low.bit_length() - 1]
-        hits = bits & mask & -(low << 1)
-    return bits
-
-
 def _rref(pivots: Dict[int, int]) -> tuple:
     """RREF rows sorted by pivot, by back-substitution in descending pivot
     order: one xor per higher pivot bit present."""
     done: Dict[int, int] = {}
     mask = 0
     for p in sorted(pivots, reverse=True):
-        done[p] = _reduce_fully(done, mask, pivots[p])
+        r = pivots[p]
+        hits = r & mask
+        while hits:
+            low = hits & -hits
+            r ^= done[low.bit_length() - 1]
+            hits = r & mask & -(low << 1)
+        done[p] = r
         mask |= 1 << p
     return tuple(done[p] for p in sorted(done))
 
@@ -138,7 +131,7 @@ def _tagged(m: BitMatrix) -> Iterable[int]:
 
 
 def subspace_from_rows(ambient_dim: int, rows: Iterable[int]) -> Subspace:
-    return Subspace(ambient_dim, _rref(_echelon(rows)))
+    return Subspace(ambient_dim, _echelon(rows))
 
 
 def image_basis(m: BitMatrix) -> Subspace:
@@ -148,18 +141,20 @@ def image_basis(m: BitMatrix) -> Subspace:
 
 def kernel_basis(m: BitMatrix) -> Subspace:
     """Left kernel: all v with v*m = 0.  dim = rows - rank."""
-    return Subspace(m.rows, _rref(_carried(_echelon(_tagged(m)), m.cols)))
+    return Subspace(m.rows, _carried(_echelon(_tagged(m)), m.cols))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus trick on stacked (x|x) and (y|0) rows."""
+    """Intersection via the Zassenhaus trick on stacked (y|0) and (x|x) rows."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     # Low bits hold the actual coordinates (eliminated first by the
     # lowest-bit pivoting); high bits carry a copy tracking a-combinations.
-    stacked = [r | (r << n) for r in a.basis] + list(b.basis)
-    return Subspace(n, _rref(_carried(_echelon(stacked), n)))
+    # b's rows go first: their pivots are distinct, so they are kept as they
+    # are and only a's rows are reduced.
+    stacked = list(b.pivots.values()) + [r | (r << n) for r in a.pivots.values()]
+    return Subspace(n, _carried(_echelon(stacked), n))
 
 
 def contains(s: Subspace, bits: int) -> bool:
@@ -168,7 +163,7 @@ def contains(s: Subspace, bits: int) -> bool:
 
 
 def contains_subspace(outer: Subspace, inner: Subspace) -> bool:
-    return all(outer.reduce(r) == 0 for r in inner.basis)
+    return all(outer.reduce(r) == 0 for r in inner.pivots.values())
 
 
 def solve(m: BitMatrix, bits: int) -> Optional[int]:

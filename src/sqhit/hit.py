@@ -140,7 +140,7 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     Row u is the coordinate vector of (basis monomial u)Sq^l in the
     lexicographic basis of the target piece.  Gamma rows come from
     first-entry blocks (``_gamma_rows``) and need no basis; orbit rows come
-    from the kind's expansion (``modules.sq_support``) of each basis
+    from the kind's expansion (``modules._SQ_EXPANSION``) of each basis
     monomial, which for gamma-sym splits off the largest part of the
     partition.
     """
@@ -169,7 +169,8 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
 # --- kernel / image / quotient ---------------------------------------------
 
 def delta_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
-    """Intersection of the kernels of Sq^(2^i), i <= k, in RREF coordinates."""
+    """Intersection of the kernels of Sq^(2^i), i <= k, as a subspace of the
+    coordinates over the basis of (s,d)."""
     if k < 0:
         raise ValueError("order must be >= 0")
     n = basis_size(b, kind)

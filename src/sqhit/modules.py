@@ -271,14 +271,6 @@ _SQ_EXPANSION = {
 }
 
 
-def sq_support(kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
-    """Support (canonical entry tuples) of [entries]Sq^l for a monomial of
-    the given kind.  gamma-sym splits off the largest part (``_sym_mono``);
-    gamma-cyc acts through the plain representative, and terms that land in
-    one necklace cancel mod 2."""
-    return _SQ_EXPANSION[kind](entries, l)
-
-
 def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
     """Total right action of Sq^l on an element.  With a limit, the
     expansion of each term may take at most that many Cartan steps (loop

@@ -71,11 +71,11 @@ def random_element(rng: random.Random, kind: ModuleKind, s: int, d: int) -> Elem
     return Element.from_monomials(kind, s, d, picked)
 
 
-def suite_adem(seed: int = 0, s_max: int = 4, d_max: int = 16) -> SuiteResult:
+def suite_adem(seed: int = 0) -> SuiteResult:
     """(x Sq^(2n-1)) Sq^n = 0 on every basis monomial, 1 <= n <= d."""
     rec = _Recorder("adem")
-    for s in range(1, s_max + 1):
-        for d in range(s, d_max + 1):
+    for s in range(1, 5):
+        for d in range(s, 17):
             for m in basis(Bidegree(s, d), ModuleKind.GAMMA):
                 x = Element.single(ModuleKind.GAMMA, m)
                 for n in range(1, d + 1):
@@ -93,11 +93,11 @@ def suite_adem(seed: int = 0, s_max: int = 4, d_max: int = 16) -> SuiteResult:
     return rec.result
 
 
-def suite_cartan(seed: int = 0, trials: int = 200) -> SuiteResult:
+def suite_cartan(seed: int = 0) -> SuiteResult:
     """sq(x.y, l) = sum_p sq(x,p).sq(y,l-p) for random gamma pairs."""
     rec = _Recorder("cartan")
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(200):
         s1, s2 = rng.randint(1, 2), rng.randint(1, 2)
         d1 = rng.randint(s1, s1 + 5)
         d2 = rng.randint(s2, s2 + 5)
@@ -112,12 +112,12 @@ def suite_cartan(seed: int = 0, trials: int = 200) -> SuiteResult:
     return rec.result
 
 
-def suite_instability(seed: int = 0, trials: int = 300) -> SuiteResult:
+def suite_instability(seed: int = 0) -> SuiteResult:
     """x Sq^l = 0 whenever 2l > d, on random elements of every positive kind."""
     rec = _Recorder("instability")
     rng = random.Random(seed)
     kinds = [ModuleKind.GAMMA, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC]
-    for _ in range(trials):
+    for _ in range(300):
         kind = rng.choice(kinds)
         s = rng.randint(1, 4)
         d = rng.randint(s, s + 8)
@@ -127,11 +127,11 @@ def suite_instability(seed: int = 0, trials: int = 300) -> SuiteResult:
     return rec.result
 
 
-def suite_composition(seed: int = 0, s_max: int = 3, d_max: int = 10) -> SuiteResult:
+def suite_composition(seed: int = 0) -> SuiteResult:
     """Sq^1 Sq^2 = Sq^3 on full bases; composition is associative with sq."""
     rec = _Recorder("composition")
-    for s in range(1, s_max + 1):
-        for d in range(s, d_max + 1):
+    for s in range(1, 4):
+        for d in range(s, 11):
             for m in basis(Bidegree(s, d), ModuleKind.GAMMA):
                 x = Element.single(ModuleKind.GAMMA, m)
                 rec.check(sq(sq(x, 1), 2).same(sq(x, 3)),
@@ -139,17 +139,16 @@ def suite_composition(seed: int = 0, s_max: int = 3, d_max: int = 10) -> SuiteRe
     return rec.result
 
 
-def suite_homotopy(seed: int = 0, s_max: int = 4, d_max: int = 16, k_max: int = 3,
-                   nabla_trials: int = 1000) -> SuiteResult:
+def suite_homotopy(seed: int = 0) -> SuiteResult:
     """Commutation and homotopy identities on null monomials, plus the
     unrestricted nabla case and the shift/permutation relation."""
     rec = _Recorder("homotopy")
-    for k in range(k_max + 1):
+    for k in range(4):
         threshold = 1 << k
-        for s in range(1, s_max + 1):
+        for s in range(1, 5):
             for i in range(1, s + 1):
                 h = HomotopySystem(ModuleKind.GAMMA, k, i)
-                for d in range(s, d_max + 1):
+                for d in range(s, 17):
                     for mono in basis(Bidegree(s, d), ModuleKind.GAMMA):
                         if mono[i - 1] < threshold:
                             continue
@@ -163,7 +162,7 @@ def suite_homotopy(seed: int = 0, s_max: int = 4, d_max: int = 16, k_max: int = 
                                               lambda x=x, m=m, l=l, i=i: _fail_json(x, f"commutation m={m} l={l} pos={i}"))
     # Nabla: identities with no entry restriction, random seeded monomials.
     rng = random.Random(seed)
-    for _ in range(nabla_trials):
+    for _ in range(1000):
         s = rng.randint(1, 4)
         entries = tuple(rng.randint(-64, 64) for _ in range(s))
         x = Element.single(ModuleKind.NABLA, entries)
@@ -244,8 +243,8 @@ def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> 
     return rec.result
 
 
-def suite_certificates(seed: int = 0, s_max: int = 4, d_max: int = 16, k_max: int = 2) -> SuiteResult:
-    res = certify_null_delta(ModuleKind.GAMMA, s_max, d_max, k_max)
+def suite_certificates(seed: int = 0) -> SuiteResult:
+    res = certify_null_delta(ModuleKind.GAMMA, 4, 16, 2)
     res.name = "certificates"
     return res
 
@@ -282,12 +281,12 @@ def suite_orbit(seed: int = 0) -> SuiteResult:
     return rec.result
 
 
-def suite_ideal(seed: int = 0, trials: int = 60) -> SuiteResult:
+def suite_ideal(seed: int = 0) -> SuiteResult:
     """Products of spike images with kernel classes stay spike images."""
     rec = _Recorder("ideal")
     rng = random.Random(seed)
     cases = 0
-    while cases < trials:
+    while cases < 60:
         k = rng.randint(0, 1)
         s1, s2 = rng.randint(1, 2), rng.randint(1, 2)
         d1 = rng.randint(s1 + 1, s1 + 6)
@@ -308,13 +307,13 @@ def suite_ideal(seed: int = 0, trials: int = 60) -> SuiteResult:
     return rec.result
 
 
-def suite_containment(seed: int = 0, s_max: int = 4, d_max: int = 12, k_max: int = 2) -> SuiteResult:
+def suite_containment(seed: int = 0) -> SuiteResult:
     """Spike images are contained in the kernel intersection, every kind."""
     rec = _Recorder("containment")
     for kind in (ModuleKind.GAMMA, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC):
-        for k in range(k_max + 1):
-            for s in range(1, s_max + 1):
-                for d in range(s, d_max + 1):
+        for k in range(3):
+            for s in range(1, 5):
+                for d in range(s, 13):
                     b = Bidegree(s, d)
                     delta = hit.delta_basis(b, k, kind)
                     image = hit.spike_image_basis(b, k, kind)
@@ -324,12 +323,12 @@ def suite_containment(seed: int = 0, s_max: int = 4, d_max: int = 12, k_max: int
     return rec.result
 
 
-def suite_structure(seed: int = 0, s_max: int = 4, d_max: int = 12) -> SuiteResult:
+def suite_structure(seed: int = 0) -> SuiteResult:
     """First-factor checkers match kernel membership exactly, both directions."""
     rec = _Recorder("structure")
     rng = random.Random(seed)
-    for s in range(2, s_max + 1):
-        for d in range(s, d_max + 1):
+    for s in range(2, 5):
+        for d in range(s, 13):
             b = Bidegree(s, d)
             ker1 = f2linalg.kernel_basis(hit.sq_matrix(b, 1, ModuleKind.GAMMA))
             for x in hit.subspace_elements(ker1, b, ModuleKind.GAMMA):
@@ -352,12 +351,12 @@ def suite_structure(seed: int = 0, s_max: int = 4, d_max: int = 12) -> SuiteResu
     return rec.result
 
 
-def suite_i1_membership(seed: int = 0, s_max: int = 4, d_max: int = 12) -> SuiteResult:
+def suite_i1_membership(seed: int = 0) -> SuiteResult:
     """The first-factor image criterion agrees with direct Sq^3 linear algebra
     on full kernel bases, and every positive witness is exact."""
     rec = _Recorder("i1-membership")
-    for s in range(2, s_max + 1):
-        for d in range(s, d_max + 1):
+    for s in range(2, 5):
+        for d in range(s, 13):
             b = Bidegree(s, d)
             delta1 = hit.delta_basis(b, 1, ModuleKind.GAMMA)
             if delta1.dim == 0:
@@ -373,12 +372,12 @@ def suite_i1_membership(seed: int = 0, s_max: int = 4, d_max: int = 12) -> Suite
     return rec.result
 
 
-def suite_builder(seed: int = 0, trials: int = 40) -> SuiteResult:
+def suite_builder(seed: int = 0) -> SuiteResult:
     """Elements assembled from a Sq^2-kernel first factor land in the kernels."""
     rec = _Recorder("builder")
     rng = random.Random(seed)
     cases = 0
-    while cases < trials:
+    while cases < 40:
         s1 = rng.randint(1, 3)
         d1 = rng.randint(s1, s1 + 6)
         ker2 = f2linalg.kernel_basis(hit.sq_matrix(Bidegree(s1, d1), 2, ModuleKind.GAMMA))

@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 
-from sqhit.modules import Element, ModuleKind, sq_support
+from sqhit.modules import Element, ModuleKind
 
 
 def series_binom_mod2(a: int, i: int) -> int:
@@ -92,11 +92,11 @@ def gamma_action_rows(s: int, d: int, l: int, support=None, kind=ModuleKind.GAMM
     """(rows, cols, packed rows) of Sq^l from (s, d) to (s, d - l) of a
     positive kind (gamma by default), monomial by monomial: row u has bit j
     set when codomain monomial j is in the support of (domain monomial
-    u)Sq^l.  support(entries, l) gives that support; by default
-    modules.sq_support, the builder sqhit.hit used for every kind before
-    gamma rows came from first-entry blocks."""
+    u)Sq^l.  support(entries, l) gives that support; by default this
+    module's own gamma Cartan expansion, plain_sq_terms, so an orbit kind
+    needs its support given."""
     if support is None:
-        support = lambda entries, l: sq_support(kind, entries, l)
+        support = plain_sq_terms
 
     def piece(s, d):
         if s == 0:

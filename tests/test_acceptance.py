@@ -62,12 +62,12 @@ def test_criterion_5_homotopy_identities():
 
 
 def test_criterion_6_structure_equivalences():
-    result = suites.suite_structure(seed=0, s_max=4, d_max=12)
+    result = suites.suite_structure(seed=0)
     report("criterion 6: first-factor checkers match kernels both ways", result.failed == 0)
 
 
 def test_criterion_7_image_membership_equivalence():
-    result = suites.suite_i1_membership(seed=0, s_max=4, d_max=12)
+    result = suites.suite_i1_membership(seed=0)
     report("criterion 7: constructive image test matches direct linear algebra", result.failed == 0)
 
 

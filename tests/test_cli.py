@@ -1,11 +1,12 @@
 import argparse
 import json
+import re
 import time
 from pathlib import Path
 
 import pytest
 
-from sqhit import cli, hit
+from sqhit import cli, f2linalg, hit
 from sqhit.cli import main
 from sqhit.homotopy import ChainCertificateError
 from sqhit.modules import (
@@ -445,6 +446,21 @@ class TestInternalError:
         assert code == 5 and out == ""
         assert err.strip() == f"internal error: {exc}"
         assert "Traceback" not in err
+
+    def test_unhit_containment_check_fires(self, capsys, monkeypatch):
+        # The real check in unhit_report runs: the whole space as I(1) at
+        # gamma (5,9) does not lie in Delta(1).
+        def whole_space(b, k, kind):
+            n = len(basis(b, kind))
+            return f2linalg.subspace_from_rows(n, [1 << j for j in range(n)])
+
+        monkeypatch.setattr(hit, "spike_image_basis", whole_space)
+        message = "image not contained in kernel at Bidegree(s=5, d=9)"
+        with pytest.raises(hit.InternalInconsistencyError, match=re.escape(message)):
+            hit.unhit_report(Bidegree(5, 9), 1, ModuleKind.GAMMA)
+        code, out, err = run(capsys, "unhit", "--kind", "gamma", "--s", "5", "--d", "9", "--k", "1")
+        assert code == 5 and out == ""
+        assert err.strip() == f"internal error: {message}"
 
 
 class TestRemovedCache:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sqhit import f2linalg
-from sqhit.f2linalg import BitMatrix, Subspace
+from sqhit.f2linalg import BitMatrix
 
 
 def identity(n):
@@ -12,7 +12,7 @@ def identity(n):
 
 
 def full_space(n):
-    return Subspace(n, tuple(1 << i for i in range(n)))
+    return f2linalg.subspace_from_rows(n, [1 << i for i in range(n)])
 
 
 def span(sub):
@@ -238,8 +238,14 @@ def test_solve_matches_oracle(m, bits, reachable):
         assert m.apply(got) == target
 
 
-@given(any_matrices, st.integers(0, (1 << 48) - 1))
-def test_subspace_reduce_matches_oracle(m, bits):
+@given(any_matrices, st.integers(0, (1 << 48) - 1), st.booleans())
+def test_subspace_reduce_matches_oracle(m, bits, in_span):
+    # Only whether the remainder is zero is canonical, not its value.
     sub = f2linalg.image_basis(m)
-    bits &= (1 << m.cols) - 1
-    assert sub.reduce(bits) == oracles.reduce_rows(sub.basis, bits)
+    if in_span:
+        bits = m.apply(bits & ((1 << m.rows) - 1))
+    else:
+        bits &= (1 << m.cols) - 1
+    contained = sub.reduce(bits) == 0
+    assert contained == (oracles.reduce_rows(sub.basis, bits) == 0)
+    assert contained or not in_span

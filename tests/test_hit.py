@@ -3,7 +3,7 @@ import pytest
 import oracles
 from oracles import naive_sq
 from sqhit import f2linalg, hit, modules
-from sqhit.f2linalg import BitMatrix, Subspace
+from sqhit.f2linalg import BitMatrix, subspace_from_rows
 from sqhit.modules import Bidegree, Element, ModuleKind, basis, sq
 
 G = ModuleKind.GAMMA
@@ -151,8 +151,8 @@ class TestDeltaAndImage:
     @pytest.mark.parametrize("s,d", [(3, 2), (0, 1), (0, 3)])
     @pytest.mark.parametrize("k", range(3))
     def test_empty_piece_gives_zero_space(self, kind, s, d, k):
-        assert hit.delta_basis(Bidegree(s, d), k, kind) == Subspace(0, ())
-        assert hit.spike_image_basis(Bidegree(s, d), k, kind) == Subspace(0, ())
+        assert hit.delta_basis(Bidegree(s, d), k, kind) == subspace_from_rows(0, ())
+        assert hit.spike_image_basis(Bidegree(s, d), k, kind) == subspace_from_rows(0, ())
 
     def test_image0_hand_cases(self):
         assert hit.spike_image_basis(Bidegree(1, 3), 0, G).dim == 1
@@ -186,28 +186,49 @@ class TestDeltaAndImage:
         for x in rep.witnesses["unhit_coset"]:
             assert sq(x, 1).is_zero() and sq(x, 2).is_zero()
 
-    @pytest.mark.parametrize("s,d,k", [(5, 9, 1), (4, 18, 2)])
-    def test_bases_match_oracle_path(self, s, d, k):
+    @pytest.mark.parametrize("kind,s,d,k,unhit", [
+        (G, 5, 9, 1, 1), (G, 4, 18, 2, 1), (ModuleKind.GAMMA_SYM, 6, 24, 1, 3),
+        (ModuleKind.GAMMA_CYC, 4, 10, 1, 2), (ModuleKind.GAMMA_CYC, 4, 14, 2, 2)])
+    def test_bases_match_oracle_path(self, kind, s, d, k, unhit):
         # Rows through element-level sq, elimination through the reference loops.
         def rows(src, l):
             target = Bidegree(src.s, src.d - l)
-            return [hit.element_to_vector(sq(Element.single(G, m), l), target, G)
-                    for m in basis(src, G)]
+            return [hit.element_to_vector(sq(Element.single(kind, m), l), target, kind)
+                    for m in basis(src, kind)]
 
         b = Bidegree(s, d)
+        n = len(basis(b, kind))
         blocks = [rows(b, 1 << i) for i in range(k + 1)]
-        stacked, offset = [0] * len(basis(b, G)), 0
+        stacked, offset = [0] * n, 0
         for i, blk in enumerate(blocks):
             stacked = [r | (x << offset) for r, x in zip(stacked, blk)]
-            offset += len(basis(Bidegree(s, d - (1 << i)), G))
-        assert hit.delta_basis(b, k, G).basis == oracles.kernel_rows(stacked)
+            offset += len(basis(Bidegree(s, d - (1 << i)), kind))
+        delta = oracles.kernel_rows(stacked)
+        assert hit.delta_basis(b, k, kind).basis == delta
 
         image = None
         for i in range(k + 1):
             l = (1 << (i + 1)) - 1
             im = oracles.rref_rows(rows(Bidegree(s, d + l), l))
-            image = im if image is None else oracles.intersect_rows(image, im, len(basis(b, G)))
-        assert hit.spike_image_basis(b, k, G).basis == image
+            image = im if image is None else oracles.intersect_rows(image, im, n)
+        assert hit.spike_image_basis(b, k, kind).basis == image
+        assert len(delta) - len(image) == unhit
+
+        coset = hit.unhit_report(b, k, kind, witnesses=True).witnesses["unhit_coset"]
+        expected = [r for r in delta if oracles.reduce_rows(image, r)]
+        assert [hit.element_to_vector(x, b, kind) for x in coset] == expected
+
+    @pytest.mark.parametrize("kind,s,d,k,dims", [
+        (G, 4, 18, 2, (60, 59, 1)), (ModuleKind.GAMMA_SYM, 6, 24, 1, (50, 47, 3)),
+        (ModuleKind.GAMMA_CYC, 4, 14, 2, (8, 6, 2))])
+    def test_dimensions_build_no_rref(self, monkeypatch, kind, s, d, k, dims):
+        # Dimensions and containment need only the semi-echelon rows.
+        def no_rref(pivots):
+            raise AssertionError("RREF built for a dimension-only report")
+
+        monkeypatch.setattr(f2linalg, "_rref", no_rref)
+        rep = hit.unhit_report(Bidegree(s, d), k, kind)
+        assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == dims
 
 
 class TestFirstFactorStructure:

@@ -155,12 +155,13 @@ class TestAction:
         assert sq(x, l).same(naive_sq(x, l))
 
     def test_sym_support_matches_sorted_plain_expansion(self):
+        expand = modules._SQ_EXPANSION[ModuleKind.GAMMA_SYM]
         cases = 0
         for s in range(1, 8):
             for d in range(s, 27):
                 for m in basis(Bidegree(s, d), ModuleKind.GAMMA_SYM):
                     for l in range(9):
-                        assert modules.sq_support(ModuleKind.GAMMA_SYM, m, l) == sym_sq_support(m, l), (m, l)
+                        assert expand(m, l) == sym_sq_support(m, l), (m, l)
                         cases += 1
         assert cases == 54162
 
@@ -210,7 +211,7 @@ class TestCartanSteps:
             # The allowance is reset after a refusal, also for callers that
             # expand without sq, as hit.sq_matrix does.
             clear_expansion_caches()
-            assert modules.sq_support(kind, entries, l) == out.support
+            assert modules._SQ_EXPANSION[kind](entries, l) == out.support
 
     def test_allowance_is_per_term(self):
         # [2, 2]Sq^1 takes 10 steps and [3, 1]Sq^1 takes 3 (2 loop steps,
