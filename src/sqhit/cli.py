@@ -9,12 +9,10 @@ error (a computed result failed its own check; a bug, not bad input).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from . import hit
 from .homotopy import (
@@ -44,14 +42,13 @@ from .modules import (
 MAX_ARITY = 256
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     max_k: int = 4
     max_dim: int = 200000
 
 
 def load_config(path: Optional[str]) -> Config:
-    cfg = Config()
+    values = {}
     if path:
         with open(path) as f:
             for line in f:
@@ -61,12 +58,10 @@ def load_config(path: Optional[str]) -> Config:
                 if "=" not in line:
                     raise ValueError(f"bad config line: {line!r}")
                 key, value = (p.strip() for p in line.split("=", 1))
-                if key == "max_k":
-                    cfg.max_k = int(value)
-                elif key == "max_dim":
-                    cfg.max_dim = int(value)
-                else:
+                if key not in Config._fields:
                     raise ValueError(f"unknown config key: {key}")
+                values[key] = int(value)
+    cfg = Config(**values)
     if cfg.max_k <= 0 or cfg.max_dim <= 0:
         raise ValueError("guardrails must be positive")
     return cfg
@@ -151,8 +146,9 @@ def cmd_sq(args, cfg: Config) -> int:
     try:
         y = sq(x, args.l, limit=cfg.max_dim)
     except ExpansionTooLarge:
-        return _die(3, f"Sq^{args.l} takes too many Cartan steps on an arity-{x.s} term,"
-                       f" more than max_dim={cfg.max_dim}")
+        n = len(x.support)
+        terms = f"an arity-{x.s} term" if n == 1 else f"{n} arity-{x.s} terms"
+        return _die(3, f"Sq^{args.l} takes too many Cartan steps on {terms}, more than max_dim={cfg.max_dim}")
     _write_element(y, args.output)
     return 0
 
@@ -207,6 +203,8 @@ def cmd_report(args, cfg: Config) -> int:
     if args.format == "json":
         print(json.dumps(rows))
     else:
+        import csv  # the one branch that needs it
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=REPORT_COLUMNS)
         writer.writeheader()

@@ -16,9 +16,8 @@ back-substitution only where a basis is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, NamedTuple, Optional
 
 
 def _check_bits(bits: int, length: int) -> None:
@@ -27,20 +26,24 @@ def _check_bits(bits: int, length: int) -> None:
         raise ValueError(f"bits set outside length {length}")
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """Row-major GF(2) matrix; data[i] is the packed i-th row."""
-
+class _BitMatrixFields(NamedTuple):
     rows: int
     cols: int
     data: tuple
 
-    def __post_init__(self):
-        if len(self.data) != self.rows:
+
+class BitMatrix(_BitMatrixFields):
+    """Row-major GF(2) matrix; data[i] is the packed i-th row."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, data: tuple):
+        if len(data) != rows:
             raise ValueError("row count mismatch")
-        for r in self.data:
-            if r < 0 or r >> self.cols:
+        for r in data:
+            if r < 0 or r >> cols:
                 raise ValueError("row has bits outside column range")
+        return tuple.__new__(cls, (rows, cols, data))
 
     def apply(self, bits: int) -> int:
         """Right action v*M; bit i of v picks row i of M."""
@@ -55,13 +58,22 @@ class BitMatrix:
         return out
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of F_2^ambient_dim in semi-echelon form: pivots maps each
-    pivot to the one row whose lowest set bit it is."""
+    pivot to the one row whose lowest set bit it is.  Its fields are read
+    only; __dict__ holds the cached basis."""
 
-    ambient_dim: int
-    pivots: Dict[int, int]
+    __slots__ = ("ambient_dim", "pivots", "__dict__")
+
+    def __init__(self, ambient_dim: int, pivots: Dict[int, int]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "pivots", pivots)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        return f"Subspace(ambient_dim={self.ambient_dim}, pivots={self.pivots})"
 
     @property
     def dim(self) -> int:

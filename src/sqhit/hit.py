@@ -15,9 +15,8 @@ non-trivial quotient class in bidegree (5,9).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import f2linalg
 from .f2linalg import BitMatrix, Subspace
@@ -38,8 +37,7 @@ class InternalInconsistencyError(RuntimeError):
     """A construction that is guaranteed to succeed failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     kind: ModuleKind
     bidegree: Bidegree
     k: int
@@ -82,9 +80,20 @@ def _basis_index(b: Bidegree, kind: ModuleKind) -> Dict[Tuple[int, ...], int]:
 
 
 # Gamma action rows keyed (s, d, l): row u is (basis monomial u of (s, d))Sq^l
-# packed over the basis of (s, d - l).  Filled arity by arity, and shared by
-# every matrix whose first-entry blocks need them.
+# packed over the basis of (s, d - l).  Filled on demand, lowest arity
+# first, and shared by every matrix whose first-entry blocks need them.
 _GAMMA_ROWS: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
+
+
+def _splits(s: int, d: int, l: int):
+    """The (a, i) whose tail rows the block of first entry a in Sq^l on gamma
+    (s, d) reads: C(a-i, i) odd, and a - i <= top keeps the tail's codomain
+    (s-1, d-a-(l-i)) nonempty."""
+    top = d - l - s + 1  # the largest first entry in the codomain
+    for a in range(1, d - s + 2):
+        for i in range(max(0, a - top), min(l, a - 1) + 1):
+            if (a - i) & i == i:
+                yield a, i
 
 
 def _gamma_block(s: int, d: int, l: int) -> Tuple[int, ...]:
@@ -99,37 +108,35 @@ def _gamma_block(s: int, d: int, l: int) -> Tuple[int, ...]:
     """
     if s == 1:
         return (binom_mod2(d - l, l),)
-    top = d - l - s + 1  # the largest first entry in the codomain
     offset = [0, 0]  # offset[a]: the codomain columns before first entry a
-    for a in range(1, top):
+    for a in range(1, d - l - s + 1):
         offset.append(offset[a] + math.comb(d - l - a - 1, s - 2))
+    blocks: Dict[int, List[int]] = {}
+    for a, i in _splits(s, d, l):
+        tail, shift = _GAMMA_ROWS[s - 1, d - a, l - i], offset[a - i]
+        acc = blocks.get(a)
+        if acc is None:
+            blocks[a] = [r << shift for r in tail]
+        else:
+            blocks[a] = [x | (r << shift) for x, r in zip(acc, tail)]
     rows: List[int] = []
     for a in range(1, d - s + 2):
-        acc = None
-        # a - i <= top keeps the tail's codomain (s-1, d-a-(l-i)) nonempty.
-        for i in range(max(0, a - top), min(l, a - 1) + 1):
-            if (a - i) & i == i:  # C(a-i, i) odd
-                tail, shift = _GAMMA_ROWS[s - 1, d - a, l - i], offset[a - i]
-                if acc is None:
-                    acc = [r << shift for r in tail]
-                else:
-                    acc = [x | (r << shift) for x, r in zip(acc, tail)]
-        rows.extend(acc if acc is not None else [0] * math.comb(d - a - 1, s - 2))
+        rows.extend(blocks[a] if a in blocks else [0] * math.comb(d - a - 1, s - 2))
     return tuple(rows)
 
 
 def _gamma_rows(s: int, d: int, l: int) -> Tuple[int, ...]:
-    """Rows of Sq^l on gamma (s, d), s >= 1, d - l >= s.  The blocks of every
-    lower arity are built first, in a loop, so no call goes deeper than one
-    arity: an arity-t tail has degree e in [t, d-s+t] and needs the squares
-    j <= l whose codomain (t, e-j) is nonempty."""
-    for t in range(1, s):
-        for e in range(t, d - s + t + 1):
-            for j in range(min(l, e - t) + 1):
-                if (t, e, j) not in _GAMMA_ROWS:
-                    _GAMMA_ROWS[t, e, j] = _gamma_block(t, e, j)
-    if (s, d, l) not in _GAMMA_ROWS:
-        _GAMMA_ROWS[s, d, l] = _gamma_block(s, d, l)
+    """Rows of Sq^l on gamma (s, d), s >= 1, d - l >= s.  The keys it needs
+    and lacks are walked down arity by arity, then built lowest arity
+    first, in loops, so no call goes deeper than one arity and no block is
+    built that no first entry reads."""
+    levels = [{(s, d, l)} - _GAMMA_ROWS.keys()]
+    for t in range(s, 1, -1):
+        levels.append({(t - 1, e - a, j - i) for _, e, j in levels[-1]
+                       for a, i in _splits(t, e, j)} - _GAMMA_ROWS.keys())
+    for level in reversed(levels):
+        for key in level:
+            _GAMMA_ROWS[key] = _gamma_block(*key)
     return _GAMMA_ROWS[s, d, l]
 
 
@@ -205,7 +212,8 @@ def unhit_report(b: Bidegree, k: int, kind: ModuleKind, witnesses: bool = False)
     delta = delta_basis(b, k, kind)
     image = spike_image_basis(b, k, kind)
     if not f2linalg.contains_subspace(delta, image):
-        raise InternalInconsistencyError(f"image not contained in kernel at {b}")
+        raise InternalInconsistencyError(f"{kind.value} ({b.s},{b.d}), k={k}, unhit containment check:"
+                                         " image not contained in kernel")
     report_witnesses = None
     if witnesses:
         report_witnesses = {
@@ -227,8 +235,7 @@ def unhit_report(b: Bidegree, k: int, kind: ModuleKind, witnesses: bool = False)
 
 # --- first-factor structure theory (arity >= 2, gamma) ----------------------
 
-@dataclass(frozen=True)
-class FirstFactorDecomposition:
+class FirstFactorDecomposition(NamedTuple):
     """x written as sum over i of [i].(part at i), parts of arity s-1."""
 
     s: int
@@ -332,7 +339,8 @@ def _solve_sq1_preimage(target: Element, s: int, d: int) -> Element:
     tvec = element_to_vector(target, Bidegree(s, d - 1), ModuleKind.GAMMA)
     v = f2linalg.solve(mat, tvec)
     if v is None:
-        raise InternalInconsistencyError(f"no Sq^1 preimage at {b}; construction should not fail")
+        raise InternalInconsistencyError(f"gamma ({s},{d}), k=1, build_delta1_element Sq^1 preimage:"
+                                         " no preimage; construction should not fail")
     return vector_to_element(v, b, ModuleKind.GAMMA)
 
 
@@ -386,7 +394,8 @@ def build_delta1_element(x1: Element, d: int, choices: Optional[Dict[int, Elemen
         m += 1
     x = recompose_first_factor(FirstFactorDecomposition(s, d, parts))
     if not sq(x, 1).is_zero() or not sq(x, 2).is_zero():
-        raise InternalInconsistencyError("assembled element is not killed by Sq^1 and Sq^2")
+        raise InternalInconsistencyError(f"gamma ({s},{d}), k=1, build_delta1_element check:"
+                                         " assembled element is not killed by Sq^1 and Sq^2")
     return x
 
 
@@ -429,7 +438,8 @@ def i1_membership(x: Element) -> Tuple[bool, Optional[Element]]:
             head = Element.single(ModuleKind.GAMMA, (i + 3,))
             witness = witness + concat_product(head, dec.terms[i])
     if not sq(witness, 3).same(x):
-        raise InternalInconsistencyError("constructed Sq^3 preimage failed verification")
+        raise InternalInconsistencyError(f"gamma ({x.s},{x.d}), k=1, i1_membership check:"
+                                         " constructed Sq^3 preimage failed verification")
     return True, witness
 
 

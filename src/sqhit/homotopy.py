@@ -8,9 +8,8 @@ turns kernel membership into constructive spike-square preimages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from .modules import (
     Element,
@@ -46,19 +45,23 @@ class ChainCertificateError(RuntimeError):
     """A preimage chain failed its own verification; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class HomotopySystem:
+class _HomotopySystemFields(NamedTuple):
     kind: ModuleKind
     order: int
-    position: int = 1
+    position: int
 
-    def __post_init__(self):
-        if self.order < 0:
+
+class HomotopySystem(_HomotopySystemFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: ModuleKind, order: int, position: int = 1):
+        if order < 0:
             raise ValueError("order must be >= 0")
-        if self.position < 1:
+        if position < 1:
             raise ValueError("position must be >= 1")
-        if self.kind in ORBIT_KINDS and self.position != 1:
+        if kind in ORBIT_KINDS and position != 1:
             raise ValueError("orbit kinds shift the leading canonical entry only")
+        return tuple.__new__(cls, (kind, order, position))
 
 
 def shift(x: Element, i: int, r: int) -> Element:

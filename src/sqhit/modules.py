@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import chain, repeat
@@ -87,8 +86,14 @@ def _toggle(acc: set, item) -> None:
         acc.add(item)
 
 
-@dataclass(frozen=True)
-class Element:
+class _ElementFields(NamedTuple):
+    kind: ModuleKind
+    s: int
+    d: int
+    support: frozenset
+
+
+class Element(_ElementFields):
     """Finite F_2-sum of monomials of one kind, arity and internal degree.
 
     The support is a frozenset of entry tuples; this constructor is the one
@@ -98,29 +103,25 @@ class Element:
     the other side's degree so bookkeeping never blocks on empty sums.
     """
 
-    kind: ModuleKind
-    s: int
-    d: int
-    support: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        kind, s, d, support = self.kind, self.s, self.d, self.support
+    def __new__(cls, kind: ModuleKind, s: int, d: int, support: frozenset):
         positive = kind in POSITIVE_KINDS
         canon = _ORBIT_CANONICAL.get(kind)
         # Each check is one pass over the whole support; the loop below runs
         # only when a pass fails, to name the first failing term.
-        if (all(map(eq, map(len, support), repeat(s)))
+        if not (all(map(eq, map(len, support), repeat(s)))
                 and all(map(eq, map(sum, support), repeat(d)))
                 and (not positive or all(map((1).__le__, chain.from_iterable(support))))
                 and (canon is None or all(map(eq, map(canon, support), support)))):
-            return
-        for t in support:
-            if len(t) != s or sum(t) != d:
-                raise ValueError(f"monomial {monomial_str(kind, t)} inconsistent with element ({kind.value},{s},{d})")
-            if positive and min(t, default=1) < 1:
-                raise ValueError(f"{kind.value} entries must be >= 1: {monomial_str(kind, t)}")
-            if canon is not None and canon(t) != t:
-                raise ValueError(f"monomial {monomial_str(kind, t)} is not canonical; expected {list(canon(t))}")
+            for t in support:
+                if len(t) != s or sum(t) != d:
+                    raise ValueError(f"monomial {monomial_str(kind, t)} inconsistent with element ({kind.value},{s},{d})")
+                if positive and min(t, default=1) < 1:
+                    raise ValueError(f"{kind.value} entries must be >= 1: {monomial_str(kind, t)}")
+                if canon is not None and canon(t) != t:
+                    raise ValueError(f"monomial {monomial_str(kind, t)} is not canonical; expected {list(canon(t))}")
+        return tuple.__new__(cls, (kind, s, d, support))
 
     @classmethod
     def zero(cls, kind: ModuleKind, s: int, d: int) -> "Element":
@@ -169,10 +170,10 @@ class Element:
 
 
 class ExpansionTooLarge(Exception):
-    """A limited ``sq`` spent its allowance of Cartan steps on one term."""
+    """A limited ``sq`` spent its allowance of Cartan steps."""
 
 
-# The Cartan steps one term of a limited ``sq`` may still take.  The
+# The Cartan steps a limited ``sq`` may still take on its element.  The
 # expansions below charge it at each cache miss (a hit costs nothing): the
 # loop steps, counted before the loop runs, and the entries of the terms
 # they build, so the work done before a refusal does not grow with the
@@ -273,9 +274,9 @@ _SQ_EXPANSION = {
 
 def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
     """Total right action of Sq^l on an element.  With a limit, the
-    expansion of each term may take at most that many Cartan steps (loop
-    steps plus entries built, see ``_allowance``), or ExpansionTooLarge is
-    raised."""
+    expansions of all its terms together may take at most that many Cartan
+    steps (loop steps plus entries built, see ``_allowance``), or
+    ExpansionTooLarge is raised."""
     if l < 0:
         raise ValueError("negative square index")
     if l == 0:
@@ -285,11 +286,10 @@ def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
         return Element.zero(x.kind, x.s, x.d - l)
     global _allowance
     expand = _SQ_EXPANSION[x.kind]
-    allowance = math.inf if limit is None else limit
+    _allowance = math.inf if limit is None else limit
     acc: set = set()
     try:
         for t in x.support:
-            _allowance = allowance
             acc ^= expand(t, l)
     finally:
         _allowance = math.inf
@@ -492,6 +492,8 @@ def element_from_json(obj: dict) -> Element:
     # type() and not isinstance(): JSON true/false load as bool, an int subclass.
     if type(s) is not int or type(d) is not int:
         raise ValueError("s and d must be integers")
+    if s < 0:
+        raise ValueError(f"arity s={s} must be >= 0")
     monos = obj["monomials"]
     if not isinstance(monos, list):
         raise ValueError("monomials must be a list")

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from . import f2linalg, hit
 from .homotopy import (
@@ -36,8 +35,7 @@ from .modules import (
 )
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: int
     failed: int
@@ -49,16 +47,29 @@ class SuiteResult:
 
 
 class _Recorder:
+    """Counts the checks of one suite as they run; ``result`` reads them."""
+
     def __init__(self, name: str):
-        self.result = SuiteResult(name, 0, 0)
+        self.name, self.passed, self.failed, self.first_failure = name, 0, 0, None
 
     def check(self, ok: bool, describe: Callable[[], str]) -> None:
         if ok:
-            self.result.passed += 1
+            self.passed += 1
         else:
-            self.result.failed += 1
-            if self.result.first_failure is None:
-                self.result.first_failure = describe()
+            self.failed += 1
+            if self.first_failure is None:
+                self.first_failure = describe()
+
+    def add(self, sub: SuiteResult) -> None:
+        """Count the checks of a finished suite as this one's."""
+        self.passed += sub.passed
+        self.failed += sub.failed
+        if self.first_failure is None:
+            self.first_failure = sub.first_failure
+
+    @property
+    def result(self) -> SuiteResult:
+        return SuiteResult(self.name, self.passed, self.failed, self.first_failure)
 
 
 def _fail_json(x: Element, note: str) -> str:
@@ -244,9 +255,7 @@ def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> 
 
 
 def suite_certificates(seed: int = 0) -> SuiteResult:
-    res = certify_null_delta(ModuleKind.GAMMA, 4, 16, 2)
-    res.name = "certificates"
-    return res
+    return certify_null_delta(ModuleKind.GAMMA, 4, 16, 2)._replace(name="certificates")
 
 
 def suite_orbit(seed: int = 0) -> SuiteResult:
@@ -273,11 +282,7 @@ def suite_orbit(seed: int = 0) -> SuiteResult:
         rec.check(lhs.same(rhs), lambda x=x, l=l, kind=kind: _fail_json(x, f"orbit action {kind.value} l={l}"))
     for kind, (s_max, d_max, k_max) in ((ModuleKind.GAMMA_SYM, (4, 14, 1)),
                                         (ModuleKind.GAMMA_CYC, (4, 14, 1))):
-        sub = certify_null_delta(kind, s_max, d_max, k_max)
-        rec.result.passed += sub.passed
-        rec.result.failed += sub.failed
-        if rec.result.first_failure is None:
-            rec.result.first_failure = sub.first_failure
+        rec.add(certify_null_delta(kind, s_max, d_max, k_max))
     return rec.result
 
 

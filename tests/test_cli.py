@@ -262,6 +262,28 @@ class TestSq:
         assert code == 3 and out == ""
         assert err.startswith("Sq^262272 ") and err.strip().endswith("an arity-256 term, more than max_dim=200000")
 
+    def test_allowance_covers_every_term(self, capsys, tmp_path):
+        # Each term [200001 + j, 199999 - j] loops over 190001 splits of its
+        # first entry under Sq^190000, within max_dim alone but not five
+        # times over.
+        def terms(n):
+            return element_from_json({"kind": "gamma", "s": 2, "d": 400000,
+                                      "monomials": [[200001 + j, 199999 - j] for j in range(n)]})
+
+        code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, terms(5)), "--l", "190000")
+        assert code == 3 and out == ""
+        assert err.strip() == ("Sq^190000 takes too many Cartan steps on 5 arity-2 terms,"
+                               " more than max_dim=200000")
+        code, out, _ = run(capsys, "sq", "--in", write_element(tmp_path, terms(1)), "--l", "190000")
+        assert code == 0 and json.loads(out)["d"] == 210000
+
+    def test_negative_arity_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({"kind": "gamma", "s": -1, "d": 3, "monomials": []}))
+        code, out, err = run(capsys, "sq", "--in", str(path), "--l", "1")
+        assert code == 2 and out == ""
+        assert err.strip() == "bad element input: arity s=-1 must be >= 0"
+
     def test_entries_with_one_odd_split_run(self, capsys, tmp_path):
         # 3 has one odd split (C(3, 0)), so nineteen 3s build few terms
         # however many entries there are; Sq^10 lowers the last entry.
@@ -430,7 +452,8 @@ class TestReadme:
 class TestInternalError:
     @pytest.mark.parametrize("argv,target,exc", [
         (("unhit", "--kind", "gamma", "--s", "5", "--d", "9", "--k", "1"),
-         (hit, "unhit_report"), hit.InternalInconsistencyError("image not contained in kernel at (5, 9)")),
+         (hit, "unhit_report"), hit.InternalInconsistencyError(
+             "gamma (5,9), k=1, unhit containment check: image not contained in kernel")),
         (("preimage", "--k", "0"),
          (cli, "preimage_chain"), ChainCertificateError("y_0 Sq^1 != x")),
     ])
@@ -455,7 +478,7 @@ class TestInternalError:
             return f2linalg.subspace_from_rows(n, [1 << j for j in range(n)])
 
         monkeypatch.setattr(hit, "spike_image_basis", whole_space)
-        message = "image not contained in kernel at Bidegree(s=5, d=9)"
+        message = "gamma (5,9), k=1, unhit containment check: image not contained in kernel"
         with pytest.raises(hit.InternalInconsistencyError, match=re.escape(message)):
             hit.unhit_report(Bidegree(5, 9), 1, ModuleKind.GAMMA)
         code, out, err = run(capsys, "unhit", "--kind", "gamma", "--s", "5", "--d", "9", "--k", "1")

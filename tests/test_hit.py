@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import oracles
@@ -59,6 +61,27 @@ class TestSqMatrix:
     def test_unhit_matrices_match_oracle(self, b, l):
         m = hit.sq_matrix(Bidegree(*b), l, G)
         assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(*b, l)
+
+    @pytest.mark.parametrize("order", [UNHIT_4_18_2, UNHIT_4_18_2[::-1]])
+    def test_blocks_filled_on_demand_match_oracle(self, monkeypatch, order):
+        # Each call builds the blocks it lacks, whatever an earlier call
+        # left in the cache.
+        hit.sq_matrix.cache_clear()
+        monkeypatch.setattr(hit, "_GAMMA_ROWS", {})
+        for b, l in order:
+            m = hit.sq_matrix(Bidegree(*b), l, G)
+            assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(*b, l), (b, l)
+        hit.sq_matrix.cache_clear()
+
+    def test_unhit_builds_only_the_blocks_it_reads(self, monkeypatch):
+        # Every arity-t block with t <= e <= d-s+t and j <= min(l, e-t)
+        # would be 450 blocks of 24090 rows; first entries reach 347.
+        hit.sq_matrix.cache_clear()
+        monkeypatch.setattr(hit, "_GAMMA_ROWS", {})
+        hit.unhit_report(Bidegree(4, 18), 2, G)
+        assert len(hit._GAMMA_ROWS) == 347
+        assert sum(map(len, hit._GAMMA_ROWS.values())) == 15388
+        hit.sq_matrix.cache_clear()
 
     def test_first_entry_blocks_match_naive_sq(self):
         def support(entries, l):
@@ -275,6 +298,13 @@ class TestFirstFactorStructure:
     def test_builder_choice_index_validated(self):
         with pytest.raises(ValueError):
             hit.build_delta1_element(gamma((3,)), 4, choices={2: gamma((1,))})
+
+    def test_builder_failed_solve_names_bidegree_and_stage(self, monkeypatch):
+        # [3]Sq^3 = 0 still asks for a Sq^1 preimage at (1, 1).
+        monkeypatch.setattr(f2linalg, "solve", lambda m, bits: None)
+        message = "gamma (1,1), k=1, build_delta1_element Sq^1 preimage: no preimage"
+        with pytest.raises(hit.InternalInconsistencyError, match=re.escape(message)):
+            hit.build_delta1_element(gamma((3,)), 4)
 
     def test_builder_choices_preserve_membership(self):
         # Degree-1 choice at index 3 must be killed by Sq^1; [1] qualifies.

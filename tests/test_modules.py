@@ -213,12 +213,15 @@ class TestCartanSteps:
             clear_expansion_caches()
             assert modules._SQ_EXPANSION[kind](entries, l) == out.support
 
-    def test_allowance_is_per_term(self):
+    def test_allowance_covers_the_whole_element(self):
         # [2, 2]Sq^1 takes 10 steps and [3, 1]Sq^1 takes 3 (2 loop steps,
-        # and one for [1]Sq^1, which is 0); each term gets the whole limit.
+        # and one for [1]Sq^1, which is 0); the two terms share one limit.
         x = gamma((2, 2), (3, 1))
         clear_expansion_caches()
-        assert sq(x, 1, limit=10).same(naive_sq(x, 1))
+        assert sq(x, 1, limit=13).same(naive_sq(x, 1))
+        clear_expansion_caches()
+        with pytest.raises(ExpansionTooLarge):
+            sq(x, 1, limit=12)
 
     def test_bounds_the_terms_built(self):
         # On forty 2s every loop takes at most two steps, at most 40 * 21

@@ -26,6 +26,12 @@ class TestCertifyNullDelta:
             suites.certify_null_delta(ModuleKind.GAMMA, 1, 3, 0)
 
 
+class TestCertificatesSuite:
+    def test_reports_under_its_own_name(self, monkeypatch):
+        monkeypatch.setattr(suites, "certify_null_delta", lambda *args: suites.SuiteResult("gamma", 3, 1, "x"))
+        assert suites.suite_certificates() == suites.SuiteResult("certificates", 3, 1, "x")
+
+
 class TestCounterexampleSuite:
     def test_one_check_per_reported_assertion(self, monkeypatch):
         report = {**hit.counterexample_suite(), "z_not_in_im_sq3": False}
