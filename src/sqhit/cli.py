@@ -15,17 +15,11 @@ import sys
 from typing import List, NamedTuple, Optional
 
 from . import hit
-from .homotopy import (
-    AnnihilationError,
-    ChainCertificateError,
-    HomotopySystem,
-    NullMembershipError,
-    preimage_chain,
-)
 from .modules import (
     Bidegree,
     Element,
     ExpansionTooLarge,
+    InternalInconsistencyError,
     ModuleKind,
     basis,
     basis_size,
@@ -92,6 +86,10 @@ def _check_dim(cfg: Config, kind: ModuleKind, s: int, d: int) -> Optional[str]:
 
 
 def _check_guardrails(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> Optional[str]:
+    """The refusal (exit 3) of a subspace query, if any; a negative order is
+    bad input (exit 2)."""
+    if k < 0:
+        raise ValueError(f"order k={k} must be >= 0")
     if k > cfg.max_k:
         return f"order k={k} exceeds max_k={cfg.max_k}"
     return _check_dim(cfg, kind, s, d + (1 << (k + 1)))
@@ -236,6 +234,9 @@ def cmd_verify(args, cfg: Config) -> int:
 
 
 def cmd_preimage(args, cfg: Config) -> int:
+    from .homotopy import (  # the one command that needs it
+        AnnihilationError, HomotopySystem, NullMembershipError, preimage_chain)
+
     try:
         x = _read_element(args.input)
     except (json.JSONDecodeError, ValueError, OSError) as exc:
@@ -344,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args, cfg)
     except ValueError as exc:
         return _die(2, str(exc))
-    except (hit.InternalInconsistencyError, ChainCertificateError) as exc:
+    except InternalInconsistencyError as exc:
         return _die(5, f"internal error: {exc}")
 
 

@@ -23,6 +23,7 @@ from .f2linalg import BitMatrix, Subspace
 from .modules import (
     Bidegree,
     Element,
+    InternalInconsistencyError,
     ModuleKind,
     _SQ_EXPANSION,
     basis,
@@ -31,10 +32,6 @@ from .modules import (
     concat_product,
     sq,
 )
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A construction that is guaranteed to succeed failed; indicates a bug."""
 
 
 class DeltaReport(NamedTuple):
@@ -62,8 +59,8 @@ def element_to_vector(x: Element, b: Bidegree, kind: ModuleKind) -> int:
 def vector_to_element(bits: int, b: Bidegree, kind: ModuleKind) -> Element:
     """The element whose support is the basis monomials j with bit j set."""
     monos = basis(b, kind)
-    return Element.from_monomials(kind, b.s, b.d,
-                                  (monos[j] for j in range(bits.bit_length()) if bits >> j & 1))
+    support = frozenset(monos[j] for j in range(bits.bit_length()) if bits >> j & 1)
+    return Element._make((kind, b.s, b.d, support))
 
 
 def subspace_elements(sub: Subspace, b: Bidegree, kind: ModuleKind,
@@ -355,7 +352,7 @@ def build_delta1_element(x1: Element, d: int, choices: Optional[Dict[int, Elemen
         raise ValueError("x_1 must be a gamma element")
     if not sq(x1, 2).is_zero():
         raise ValueError("x_1 is not killed by Sq^2")
-    if not x1.is_zero() and x1.d != d - 1:
+    if x1.d != d - 1:
         raise ValueError(f"x_1 must have degree {d - 1}")
     choices = choices or {}
     for i, c in choices.items():
@@ -437,7 +434,7 @@ def i1_membership(x: Element) -> Tuple[bool, Optional[Element]]:
         if i % 2 == 1:
             head = Element.single(ModuleKind.GAMMA, (i + 3,))
             witness = witness + concat_product(head, dec.terms[i])
-    if not sq(witness, 3).same(x):
+    if sq(witness, 3) != x:
         raise InternalInconsistencyError(f"gamma ({x.s},{x.d}), k=1, i1_membership check:"
                                          " constructed Sq^3 preimage failed verification")
     return True, witness

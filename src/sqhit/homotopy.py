@@ -13,6 +13,7 @@ from typing import Callable, List, NamedTuple, Tuple
 
 from .modules import (
     Element,
+    InternalInconsistencyError,
     ModuleKind,
     ORBIT_KINDS,
     monomial_str,
@@ -41,7 +42,7 @@ class AnnihilationError(ValueError):
         super().__init__(f"element is not killed by Sq^{2 ** i}")
 
 
-class ChainCertificateError(RuntimeError):
+class ChainCertificateError(InternalInconsistencyError):
     """A preimage chain failed its own verification; indicates a bug."""
 
 
@@ -84,7 +85,7 @@ def shift(x: Element, i: int, r: int) -> Element:
         raise ValueError("orbit kinds support position 1 only")
     j = i - 1
     support = frozenset(t[:j] + (t[j] + r,) + t[i:] for t in x.support)
-    return Element(x.kind, x.s, x.d + r, support)
+    return Element._make((x.kind, x.s, x.d + r, support))
 
 
 def _null_predicate(h: HomotopySystem) -> Callable[[Tuple[int, ...]], bool]:
@@ -130,7 +131,7 @@ def verify_commutation(x: Element, h: HomotopySystem, m: int, l: int) -> bool:
         raise PreconditionError("element is not in the null subspace")
     left = sq(_psi(x, h, m), l)
     right = _psi(sq(x, l), h, m)
-    return left.same(right)
+    return left == right
 
 
 def verify_homotopy(x: Element, h: HomotopySystem, m: int) -> bool:
@@ -140,7 +141,7 @@ def verify_homotopy(x: Element, h: HomotopySystem, m: int) -> bool:
     if not in_null(x, h):
         raise PreconditionError("element is not in the null subspace")
     total = sq(_psi(x, h, m), 1 << m) + _psi(sq(x, 1 << m), h, m)
-    return total.same(x)
+    return total == x
 
 
 def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
@@ -166,7 +167,7 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     for i in range(h.order + 1):
         y = _psi(y, h, i)
         spike = (1 << (i + 1)) - 1
-        if not sq(y, spike).same(x):
+        if sq(y, spike) != x:
             raise ChainCertificateError(f"y_{i} Sq^{spike} != x")
         if not in_null(y, h):
             raise ChainCertificateError(f"y_{i} left the null subspace")

@@ -96,11 +96,11 @@ class _ElementFields(NamedTuple):
 class Element(_ElementFields):
     """Finite F_2-sum of monomials of one kind, arity and internal degree.
 
-    The support is a frozenset of entry tuples; this constructor is the one
-    place that checks them against the kind, arity and degree.
-
-    A zero element carries a nominal degree; addition lets a zero absorb
-    the other side's degree so bookkeeping never blocks on empty sums.
+    The support is a frozenset of entry tuples.  This constructor checks
+    them against the kind, arity and degree; the library's operations,
+    whose terms are well-formed by construction, build with ``_make`` and
+    skip the checks.  Degrees are exact, zeros included: ``+`` needs equal
+    kind, arity and degree, and ``==`` compares all four fields.
     """
 
     __slots__ = ()
@@ -125,7 +125,7 @@ class Element(_ElementFields):
 
     @classmethod
     def zero(cls, kind: ModuleKind, s: int, d: int) -> "Element":
-        return cls(kind, s, d, frozenset())
+        return cls._make((kind, s, d, frozenset()))  # no terms to check
 
     @classmethod
     def from_monomials(cls, kind: ModuleKind, s: int, d: int, terms: Iterable[Tuple[int, ...]]) -> "Element":
@@ -144,21 +144,9 @@ class Element(_ElementFields):
     def __add__(self, other: "Element") -> "Element":
         if self.kind is not other.kind or self.s != other.s:
             raise ValueError("cannot add elements of different kind or arity")
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         if self.d != other.d:
             raise ValueError("cannot add elements of different degree")
-        return Element(self.kind, self.s, self.d, self.support ^ other.support)
-
-    def same(self, other: "Element") -> bool:
-        """Equality that treats all zeros of one kind/arity as equal."""
-        if self.kind is not other.kind or self.s != other.s:
-            return False
-        if self.is_zero() or other.is_zero():
-            return self.support == other.support
-        return self.d == other.d and self.support == other.support
+        return Element._make((self.kind, self.s, self.d, self.support ^ other.support))
 
     def sorted_support(self) -> List[Tuple[int, ...]]:
         return sorted(self.support)
@@ -167,6 +155,10 @@ class Element(_ElementFields):
         if self.is_zero():
             return f"0({self.kind.value},{self.s},{self.d})"
         return " + ".join(monomial_str(self.kind, t) for t in self.sorted_support())
+
+
+class InternalInconsistencyError(RuntimeError):
+    """A construction that is guaranteed to succeed failed; indicates a bug."""
 
 
 class ExpansionTooLarge(Exception):
@@ -293,7 +285,7 @@ def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
             acc ^= expand(t, l)
     finally:
         _allowance = math.inf
-    return Element(x.kind, x.s, x.d - l, frozenset(acc))
+    return Element._make((x.kind, x.s, x.d - l, frozenset(acc)))
 
 
 def _compositions(d: int, s: int, cap: int, nonincreasing: bool = False):
@@ -441,15 +433,12 @@ def basis_size(b: Bidegree, kind: ModuleKind, limit: Optional[int] = None) -> in
 
 
 def concat_product(x: Element, y: Element) -> Element:
-    """Bilinear extension of monomial concatenation; arities and degrees add."""
+    """Bilinear extension of monomial concatenation; arities and degrees add.
+    A product term splits back into its factors at x.s, so none cancels."""
     if x.kind is not ModuleKind.GAMMA or y.kind is not ModuleKind.GAMMA:
         raise ValueError("concatenation product is defined on gamma elements only")
-    s, d = x.s + y.s, x.d + y.d
-    acc: set = set()
-    for m in x.support:
-        for n in y.support:
-            _toggle(acc, m + n)
-    return Element(ModuleKind.GAMMA, s, d, frozenset(acc))
+    support = frozenset(m + n for m in x.support for n in y.support)
+    return Element._make((ModuleKind.GAMMA, x.s + y.s, x.d + y.d, support))
 
 
 def project_to_orbit(x: Element, kind: ModuleKind) -> Element:
@@ -462,7 +451,7 @@ def project_to_orbit(x: Element, kind: ModuleKind) -> Element:
     acc: set = set()
     for t in x.support:
         _toggle(acc, canon(t))
-    return Element(kind, x.s, x.d, frozenset(acc))
+    return Element._make((kind, x.s, x.d, frozenset(acc)))
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -494,6 +483,8 @@ def element_from_json(obj: dict) -> Element:
         raise ValueError("s and d must be integers")
     if s < 0:
         raise ValueError(f"arity s={s} must be >= 0")
+    if d < 0 and kind in POSITIVE_KINDS:
+        raise ValueError(f"degree d={d} must be >= 0 for {kind.value}")
     monos = obj["monomials"]
     if not isinstance(monos, list):
         raise ValueError("monomials must be a list")

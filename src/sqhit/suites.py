@@ -119,7 +119,7 @@ def suite_cartan(seed: int = 0) -> SuiteResult:
         rhs = Element.zero(ModuleKind.GAMMA, s1 + s2, d1 + d2 - l)
         for p in range(l + 1):
             rhs = rhs + concat_product(sq(x, p), sq(y, l - p))
-        rec.check(lhs.same(rhs), lambda x=x, y=y, l=l: _fail_json(x, f"cartan l={l} vs {element_to_json(y)}"))
+        rec.check(lhs == rhs, lambda x=x, y=y, l=l: _fail_json(x, f"cartan l={l} vs {element_to_json(y)}"))
     return rec.result
 
 
@@ -145,7 +145,7 @@ def suite_composition(seed: int = 0) -> SuiteResult:
         for d in range(s, 11):
             for m in basis(Bidegree(s, d), ModuleKind.GAMMA):
                 x = Element.single(ModuleKind.GAMMA, m)
-                rec.check(sq(sq(x, 1), 2).same(sq(x, 3)),
+                rec.check(sq(sq(x, 1), 2) == sq(x, 3),
                           lambda x=x: _fail_json(x, "Sq^1Sq^2 != Sq^3"))
     return rec.result
 
@@ -212,7 +212,7 @@ def suite_homotopy(seed: int = 0) -> SuiteResult:
             ModuleKind.GAMMA, s, d + r, (transpose(t) for t in shift(x, i, r).support))
         permuted = Element.single(ModuleKind.GAMMA, transpose(mono))
         permuted_then_shifted = shift(permuted, sigma_i, r)
-        rec.check(shifted_then_permuted.same(permuted_then_shifted),
+        rec.check(shifted_then_permuted == permuted_then_shifted,
                   lambda x=x: _fail_json(x, f"shift/permutation i={i} r={r}"))
     return rec.result
 
@@ -279,7 +279,7 @@ def suite_orbit(seed: int = 0) -> SuiteResult:
         x = Element.single(ModuleKind.GAMMA, mono)
         lhs = sq(project_to_orbit(x, kind), l)
         rhs = project_to_orbit(sq(translated, l), kind)
-        rec.check(lhs.same(rhs), lambda x=x, l=l, kind=kind: _fail_json(x, f"orbit action {kind.value} l={l}"))
+        rec.check(lhs == rhs, lambda x=x, l=l, kind=kind: _fail_json(x, f"orbit action {kind.value} l={l}"))
     for kind, (s_max, d_max, k_max) in ((ModuleKind.GAMMA_SYM, (4, 14, 1)),
                                         (ModuleKind.GAMMA_CYC, (4, 14, 1))):
         rec.add(certify_null_delta(kind, s_max, d_max, k_max))
@@ -373,7 +373,7 @@ def suite_i1_membership(seed: int = 0) -> SuiteResult:
                 direct = f2linalg.contains(im3, r)
                 rec.check(member == direct, lambda x=x: _fail_json(x, "criterion vs direct image membership"))
                 if member:
-                    rec.check(sq(witness, 3).same(x), lambda x=x: _fail_json(x, "witness Sq^3 mismatch"))
+                    rec.check(sq(witness, 3) == x, lambda x=x: _fail_json(x, "witness Sq^3 mismatch"))
     return rec.result
 
 
@@ -395,7 +395,7 @@ def suite_builder(seed: int = 0) -> SuiteResult:
         ok = sq(x, 1).is_zero() and sq(x, 2).is_zero()
         dec = hit.decompose_first_factor(x) if not x.is_zero() else None
         if ok and dec is not None:
-            ok = dec.terms.get(1, Element.zero(ModuleKind.GAMMA, s1, d1)).same(x1)
+            ok = dec.terms.get(1, Element.zero(ModuleKind.GAMMA, s1, d1)) == x1
         rec.check(ok, lambda x1=x1: _fail_json(x1, "builder output membership"))
     return rec.result
 

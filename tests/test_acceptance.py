@@ -94,7 +94,7 @@ def test_criterion_8_oracle_cross_checks():
                 entries_list.add(tuple(cuts) + (d - sum(cuts),))
             x = Element.from_monomials(kind, s, d, entries_list)
         l = rng.randint(0, 6)
-        if not sq(x, l).same(naive_sq(x, l)):
+        if sq(x, l) != naive_sq(x, l):
             ok = False
             break
     report("criterion 8: binomial-parity and action oracles agree", ok)

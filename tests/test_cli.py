@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sqhit import cli, f2linalg, hit
+from sqhit import cli, f2linalg, hit, homotopy
 from sqhit.cli import main
 from sqhit.homotopy import ChainCertificateError
 from sqhit.modules import (
@@ -119,7 +119,7 @@ class TestSq:
         path = write_element(tmp_path, x)
         code, out, _ = run(capsys, "sq", "--in", path, "--l", "0")
         assert code == 0
-        assert element_from_json(json.loads(out)).same(x)
+        assert element_from_json(json.loads(out)) == x
 
     def test_action_through_file_output(self, capsys, tmp_path):
         x = hit.sq2_kernel_witness()
@@ -128,7 +128,7 @@ class TestSq:
         code, _, _ = run(capsys, "sq", "--in", path, "--l", "1", "--out", str(out_path))
         assert code == 0
         y = element_from_json(json.loads(out_path.read_text()))
-        assert y.same(sq(x, 1))
+        assert y == sq(x, 1)
 
     def test_bad_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -284,6 +284,20 @@ class TestSq:
         assert code == 2 and out == ""
         assert err.strip() == "bad element input: arity s=-1 must be >= 0"
 
+    @pytest.mark.parametrize("kind", ["gamma", "gamma-sym", "gamma-cyc"])
+    def test_negative_degree_exit_2(self, capsys, tmp_path, kind):
+        # basis refuses the same bidegree; an empty support does not get past.
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({"kind": kind, "s": 2, "d": -5, "monomials": []}))
+        code, out, err = run(capsys, "sq", "--in", str(path), "--l", "1")
+        assert code == 2 and out == ""
+        assert err.strip() == f"bad element input: degree d=-5 must be >= 0 for {kind}"
+
+    def test_nabla_negative_degree_runs(self, capsys, tmp_path):
+        x = Element.single(ModuleKind.NABLA, (-3, -2))
+        code, out, _ = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "1")
+        assert code == 0 and json.loads(out)["d"] == -6
+
     def test_entries_with_one_odd_split_run(self, capsys, tmp_path):
         # 3 has one odd split (C(3, 0)), so nineteen 3s build few terms
         # however many entries there are; Sq^10 lowers the last entry.
@@ -349,6 +363,14 @@ class TestDeltaImageUnhit:
         code, _, err = run(capsys, "delta", "--kind", "gamma", "--s", "1", "--d", "3", "--k", "9")
         assert code == 3 and "max_k" in err
 
+    @pytest.mark.parametrize("command", ["unhit", "report", "delta", "image"])
+    @pytest.mark.parametrize("k", ["-1", "-2", "-9"])
+    def test_negative_order_exit_2(self, capsys, command, k):
+        box = ("--s-max", "2", "--d-max", "3") if command == "report" else ("--s", "2", "--d", "3")
+        code, out, err = run(capsys, command, "--kind", "gamma", *box, "--k", k)
+        assert code == 2 and out == ""
+        assert err.strip() == f"order k={k} must be >= 0"
+
     def test_guardrail_max_dim(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("max_dim = 5\n")
@@ -407,7 +429,7 @@ class TestPreimage:
                          "--out-prefix", prefix)
         assert code == 0
         y0 = element_from_json(json.loads((tmp_path / "y0.json").read_text()))
-        assert sq(y0, 1).same(x)
+        assert sq(y0, 1) == x
 
     def test_null_rejection_exit_4(self, capsys, tmp_path):
         # The (5,9) class has monomials with first entry 1, outside the
@@ -437,6 +459,13 @@ class TestPreimage:
         code, _, _ = run(capsys, "preimage", "--in", path, "--k", "9")
         assert code == 3
 
+    def test_negative_degree_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({"kind": "gamma", "s": 2, "d": -5, "monomials": []}))
+        code, out, err = run(capsys, "preimage", "--in", str(path), "--k", "1")
+        assert code == 2 and out == ""
+        assert err.strip() == "bad element input: degree d=-5 must be >= 0 for gamma"
+
 
 class TestReadme:
     def test_usage_block_names_every_command(self):
@@ -455,7 +484,7 @@ class TestInternalError:
          (hit, "unhit_report"), hit.InternalInconsistencyError(
              "gamma (5,9), k=1, unhit containment check: image not contained in kernel")),
         (("preimage", "--k", "0"),
-         (cli, "preimage_chain"), ChainCertificateError("y_0 Sq^1 != x")),
+         (homotopy, "preimage_chain"), ChainCertificateError("y_0 Sq^1 != x")),
     ])
     def test_exit_5_without_traceback(self, capsys, tmp_path, monkeypatch, argv, target, exc):
         def fail(*args, **kwargs):

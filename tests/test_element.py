@@ -1,0 +1,102 @@
+"""Element is one plain value: its constructor checks the terms, the
+library's operations build with ``Element._make`` and trust them, and
+degrees are exact, zeros included.
+
+The operations skip the constructor's checks at run time, so these tests
+run the checks on what they return."""
+
+import random
+
+import pytest
+
+from sqhit import f2linalg, hit, suites
+from sqhit.homotopy import HomotopySystem, preimage_chain, shift
+from sqhit.modules import (
+    ORBIT_KINDS,
+    POSITIVE_KINDS,
+    Bidegree,
+    Element,
+    ModuleKind,
+    concat_product,
+    project_to_orbit,
+    sq,
+)
+
+G = ModuleKind.GAMMA
+
+
+def checked(y):
+    """y, after the constructor's checks pass on its fields."""
+    assert type(y) is Element and Element(*y) == y
+    return y
+
+
+def seeded_element(rng, kind, s, d):
+    if kind is ModuleKind.NABLA:
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            head = [rng.randint(-6, 6) for _ in range(s - 1)]
+            terms.append(tuple(head) + (d - sum(head),))
+        return Element.from_monomials(kind, s, d, terms)
+    return suites.random_element(rng, kind, s, d)
+
+
+@pytest.mark.parametrize("kind", list(ModuleKind), ids=[k.value for k in ModuleKind])
+def test_operations_build_what_the_constructor_accepts(kind):
+    rng = random.Random(11)
+    for _ in range(40):
+        s = rng.randint(1, 4)
+        d = rng.randint(s, s + 7)
+        x, y = seeded_element(rng, kind, s, d), seeded_element(rng, kind, s, d)
+        checked(x + y)
+        for l in range(d + 2):
+            checked(sq(x, l))
+        checked(shift(x, 1 if kind in ORBIT_KINDS else rng.randint(1, s), rng.randint(0, 5)))
+        if kind in POSITIVE_KINDS:
+            bits = hit.element_to_vector(x, Bidegree(s, d), kind)
+            assert checked(hit.vector_to_element(bits, Bidegree(s, d), kind)) == x
+        if kind is G:
+            checked(concat_product(x, seeded_element(rng, G, 2, rng.randint(2, 5))))
+            for orbit in ORBIT_KINDS:
+                checked(project_to_orbit(x, orbit))
+
+
+def test_add_refuses_a_zero_of_another_degree():
+    x = Element.single(G, (1, 2))
+    for other in (Element.zero(G, 2, 4), Element.zero(G, 2, 2)):
+        with pytest.raises(ValueError, match="different degree"):
+            x + other
+        with pytest.raises(ValueError, match="different degree"):
+            other + x
+    with pytest.raises(ValueError, match="different degree"):
+        Element.zero(G, 2, 3) + Element.zero(G, 2, 4)
+    assert Element.zero(G, 2, 3) + x == x
+
+
+def test_zeros_of_different_degree_differ():
+    assert Element.zero(G, 2, 3) != Element.zero(G, 2, 4)
+    assert sq(Element.single(G, (1, 1)), 1) == Element.zero(G, 2, 1)
+
+
+def test_operations_run_without_the_constructor(monkeypatch):
+    b = Bidegree(4, 18)
+    h = HomotopySystem(G, 2, 1)
+    null = f2linalg.intersect(hit.delta_basis(b, 2, G), suites._null_span(b, G, h))
+    bits = null.basis[0]
+    x = hit.vector_to_element(bits, b, G)
+    one = Element.single(G, (3,))
+    chain = preimage_chain(x, h)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Element.__new__ ran")
+
+    monkeypatch.setattr(Element, "__new__", refuse)
+    with pytest.raises(AssertionError, match="Element.__new__ ran"):
+        Element(G, 1, 3, frozenset({(3,)}))
+    assert hit.vector_to_element(bits, b, G) == x
+    assert sq(x, 1) == Element.zero(G, 4, 17)
+    assert sq(shift(x, 1, 1), 1) == x
+    assert (x + x).is_zero()
+    assert concat_product(one, x).d == 21
+    assert project_to_orbit(x, ModuleKind.GAMMA_SYM).kind is ModuleKind.GAMMA_SYM
+    assert preimage_chain(x, h) == chain

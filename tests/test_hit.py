@@ -154,7 +154,7 @@ class TestVectorConversion:
         b = Bidegree(2, 4)
         x = gamma((1, 3), (3, 1))
         v = hit.element_to_vector(x, b, G)
-        assert hit.vector_to_element(v, b, G).same(x)
+        assert hit.vector_to_element(v, b, G) == x
 
     def test_zero(self):
         b = Bidegree(2, 4)
@@ -259,7 +259,7 @@ class TestFirstFactorStructure:
         x = gamma((1, 2, 1), (2, 1, 1), (1, 1, 2))
         dec = hit.decompose_first_factor(x)
         assert sorted(dec.terms) == [1, 2]
-        assert hit.recompose_first_factor(dec).same(x)
+        assert hit.recompose_first_factor(dec) == x
 
     def test_decompose_rejects_arity_one(self):
         with pytest.raises(ValueError):
@@ -288,7 +288,7 @@ class TestFirstFactorStructure:
 
     def test_builder_minimal_case(self):
         out = hit.build_delta1_element(gamma((3,)), 4)
-        assert out.same(gamma((1, 3)))
+        assert out == gamma((1, 3))
         assert sq(out, 1).is_zero() and sq(out, 2).is_zero()
 
     def test_builder_rejects_bad_seed(self):
@@ -310,7 +310,7 @@ class TestFirstFactorStructure:
         # Degree-1 choice at index 3 must be killed by Sq^1; [1] qualifies.
         out = hit.build_delta1_element(gamma((3,)), 4, choices={3: gamma((1,))})
         assert sq(out, 1).is_zero() and sq(out, 2).is_zero()
-        assert out.same(gamma((1, 3)) + gamma((3, 1)))
+        assert out == gamma((1, 3)) + gamma((3, 1))
 
 
 class TestImageMembership:
@@ -319,7 +319,7 @@ class TestImageMembership:
         x = gamma((1, 3), (3, 1))
         ok, witness = hit.i1_membership(x)
         if ok:
-            assert sq(witness, 3).same(x)
+            assert sq(witness, 3) == x
 
     def test_agrees_with_direct_image_check(self):
         for d in range(2, 11):
@@ -331,7 +331,7 @@ class TestImageMembership:
                 ok, witness = hit.i1_membership(x)
                 assert ok == f2linalg.contains(im3, r)
                 if ok:
-                    assert sq(witness, 3).same(x)
+                    assert sq(witness, 3) == x
 
     def test_rejects_element_outside_delta(self):
         with pytest.raises(ValueError):
@@ -370,4 +370,4 @@ class TestCounterexample:
     def test_z_relates_to_w_by_first_factor(self):
         # The degree-1 first-factor part of z is exactly w.
         dec = hit.decompose_first_factor(hit.unhit_witness_5_9())
-        assert dec.terms[1].same(hit.sq2_kernel_witness())
+        assert dec.terms[1] == hit.sq2_kernel_witness()

@@ -157,7 +157,7 @@ class TestPreimageChain:
     def test_order_zero_hand_case(self):
         chain = preimage_chain(mono(3), HomotopySystem(G, 0, 1))
         assert chain[0].sorted_support()[0] == (4,)
-        assert sq(chain[0], 1).same(mono(3))
+        assert sq(chain[0], 1) == mono(3)
 
     def test_zero_element(self):
         z = Element.zero(G, 1, 3)
@@ -217,5 +217,5 @@ class TestPreimageChain:
         for r in inter.basis:
             x = hit.vector_to_element(r, b, G)
             chain = preimage_chain(x, h)
-            assert sq(chain[1], 3).same(x)
+            assert sq(chain[1], 3) == x
             assert in_null(chain[1], h)

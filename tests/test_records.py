@@ -17,8 +17,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+    # Nor sqhit.homotopy: only the preimage command imports it.
     code = ("import sys; before = set(sys.modules); import sqhit.cli; "
-            "print(' '.join(sorted({'dataclasses', 'inspect', 'csv'} & (set(sys.modules) - before))))")
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'csv', 'sqhit.homotopy'}"
+            " & (set(sys.modules) - before))))")
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == ""
