@@ -21,6 +21,7 @@ from .modules import (
     ExpansionTooLarge,
     InternalInconsistencyError,
     ModuleKind,
+    POSITIVE_KINDS,
     basis,
     basis_size,
     element_from_json,
@@ -85,14 +86,20 @@ def _check_dim(cfg: Config, kind: ModuleKind, s: int, d: int) -> Optional[str]:
     return _check_arity(s)
 
 
-def _check_guardrails(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> Optional[str]:
-    """The refusal (exit 3) of a subspace query, if any; a negative order is
-    bad input (exit 2)."""
+def _check_order(cfg: Config, k: int) -> Optional[str]:
+    """The refusal (exit 3) of an order past max_k, if any; a negative order
+    is bad input (exit 2)."""
     if k < 0:
         raise ValueError(f"order k={k} must be >= 0")
     if k > cfg.max_k:
         return f"order k={k} exceeds max_k={cfg.max_k}"
-    return _check_dim(cfg, kind, s, d + (1 << (k + 1)))
+    return None
+
+
+def _check_guardrails(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> Optional[str]:
+    """The refusal (exit 3) of a subspace query, if any: its order, then the
+    largest piece it reads, the source of the top spike square."""
+    return _check_order(cfg, k) or _check_dim(cfg, kind, s, d + (1 << (k + 1)))
 
 
 def _read_element(path: str) -> Element:
@@ -141,6 +148,9 @@ def cmd_sq(args, cfg: Config) -> int:
     guard = _check_arity(x.s)
     if guard:
         return _die(3, guard)
+    if x.kind in POSITIVE_KINDS and args.l > x.d:
+        # The output would have a negative degree, which no element file has.
+        return _die(2, f"Sq^{args.l} exceeds the degree d={x.d} of a {x.kind.value} element")
     try:
         y = sq(x, args.l, limit=cfg.max_dim)
     except ExpansionTooLarge:
@@ -191,10 +201,13 @@ def cmd_unhit(args, cfg: Config) -> int:
 
 
 def cmd_report(args, cfg: Config) -> int:
+    guard = _check_order(cfg, args.k)
+    if guard:
+        return _die(3, guard)
     rows = []
     for s in range(args.s_min, args.s_max + 1):
         for d in range(args.d_min, args.d_max + 1):
-            guard = _check_guardrails(cfg, args.kind, s, d, args.k)
+            guard = _check_dim(cfg, args.kind, s, d + (1 << (args.k + 1)))
             if guard:
                 return _die(3, guard)
             rows.append(_report_row(hit.unhit_report(Bidegree(s, d), args.k, args.kind)))
@@ -241,9 +254,7 @@ def cmd_preimage(args, cfg: Config) -> int:
         x = _read_element(args.input)
     except (json.JSONDecodeError, ValueError, OSError) as exc:
         return _die(2, f"bad element input: {exc}")
-    if args.k > cfg.max_k:
-        return _die(3, f"order k={args.k} exceeds max_k={cfg.max_k}")
-    guard = _check_arity(x.s)
+    guard = _check_order(cfg, args.k) or _check_arity(x.s)
     if guard:
         return _die(3, guard)
     if not 1 <= args.position <= x.s:

@@ -45,18 +45,6 @@ class BitMatrix(_BitMatrixFields):
                 raise ValueError("row has bits outside column range")
         return tuple.__new__(cls, (rows, cols, data))
 
-    def apply(self, bits: int) -> int:
-        """Right action v*M; bit i of v picks row i of M."""
-        _check_bits(bits, self.rows)
-        out = 0
-        i = 0
-        while bits:
-            if bits & 1:
-                out ^= self.data[i]
-            bits >>= 1
-            i += 1
-        return out
-
 
 class Subspace:
     """A subspace of F_2^ambient_dim in semi-echelon form: pivots maps each

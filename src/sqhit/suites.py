@@ -10,7 +10,7 @@ import json
 import random
 from typing import Callable, Dict, NamedTuple, Optional
 
-from . import f2linalg, hit
+from . import f2linalg, hit, structure
 from .homotopy import (
     AnnihilationError,
     ChainCertificateError,
@@ -337,21 +337,24 @@ def suite_structure(seed: int = 0) -> SuiteResult:
             b = Bidegree(s, d)
             ker1 = f2linalg.kernel_basis(hit.sq_matrix(b, 1, ModuleKind.GAMMA))
             for x in hit.subspace_elements(ker1, b, ModuleKind.GAMMA):
-                rec.check(not hit.check_sq1_relations(x), lambda x=x: _fail_json(x, "sq1 checker on kernel vector"))
+                rec.check(not structure.check_sq1_relations(x),
+                          lambda x=x: _fail_json(x, "sq1 checker on kernel vector"))
             ker2 = f2linalg.kernel_basis(hit.sq_matrix(b, 2, ModuleKind.GAMMA))
             for x in hit.subspace_elements(ker2, b, ModuleKind.GAMMA):
-                rec.check(not hit.check_sq2_relations(x), lambda x=x: _fail_json(x, "sq2 checker on kernel vector"))
+                rec.check(not structure.check_sq2_relations(x),
+                          lambda x=x: _fail_json(x, "sq2 checker on kernel vector"))
             for x in hit.subspace_elements(hit.delta_basis(b, 1, ModuleKind.GAMMA), b, ModuleKind.GAMMA):
-                rec.check(not hit.check_delta1_structure(x), lambda x=x: _fail_json(x, "delta1 checker on kernel vector"))
+                rec.check(not structure.check_delta1_structure(x),
+                          lambda x=x: _fail_json(x, "delta1 checker on kernel vector"))
             # Coincidence on random elements covers the converse direction.
             for _ in range(6):
                 x = random_element(rng, ModuleKind.GAMMA, s, d)
-                rec.check((not hit.check_sq1_relations(x)) == sq(x, 1).is_zero(),
+                rec.check((not structure.check_sq1_relations(x)) == sq(x, 1).is_zero(),
                           lambda x=x: _fail_json(x, "sq1 checker equivalence"))
-                rec.check((not hit.check_sq2_relations(x)) == sq(x, 2).is_zero(),
+                rec.check((not structure.check_sq2_relations(x)) == sq(x, 2).is_zero(),
                           lambda x=x: _fail_json(x, "sq2 checker equivalence"))
                 in_delta1 = sq(x, 1).is_zero() and sq(x, 2).is_zero()
-                rec.check((not hit.check_delta1_structure(x)) == in_delta1,
+                rec.check((not structure.check_delta1_structure(x)) == in_delta1,
                           lambda x=x: _fail_json(x, "delta1 checker equivalence"))
     return rec.result
 
@@ -369,7 +372,7 @@ def suite_i1_membership(seed: int = 0) -> SuiteResult:
             im3 = f2linalg.image_basis(hit.sq_matrix(Bidegree(s, d + 3), 3, ModuleKind.GAMMA))
             for r in delta1.basis:
                 x = hit.vector_to_element(r, b, ModuleKind.GAMMA)
-                member, witness = hit.i1_membership(x)
+                member, witness = structure.i1_membership(x)
                 direct = f2linalg.contains(im3, r)
                 rec.check(member == direct, lambda x=x: _fail_json(x, "criterion vs direct image membership"))
                 if member:
@@ -391,26 +394,34 @@ def suite_builder(seed: int = 0) -> SuiteResult:
         cases += 1
         x1 = hit.vector_to_element(rng.choice(ker2.basis),
                                    Bidegree(s1, d1), ModuleKind.GAMMA)
-        x = hit.build_delta1_element(x1, d1 + 1)
+        x = structure.build_delta1_element(x1, d1 + 1)
         ok = sq(x, 1).is_zero() and sq(x, 2).is_zero()
-        dec = hit.decompose_first_factor(x) if not x.is_zero() else None
-        if ok and dec is not None:
-            ok = dec.terms.get(1, Element.zero(ModuleKind.GAMMA, s1, d1)) == x1
+        if ok and not x.is_zero():
+            ok = structure.decompose_first_factor(x).get(1, Element.zero(ModuleKind.GAMMA, s1, d1)) == x1
         rec.check(ok, lambda x1=x1: _fail_json(x1, "builder output membership"))
     return rec.result
 
 
 def suite_counterexample(seed: int = 0) -> SuiteResult:
+    """The (5,9) class: w in (4,8) is in ker Sq^2 outside im Sq^2, z in (5,9)
+    is in Delta(1) outside im Sq^3, and U(1) at (5,9) is nonzero."""
     rec = _Recorder("counterexample")
-    try:
-        report = hit.counterexample_suite()
-    except AssertionError as exc:
-        rec.check(False, lambda exc=exc: json.dumps({"case": str(exc)}))
-        return rec.result
-    for key, value in report.items():
-        if isinstance(value, bool):
-            rec.check(value, lambda key=key: json.dumps({"case": key}))
-    rec.check(report["dim_unhit_5_9"] >= 1, lambda: json.dumps({"case": "unhit dimension"}))
+    G = ModuleKind.GAMMA
+    w, z = structure.sq2_kernel_witness(), structure.unhit_witness_5_9()
+    wvec = hit.element_to_vector(w, Bidegree(4, 8), G)
+    zvec = hit.element_to_vector(z, Bidegree(5, 9), G)
+    im2 = f2linalg.image_basis(hit.sq_matrix(Bidegree(4, 10), 2, G))
+    im3 = f2linalg.image_basis(hit.sq_matrix(Bidegree(5, 12), 3, G))
+    facts = (
+        ("witness w is not killed by Sq^2", sq(w, 2).is_zero()),
+        ("witness w unexpectedly lies in im Sq^2", not f2linalg.contains(im2, wvec)),
+        ("witness z is not killed by Sq^1 and Sq^2",
+         f2linalg.contains(hit.delta_basis(Bidegree(5, 9), 1, G), zvec)),
+        ("witness z unexpectedly lies in im Sq^3", not f2linalg.contains(im3, zvec)),
+        ("unhit dimension at (5,9) is zero", hit.unhit_report(Bidegree(5, 9), 1, G).dim_unhit >= 1),
+    )
+    for case, ok in facts:
+        rec.check(ok, lambda case=case: json.dumps({"case": case}))
     return rec.result
 
 

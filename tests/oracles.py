@@ -214,6 +214,15 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def apply(m, bits):
+    """The right action v*M of a BitMatrix: bit i of v picks row i of M."""
+    out = 0
+    for i, row in enumerate(m.data):
+        if bits >> i & 1:
+            out ^= row
+    return out
+
+
 def rref_rows(rows):
     """In-place style Gauss-Jordan on packed rows; returns sorted RREF rows."""
     work = list(rows)

@@ -1,12 +1,15 @@
 import argparse
+import importlib
 import json
+import pkgutil
 import re
 import time
 from pathlib import Path
 
 import pytest
 
-from sqhit import cli, f2linalg, hit, homotopy
+import sqhit
+from sqhit import cli, f2linalg, hit, homotopy, structure
 from sqhit.cli import main
 from sqhit.homotopy import ChainCertificateError
 from sqhit.modules import (
@@ -115,20 +118,46 @@ class TestBasis:
 
 class TestSq:
     def test_round_trip_bit_exact(self, capsys, tmp_path):
-        x = hit.unhit_witness_5_9()
+        x = structure.unhit_witness_5_9()
         path = write_element(tmp_path, x)
         code, out, _ = run(capsys, "sq", "--in", path, "--l", "0")
         assert code == 0
         assert element_from_json(json.loads(out)) == x
 
     def test_action_through_file_output(self, capsys, tmp_path):
-        x = hit.sq2_kernel_witness()
+        x = structure.sq2_kernel_witness()
         path = write_element(tmp_path, x)
         out_path = tmp_path / "y.json"
         code, _, _ = run(capsys, "sq", "--in", path, "--l", "1", "--out", str(out_path))
         assert code == 0
         y = element_from_json(json.loads(out_path.read_text()))
         assert y == sq(x, 1)
+
+    # An element of (2, 3) of each positive kind.
+    POSITIVE_2_3 = [("gamma", [[1, 2], [2, 1]]), ("gamma-sym", [[2, 1]]), ("gamma-cyc", [[2, 1]])]
+
+    @pytest.mark.parametrize("kind,entries", POSITIVE_2_3)
+    def test_square_past_the_degree_exit_2(self, capsys, tmp_path, kind, entries):
+        # Its output would have degree 3 - 10 < 0, which sq could not read back.
+        path = write_element(tmp_path, element_from_json({"kind": kind, "s": 2, "d": 3, "monomials": entries}))
+        code, out, err = run(capsys, "sq", "--in", path, "--l", "10")
+        assert (code, out) == (2, "")
+        assert err.strip() == f"Sq^10 exceeds the degree d=3 of a {kind} element"
+
+    @pytest.mark.parametrize("kind,entries", POSITIVE_2_3)
+    def test_square_of_the_degree_round_trips(self, capsys, tmp_path, kind, entries):
+        path = write_element(tmp_path, element_from_json({"kind": kind, "s": 2, "d": 3, "monomials": entries}))
+        code, out, _ = run(capsys, "sq", "--in", path, "--l", "3")
+        assert code == 0
+        zero = element_from_json(json.loads(out))
+        assert zero == Element.zero(ModuleKind(kind), 2, 0)
+        code, out, _ = run(capsys, "sq", "--in", write_element(tmp_path, zero, "z.json"), "--l", "0")
+        assert code == 0 and element_from_json(json.loads(out)) == zero
+
+    def test_nabla_square_past_the_degree_runs(self, capsys, tmp_path):
+        x = element_from_json({"kind": "nabla", "s": 2, "d": 3, "monomials": [[1, 2]]})
+        code, out, _ = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "10")
+        assert code == 0 and element_from_json(json.loads(out)) == sq(x, 10)
 
     def test_bad_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -182,11 +211,14 @@ class TestSq:
         assert code == 2
 
     def test_huge_square_returns_zero_at_once(self, capsys, tmp_path):
+        # modules.sq returns the zero at once; the command refuses it, as its
+        # degree 8 - 10**8 is one no element file may have.
         x = element_from_json({"kind": "gamma", "s": 3, "d": 8, "monomials": [[2, 3, 3]]})
+        assert sq(x, 10**8) == Element.zero(ModuleKind.GAMMA, 3, 8 - 10**8)
         path = write_element(tmp_path, x)
-        code, out, _ = run(capsys, "sq", "--in", path, "--l", "100000000")
-        assert code == 0
-        assert json.loads(out) == {"d": 8 - 10**8, "kind": "gamma", "monomials": [], "s": 3}
+        code, out, err = run(capsys, "sq", "--in", path, "--l", "100000000")
+        assert (code, out) == (2, "")
+        assert err.strip() == "Sq^100000000 exceeds the degree d=8 of a gamma element"
 
     def test_huge_arity_refused(self, capsys, tmp_path):
         x = Element.single(ModuleKind.GAMMA, (2,) + (1,) * 1499)
@@ -401,6 +433,13 @@ class TestReport:
         rows = json.loads(out)
         assert all(row["dim_unhit"] == 0 for row in rows)
 
+    @pytest.mark.parametrize("k,code,message", [
+        ("-2", 2, "order k=-2 must be >= 0"), ("9", 3, "order k=9 exceeds max_k=4"),
+    ], ids=["negative", "past-max-k"])
+    def test_order_checked_on_an_empty_box(self, capsys, k, code, message):
+        got, out, err = run(capsys, "report", "--k", k, "--s-min", "3", "--s-max", "2", "--d-max", "3")
+        assert (got, out, err.strip()) == (code, "", message)
+
 
 class TestVerify:
     def test_counterexample_suite_green(self, capsys):
@@ -434,7 +473,7 @@ class TestPreimage:
     def test_null_rejection_exit_4(self, capsys, tmp_path):
         # The (5,9) class has monomials with first entry 1, outside the
         # first-entry >= 2 null subspace at k=1.
-        path = write_element(tmp_path, hit.unhit_witness_5_9())
+        path = write_element(tmp_path, structure.unhit_witness_5_9())
         code, _, err = run(capsys, "preimage", "--in", path, "--k", "1")
         assert code == 4 and "null" in err
         # The lexicographically least offending term, whatever the hash seed.
@@ -459,6 +498,11 @@ class TestPreimage:
         code, _, _ = run(capsys, "preimage", "--in", path, "--k", "9")
         assert code == 3
 
+    def test_negative_order_exit_2(self, capsys, tmp_path):
+        x = element_from_json({"kind": "gamma", "s": 1, "d": 3, "monomials": [[3]]})
+        code, out, err = run(capsys, "preimage", "--in", write_element(tmp_path, x), "--k", "-1")
+        assert (code, out, err.strip()) == (2, "", "order k=-1 must be >= 0")
+
     def test_negative_degree_exit_2(self, capsys, tmp_path):
         path = tmp_path / "neg.json"
         path.write_text(json.dumps({"kind": "gamma", "s": 2, "d": -5, "monomials": []}))
@@ -467,15 +511,32 @@ class TestPreimage:
         assert err.strip() == "bad element input: degree d=-5 must be >= 0 for gamma"
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 class TestReadme:
     def test_usage_block_names_every_command(self):
         # Each `sqhit CMD` line of README's usage block names a subcommand
         # of the parser, and each subcommand has a line.
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = README.read_text()
         usage = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
         documented = {line.split()[1] for line in usage.splitlines() if line.startswith("sqhit ")}
         sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         assert documented == set(sub.choices)
+
+    def test_cited_names_resolve(self):
+        # Every `module.name` or `sqhit.module.name` that README cites
+        # outside its list of removed names exists.
+        text = README.read_text().split("Removed names and what replaces each:", 1)[0]
+        text = re.sub(r"```.*?```", "", text, flags=re.S)
+        modules = {m.name for m in pkgutil.iter_modules(sqhit.__path__)}
+        cited = [m.groups() for m in (re.match(r"(?:sqhit\.)?(\w+)\.(\w+)", span)
+                                      for span in re.findall(r"`([^`]+)`", text))
+                 if m and m.group(1) in modules]
+        assert len(cited) >= 20
+        missing = [f"{mod}.{name}" for mod, name in cited
+                   if not hasattr(importlib.import_module(f"sqhit.{mod}"), name)]
+        assert missing == []
 
 
 class TestInternalError:

@@ -112,14 +112,6 @@ def test_solve_bits_outside_columns_raise():
             f2linalg.solve(identity(3), bits)
 
 
-def test_apply_bits_outside_rows_raise():
-    m = BitMatrix(2, 3, (0b011, 0b110))
-    assert m.apply(0b11) == 0b101
-    for bits in (0b100, -1):
-        with pytest.raises(ValueError):
-            m.apply(bits)
-
-
 def test_solve_identity():
     assert f2linalg.solve(identity(3), 0b101) == 0b101
 
@@ -132,7 +124,7 @@ def test_solve_single_row():
     m = BitMatrix(1, 2, (0b11,))
     v = f2linalg.solve(m, 0b11)
     assert v == 0b1
-    assert m.apply(v) == 0b11
+    assert oracles.apply(m, v) == 0b11
 
 
 matrices = st.integers(1, 6).flatmap(
@@ -149,7 +141,7 @@ def test_rank_nullity(m):
 @given(matrices)
 def test_kernel_rows_annihilate(m):
     for r in f2linalg.kernel_basis(m).basis:
-        assert m.apply(r) == 0
+        assert oracles.apply(m, r) == 0
 
 
 @given(matrices)
@@ -174,10 +166,10 @@ def test_intersect_contained_and_commutative(a, b):
 @given(matrices, st.integers(0, 63))
 def test_solve_is_exact_when_present(m, vbits):
     v = vbits & ((1 << m.rows) - 1)
-    b = m.apply(v)
+    b = oracles.apply(m, v)
     got = f2linalg.solve(m, b)
     assert got is not None
-    assert m.apply(got) == b
+    assert oracles.apply(m, got) == b
 
 
 @given(matrices)
@@ -227,7 +219,7 @@ def test_intersect_matches_oracle(a, b):
 @given(any_matrices, st.integers(0, (1 << 48) - 1), st.booleans())
 def test_solve_matches_oracle(m, bits, reachable):
     if reachable:
-        target = m.apply(bits & ((1 << m.rows) - 1))
+        target = oracles.apply(m, bits & ((1 << m.rows) - 1))
     else:
         target = bits & ((1 << m.cols) - 1)
     got = f2linalg.solve(m, target)
@@ -235,7 +227,7 @@ def test_solve_matches_oracle(m, bits, reachable):
     assert (got is None) == (expected is None)
     if got is not None:
         assert got == expected
-        assert m.apply(got) == target
+        assert oracles.apply(m, got) == target
 
 
 @given(any_matrices, st.integers(0, (1 << 48) - 1), st.booleans())
@@ -243,7 +235,7 @@ def test_subspace_reduce_matches_oracle(m, bits, in_span):
     # Only whether the remainder is zero is canonical, not its value.
     sub = f2linalg.image_basis(m)
     if in_span:
-        bits = m.apply(bits & ((1 << m.rows) - 1))
+        bits = oracles.apply(m, bits & ((1 << m.rows) - 1))
     else:
         bits &= (1 << m.cols) - 1
     contained = sub.reduce(bits) == 0

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from oracles import naive_sq
-from sqhit import f2linalg, hit, modules
+from sqhit import f2linalg, hit, modules, structure, suites
 from sqhit.f2linalg import BitMatrix, subspace_from_rows
 from sqhit.modules import Bidegree, Element, ModuleKind, basis, sq
 
@@ -149,6 +149,25 @@ class TestSqMatrix:
         hit.sq_matrix.cache_clear()
 
 
+class TestSqStack:
+    @pytest.mark.parametrize("kind,b,squares,support", [
+        (G, (4, 18), (1, 2, 4), None),
+        (ModuleKind.GAMMA_SYM, (6, 24), (1, 2), oracles.sym_sq_support)])
+    def test_rows_are_oracle_blocks_side_by_side(self, kind, b, squares, support):
+        rows, offset = None, 0
+        for l in squares:
+            n, cols, data = oracles.gamma_action_rows(*b, l, support, kind)
+            rows = [r | (x << offset) for r, x in zip(rows or [0] * n, data)]
+            offset += cols
+        m = hit.sq_stack(Bidegree(*b), squares, kind)
+        assert (m.rows, m.cols, m.data) == (len(rows), offset, tuple(rows))
+
+    def test_delta_is_kernel_of_the_stack(self):
+        b = Bidegree(4, 18)
+        stack = hit.sq_stack(b, (1, 2, 4), G)
+        assert hit.delta_basis(b, 2, G) == f2linalg.kernel_basis(stack)
+
+
 class TestVectorConversion:
     def test_round_trip(self):
         b = Bidegree(2, 4)
@@ -257,19 +276,20 @@ class TestDeltaAndImage:
 class TestFirstFactorStructure:
     def test_decompose_round_trip(self):
         x = gamma((1, 2, 1), (2, 1, 1), (1, 1, 2))
-        dec = hit.decompose_first_factor(x)
-        assert sorted(dec.terms) == [1, 2]
-        assert hit.recompose_first_factor(dec) == x
+        parts = structure.decompose_first_factor(x)
+        assert sorted(parts) == [1, 2]
+        assert sum((modules.concat_product(gamma((i,)), part) for i, part in parts.items()),
+                   Element.zero(G, 3, 4)) == x
 
     def test_decompose_rejects_arity_one(self):
         with pytest.raises(ValueError):
-            hit.decompose_first_factor(gamma((3,)))
+            structure.decompose_first_factor(gamma((3,)))
 
     def test_sq1_checker_accepts_kernel_element(self):
-        assert hit.check_sq1_relations(gamma((1, 1))) == []
+        assert structure.check_sq1_relations(gamma((1, 1))) == []
 
     def test_sq1_checker_flags_bad_even_part(self):
-        violations = hit.check_sq1_relations(gamma((2, 1)))
+        violations = structure.check_sq1_relations(gamma((2, 1)))
         assert ("x_{2n} = x_{2n-1}Sq^1", 1) in violations
 
     def test_checkers_match_kernels_exhaustively(self):
@@ -281,43 +301,33 @@ class TestFirstFactorStructure:
                 mat2 = hit.sq_matrix(b, 2, G)
                 for r in range(1, 1 << min(len(monos), 7)):
                     x = hit.vector_to_element(r, b, G)
-                    assert (hit.check_sq1_relations(x) == []) == sq(x, 1).is_zero()
-                    assert (hit.check_sq2_relations(x) == []) == sq(x, 2).is_zero()
+                    assert (structure.check_sq1_relations(x) == []) == sq(x, 1).is_zero()
+                    assert (structure.check_sq2_relations(x) == []) == sq(x, 2).is_zero()
                     joint = sq(x, 1).is_zero() and sq(x, 2).is_zero()
-                    assert (hit.check_delta1_structure(x) == []) == joint
+                    assert (structure.check_delta1_structure(x) == []) == joint
 
     def test_builder_minimal_case(self):
-        out = hit.build_delta1_element(gamma((3,)), 4)
+        out = structure.build_delta1_element(gamma((3,)), 4)
         assert out == gamma((1, 3))
         assert sq(out, 1).is_zero() and sq(out, 2).is_zero()
 
     def test_builder_rejects_bad_seed(self):
         with pytest.raises(ValueError):
-            hit.build_delta1_element(gamma((4,)), 5)
-
-    def test_builder_choice_index_validated(self):
-        with pytest.raises(ValueError):
-            hit.build_delta1_element(gamma((3,)), 4, choices={2: gamma((1,))})
+            structure.build_delta1_element(gamma((4,)), 5)
 
     def test_builder_failed_solve_names_bidegree_and_stage(self, monkeypatch):
         # [3]Sq^3 = 0 still asks for a Sq^1 preimage at (1, 1).
         monkeypatch.setattr(f2linalg, "solve", lambda m, bits: None)
         message = "gamma (1,1), k=1, build_delta1_element Sq^1 preimage: no preimage"
-        with pytest.raises(hit.InternalInconsistencyError, match=re.escape(message)):
-            hit.build_delta1_element(gamma((3,)), 4)
-
-    def test_builder_choices_preserve_membership(self):
-        # Degree-1 choice at index 3 must be killed by Sq^1; [1] qualifies.
-        out = hit.build_delta1_element(gamma((3,)), 4, choices={3: gamma((1,))})
-        assert sq(out, 1).is_zero() and sq(out, 2).is_zero()
-        assert out == gamma((1, 3)) + gamma((3, 1))
+        with pytest.raises(structure.InternalInconsistencyError, match=re.escape(message)):
+            structure.build_delta1_element(gamma((3,)), 4)
 
 
 class TestImageMembership:
     def test_hit_element_has_verified_witness(self):
         # [1,3]+[3,1] lies in Delta(1) at (2,4); decide its Sq^3 status.
         x = gamma((1, 3), (3, 1))
-        ok, witness = hit.i1_membership(x)
+        ok, witness = structure.i1_membership(x)
         if ok:
             assert sq(witness, 3) == x
 
@@ -328,46 +338,45 @@ class TestImageMembership:
             im3 = f2linalg.image_basis(hit.sq_matrix(Bidegree(2, d + 3), 3, G))
             for r in delta.basis:
                 x = hit.vector_to_element(r, b, G)
-                ok, witness = hit.i1_membership(x)
+                ok, witness = structure.i1_membership(x)
                 assert ok == f2linalg.contains(im3, r)
                 if ok:
                     assert sq(witness, 3) == x
 
     def test_rejects_element_outside_delta(self):
         with pytest.raises(ValueError):
-            hit.i1_membership(gamma((2, 1)))
+            structure.i1_membership(gamma((2, 1)))
 
     def test_zero_is_trivially_hit(self):
-        ok, witness = hit.i1_membership(Element.zero(G, 2, 5))
+        ok, witness = structure.i1_membership(Element.zero(G, 2, 5))
         assert ok and witness.is_zero()
 
 
 class TestCounterexample:
     def test_suite_passes(self):
-        result = hit.counterexample_suite()
-        assert result["dim_delta_5_9"] == 32
-        assert result["dim_image_5_9"] == 31
-        assert result["dim_unhit_5_9"] == 1
+        assert suites.suite_counterexample() == suites.SuiteResult("counterexample", 5, 0)
+        rep = hit.unhit_report(Bidegree(5, 9), 1, G)
+        assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (32, 31, 1)
 
     def test_w_properties(self):
-        w = hit.sq2_kernel_witness()
+        w = structure.sq2_kernel_witness()
         assert (w.s, w.d) == (4, 8) and len(w.support) == 7
         assert sq(w, 2).is_zero()
         im2 = f2linalg.image_basis(hit.sq_matrix(Bidegree(4, 10), 2, G))
         assert not f2linalg.contains(im2, hit.element_to_vector(w, Bidegree(4, 8), G))
 
     def test_z_properties(self):
-        z = hit.unhit_witness_5_9()
+        z = structure.unhit_witness_5_9()
         assert (z.s, z.d) == (5, 9) and len(z.support) == 25
         assert sq(z, 1).is_zero() and sq(z, 2).is_zero()
-        ok, witness = hit.i1_membership(z)
+        ok, witness = structure.i1_membership(z)
         assert not ok and witness is None
 
     def test_mutated_witness_leaves_delta(self):
-        z = hit.unhit_witness_5_9() + gamma((1, 1, 1, 1, 5))
+        z = structure.unhit_witness_5_9() + gamma((1, 1, 1, 1, 5))
         assert not (sq(z, 1).is_zero() and sq(z, 2).is_zero())
 
     def test_z_relates_to_w_by_first_factor(self):
         # The degree-1 first-factor part of z is exactly w.
-        dec = hit.decompose_first_factor(hit.unhit_witness_5_9())
-        assert dec.terms[1] == hit.sq2_kernel_witness()
+        parts = structure.decompose_first_factor(structure.unhit_witness_5_9())
+        assert parts[1] == structure.sq2_kernel_witness()

@@ -17,10 +17,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_csv():
-    # Nor sqhit.homotopy: only the preimage command imports it.
+    # Nor sqhit.homotopy, sqhit.suites or sqhit.structure: only the preimage
+    # and verify commands import them.
     code = ("import sys; before = set(sys.modules); import sqhit.cli; "
-            "print(' '.join(sorted({'dataclasses', 'inspect', 'csv', 'sqhit.homotopy'}"
-            " & (set(sys.modules) - before))))")
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'csv', 'sqhit.homotopy',"
+            " 'sqhit.suites', 'sqhit.structure'} & (set(sys.modules) - before))))")
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == ""
@@ -38,8 +39,6 @@ HASHABLE = [
 ]
 UNHASHABLE = [
     pytest.param(lambda: f2linalg.subspace_from_rows(3, [0b011, 0b110]), "pivots", id="Subspace"),
-    pytest.param(lambda: hit.FirstFactorDecomposition(2, 3, {1: Element.single(G, (2,))}), "terms",
-                 id="FirstFactorDecomposition"),
 ]
 
 

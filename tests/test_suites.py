@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from sqhit import hit, suites
+from sqhit import structure, suites
 from sqhit.homotopy import ChainCertificateError
-from sqhit.modules import ModuleKind
+from sqhit.modules import Element, ModuleKind
+
+G = ModuleKind.GAMMA
 
 
 class TestCertifyNullDelta:
@@ -33,9 +35,21 @@ class TestCertificatesSuite:
 
 
 class TestCounterexampleSuite:
+    # A patched witness fails exactly the facts it breaks, each counted
+    # once, and the first broken fact is the one named.
+    BROKEN = [
+        ("sq2_kernel_witness", Element.zero(G, 4, 8), 1, "witness w unexpectedly lies in im Sq^2"),
+        ("sq2_kernel_witness", Element.single(G, (1, 1, 1, 5)), 2, "witness w is not killed by Sq^2"),
+        ("unhit_witness_5_9", Element.zero(G, 5, 9), 1, "witness z unexpectedly lies in im Sq^3"),
+        ("unhit_witness_5_9", Element.single(G, (1, 1, 1, 1, 5)), 1,
+         "witness z is not killed by Sq^1 and Sq^2"),
+    ]
+
     def test_one_check_per_reported_assertion(self, monkeypatch):
-        report = {**hit.counterexample_suite(), "z_not_in_im_sq3": False}
-        monkeypatch.setattr(hit, "counterexample_suite", lambda: report)
-        res = suites.suite_counterexample()
-        assert (res.passed, res.failed) == (4, 1)
-        assert json.loads(res.first_failure) == {"case": "z_not_in_im_sq3"}
+        assert suites.suite_counterexample() == suites.SuiteResult("counterexample", 5, 0)
+        for name, broken, failed, first in self.BROKEN:
+            with monkeypatch.context() as m:
+                m.setattr(structure, name, lambda broken=broken: broken)
+                res = suites.suite_counterexample()
+            assert (res.passed, res.failed) == (5 - failed, failed), (name, broken)
+            assert json.loads(res.first_failure) == {"case": first}
