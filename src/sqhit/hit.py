@@ -12,7 +12,8 @@ The first-factor structure theory built on these lives in ``structure``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import f2linalg
@@ -71,65 +72,173 @@ def _basis_index(b: Bidegree, kind: ModuleKind) -> Dict[Tuple[int, ...], int]:
     return {t: j for j, t in enumerate(basis(b, kind))}
 
 
-# Gamma action rows keyed (s, d, l): row u is (basis monomial u of (s, d))Sq^l
-# packed over the basis of (s, d - l).  Filled on demand, lowest arity
-# first, and shared by every matrix whose first-entry blocks need them.
-_GAMMA_ROWS: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
+def _fill(cache: dict, top: tuple, children, build):
+    """cache[top], built after the keys it reads.  children(*key) names
+    the keys one arity down that build(*key) reads.  The keys the cache
+    lacks are walked down arity by arity, then built lowest arity first, in
+    loops, so no call goes deeper than one arity."""
+    levels = [{top}]
+    while levels[-1]:
+        levels.append({child for key in levels[-1] if key not in cache for child in children(*key)})
+    for level in reversed(levels):
+        for key in level:
+            if key not in cache:
+                cache[key] = build(*key)
+    return cache[top]
 
 
-def _splits(s: int, d: int, l: int):
-    """The (a, i) whose tail rows the block of first entry a in Sq^l on gamma
+# Action rows of gamma and gamma-sym, per kind keyed (s, d, l): row u is
+# (basis monomial u of (s, d))Sq^l packed over the basis of (s, d - l).
+# Filled on demand and shared by every matrix whose first-entry blocks
+# need them.
+_ROWS: Dict[ModuleKind, Dict[Tuple[int, int, int], Tuple[int, ...]]] = {
+    ModuleKind.GAMMA: {}, ModuleKind.GAMMA_SYM: {}}
+
+# gamma-sym column tables keyed (s, e, b): for the partitions t of e into
+# s parts with first entry above b, in basis order, the index of
+# sorted(b | t) in the basis of (s+1, e+b).
+_HIGH: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
+
+_SYM = ModuleKind.GAMMA_SYM
+
+
+def _first_entries(kind: ModuleKind, s: int, d: int) -> range:
+    """The first entries of the basis of (s, d), s >= 1, ascending: any a
+    for gamma; the largest part of a gamma-sym partition, from ceil(d/s)."""
+    return range(-(-d // s) if kind is _SYM else 1, d - s + 2)
+
+
+@lru_cache(maxsize=None)
+def _sym_count(s: int, d: int, c: int) -> int:
+    """Partitions of d into s parts, each at most c.  Taking 1 from each
+    part leaves the partitions of d - s that fit in a box of s rows and
+    c - 1 columns.  With k <= m the sides of the box, they are counted by
+    the coefficient of x^(d-s) in the Gaussian binomial [k + m, k], the
+    product over i = 1..k of (1 - x^(m+i)) / (1 - x^i).  It is symmetric of
+    degree km, so the coefficient of x^n with n <= km/2 is read, and the
+    factors with i > n are 1 up to x^n.  A box of one row holds one
+    partition of each size up to m."""
+    k, m = sorted((s, c - 1))
+    n = min(d - s, k * m - d + s)
+    if k < 0 or n < 0:
+        return int(s == d == 0)
+    if k == 1 or n == 0:
+        return 1
+    coef = [1] + [0] * n
+    for i in range(1, min(k, n) + 1):
+        for j in range(n, m + i - 1, -1):  # times 1 - x^(m+i)
+            coef[j] -= coef[j - m - i]
+        for j in range(i, n + 1):  # over 1 - x^i
+            coef[j] += coef[j - i]
+    return coef[n]
+
+
+@lru_cache(maxsize=None)
+def _offsets(kind: ModuleKind, s: int, d: int) -> Tuple[int, ...]:
+    """Entry c: the basis monomials of (s, d), s >= 2, with first entry
+    below c, for c up to one past the last first entry.  The block of first
+    entry a holds the (a | m) with m in the basis of (s-1, d-a): all
+    C(d-a-1, s-2) of them for gamma, and for gamma-sym those with no part
+    above a."""
+    firsts = _first_entries(kind, s, d)
+    if kind is _SYM:
+        sizes = (_sym_count(s - 1, d - a, a) for a in firsts)
+    else:
+        sizes = (math.comb(d - a - 1, s - 2) for a in firsts)
+    return (0,) * firsts.start + tuple(accumulate(sizes, initial=0))
+
+
+def _splits(kind: ModuleKind, s: int, d: int, l: int):
+    """The (a, i) whose tail rows the block of first entry a in Sq^l on
     (s, d) reads: C(a-i, i) odd, and a - i <= top keeps the tail's codomain
     (s-1, d-a-(l-i)) nonempty."""
     top = d - l - s + 1  # the largest first entry in the codomain
-    for a in range(1, d - s + 2):
+    for a in _first_entries(kind, s, d):
         for i in range(max(0, a - top), min(l, a - 1) + 1):
             if (a - i) & i == i:
                 yield a, i
 
 
-def _gamma_block(s: int, d: int, l: int) -> Tuple[int, ...]:
-    """Rows of Sq^l on gamma (s, d), s >= 1, d - l >= s, from the cached
+def _row_children(kind: ModuleKind, s: int, d: int, l: int):
+    """The keys of the tail rows ``_block(kind, s, d, l)`` reads."""
+    return [(s - 1, d - a, l - i) for a, i in _splits(kind, s, d, l)] if s > 1 else ()
+
+
+def _block(kind: ModuleKind, s: int, d: int, l: int) -> Tuple[int, ...]:
+    """Rows of Sq^l on (s, d), s >= 1, d - l >= s, from the cached
     arity-(s-1) rows.
 
-    The basis is in ascending lex order, so the monomials (a | m) with first
-    entry a form one block laid out like the basis of (s-1, d-a).  By the
-    Cartan formula the row of (a | m) is the OR, over the i with C(a-i, i)
-    odd, of the row of m under Sq^(l-i) shifted to the columns of first
-    entry a-i; distinct i give disjoint columns, so nothing cancels.
+    The basis is in ascending lex order, so the monomials (a | m) with
+    first entry a form one block.  By the Cartan formula the row of (a | m)
+    is the sum, over the i with C(a-i, i) odd, of the row of m under
+    Sq^(l-i) with b = a - i put in front.  For gamma the block is laid out
+    like the basis of (s-1, d-a), and b in front shifts a whole tail row to
+    the columns of first entry b.  For gamma-sym m has no part above a, so
+    the block is a prefix of the basis of (s-1, d-a).  b goes in front of
+    the tail columns that start at most at b, a low prefix that shifts as
+    a whole, and is sorted into the others through ``_HIGH``, where terms
+    of different i may meet and cancel.
     """
     if s == 1:
         return (binom_mod2(d - l, l),)
-    offset = [0, 0]  # offset[a]: the codomain columns before first entry a
-    for a in range(1, d - l - s + 1):
-        offset.append(offset[a] + math.comb(d - l - a - 1, s - 2))
+    tails, dom, cod = _ROWS[kind], _offsets(kind, s, d), _offsets(kind, s, d - l)
     blocks: Dict[int, List[int]] = {}
-    for a, i in _splits(s, d, l):
-        tail, shift = _GAMMA_ROWS[s - 1, d - a, l - i], offset[a - i]
-        acc = blocks.get(a)
-        if acc is None:
-            blocks[a] = [r << shift for r in tail]
-        else:
-            blocks[a] = [x | (r << shift) for x, r in zip(acc, tail)]
-    rows: List[int] = []
-    for a in range(1, d - s + 2):
-        rows.extend(blocks[a] if a in blocks else [0] * math.comb(d - a - 1, s - 2))
+    for a, i in _splits(kind, s, d, l):
+        b = a - i
+        tail, shift, acc = tails[s - 1, d - a, l - i], cod[b], blocks.get(a)
+        if kind is _SYM:
+            tail = tail[:dom[a + 1] - dom[a]]  # the m with no part above a
+            if b < d - l - b - s + 2:  # some tail columns start above b
+                low = cod[b + 1] - shift
+                high, mask = _fill(_HIGH, (s - 1, d - l - b, b), _high_children, _high_block), (1 << low) - 1
+                rows = [(r & mask) << shift | _scatter(r >> low, high) if r >> low else r << shift
+                        for r in tail]
+                blocks[a] = rows if acc is None else [x ^ y for x, y in zip(acc, rows)]
+                continue
+        blocks[a] = [r << shift for r in tail] if acc is None else [x ^ r << shift for x, r in zip(acc, tail)]
+    rows = []
+    for a in _first_entries(kind, s, d):
+        rows.extend(blocks[a] if a in blocks else [0] * (dom[a + 1] - dom[a]))
     return tuple(rows)
 
 
-def _gamma_rows(s: int, d: int, l: int) -> Tuple[int, ...]:
-    """Rows of Sq^l on gamma (s, d), s >= 1, d - l >= s.  The keys it needs
-    and lacks are walked down arity by arity, then built lowest arity
-    first, in loops, so no call goes deeper than one arity and no block is
-    built that no first entry reads."""
-    levels = [{(s, d, l)} - _GAMMA_ROWS.keys()]
-    for t in range(s, 1, -1):
-        levels.append({(t - 1, e - a, j - i) for _, e, j in levels[-1]
-                       for a, i in _splits(t, e, j)} - _GAMMA_ROWS.keys())
-    for level in reversed(levels):
-        for key in level:
-            _GAMMA_ROWS[key] = _gamma_block(*key)
-    return _GAMMA_ROWS[s, d, l]
+def _scatter(bits: int, columns: Tuple[int, ...]) -> int:
+    """The bits columns[j] for the bits j set in bits."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << columns[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def _high_firsts(s: int, e: int, b: int):
+    """The first entries c above b of the partitions (c | t') of (s, e),
+    each with whether some t' starts above b."""
+    for c in range(max(b + 1, -(-e // s)), e - s + 2):
+        yield c, e - c - s + 2 > b
+
+
+def _high_children(s: int, e: int, b: int):
+    """The keys of the tables ``_high_block(s, e, b)`` reads."""
+    return [(s - 1, e - c, b) for c, above in _high_firsts(s, e, b) if above]
+
+
+def _high_block(s: int, e: int, b: int) -> Tuple[int, ...]:
+    """``_HIGH[s, e, b]`` from the arity-(s-1) tables.  A partition
+    t = (c | t') with c > b sorts with b to (c | sorted(b | t')): in block c
+    of (s+1, e+b), at the index of sorted(b | t') in (s, e+b-c).  For the
+    t' with no part above b, the low prefix of (s-1, e-c), that is b in
+    front of t'; for the others it is in ``_HIGH[s-1, e-c, b]``."""
+    out: List[int] = []
+    for c, above in _high_firsts(s, e, b):
+        base = _sym_count(s + 1, e + b, c - 1)
+        low = _sym_count(s - 1, e - c, b)
+        front = base + _sym_count(s, e + b - c, b - 1)
+        out.extend(range(front, front + low))
+        if above:
+            out.extend(base + j for j in _HIGH[s - 1, e - c, b][:_sym_count(s - 1, e - c, c) - low])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -137,23 +246,25 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     """Matrix of the right action of Sq^l from (s,d) to (s,d-l).
 
     Row u is the coordinate vector of (basis monomial u)Sq^l in the
-    lexicographic basis of the target piece.  Gamma rows come from
-    first-entry blocks (``_gamma_rows``) and need no basis; orbit rows come
-    from the kind's expansion (``modules._SQ_EXPANSION``) of each basis
-    monomial, which for gamma-sym splits off the largest part of the
-    partition.
+    lexicographic basis of the target piece.  Gamma and gamma-sym rows come
+    from first-entry blocks (``_block``), built from the cached rows one
+    arity down with no basis enumerated and no monomial expanded.  A
+    necklace is not closed under the first-entry split, so gamma-cyc rows
+    come from the kind's expansion (``modules._SQ_EXPANSION``) of each
+    basis monomial.
     """
     n = basis_size(b, kind)
     if l < 0:
         raise ValueError("negative square index")
     target = Bidegree(b.s, b.d - l)
     cols = basis_size(target, kind) if target.d >= 0 else 0
-    if kind is ModuleKind.GAMMA:
+    if kind in _ROWS:
         if cols == 0 or b.s == 0:
             # No codomain gives zero rows.  At arity 0 a nonempty codomain
             # means (0, 0) Sq^0, the identity on the one monomial ().
             return BitMatrix(n, cols, (int(cols > 0),) * n)
-        return BitMatrix(n, cols, _gamma_rows(b.s, b.d, l))
+        rows = _fill(_ROWS[kind], (b.s, b.d, l), partial(_row_children, kind), partial(_block, kind))
+        return BitMatrix(n, cols, rows)
     index = _basis_index(target, kind) if cols else {}
     expand = _SQ_EXPANSION[kind]
     rows = []

@@ -215,7 +215,9 @@ def _sq_mono(nabla: bool, entries: Tuple[int, ...], l: int) -> frozenset:
 @lru_cache(maxsize=None)
 def _sym_mono(entries: Tuple[int, ...], l: int) -> frozenset:
     """Support (partitions) of [entries]Sq^l in gamma-sym, for a partition
-    entries = (a, *rest), by the Cartan formula on the largest part.
+    entries = (a, *rest), by the Cartan formula on the largest part.  It
+    serves element-level ``sq`` (the ``sq`` command, preimage chains);
+    ``hit.sq_matrix`` builds gamma-sym matrices from first-entry blocks.
 
     The plain terms are C(a - i, i)(a - i | t) over the plain terms t of
     [rest]Sq^(l - i).  rest is a partition too, and sorting (a - i | t)

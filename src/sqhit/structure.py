@@ -36,7 +36,8 @@ def decompose_first_factor(x: Element) -> Dict[int, Element]:
     grouped: Dict[int, List[Tuple[int, ...]]] = {}
     for t in x.support:
         grouped.setdefault(t[0], []).append(t[1:])
-    return {i: Element.from_monomials(G, x.s - 1, x.d - i, tails) for i, tails in grouped.items()}
+    # The tails that share a first entry are distinct, so nothing cancels.
+    return {i: Element._make((G, x.s - 1, x.d - i, frozenset(tails))) for i, tails in grouped.items()}
 
 
 def _parts(x: Element) -> Tuple[Callable[[int], Element], int]:

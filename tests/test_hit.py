@@ -67,7 +67,7 @@ class TestSqMatrix:
         # Each call builds the blocks it lacks, whatever an earlier call
         # left in the cache.
         hit.sq_matrix.cache_clear()
-        monkeypatch.setattr(hit, "_GAMMA_ROWS", {})
+        monkeypatch.setitem(hit._ROWS, G, {})
         for b, l in order:
             m = hit.sq_matrix(Bidegree(*b), l, G)
             assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(*b, l), (b, l)
@@ -77,10 +77,10 @@ class TestSqMatrix:
         # Every arity-t block with t <= e <= d-s+t and j <= min(l, e-t)
         # would be 450 blocks of 24090 rows; first entries reach 347.
         hit.sq_matrix.cache_clear()
-        monkeypatch.setattr(hit, "_GAMMA_ROWS", {})
+        monkeypatch.setitem(hit._ROWS, G, {})
         hit.unhit_report(Bidegree(4, 18), 2, G)
-        assert len(hit._GAMMA_ROWS) == 347
-        assert sum(map(len, hit._GAMMA_ROWS.values())) == 15388
+        assert len(hit._ROWS[G]) == 347
+        assert sum(map(len, hit._ROWS[G].values())) == 15388
         hit.sq_matrix.cache_clear()
 
     def test_first_entry_blocks_match_naive_sq(self):
@@ -104,6 +104,74 @@ class TestSqMatrix:
                 for l in range(0, 8):
                     m = hit.sq_matrix(Bidegree(s, d), l, K)
                     assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(s, d, l, support, K), (s, d, l)
+
+    S = ModuleKind.GAMMA_SYM
+    # The four matrices of unhit at gamma-sym (6,24), k=1: Sq^1, Sq^2 out
+    # of (6,24) and the spike squares Sq^1, Sq^3 into it.
+    UNHIT_SYM_6_24_1 = [((6, 24), 1), ((6, 24), 2), ((6, 25), 1), ((6, 27), 3)]
+
+    @pytest.mark.parametrize("s", range(0, 7))
+    def test_sym_blocks_match_oracle(self, s):
+        for d in range(0, 21):
+            for l in range(0, 8):
+                m = hit.sq_matrix(Bidegree(s, d), l, self.S)
+                want = oracles.gamma_action_rows(s, d, l, oracles.sym_sq_support, self.S)
+                assert (m.rows, m.cols, m.data) == want, (s, d, l)
+
+    def test_sym_counts_match_brute_force(self):
+        # Block sizes and column offsets count the partitions with no part
+        # above c.
+        for s in range(0, 7):
+            for d in range(0, 16):
+                parts = oracles.orbit_basis(self.S, s, d) if s else ((),) * (d == 0)
+                for c in range(0, d + 2):
+                    assert hit._sym_count(s, d, c) == sum(max(p, default=0) <= c for p in parts), (s, d, c)
+
+    def test_sym_blocks_match_expansion_over_report_box(self):
+        # Every square of order 1 (l <= 3) out of the pieces a gamma-sym
+        # report with s <= 6, d <= 24 reads, against rows expanded monomial
+        # by monomial.
+        expand = modules._SQ_EXPANSION[self.S]
+        for s in range(1, 7):
+            for d in range(s, 28):
+                for l in range(0, 4):
+                    target = basis(Bidegree(s, d - l), self.S) if d >= l else ()
+                    index = {t: j for j, t in enumerate(target)}
+                    rows = tuple(sum(1 << index[t] for t in expand(u, l)) for u in basis(Bidegree(s, d), self.S))
+                    m = hit.sq_matrix(Bidegree(s, d), l, self.S)
+                    assert (m.rows, m.cols, m.data) == (len(rows), len(target), rows), (s, d, l)
+
+    @pytest.mark.parametrize("order", [UNHIT_SYM_6_24_1, UNHIT_SYM_6_24_1[::-1]])
+    def test_sym_blocks_filled_on_demand_match_oracle(self, monkeypatch, order):
+        hit.sq_matrix.cache_clear()
+        monkeypatch.setitem(hit._ROWS, self.S, {})
+        monkeypatch.setattr(hit, "_HIGH", {})
+        for b, l in order:
+            m = hit.sq_matrix(Bidegree(*b), l, self.S)
+            assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(*b, l, oracles.sym_sq_support, self.S), (b, l)
+        hit.sq_matrix.cache_clear()
+
+    def test_sym_high_arity_needs_no_recursion(self):
+        # [2, 1, ..., 1]Sq^1 = [1, ..., 1].
+        m = hit.sq_matrix(Bidegree(1500, 1501), 1, self.S)
+        assert (m.rows, m.cols, m.data) == (1, 1, (1,))
+        # Out of (2,2,2,1..), (3,2,1..), (4,1..) into (2,2,1..), (3,1..):
+        # Sq^1 lowers an even entry by one, three ways from (2,2,2,1..).
+        m = hit.sq_matrix(Bidegree(1500, 1503), 1, self.S)
+        assert (m.rows, m.cols, m.data) == (3, 2, (0b01, 0b10, 0b10))
+
+    def test_sym_unhit_expands_no_monomial(self, monkeypatch):
+        def no_basis(b, kind):
+            raise AssertionError(f"{kind.value} basis enumerated at {b}")
+
+        hit.sq_matrix.cache_clear()
+        monkeypatch.setitem(hit._ROWS, self.S, {})
+        monkeypatch.setattr(hit, "basis", no_basis)
+        modules._sym_mono.cache_clear()
+        rep = hit.unhit_report(Bidegree(6, 24), 1, self.S)
+        hit.sq_matrix.cache_clear()
+        assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (50, 47, 3)
+        assert modules._sym_mono.cache_info().currsize == 0
 
     def test_sym_unhit_expands_no_plain_terms(self, monkeypatch):
         def no_plain_expansion(*args):
@@ -143,7 +211,7 @@ class TestSqMatrix:
         monkeypatch.setattr(modules, "basis", no_gamma_basis)
         monkeypatch.setattr(hit, "basis", no_gamma_basis)
         hit.sq_matrix.cache_clear()
-        monkeypatch.setattr(hit, "_GAMMA_ROWS", {})
+        monkeypatch.setitem(hit._ROWS, G, {})
         rep = hit.unhit_report(Bidegree(4, 18), 2, G)
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (60, 59, 1)
         hit.sq_matrix.cache_clear()
@@ -297,8 +365,6 @@ class TestFirstFactorStructure:
             for d in range(s, s + 7):
                 b = Bidegree(s, d)
                 monos = basis(b, G)
-                mat1 = hit.sq_matrix(b, 1, G)
-                mat2 = hit.sq_matrix(b, 2, G)
                 for r in range(1, 1 << min(len(monos), 7)):
                     x = hit.vector_to_element(r, b, G)
                     assert (structure.check_sq1_relations(x) == []) == sq(x, 1).is_zero()
