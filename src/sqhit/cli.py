@@ -96,10 +96,17 @@ def _check_order(cfg: Config, k: int) -> Optional[str]:
     return None
 
 
+def _check_pieces(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> Optional[str]:
+    """The refusal (exit 3) of the pieces a query of order k at (s,d) reads,
+    if any: (s,d) first, so that a bidegree out of range is named as given,
+    then the largest, the source of the top spike square."""
+    return _check_dim(cfg, kind, s, d) or _check_dim(cfg, kind, s, d + (1 << (k + 1)))
+
+
 def _check_guardrails(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> Optional[str]:
-    """The refusal (exit 3) of a subspace query, if any: its order, then the
-    largest piece it reads, the source of the top spike square."""
-    return _check_order(cfg, k) or _check_dim(cfg, kind, s, d + (1 << (k + 1)))
+    """The refusal (exit 3) of a subspace query, if any: its order, then its
+    pieces."""
+    return _check_order(cfg, k) or _check_pieces(cfg, kind, s, d, k)
 
 
 def _read_element(path: str) -> Element:
@@ -207,7 +214,7 @@ def cmd_report(args, cfg: Config) -> int:
     rows = []
     for s in range(args.s_min, args.s_max + 1):
         for d in range(args.d_min, args.d_max + 1):
-            guard = _check_dim(cfg, args.kind, s, d + (1 << (args.k + 1)))
+            guard = _check_pieces(cfg, args.kind, s, d, args.k)
             if guard:
                 return _die(3, guard)
             rows.append(_report_row(hit.unhit_report(Bidegree(s, d), args.k, args.kind)))

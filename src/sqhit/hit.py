@@ -23,7 +23,8 @@ from .modules import (
     Element,
     InternalInconsistencyError,
     ModuleKind,
-    _SQ_EXPANSION,
+    _cyc_canonical,
+    _sq_mono,
     basis,
     basis_size,
     binom_mod2,
@@ -249,9 +250,12 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     lexicographic basis of the target piece.  Gamma and gamma-sym rows come
     from first-entry blocks (``_block``), built from the cached rows one
     arity down with no basis enumerated and no monomial expanded.  A
-    necklace is not closed under the first-entry split, so gamma-cyc rows
-    come from the kind's expansion (``modules._SQ_EXPANSION``) of each
-    basis monomial.
+    necklace is not closed under the first-entry split, so a gamma-cyc row
+    folds the plain gamma terms of its basis monomial (``modules._sq_mono``)
+    straight into the row bits: each term is canonicalised to its necklace
+    and XORed into that column, which cancels the terms that meet mod 2.
+    The necklace memo of element-level ``sq`` (``modules._cyc_mono``) is
+    neither read nor filled, so a build holds no expansion per necklace.
     """
     n = basis_size(b, kind)
     if l < 0:
@@ -266,12 +270,11 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
         rows = _fill(_ROWS[kind], (b.s, b.d, l), partial(_row_children, kind), partial(_block, kind))
         return BitMatrix(n, cols, rows)
     index = _basis_index(target, kind) if cols else {}
-    expand = _SQ_EXPANSION[kind]
     rows = []
     for m in basis(b, kind):
         bits = 0
-        for t in expand(m, l):
-            bits |= 1 << index[t]
+        for t in _sq_mono(False, m, l):
+            bits ^= 1 << index[_cyc_canonical(t)]
         rows.append(bits)
     return BitMatrix(n, cols, tuple(rows))
 

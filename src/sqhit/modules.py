@@ -65,8 +65,12 @@ def _sym_canonical(entries: Tuple[int, ...]) -> Tuple[int, ...]:
 def _cyc_canonical(entries: Tuple[int, ...]) -> Tuple[int, ...]:
     if len(entries) <= 1:
         return entries
-    # The lex-greatest rotation starts with the largest entry.
+    # The lex-greatest rotation starts with the largest entry; when that
+    # entry is unique it is the one rotation to build.
     top = max(entries)
+    if entries.count(top) == 1:
+        i = entries.index(top)
+        return entries[i:] + entries[:i]
     return max(entries[i:] + entries[:i] for i, a in enumerate(entries) if a == top)
 
 
@@ -245,11 +249,14 @@ def _sym_mono(entries: Tuple[int, ...], l: int) -> frozenset:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
 def _cyc_mono(entries: Tuple[int, ...], l: int) -> frozenset:
     """Support (necklaces) of [entries]Sq^l in gamma-cyc: the plain
     expansion of the representative, each term canonicalised; terms that
     land in one necklace cancel mod 2 (a necklace is not closed under the
-    split, so there is no orbit-level recursion as for gamma-sym)."""
+    split, so there is no orbit-level recursion as for gamma-sym).  It
+    serves element-level ``sq``; ``hit.sq_matrix`` folds the plain terms
+    into its rows itself and leaves this memo alone."""
     out: set = set()
     for t in _sq_mono(False, entries, l):
         _toggle(out, _cyc_canonical(t))
@@ -257,7 +264,7 @@ def _cyc_mono(entries: Tuple[int, ...], l: int) -> frozenset:
 
 
 # The one place that picks the expansion of a kind: (entries, l) -> support
-# of [entries]Sq^l.  Callers look it up once per call, not once per term.
+# of [entries]Sq^l.  ``sq`` looks it up once per call, not once per term.
 _SQ_EXPANSION = {
     ModuleKind.GAMMA: partial(_sq_mono, False),
     ModuleKind.NABLA: partial(_sq_mono, True),
@@ -339,9 +346,9 @@ def _necklaces(d: int, s: int):
 def _finite_piece(b: Bidegree, kind: ModuleKind) -> Bidegree:
     """The bidegree of a graded piece that has a finite basis, or ValueError."""
     if kind is ModuleKind.NABLA:
-        raise ValueError("nabla graded pieces are infinite")
+        raise ValueError(f"nabla bidegree (s,d)=({b.s},{b.d}): its graded piece is infinite")
     if b.s < 0 or b.d < 0:
-        raise ValueError("bidegree out of range")
+        raise ValueError(f"{kind.value} bidegree (s,d)=({b.s},{b.d}) out of range: s and d must be >= 0")
     return b
 
 

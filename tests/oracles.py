@@ -88,6 +88,16 @@ def sym_sq_support(entries: tuple, l: int) -> frozenset:
     return frozenset(out)
 
 
+def cyc_sq_support(entries: tuple, l: int) -> frozenset:
+    """gamma-cyc support of [entries]Sq^l: the plain gamma Cartan expansion,
+    each term rotated to its lex-greatest rotation by brute force, and terms
+    that land in one necklace cancelled mod 2."""
+    out = set()
+    for t in plain_sq_terms(entries, l):
+        out ^= {cyc_canonical(t)}
+    return frozenset(out)
+
+
 def gamma_action_rows(s: int, d: int, l: int, support=None, kind=ModuleKind.GAMMA) -> tuple:
     """(rows, cols, packed rows) of Sq^l from (s, d) to (s, d - l) of a
     positive kind (gamma by default), monomial by monomial: row u has bit j

@@ -403,6 +403,25 @@ class TestDeltaImageUnhit:
         assert code == 2 and out == ""
         assert err.strip() == f"order k={k} must be >= 0"
 
+    @pytest.mark.parametrize("argv,where", [
+        (("unhit", "--kind", "gamma", "--s", "-1", "--d", "3", "--k", "1"), "gamma bidegree (s,d)=(-1,3) out of range"),
+        (("delta", "--kind", "gamma-cyc", "--s", "2", "--d", "-9", "--k", "1"),
+         "gamma-cyc bidegree (s,d)=(2,-9) out of range"),
+        (("image", "--kind", "gamma-sym", "--s", "-2", "--d", "5", "--k", "2"),
+         "gamma-sym bidegree (s,d)=(-2,5) out of range"),
+        # The sweep stops at its first bidegree, (1,-3) or (1,-9); the pieces
+        # it would read above them, (1,1) and (1,-5), are not the ones named.
+        (("report", "--kind", "gamma", "--k", "1", "--s-max", "2", "--d-min", "-3", "--d-max", "1"),
+         "gamma bidegree (s,d)=(1,-3) out of range"),
+        (("report", "--kind", "gamma", "--k", "1", "--s-max", "2", "--d-min", "-9", "--d-max", "1"),
+         "gamma bidegree (s,d)=(1,-9) out of range"),
+        (("unhit", "--kind", "nabla", "--s", "2", "--d", "3", "--k", "1"), "nabla bidegree (s,d)=(2,3)"),
+    ], ids=["unhit", "delta", "image", "report", "report-far", "nabla"])
+    def test_bidegree_named(self, capsys, argv, where):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.strip().startswith(f"{where}:")
+
     def test_guardrail_max_dim(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("max_dim = 5\n")

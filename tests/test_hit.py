@@ -105,6 +105,26 @@ class TestSqMatrix:
                     m = hit.sq_matrix(Bidegree(s, d), l, K)
                     assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(s, d, l, support, K), (s, d, l)
 
+    C = ModuleKind.GAMMA_CYC
+
+    @pytest.mark.parametrize("s", range(0, 6))
+    def test_cyc_rows_match_oracle(self, s):
+        for d in range(s, 17):
+            for l in range(0, 8):
+                m = hit.sq_matrix(Bidegree(s, d), l, self.C)
+                want = oracles.gamma_action_rows(s, d, l, oracles.cyc_sq_support, self.C)
+                assert (m.rows, m.cols, m.data) == want, (s, d, l)
+
+    def test_cyc_build_leaves_the_necklace_memo_empty(self):
+        # The rows fold plain terms themselves; the memo is element-level sq's.
+        hit.sq_matrix.cache_clear()
+        modules._cyc_mono.cache_clear()
+        rep = hit.unhit_report(Bidegree(5, 16), 1, self.C)
+        hit.sq_matrix.cache_clear()
+        assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (70, 70, 0)
+        info = modules._cyc_mono.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
     S = ModuleKind.GAMMA_SYM
     # The four matrices of unhit at gamma-sym (6,24), k=1: Sq^1, Sq^2 out
     # of (6,24) and the spike squares Sq^1, Sq^3 into it.
@@ -179,6 +199,7 @@ class TestSqMatrix:
 
         hit.sq_matrix.cache_clear()
         monkeypatch.setattr(modules, "_sq_mono", no_plain_expansion)
+        monkeypatch.setattr(hit, "_sq_mono", no_plain_expansion)
         rep = hit.unhit_report(Bidegree(6, 24), 1, ModuleKind.GAMMA_SYM)
         hit.sq_matrix.cache_clear()
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (50, 47, 3)

@@ -182,6 +182,7 @@ class TestAction:
 def clear_expansion_caches():
     modules._sq_mono.cache_clear()
     modules._sym_mono.cache_clear()
+    modules._cyc_mono.cache_clear()
 
 
 class TestCartanSteps:
@@ -200,6 +201,10 @@ class TestCartanSteps:
             # two-entry term from the cached [2]Sq^0: 3) and builds one
             # three-entry term (3).
             (ModuleKind.GAMMA_SYM, (2, 2, 2), 1, 18),
+            # gamma-cyc [2, 2]Sq^1 expands the plain terms of gamma [2, 2]Sq^1
+            # for the same 10 steps; canonicalising them charges nothing.
+            # Both terms rotate to [2, 1] and cancel.
+            (ModuleKind.GAMMA_CYC, (2, 2), 1, 10),
         ):
             x = Element.single(kind, entries)
             clear_expansion_caches()
@@ -208,6 +213,8 @@ class TestCartanSteps:
             clear_expansion_caches()
             with pytest.raises(ExpansionTooLarge):
                 sq(x, l, limit=steps - 1)
+            # A refused expansion leaves no necklace in the memo.
+            assert modules._cyc_mono.cache_info().currsize == 0
             # The allowance is reset after a refusal, also for callers that
             # expand without sq, as hit.sq_matrix does.
             clear_expansion_caches()
