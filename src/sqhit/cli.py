@@ -1,9 +1,12 @@
 """Command-line front end: element I/O, single-shot computations, reports,
 verification suites and preimage chains.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input, 3 guardrail
-exceeded, 4 input outside the null subspace or not annihilated, 5 internal
-error (a computed result failed its own check; a bug, not bad input).
+Exit codes: 0 success, 1 verification failure, 2 bad input (an unreadable or
+malformed element file, nested too deep included, or an unwritable output
+path), 3 guardrail exceeded, 4 input outside the null subspace or not
+annihilated, 5 internal error (a computed result failed its own check; a bug,
+not bad input). main holds this mapping: the commands raise, and only verify
+returns a nonzero code, 1.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .modules import (
 # modules._sq_mono and modules._sym_mono (the gamma-sym split on the largest
 # part) expand a monomial one recursion level per entry (two with their
 # cache), so larger arities are refused before they reach Python's recursion
-# limit of 1000.
+# limit of 1000. Only sq, preimage and gamma-cyc matrices reach them, but
+# every command that takes --s keeps the same cap.
 MAX_ARITY = 256
 
 
@@ -62,6 +66,14 @@ def load_config(path: Optional[str]) -> Config:
     return cfg
 
 
+class CliError(Exception):
+    """A refusal that main reports on stderr and exits with its code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _die(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
@@ -74,45 +86,42 @@ def _parse_kind(tag: str) -> ModuleKind:
         raise argparse.ArgumentTypeError(f"unknown kind {tag!r}")
 
 
-def _check_arity(s: int) -> Optional[str]:
+def _check_arity(s: int) -> None:
     if s > MAX_ARITY:
-        return f"arity s={s} exceeds the largest supported arity {MAX_ARITY}"
-    return None
+        raise CliError(3, f"arity s={s} exceeds the largest supported arity {MAX_ARITY}")
 
 
-def _check_dim(cfg: Config, kind: ModuleKind, s: int, d: int) -> Optional[str]:
+def _check_dim(cfg: Config, kind: ModuleKind, s: int, d: int) -> None:
     if basis_size(Bidegree(s, d), kind, cfg.max_dim) > cfg.max_dim:
-        return f"basis size exceeds max_dim={cfg.max_dim}"
-    return _check_arity(s)
+        raise CliError(3, f"basis size exceeds max_dim={cfg.max_dim}")
+    _check_arity(s)
 
 
-def _check_order(cfg: Config, k: int) -> Optional[str]:
-    """The refusal (exit 3) of an order past max_k, if any; a negative order
-    is bad input (exit 2)."""
+def _check_order(cfg: Config, k: int) -> None:
+    """Refuse an order past max_k (exit 3); a negative order is bad input
+    (exit 2)."""
     if k < 0:
         raise ValueError(f"order k={k} must be >= 0")
     if k > cfg.max_k:
-        return f"order k={k} exceeds max_k={cfg.max_k}"
-    return None
+        raise CliError(3, f"order k={k} exceeds max_k={cfg.max_k}")
 
 
-def _check_pieces(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> Optional[str]:
-    """The refusal (exit 3) of the pieces a query of order k at (s,d) reads,
-    if any: (s,d) first, so that a bidegree out of range is named as given,
-    then the largest, the source of the top spike square."""
-    return _check_dim(cfg, kind, s, d) or _check_dim(cfg, kind, s, d + (1 << (k + 1)))
-
-
-def _check_guardrails(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> Optional[str]:
-    """The refusal (exit 3) of a subspace query, if any: its order, then its
-    pieces."""
-    return _check_order(cfg, k) or _check_pieces(cfg, kind, s, d, k)
+def _check_pieces(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> None:
+    """Refuse (exit 3) the pieces a query of order k at (s,d) reads: (s,d)
+    first, so that a bidegree out of range is named as given, then the
+    largest, the source of the top spike square."""
+    _check_dim(cfg, kind, s, d)
+    _check_dim(cfg, kind, s, d + (1 << (k + 1)))
 
 
 def _read_element(path: str) -> Element:
-    with open(path) as f:
-        obj = json.load(f)
-    return element_from_json(obj)
+    """The element in a JSON file; any failure to read or parse it, nesting
+    too deep for the decoder included, is one ValueError."""
+    try:
+        with open(path) as f:
+            return element_from_json(json.load(f))
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
+        raise ValueError(f"bad element input: {exc}") from exc
 
 
 def _write_element(x: Element, path: Optional[str]) -> None:
@@ -127,9 +136,7 @@ def _write_element(x: Element, path: Optional[str]) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_basis(args, cfg: Config) -> int:
-    guard = _check_dim(cfg, args.kind, args.s, args.d)
-    if guard:
-        return _die(3, guard)
+    _check_dim(cfg, args.kind, args.s, args.d)
     b = Bidegree(args.s, args.d)
     count = basis_size(b, args.kind)
     if args.count:
@@ -137,7 +144,7 @@ def cmd_basis(args, cfg: Config) -> int:
         return 0
     # A listing holds s entries for each of its monomials.
     if count * args.s > cfg.max_dim:
-        return _die(3, f"listing {count} monomials of arity {args.s} exceeds max_dim={cfg.max_dim} entries")
+        raise CliError(3, f"listing {count} monomials of arity {args.s} exceeds max_dim={cfg.max_dim} entries")
     monos = basis(b, args.kind)
     if args.json:
         print(json.dumps([list(t) for t in monos]))
@@ -148,31 +155,25 @@ def cmd_basis(args, cfg: Config) -> int:
 
 
 def cmd_sq(args, cfg: Config) -> int:
-    try:
-        x = _read_element(args.input)
-    except (json.JSONDecodeError, ValueError, OSError) as exc:
-        return _die(2, f"bad element input: {exc}")
-    guard = _check_arity(x.s)
-    if guard:
-        return _die(3, guard)
+    x = _read_element(args.input)
+    _check_arity(x.s)
     if x.kind in POSITIVE_KINDS and args.l > x.d:
         # The output would have a negative degree, which no element file has.
-        return _die(2, f"Sq^{args.l} exceeds the degree d={x.d} of a {x.kind.value} element")
+        raise ValueError(f"Sq^{args.l} exceeds the degree d={x.d} of a {x.kind.value} element")
     try:
         y = sq(x, args.l, limit=cfg.max_dim)
     except ExpansionTooLarge:
         n = len(x.support)
         terms = f"an arity-{x.s} term" if n == 1 else f"{n} arity-{x.s} terms"
-        return _die(3, f"Sq^{args.l} takes too many Cartan steps on {terms}, more than max_dim={cfg.max_dim}")
+        raise CliError(3, f"Sq^{args.l} takes too many Cartan steps on {terms}, more than max_dim={cfg.max_dim}")
     _write_element(y, args.output)
     return 0
 
 
 def cmd_subspace(args, cfg: Config) -> int:
     """delta or image: args.subspace is hit.delta_basis or hit.spike_image_basis."""
-    guard = _check_guardrails(cfg, args.kind, args.s, args.d, args.k)
-    if guard:
-        return _die(3, guard)
+    _check_order(cfg, args.k)
+    _check_pieces(cfg, args.kind, args.s, args.d, args.k)
     b = Bidegree(args.s, args.d)
     sub = args.subspace(b, args.k, args.kind)
     elems = hit.subspace_elements(sub, b, args.kind)
@@ -195,9 +196,8 @@ def _report_row(rep: hit.DeltaReport) -> dict:
 
 
 def cmd_unhit(args, cfg: Config) -> int:
-    guard = _check_guardrails(cfg, args.kind, args.s, args.d, args.k)
-    if guard:
-        return _die(3, guard)
+    _check_order(cfg, args.k)
+    _check_pieces(cfg, args.kind, args.s, args.d, args.k)
     report = hit.unhit_report(Bidegree(args.s, args.d), args.k, args.kind, witnesses=args.witnesses)
     out = _report_row(report)
     if report.witnesses is not None:
@@ -208,15 +208,11 @@ def cmd_unhit(args, cfg: Config) -> int:
 
 
 def cmd_report(args, cfg: Config) -> int:
-    guard = _check_order(cfg, args.k)
-    if guard:
-        return _die(3, guard)
+    _check_order(cfg, args.k)
     rows = []
     for s in range(args.s_min, args.s_max + 1):
         for d in range(args.d_min, args.d_max + 1):
-            guard = _check_pieces(cfg, args.kind, s, d, args.k)
-            if guard:
-                return _die(3, guard)
+            _check_pieces(cfg, args.kind, s, d, args.k)
             rows.append(_report_row(hit.unhit_report(Bidegree(s, d), args.k, args.kind)))
     if args.format == "json":
         print(json.dumps(rows))
@@ -239,7 +235,7 @@ def cmd_verify(args, cfg: Config) -> int:
     elif args.suite in suites.SUITES:
         names = [args.suite]
     else:
-        return _die(2, f"unknown suite {args.suite!r}; known: {', '.join(suites.SUITES)}, all")
+        raise ValueError(f"unknown suite {args.suite!r}; known: {', '.join(suites.SUITES)}, all")
     results = [suites.SUITES[name](args.seed) for name in names]
     summary = {
         "seed": args.seed,
@@ -257,23 +253,19 @@ def cmd_preimage(args, cfg: Config) -> int:
     from .homotopy import (  # the one command that needs it
         AnnihilationError, HomotopySystem, NullMembershipError, preimage_chain)
 
-    try:
-        x = _read_element(args.input)
-    except (json.JSONDecodeError, ValueError, OSError) as exc:
-        return _die(2, f"bad element input: {exc}")
-    guard = _check_order(cfg, args.k) or _check_arity(x.s)
-    if guard:
-        return _die(3, guard)
+    x = _read_element(args.input)
+    _check_order(cfg, args.k)
+    _check_arity(x.s)
     if not 1 <= args.position <= x.s:
-        return _die(2, f"position {args.position} out of range for arity {x.s}")
+        raise ValueError(f"position {args.position} out of range for arity {x.s}")
     h = HomotopySystem(x.kind, args.k, args.position)
     try:
         chain = preimage_chain(x, h)
     except NullMembershipError as exc:
         offending = monomial_str(exc.kind, exc.entries)
-        return _die(4, f"element outside null subspace: offending monomial {offending}")
+        raise CliError(4, f"element outside null subspace: offending monomial {offending}")
     except AnnihilationError as exc:
-        return _die(4, f"element not annihilated: failing i={exc.failing_i}")
+        raise CliError(4, f"element not annihilated: failing i={exc.failing_i}")
     for i, y in enumerate(chain):
         path = f"{args.out_prefix}{i}.json" if args.out_prefix else None
         _write_element(y, path)
@@ -287,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_kind(p, default=None):
-        kwargs = {"type": _parse_kind, "required": default is None}
-        if default is not None:
-            kwargs = {"type": _parse_kind, "default": _parse_kind(default)}
-        p.add_argument("--kind", **kwargs)
+    def add_piece(p, *names, kind=None):
+        """--kind (required unless a default kind is given), then one
+        required integer option per name."""
+        default = {"required": True} if kind is None else {"default": _parse_kind(kind)}
+        p.add_argument("--kind", type=_parse_kind, **default)
+        for name in names:
+            p.add_argument(f"--{name}", type=int, required=True)
 
     p = sub.add_parser("basis", help="list the monomial basis of a bidegree")
-    add_kind(p)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    add_piece(p, "s", "d")
     p.add_argument("--count", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_basis)
@@ -307,29 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", default=None)
     p.set_defaults(func=cmd_sq)
 
-    for name, subspace, help_text in (
-        ("delta", hit.delta_basis, "basis of the intersected kernels"),
-        ("image", hit.spike_image_basis, "basis of the intersected spike images"),
+    for name, help_text, flag, func, subspace in (
+        ("delta", "basis of the intersected kernels", "--json", cmd_subspace, hit.delta_basis),
+        ("image", "basis of the intersected spike images", "--json", cmd_subspace, hit.spike_image_basis),
+        ("unhit", "per-bidegree quotient report", "--witnesses", cmd_unhit, None),
     ):
         p = sub.add_parser(name, help=help_text)
-        add_kind(p)
-        p.add_argument("--s", type=int, required=True)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_subspace, subspace=subspace)
-
-    p = sub.add_parser("unhit", help="per-bidegree quotient report")
-    add_kind(p)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--witnesses", action="store_true")
-    p.set_defaults(func=cmd_unhit)
+        add_piece(p, "s", "d", "k")
+        p.add_argument(flag, action="store_true")
+        p.set_defaults(func=func, subspace=subspace)
 
     p = sub.add_parser("report", help="dimension table over a bidegree box")
-    add_kind(p, default="gamma")
-    p.add_argument("--k", type=int, required=True)
+    add_piece(p, "k", kind="gamma")
     p.add_argument("--s-min", type=int, default=1)
     p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--d-min", type=int, default=1)
@@ -353,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; the one place a failure becomes an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -361,7 +343,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _die(2, f"bad config: {exc}")
     try:
         return args.func(args, cfg)
-    except ValueError as exc:
+    except CliError as exc:
+        return _die(exc.code, str(exc))
+    except (OSError, ValueError) as exc:
         return _die(2, str(exc))
     except InternalInconsistencyError as exc:
         return _die(5, f"internal error: {exc}")

@@ -97,7 +97,7 @@ def test_criterion_8_oracle_cross_checks():
 
 
 def test_criterion_9_property_suites():
-    names = ("containment", "ideal", "instability", "adem", "orbit")
+    names = ("containment", "ideal", "instability", "adem", "orbit", "cartan", "builder")
     failed = {name: suites.SUITES[name](0).failed for name in names}
-    report("criterion 9: containment/ideal/instability/adem/orbit suites green",
+    report("criterion 9: containment/ideal/instability/adem/orbit/cartan/builder suites green",
            all(v == 0 for v in failed.values()))

@@ -210,6 +210,25 @@ class TestSq:
         code, _, _ = run(capsys, "sq", "--in", str(tmp_path / "nope.json"), "--l", "1")
         assert code == 2
 
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        x = element_from_json({"kind": "gamma", "s": 1, "d": 3, "monomials": [[3]]})
+        out_path = str(tmp_path / "missing-dir" / "y.json")
+        code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "1",
+                             "--out", out_path)
+        assert code == 2 and out == "" and out_path in err
+
+    @pytest.mark.parametrize("text", [
+        # The JSON decoder recurses once per level and gives up with a
+        # RecursionError, which is bad input like any other parse failure.
+        '{"kind": "gamma", "s": 1, "d": 1, "monomials": ' + "[" * 100000 + "]" * 100000 + "}",
+        '{"kind": [1], "s": 1, "d": 1, "monomials": [[1]]}',
+    ], ids=["nested-too-deep", "unhashable-kind"])
+    def test_unparsable_input_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "u.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "sq", "--in", str(path), "--l", "1")
+        assert code == 2 and out == "" and err.startswith("bad element input: ")
+
     def test_huge_square_returns_zero_at_once(self, capsys, tmp_path):
         # modules.sq returns the zero at once; the command refuses it, as its
         # degree 8 - 10**8 is one no element file may have.
@@ -488,6 +507,13 @@ class TestPreimage:
         assert code == 0
         y0 = element_from_json(json.loads((tmp_path / "y0.json").read_text()))
         assert sq(y0, 1) == x
+
+    def test_unwritable_output_prefix_exit_2(self, capsys, tmp_path):
+        x = element_from_json({"kind": "gamma", "s": 1, "d": 1, "monomials": [[1]]})
+        prefix = str(tmp_path / "missing-dir" / "y")
+        code, out, err = run(capsys, "preimage", "--in", write_element(tmp_path, x), "--k", "0",
+                             "--out-prefix", prefix)
+        assert code == 2 and out == "" and f"{prefix}0.json" in err
 
     def test_null_rejection_exit_4(self, capsys, tmp_path):
         # The (5,9) class has monomials with first entry 1, outside the
