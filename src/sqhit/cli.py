@@ -33,11 +33,11 @@ from .modules import (
     sq,
 )
 
-# modules._sq_mono and modules._sym_mono (the gamma-sym split on the largest
-# part) expand a monomial one recursion level per entry (two with their
-# cache), so larger arities are refused before they reach Python's recursion
-# limit of 1000. Only sq, preimage and gamma-cyc matrices reach them, but
-# every command that takes --s keeps the same cap.
+# modules._sq_mono (the gamma-sym split on the largest part included)
+# expands a monomial one recursion level per entry, so larger arities are
+# refused well before Python's recursion limit of 1000. Only sq, preimage
+# and gamma-cyc matrices reach it, but every command that takes --s keeps
+# the same cap.
 MAX_ARITY = 256
 
 
@@ -109,9 +109,9 @@ def _check_order(cfg: Config, k: int) -> None:
 def _check_pieces(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> None:
     """Refuse (exit 3) the pieces a query of order k at (s,d) reads: (s,d)
     first, so that a bidegree out of range is named as given, then the
-    largest, the source of the top spike square."""
+    largest, (s, d + 2^(k+1) - 1), the source of the top spike square."""
     _check_dim(cfg, kind, s, d)
-    _check_dim(cfg, kind, s, d + (1 << (k + 1)))
+    _check_dim(cfg, kind, s, d + (1 << (k + 1)) - 1)
 
 
 def _read_element(path: str) -> Element:

@@ -19,12 +19,12 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from . import f2linalg
 from .f2linalg import BitMatrix, Subspace
 from .modules import (
+    EXPANSIONS,
     Bidegree,
     Element,
     InternalInconsistencyError,
     ModuleKind,
     _cyc_canonical,
-    _sq_mono,
     basis,
     basis_size,
     binom_mod2,
@@ -251,11 +251,11 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     from first-entry blocks (``_block``), built from the cached rows one
     arity down with no basis enumerated and no monomial expanded.  A
     necklace is not closed under the first-entry split, so a gamma-cyc row
-    folds the plain gamma terms of its basis monomial (``modules._sq_mono``)
-    straight into the row bits: each term is canonicalised to its necklace
-    and XORed into that column, which cancels the terms that meet mod 2.
-    The necklace memo of element-level ``sq`` (``modules._cyc_mono``) is
-    neither read nor filled, so a build holds no expansion per necklace.
+    folds the plain gamma terms of its basis monomial, from the default
+    context ``modules.EXPANSIONS``, straight into the row bits: each term is
+    canonicalised to its necklace and XORed into that column, which cancels
+    the terms that meet mod 2.  The context's gamma-cyc tables, which serve
+    element-level ``sq``, are neither read nor filled.
     """
     n = basis_size(b, kind)
     if l < 0:
@@ -270,10 +270,11 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
         rows = _fill(_ROWS[kind], (b.s, b.d, l), partial(_row_children, kind), partial(_block, kind))
         return BitMatrix(n, cols, rows)
     index = _basis_index(target, kind) if cols else {}
+    plain = partial(EXPANSIONS.support, ModuleKind.GAMMA)
     rows = []
     for m in basis(b, kind):
         bits = 0
-        for t in _sq_mono(False, m, l):
+        for t in plain(m, l):
             bits ^= 1 << index[_cyc_canonical(t)]
         rows.append(bits)
     return BitMatrix(n, cols, tuple(rows))

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import eq, neg
 from typing import Iterable, List, NamedTuple, Optional, Tuple
@@ -169,114 +170,110 @@ class ExpansionTooLarge(Exception):
     """A limited ``sq`` spent its allowance of Cartan steps."""
 
 
-# The Cartan steps a limited ``sq`` may still take on its element.  The
-# expansions below charge it at each cache miss (a hit costs nothing): the
-# loop steps, counted before the loop runs, and the entries of the terms
-# they build, so the work done before a refusal does not grow with the
-# arity.  It is module state because the memo is: lru_cache keys on the
-# arguments, and an allowance among them would defeat it.
-_allowance = math.inf
+class Expansions:
+    """A context of monomial expansions: their memos, and the allowance of
+    Cartan steps they may still take.  ``sq`` without a limit expands in
+    the module's context ``EXPANSIONS``; a limited ``sq`` in a fresh one
+    that it drops, so its charge does not depend on earlier calls and a
+    refusal keeps nothing.
+
+    ``tables[kind][l]`` is a plain dict from entry tuples to the support of
+    [entries]Sq^l in that kind; the gamma and nabla tables hold the plain
+    expansion, which gamma-cyc reads.  Each expansion that misses its table
+    charges the allowance: the loop steps, counted before the loop runs,
+    and the entries of the terms they build, so the work done before a
+    refusal does not grow with the arity.
+    """
+
+    __slots__ = ("allowance", "tables")
+
+    def __init__(self, allowance=math.inf):
+        self.allowance = allowance
+        self.tables = {kind: defaultdict(dict) for kind in ModuleKind}
+
+    def charge(self, steps: int) -> None:
+        self.allowance -= steps
+        if self.allowance < 0:
+            raise ExpansionTooLarge
+
+    def support(self, kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
+        """The support of [entries]Sq^l in kind, from its table or expanded into it."""
+        out = self.tables[kind][l].get(entries)
+        return _EXPANSION[kind](self, kind, entries, l) if out is None else out
 
 
-def _charge(steps: int) -> None:
-    global _allowance
-    _allowance -= steps
-    if _allowance < 0:
-        raise ExpansionTooLarge
+def _sq_mono(ctx: Expansions, kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
+    """Support of [entries]Sq^l by the Cartan formula on the first entry a,
+    expanded into ctx's tables, where shared tails are reused: entry tuples
+    for gamma and nabla, partitions for gamma-sym.  The terms are
+    C(a - i, i)(a - i | t) over the terms t of [rest]Sq^(l - i).  In gamma
+    and nabla distinct splits give distinct first entries, so nothing
+    cancels.
 
-
-@lru_cache(maxsize=None)
-def _sq_mono(nabla: bool, entries: Tuple[int, ...], l: int) -> frozenset:
-    """Support (entry tuples) of [entries]Sq^l, expanded by the Cartan formula.
-
-    Memoized on suffixes so shared tails across monomials are reused.
-    Distinct splits l = i + (l - i) give distinct first entries a - i, so
-    no two terms coincide and nothing cancels.
+    A gamma-sym partition splits on its largest part, and rest is a
+    partition too.  Sorting (a - i | t) inserts a - i into sorted(t), so the
+    parity of the plain terms that sort to each partition is that of the
+    gamma-sym support of [rest]Sq^(l - i) with a - i inserted.  For one i
+    the insertion is one-to-one; across i terms may meet and cancel mod 2.
+    It serves element-level ``sq`` only (the ``sq`` command, preimage
+    chains); ``hit.sq_matrix`` builds gamma-sym matrices from blocks.
     """
     if not entries:
         return frozenset([()]) if l == 0 else frozenset()
-    a = entries[0]
-    rest = entries[1:]
-    out: list = []
-    # The last entry takes what is left of l, in one step; a gamma entry a
-    # tries only the i <= a - 1 that keep it >= 1.
-    top = l if nabla else min(l, a - 1)
-    _charge(top + 1 if rest else 1)
-    for i in range(top + 1) if rest else (l,):
-        b = a - i
-        if nabla:
-            if not gen_binom_mod2(b, i):
-                continue
-        else:
-            if b < 1 or not binom_mod2(b, i):
-                continue
-        tails = _sq_mono(nabla, rest, l - i)
-        _charge(len(tails) * len(entries))
-        out.extend((b,) + t for t in tails)
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _sym_mono(entries: Tuple[int, ...], l: int) -> frozenset:
-    """Support (partitions) of [entries]Sq^l in gamma-sym, for a partition
-    entries = (a, *rest), by the Cartan formula on the largest part.  It
-    serves element-level ``sq`` (the ``sq`` command, preimage chains);
-    ``hit.sq_matrix`` builds gamma-sym matrices from first-entry blocks.
-
-    The plain terms are C(a - i, i)(a - i | t) over the plain terms t of
-    [rest]Sq^(l - i).  rest is a partition too, and sorting (a - i | t)
-    inserts a - i into sorted(t), so the parity of the plain terms that
-    sort to each partition is that of the gamma-sym support of
-    [rest]Sq^(l - i) with a - i inserted.  For one i the insertion is
-    one-to-one; across i terms may meet and cancel mod 2.
-    """
-    if not entries:
-        return frozenset([()]) if l == 0 else frozenset()
-    a = entries[0]
-    rest = entries[1:]
+    tables = ctx.tables[kind]
+    a, rest = entries[0], entries[1:]
+    nabla, sym = kind is ModuleKind.NABLA, kind is ModuleKind.GAMMA_SYM
     out: set = set()
-    top = min(l, a - 1)
-    _charge(top + 1 if rest else 1)
+    # The last entry takes what is left of l, in one step; a positive entry
+    # a tries only the i <= a - 1 that keep it >= 1.
+    top = l if nabla else min(l, a - 1)
+    ctx.charge(top + 1 if rest else 1)
     for i in range(top + 1) if rest else (l,):
         b = a - i
-        if b < 1 or not binom_mod2(b, i):
+        if not (gen_binom_mod2(b, i) if nabla else b >= 1 and binom_mod2(b, i)):
             continue
-        tails = _sym_mono(rest, l - i)
-        _charge(len(tails) * len(entries))
-        # rest is non-increasing, so b goes before the first entry below it.
-        out ^= {t[:j] + (b,) + t[j:] for t in tails
-                for j in (bisect_left(t, -b, key=neg),)}
-    return frozenset(out)
+        tails = tables[l - i].get(rest)
+        if tails is None:
+            tails = _sq_mono(ctx, kind, rest, l - i)
+        ctx.charge(len(tails) * len(entries))
+        if sym:  # rest is non-increasing, so b goes before the first entry below it
+            out ^= {t[:j] + (b,) + t[j:] for t in tails for j in (bisect_left(t, -b, key=neg),)}
+        else:
+            out.update((b,) + t for t in tails)
+    tables[l][entries] = out = frozenset(out)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _cyc_mono(entries: Tuple[int, ...], l: int) -> frozenset:
+def _cyc_mono(ctx: Expansions, kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
     """Support (necklaces) of [entries]Sq^l in gamma-cyc: the plain
     expansion of the representative, each term canonicalised; terms that
     land in one necklace cancel mod 2 (a necklace is not closed under the
     split, so there is no orbit-level recursion as for gamma-sym).  It
     serves element-level ``sq``; ``hit.sq_matrix`` folds the plain terms
-    into its rows itself and leaves this memo alone."""
+    into its rows itself and leaves this table alone."""
     out: set = set()
-    for t in _sq_mono(False, entries, l):
+    for t in ctx.support(ModuleKind.GAMMA, entries, l):
         _toggle(out, _cyc_canonical(t))
-    return frozenset(out)
+    ctx.tables[kind][l][entries] = out = frozenset(out)
+    return out
 
 
-# The one place that picks the expansion of a kind: (entries, l) -> support
-# of [entries]Sq^l.  ``sq`` looks it up once per call, not once per term.
-_SQ_EXPANSION = {
-    ModuleKind.GAMMA: partial(_sq_mono, False),
-    ModuleKind.NABLA: partial(_sq_mono, True),
-    ModuleKind.GAMMA_SYM: _sym_mono,
+# The one place that picks the expansion of a kind: (context, kind, entries,
+# l) -> support of [entries]Sq^l, stored in the kind's table.
+_EXPANSION = {
+    ModuleKind.GAMMA: _sq_mono,
+    ModuleKind.NABLA: _sq_mono,
+    ModuleKind.GAMMA_SYM: _sq_mono,
     ModuleKind.GAMMA_CYC: _cyc_mono,
 }
+
+EXPANSIONS = Expansions()
 
 
 def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
     """Total right action of Sq^l on an element.  With a limit, the
     expansions of all its terms together may take at most that many Cartan
-    steps (loop steps plus entries built, see ``_allowance``), or
+    steps (loop steps plus entries built, see ``Expansions``), or
     ExpansionTooLarge is raised."""
     if l < 0:
         raise ValueError("negative square index")
@@ -285,15 +282,13 @@ def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
     if x.kind in POSITIVE_KINDS and l > x.d - x.s:
         # Every entry stays >= 1, so no term reaches degree d - l < s.
         return Element.zero(x.kind, x.s, x.d - l)
-    global _allowance
-    expand = _SQ_EXPANSION[x.kind]
-    _allowance = math.inf if limit is None else limit
+    ctx = EXPANSIONS if limit is None else Expansions(limit)
+    # Expansions.support inlined: one table fetch a call, one dict.get a term.
+    table, expand = ctx.tables[x.kind][l], _EXPANSION[x.kind]
     acc: set = set()
-    try:
-        for t in x.support:
-            acc ^= expand(t, l)
-    finally:
-        _allowance = math.inf
+    for t in x.support:
+        out = table.get(t)
+        acc ^= expand(ctx, x.kind, t, l) if out is None else out
     return Element._make((x.kind, x.s, x.d - l, frozenset(acc)))
 
 

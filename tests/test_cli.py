@@ -448,6 +448,18 @@ class TestDeltaImageUnhit:
                            "--s", "4", "--d", "12", "--k", "1")
         assert code == 3 and "max_dim" in err
 
+    def test_guardrail_checks_the_largest_piece_read(self, capsys, tmp_path):
+        # unhit at gamma (2,8), k=1 reads (2,11), the source of Sq^3, with 10
+        # compositions; (2,12) has 11 and is never read.
+        cfg = tmp_path / "cfg"
+        cfg.write_text("max_dim = 10\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "unhit", "--kind", "gamma",
+                           "--s", "2", "--d", "8", "--k", "1")
+        assert code == 0 and json.loads(out)["dim_delta"] == 3
+        code, _, err = run(capsys, "--config", str(cfg), "unhit", "--kind", "gamma",
+                           "--s", "2", "--d", "9", "--k", "1")
+        assert code == 3 and "max_dim=10" in err
+
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("max_k = -1\n")

@@ -1,9 +1,11 @@
 import re
+from functools import partial
 
 import pytest
 
 import oracles
 from oracles import naive_sq
+from test_modules import clear_expansion_caches, memo_size
 from sqhit import f2linalg, hit, modules, structure, suites
 from sqhit.f2linalg import BitMatrix, subspace_from_rows
 from sqhit.modules import Bidegree, Element, ModuleKind, basis, sq
@@ -116,14 +118,15 @@ class TestSqMatrix:
                 assert (m.rows, m.cols, m.data) == want, (s, d, l)
 
     def test_cyc_build_leaves_the_necklace_memo_empty(self):
-        # The rows fold plain terms themselves; the memo is element-level sq's.
+        # The rows fold plain terms themselves; the gamma-cyc tables are
+        # element-level sq's.  A table read would create one for its l.
         hit.sq_matrix.cache_clear()
-        modules._cyc_mono.cache_clear()
+        clear_expansion_caches()
         rep = hit.unhit_report(Bidegree(5, 16), 1, self.C)
         hit.sq_matrix.cache_clear()
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (70, 70, 0)
-        info = modules._cyc_mono.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert modules.EXPANSIONS.tables[self.C] == {}
+        assert memo_size(ModuleKind.GAMMA) > 0
 
     S = ModuleKind.GAMMA_SYM
     # The four matrices of unhit at gamma-sym (6,24), k=1: Sq^1, Sq^2 out
@@ -151,7 +154,7 @@ class TestSqMatrix:
         # Every square of order 1 (l <= 3) out of the pieces a gamma-sym
         # report with s <= 6, d <= 24 reads, against rows expanded monomial
         # by monomial.
-        expand = modules._SQ_EXPANSION[self.S]
+        expand = partial(modules.EXPANSIONS.support, self.S)
         for s in range(1, 7):
             for d in range(s, 28):
                 for l in range(0, 4):
@@ -187,22 +190,24 @@ class TestSqMatrix:
         hit.sq_matrix.cache_clear()
         monkeypatch.setitem(hit._ROWS, self.S, {})
         monkeypatch.setattr(hit, "basis", no_basis)
-        modules._sym_mono.cache_clear()
+        clear_expansion_caches()
         rep = hit.unhit_report(Bidegree(6, 24), 1, self.S)
         hit.sq_matrix.cache_clear()
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (50, 47, 3)
-        assert modules._sym_mono.cache_info().currsize == 0
+        assert memo_size(self.S) == 0
 
     def test_sym_unhit_expands_no_plain_terms(self, monkeypatch):
-        def no_plain_expansion(*args):
-            raise AssertionError("gamma-sym rows expanded through _sq_mono")
+        def no_plain_expansion(ctx, kind, entries, l):
+            raise AssertionError(f"gamma-sym rows expanded {kind.value} {entries} Sq^{l}")
 
         hit.sq_matrix.cache_clear()
-        monkeypatch.setattr(modules, "_sq_mono", no_plain_expansion)
-        monkeypatch.setattr(hit, "_sq_mono", no_plain_expansion)
+        clear_expansion_caches()
+        for kind in (G, ModuleKind.NABLA):
+            monkeypatch.setitem(modules._EXPANSION, kind, no_plain_expansion)
         rep = hit.unhit_report(Bidegree(6, 24), 1, ModuleKind.GAMMA_SYM)
         hit.sq_matrix.cache_clear()
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (50, 47, 3)
+        assert memo_size() == 0
 
     def test_high_arity_needs_no_recursion(self):
         # The arities are built in a loop: arity 1500 is past Python's

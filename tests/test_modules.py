@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 import random
 import time
+from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cyc_canonical, gamma_basis, naive_sq, orbit_basis, series_binom_mod2, sym_sq_support
@@ -110,12 +112,13 @@ class TestSingleFactorAction:
 
     def test_last_entry_takes_the_rest_of_the_square(self):
         # One entry has one Cartan split, whatever l is: the expansion
-        # memoizes the monomial and its empty tail, not one tail per i <= l.
-        before = modules._sq_mono.cache_info().currsize
+        # memoizes the monomial and at most its empty tail, not one tail per
+        # i <= l.
+        before = memo_size()
         # [3]Sq^l = C(3 - l, l)[3 - l], and C(3 - 2^20, 2^20) is odd.
         out = sq1(ModuleKind.NABLA, 3, 1 << 20)
         assert out.sorted_support() == [(3 - (1 << 20),)]
-        assert modules._sq_mono.cache_info().currsize - before <= 2
+        assert memo_size() - before <= 2
 
     def test_invalid_gamma_entry(self):
         with pytest.raises(ValueError):
@@ -155,7 +158,7 @@ class TestAction:
         assert sq(x, l) == naive_sq(x, l)
 
     def test_sym_support_matches_sorted_plain_expansion(self):
-        expand = modules._SQ_EXPANSION[ModuleKind.GAMMA_SYM]
+        expand = partial(modules.EXPANSIONS.support, ModuleKind.GAMMA_SYM)
         cases = 0
         for s in range(1, 8):
             for d in range(s, 27):
@@ -166,7 +169,8 @@ class TestAction:
         assert cases == 54162
 
     def test_sym_high_arity_needs_no_deeper_recursion(self):
-        # The largest-part split recurses once per entry, like _sq_mono.
+        # The largest-part split recurses once per entry, as the plain
+        # expansion does.
         threes = Element.single(ModuleKind.GAMMA_SYM, (3,) * 256)
         assert sq(threes, 2).is_zero()
         # Sq^1 lowers one of the 255 twos to 1; all 255 terms sort alike.
@@ -180,9 +184,15 @@ class TestAction:
 
 
 def clear_expansion_caches():
-    modules._sq_mono.cache_clear()
-    modules._sym_mono.cache_clear()
-    modules._cyc_mono.cache_clear()
+    """Empty the default context's tables."""
+    for by_l in modules.EXPANSIONS.tables.values():
+        by_l.clear()
+
+
+def memo_size(kind=None):
+    """How many supports the default context holds, of one kind or of all."""
+    tables = modules.EXPANSIONS.tables
+    return sum(len(table) for k in (tables if kind is None else (kind,)) for table in tables[k].values())
 
 
 class TestCartanSteps:
@@ -213,12 +223,14 @@ class TestCartanSteps:
             clear_expansion_caches()
             with pytest.raises(ExpansionTooLarge):
                 sq(x, l, limit=steps - 1)
-            # A refused expansion leaves no necklace in the memo.
-            assert modules._cyc_mono.cache_info().currsize == 0
-            # The allowance is reset after a refusal, also for callers that
-            # expand without sq, as hit.sq_matrix does.
+            # A refused expansion leaves nothing in the default context,
+            # no necklace and no plain suffix.
+            assert memo_size() == 0
+            # The default context's allowance is untouched by a refusal, also
+            # for callers that expand without sq, as hit.sq_matrix does.
+            assert modules.EXPANSIONS.allowance == math.inf
             clear_expansion_caches()
-            assert modules._SQ_EXPANSION[kind](entries, l) == out.support
+            assert modules.EXPANSIONS.support(kind, entries, l) == out.support
 
     def test_allowance_covers_the_whole_element(self):
         # [2, 2]Sq^1 takes 10 steps and [3, 1]Sq^1 takes 3 (2 loop steps,
@@ -246,6 +258,57 @@ class TestCartanSteps:
             else:
                 assert sq(x, 20, limit=10000).is_zero()
             assert time.perf_counter() - start < 1.0
+
+    def test_limited_outcome_does_not_depend_on_earlier_calls(self):
+        # [2, 2]Sq^1 takes 10 steps however warm the default context is: a
+        # limited sq expands in a context of its own.
+        x = gamma((2, 2))
+        clear_expansion_caches()
+        with pytest.raises(ExpansionTooLarge):
+            sq(x, 1, limit=9)
+        assert sq(x, 1) == naive_sq(x, 1)
+        with pytest.raises(ExpansionTooLarge):
+            sq(x, 1, limit=9)
+        assert sq(x, 1, limit=10) == naive_sq(x, 1)
+
+    def test_refusal_leaves_the_default_context_unchanged(self):
+        # Refused part way, [2]*6 Sq^3 has finished several suffixes; none
+        # of them reaches the default context.
+        x = gamma((2,) * 6)
+        sq(gamma((3, 1)), 1)
+        before = memo_size()
+        assert before > 0
+        with pytest.raises(ExpansionTooLarge):
+            sq(x, 3, limit=40)
+        assert memo_size() == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_call_sequence_in_one_context_matches_naive_oracle(self, data):
+        # Each call reads and fills what the calls before it left in the
+        # context; limited calls in between leave it as they found it.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modules, "EXPANSIONS", modules.Expansions())
+            for _ in range(data.draw(st.integers(1, 8))):
+                kind = data.draw(st.sampled_from(list(ModuleKind)))
+                s = data.draw(st.integers(1, 4))
+                if kind is ModuleKind.NABLA:
+                    x = Element.single(kind, tuple(data.draw(st.lists(st.integers(-6, 8), min_size=s, max_size=s))))
+                else:
+                    d = data.draw(st.integers(s, s + 8))
+                    monos = data.draw(st.sets(st.sampled_from(basis(Bidegree(s, d), kind)), max_size=4))
+                    x = Element.from_monomials(kind, s, d, monos)
+                l = data.draw(st.integers(0, 8))
+                limit = data.draw(st.none() | st.integers(0, 60))
+                size = memo_size()
+                try:
+                    out = sq(x, l, limit)
+                except ExpansionTooLarge:
+                    assert limit is not None
+                else:
+                    assert out == naive_sq(x, l), (x, l, limit)
+                if limit is not None:
+                    assert memo_size() == size
 
 
 class TestBases:
