@@ -18,7 +18,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from operator import eq, neg
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
@@ -115,9 +115,9 @@ class Element(_ElementFields):
         canon = _ORBIT_CANONICAL.get(kind)
         # Each check is one pass over the whole support; the loop below runs
         # only when a pass fails, to name the first failing term.
-        if not (all(map(eq, map(len, support), repeat(s)))
-                and all(map(eq, map(sum, support), repeat(d)))
-                and (not positive or all(map((1).__le__, chain.from_iterable(support))))
+        if not ({*map(len, support)} <= {s}
+                and {*map(sum, support)} <= {d}
+                and (not positive or min(chain.from_iterable(support), default=1) >= 1)
                 and (canon is None or all(map(eq, map(canon, support), support)))):
             for t in support:
                 if len(t) != s or sum(t) != d:
@@ -492,6 +492,13 @@ def element_from_json(obj: dict) -> Element:
     monos = obj["monomials"]
     if not isinstance(monos, list):
         raise ValueError("monomials must be a list")
+    # Whole-list passes: lists of ints (booleans refused), none repeated; a
+    # set copied into its frozenset sizes the table tightly.  The loop below
+    # runs only when a pass fails, to name the failing term.
+    if {*map(type, monos)} <= {list} and {*map(type, chain.from_iterable(monos))} <= {int}:
+        support = frozenset({*map(tuple, monos)})
+        if len(support) == len(monos):
+            return Element(kind, s, d, support)
     out = []
     for t in monos:
         if not isinstance(t, list) or not all(type(a) is int for a in t):

@@ -6,7 +6,8 @@ itertools enumeration over compositions, bases are itertools compositions
 (canonicalised for the orbit kinds), and action matrices are built
 monomial by monomial.  The gamma-sym action keeps its old path, on its
 own plain Cartan recursion: expand, then sort and cancel.  Homotopy chains keep their old nested
-shifts, each one canonicalised and toggled.  The reference elimination at the end is
+shifts, each one canonicalised and toggled.  Element JSON keeps its old
+per-monomial parse.  The reference elimination at the end is
 the slow dense-scan algorithm that the library's single sparse core must
 match basis for basis.
 """
@@ -165,6 +166,43 @@ def naive_sq(x: Element, l: int) -> Element:
             else:
                 acc.add(t)
     return Element.from_monomials(x.kind, x.s, x.d - l, acc)
+
+
+# --- Element JSON ---------------------------------------------------------------
+# sqhit.modules.element_from_json as it was before its whole-list passes:
+# each monomial is checked and toggled in, then Element checks the terms,
+# and a repeat shows as a support smaller than the list.
+
+
+def json_element(obj: dict) -> Element:
+    """Parse element JSON one monomial at a time."""
+    if not isinstance(obj, dict):
+        raise ValueError("element JSON must be an object")
+    missing = {"kind", "s", "d", "monomials"} - set(obj)
+    if missing:
+        raise ValueError(f"element JSON missing keys: {sorted(missing)}")
+    kind = {k.value: k for k in ModuleKind}.get(obj["kind"])
+    if kind is None:
+        raise ValueError(f"unknown kind tag {obj['kind']!r}")
+    s, d = obj["s"], obj["d"]
+    if type(s) is not int or type(d) is not int:
+        raise ValueError("s and d must be integers")
+    if s < 0:
+        raise ValueError(f"arity s={s} must be >= 0")
+    if d < 0 and kind is not ModuleKind.NABLA:
+        raise ValueError(f"degree d={d} must be >= 0 for {kind.value}")
+    monos = obj["monomials"]
+    if not isinstance(monos, list):
+        raise ValueError("monomials must be a list")
+    out = []
+    for t in monos:
+        if not isinstance(t, list) or not all(type(a) is int for a in t):
+            raise ValueError(f"bad monomial {t!r}")
+        out.append(tuple(t))
+    x = Element.from_monomials(kind, s, d, out)
+    if len(x.support) != len(monos):
+        raise ValueError("duplicate monomials in element JSON")
+    return x
 
 
 # --- Homotopy chains ------------------------------------------------------------

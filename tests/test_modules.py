@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import random
 import time
 from functools import partial
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cyc_canonical, gamma_basis, naive_sq, orbit_basis, series_binom_mod2, sym_sq_support
+from oracles import cyc_canonical, gamma_basis, json_element, naive_sq, orbit_basis, series_binom_mod2, sym_sq_support
 from sqhit import modules
 from sqhit.modules import (
     Bidegree,
@@ -282,7 +281,7 @@ class TestCartanSteps:
             sq(x, 3, limit=40)
         assert memo_size() == before
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_call_sequence_in_one_context_matches_naive_oracle(self, data):
         # Each call reads and fills what the calls before it left in the
@@ -468,12 +467,126 @@ class TestJsonRoundTrip:
         assert element_to_json(x) == obj
 
 
+@st.composite
+def element_objs(draw):
+    """A valid element's JSON, its monomials in a drawn order."""
+    kind = draw(st.sampled_from(list(ModuleKind)))
+    s = draw(st.integers(0, 4))
+    if kind is ModuleKind.NABLA:
+        d = draw(st.integers(-3, 8)) if s else 0
+        heads = st.lists(st.integers(-4, 6), min_size=s - 1, max_size=s - 1) if s else st.just([])
+        terms = draw(st.lists(heads.map(lambda h: tuple(h) + ((d - sum(h),) if s else ())),
+                              unique=True, max_size=6))
+    else:
+        d = s + draw(st.integers(0, 6))
+        b = basis(Bidegree(s, d), kind)
+        terms = draw(st.lists(st.sampled_from(b), unique=True, max_size=8)) if b else []
+    return {"kind": kind.value, "s": s, "d": d, "monomials": [list(t) for t in terms]}
+
+
+def _bad_terms(s, d):
+    """Terms that fail Element's checks at (s, d): wrong length, wrong sum,
+    an entry 0, and one not in canonical orbit form (for s >= 2, d > s)."""
+    return {
+        "length": [1] * (s + 1),
+        "sum": [1] * (s - 1) + [d - s + 2] if s else [1],
+        "zero": [d] + [0] * (s - 1) if s else [0],
+        "noncanonical": [1] * (s - 1) + [d - s + 1] if s >= 2 else [2, 1],
+    }
+
+
+MUTATIONS = ("bool", "float", "str", "list", "not-list", "empty", "repeat-2", "repeat-3",
+             "repeat-beside-inconsistent", "two-failing", "length", "sum", "zero", "noncanonical")
+
+
+def mutate(data, name, obj):
+    """obj with one mutation applied; each new or repeated term goes to a
+    drawn position."""
+    monos = [list(t) for t in obj["monomials"]]
+    s, d = obj["s"], obj["d"]
+    bad = _bad_terms(s, d)
+
+    def insert(t):
+        monos.insert(data.draw(st.integers(0, len(monos))), t)
+
+    if name in ("bool", "float", "str", "list"):
+        if not any(monos):
+            monos.append([1])
+        t = data.draw(st.sampled_from([t for t in monos if t]))
+        j = data.draw(st.integers(0, len(t) - 1))
+        t[j] = {"bool": data.draw(st.booleans()), "float": data.draw(st.sampled_from([float(t[j]), t[j] + 0.5])),
+                "str": str(t[j]), "list": [t[j]]}[name]
+    elif name == "not-list":
+        insert(data.draw(st.sampled_from([7, "ab", None, {"a": 1}, (1, 2), True])))
+    elif name == "empty":
+        insert([])
+    elif name.startswith("repeat"):
+        if not monos:
+            monos.append([1] * s)
+        t = data.draw(st.sampled_from(monos))
+        for _ in range(2 if name == "repeat-3" else 1):
+            insert(list(t))
+        if name == "repeat-beside-inconsistent":
+            insert(data.draw(st.sampled_from(list(bad.values()))))
+    elif name == "two-failing":
+        for key in data.draw(st.lists(st.sampled_from(sorted(bad)), min_size=2, max_size=2, unique=True)):
+            insert(bad[key])
+    else:
+        insert(bad[name])
+    return dict(obj, monomials=monos)
+
+
+def parse_outcome(parse, obj):
+    try:
+        return parse(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestJsonAgainstOracle:
+    """element_from_json against the old per-monomial parse in oracles: an
+    equal element, or the same exception type and message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(element_objs())
+    def test_valid_elements(self, obj):
+        x = element_from_json(obj)
+        assert x == json_element(obj)
+        assert element_to_json(x) == dict(obj, monomials=sorted(obj["monomials"]))
+
+    @pytest.mark.parametrize("name", MUTATIONS)
+    @settings(max_examples=40, deadline=None)
+    @given(obj=element_objs(), data=st.data())
+    def test_mutations(self, name, obj, data):
+        bad = mutate(data, name, obj)
+        assert parse_outcome(element_from_json, bad) == parse_outcome(json_element, bad)
+
+    @pytest.mark.parametrize("monos,message", [
+        # The repeated pair cancels in the toggle, so the lone term is named.
+        ([[1, 2], [1, 2], [5]], "monomial gamma[5] inconsistent with element (gamma,2,3)"),
+        ([[5], [5], [1, 2]], "duplicate monomials in element JSON"),
+        ([[5], [5], [5]], "monomial gamma[5] inconsistent with element (gamma,2,3)"),
+        ([[1, 2], [True, 2]], "bad monomial [True, 2]"),
+    ])
+    def test_messages_name_the_term_they_named(self, monos, message):
+        obj = {"kind": "gamma", "s": 2, "d": 3, "monomials": monos}
+        with pytest.raises(ValueError) as err:
+            element_from_json(obj)
+        assert str(err.value) == message
+
+
 class TestDegreeBookkeeping:
     @pytest.mark.parametrize("kind", list(ModuleKind))
     def test_arity_zero_element(self, kind):
         # The empty monomial has no entries to take a minimum of.
         x = Element(kind, 0, 0, frozenset({()}))
         assert x.sorted_support() == [()]
+
+    @pytest.mark.parametrize("entries", [(0.5, 2.5), (0.0, 3.0), (0, 3)])
+    def test_refuses_entries_below_one(self, entries):
+        # (1).__le__(0.5) is NotImplemented, which is truthy: the check must compare.
+        with pytest.raises(ValueError, match="entries must be >= 1"):
+            Element(G, 2, 3, frozenset({entries}))
 
     @given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 4))
     def test_sq_output_bidegree(self, s, dd, l):
