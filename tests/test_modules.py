@@ -281,7 +281,7 @@ class TestCartanSteps:
             sq(x, 3, limit=40)
         assert memo_size() == before
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_call_sequence_in_one_context_matches_naive_oracle(self, data):
         # Each call reads and fills what the calls before it left in the
