@@ -163,6 +163,8 @@ def contains(s: Subspace, bits: int) -> bool:
 
 
 def contains_subspace(outer: Subspace, inner: Subspace) -> bool:
+    if outer.ambient_dim != inner.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
     return all(outer.reduce(r) == 0 for r in inner.pivots.values())
 
 

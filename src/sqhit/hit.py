@@ -16,10 +16,9 @@ from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from . import f2linalg
+from . import f2linalg, modules
 from .f2linalg import BitMatrix, Subspace
 from .modules import (
-    EXPANSIONS,
     Bidegree,
     Element,
     InternalInconsistencyError,
@@ -45,7 +44,10 @@ class DeltaReport(NamedTuple):
 # --- matrices ---------------------------------------------------------------
 
 def element_to_vector(x: Element, b: Bidegree, kind: ModuleKind) -> int:
-    """x as a packed vector over the basis of (s,d): bit j is basis monomial j."""
+    """x as a packed vector over the basis of (s,d): bit j is basis monomial j.
+    ValueError if x is not of that kind and bidegree."""
+    if x.kind is not kind or (x.s, x.d) != b:
+        raise ValueError(f"element of {x.kind.value} ({x.s},{x.d}) is not in {kind.value} ({b.s},{b.d})")
     index = _basis_index(b, kind)
     bits = 0
     for t in x.support:
@@ -54,8 +56,11 @@ def element_to_vector(x: Element, b: Bidegree, kind: ModuleKind) -> int:
 
 
 def vector_to_element(bits: int, b: Bidegree, kind: ModuleKind) -> Element:
-    """The element whose support is the basis monomials j with bit j set."""
+    """The element whose support is the basis monomials j with bit j set.
+    ValueError for a bit at or beyond the size of that basis."""
     monos = basis(b, kind)
+    if bits < 0 or bits >> len(monos):
+        raise ValueError(f"bits set outside the {len(monos)} basis monomials of {kind.value} ({b.s},{b.d})")
     support = frozenset(monos[j] for j in range(bits.bit_length()) if bits >> j & 1)
     return Element._make((kind, b.s, b.d, support))
 
@@ -88,19 +93,7 @@ def _fill(cache: dict, top: tuple, children, build):
     return cache[top]
 
 
-# Action rows of gamma and gamma-sym, per kind keyed (s, d, l): row u is
-# (basis monomial u of (s, d))Sq^l packed over the basis of (s, d - l).
-# Filled on demand and shared by every matrix whose first-entry blocks
-# need them.
-_ROWS: Dict[ModuleKind, Dict[Tuple[int, int, int], Tuple[int, ...]]] = {
-    ModuleKind.GAMMA: {}, ModuleKind.GAMMA_SYM: {}}
-
-# gamma-sym column tables keyed (s, e, b): for the partitions t of e into
-# s parts with first entry above b, in basis order, the index of
-# sorted(b | t) in the basis of (s+1, e+b).
-_HIGH: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
-
-_SYM = ModuleKind.GAMMA_SYM
+_SYM, _CYC = ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC
 
 
 def _first_entries(kind: ModuleKind, s: int, d: int) -> range:
@@ -161,13 +154,14 @@ def _splits(kind: ModuleKind, s: int, d: int, l: int):
 
 
 def _row_children(kind: ModuleKind, s: int, d: int, l: int):
-    """The keys of the tail rows ``_block(kind, s, d, l)`` reads."""
-    return [(s - 1, d - a, l - i) for a, i in _splits(kind, s, d, l)] if s > 1 else ()
+    """The keys of the tail rows ``_block(ctx, kind, s, d, l)`` reads; a
+    gamma-cyc block reads none."""
+    return [(s - 1, d - a, l - i) for a, i in _splits(kind, s, d, l)] if s > 1 and kind is not _CYC else ()
 
 
-def _block(kind: ModuleKind, s: int, d: int, l: int) -> Tuple[int, ...]:
-    """Rows of Sq^l on (s, d), s >= 1, d - l >= s, from the cached
-    arity-(s-1) rows.
+def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) -> Tuple[int, ...]:
+    """Rows of Sq^l on (s, d), s >= 1, d - l >= s, from the arity-(s-1)
+    rows in ``ctx.rows[kind]``.
 
     The basis is in ascending lex order, so the monomials (a | m) with
     first entry a form one block.  By the Cartan formula the row of (a | m)
@@ -177,12 +171,28 @@ def _block(kind: ModuleKind, s: int, d: int, l: int) -> Tuple[int, ...]:
     the columns of first entry b.  For gamma-sym m has no part above a, so
     the block is a prefix of the basis of (s-1, d-a).  b goes in front of
     the tail columns that start at most at b, a low prefix that shifts as
-    a whole, and is sorted into the others through ``_HIGH``, where terms
-    of different i may meet and cancel.
+    a whole, and is sorted into the others through the column tables in
+    ``ctx.high``, where terms of different i may meet and cancel.
+
+    A necklace is not closed under the split, so a gamma-cyc row folds the
+    plain gamma terms of its basis monomial, from ctx, straight into the
+    row bits: each term is canonicalised to its necklace and XORed into
+    that column, which cancels the terms that meet mod 2.  ctx's gamma-cyc
+    tables, which serve element-level ``sq``, are neither read nor filled.
     """
     if s == 1:
         return (binom_mod2(d - l, l),)
-    tails, dom, cod = _ROWS[kind], _offsets(kind, s, d), _offsets(kind, s, d - l)
+    if kind is _CYC:
+        index, plain = _basis_index(Bidegree(s, d - l), kind), partial(ctx.support, ModuleKind.GAMMA)
+        rows = []
+        for m in basis(Bidegree(s, d), kind):
+            bits = 0
+            for t in plain(m, l):
+                bits ^= 1 << index[_cyc_canonical(t)]
+            rows.append(bits)
+        return tuple(rows)
+    tails, dom, cod = ctx.rows[kind], _offsets(kind, s, d), _offsets(kind, s, d - l)
+    high_block = partial(_high_block, ctx.high)
     blocks: Dict[int, List[int]] = {}
     for a, i in _splits(kind, s, d, l):
         b = a - i
@@ -191,7 +201,7 @@ def _block(kind: ModuleKind, s: int, d: int, l: int) -> Tuple[int, ...]:
             tail = tail[:dom[a + 1] - dom[a]]  # the m with no part above a
             if b < d - l - b - s + 2:  # some tail columns start above b
                 low = cod[b + 1] - shift
-                high, mask = _fill(_HIGH, (s - 1, d - l - b, b), _high_children, _high_block), (1 << low) - 1
+                high, mask = _fill(ctx.high, (s - 1, d - l - b, b), _high_children, high_block), (1 << low) - 1
                 rows = [(r & mask) << shift | _scatter(r >> low, high) if r >> low else r << shift
                         for r in tail]
                 blocks[a] = rows if acc is None else [x ^ y for x, y in zip(acc, rows)]
@@ -221,16 +231,17 @@ def _high_firsts(s: int, e: int, b: int):
 
 
 def _high_children(s: int, e: int, b: int):
-    """The keys of the tables ``_high_block(s, e, b)`` reads."""
+    """The keys of the tables ``_high_block(high, s, e, b)`` reads."""
     return [(s - 1, e - c, b) for c, above in _high_firsts(s, e, b) if above]
 
 
-def _high_block(s: int, e: int, b: int) -> Tuple[int, ...]:
-    """``_HIGH[s, e, b]`` from the arity-(s-1) tables.  A partition
-    t = (c | t') with c > b sorts with b to (c | sorted(b | t')): in block c
-    of (s+1, e+b), at the index of sorted(b | t') in (s, e+b-c).  For the
-    t' with no part above b, the low prefix of (s-1, e-c), that is b in
-    front of t'; for the others it is in ``_HIGH[s-1, e-c, b]``."""
+def _high_block(high: dict, s: int, e: int, b: int) -> Tuple[int, ...]:
+    """For the partitions t of (s, e) with first entry above b, in basis
+    order, the index of sorted(b | t) in (s+1, e+b), from the arity-(s-1)
+    tables in high.  t = (c | t') sorts with b to (c | sorted(b | t')): in
+    block c of (s+1, e+b), at the index of sorted(b | t') in (s, e+b-c).
+    For the t' with no part above b, the low prefix of (s-1, e-c), that is
+    b in front of t'; for the others it is in ``high[s-1, e-c, b]``."""
     out: List[int] = []
     for c, above in _high_firsts(s, e, b):
         base = _sym_count(s + 1, e + b, c - 1)
@@ -238,46 +249,32 @@ def _high_block(s: int, e: int, b: int) -> Tuple[int, ...]:
         front = base + _sym_count(s, e + b - c, b - 1)
         out.extend(range(front, front + low))
         if above:
-            out.extend(base + j for j in _HIGH[s - 1, e - c, b][:_sym_count(s - 1, e - c, c) - low])
+            out.extend(base + j for j in high[s - 1, e - c, b][:_sym_count(s - 1, e - c, c) - low])
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     """Matrix of the right action of Sq^l from (s,d) to (s,d-l).
 
     Row u is the coordinate vector of (basis monomial u)Sq^l in the
-    lexicographic basis of the target piece.  Gamma and gamma-sym rows come
-    from first-entry blocks (``_block``), built from the cached rows one
-    arity down with no basis enumerated and no monomial expanded.  A
-    necklace is not closed under the first-entry split, so a gamma-cyc row
-    folds the plain gamma terms of its basis monomial, from the default
-    context ``modules.EXPANSIONS``, straight into the row bits: each term is
-    canonicalised to its necklace and XORed into that column, which cancels
-    the terms that meet mod 2.  The context's gamma-cyc tables, which serve
-    element-level ``sq``, are neither read nor filled.
+    lexicographic basis of the target piece, built by ``_block`` and kept
+    at ``rows[kind][s, d, l]`` of the default context ``modules.EXPANSIONS``,
+    read once a call.  Gamma and gamma-sym rows come from first-entry
+    blocks, built from the rows one arity down with no basis enumerated and
+    no monomial expanded; gamma-cyc rows fold plain gamma terms.
     """
     n = basis_size(b, kind)
     if l < 0:
         raise ValueError("negative square index")
     target = Bidegree(b.s, b.d - l)
     cols = basis_size(target, kind) if target.d >= 0 else 0
-    if kind in _ROWS:
-        if cols == 0 or b.s == 0:
-            # No codomain gives zero rows.  At arity 0 a nonempty codomain
-            # means (0, 0) Sq^0, the identity on the one monomial ().
-            return BitMatrix(n, cols, (int(cols > 0),) * n)
-        rows = _fill(_ROWS[kind], (b.s, b.d, l), partial(_row_children, kind), partial(_block, kind))
-        return BitMatrix(n, cols, rows)
-    index = _basis_index(target, kind) if cols else {}
-    plain = partial(EXPANSIONS.support, ModuleKind.GAMMA)
-    rows = []
-    for m in basis(b, kind):
-        bits = 0
-        for t in plain(m, l):
-            bits ^= 1 << index[_cyc_canonical(t)]
-        rows.append(bits)
-    return BitMatrix(n, cols, tuple(rows))
+    if cols == 0 or b.s == 0:
+        # No codomain gives zero rows.  At arity 0 a nonempty codomain
+        # means (0, 0) Sq^0, the identity on the one monomial ().
+        return BitMatrix._make((n, cols, (int(cols > 0),) * n))
+    ctx = modules.EXPANSIONS
+    rows = _fill(ctx.rows[kind], (b.s, b.d, l), partial(_row_children, kind), partial(_block, ctx, kind))
+    return BitMatrix._make((n, cols, rows))
 
 
 # --- kernel / image / quotient ---------------------------------------------
@@ -294,7 +291,7 @@ def sq_stack(b: Bidegree, squares: Iterable[int], kind: ModuleKind) -> BitMatrix
             combined |= blk.data[u] << offset
             offset += blk.cols
         rows.append(combined)
-    return BitMatrix(n, sum(blk.cols for blk in blocks), tuple(rows))
+    return BitMatrix._make((n, sum(blk.cols for blk in blocks), tuple(rows)))
 
 
 def delta_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:

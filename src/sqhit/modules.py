@@ -183,13 +183,18 @@ class Expansions:
     charges the allowance: the loop steps, counted before the loop runs,
     and the entries of the terms they build, so the work done before a
     refusal does not grow with the arity.
+
+    ``rows[kind]`` holds the rows of ``hit.sq_matrix``, keyed (s, d, l);
+    ``high`` the gamma-sym column tables they are sorted through, (s, e, b).
     """
 
-    __slots__ = ("allowance", "tables")
+    __slots__ = ("allowance", "tables", "rows", "high")
 
     def __init__(self, allowance=math.inf):
         self.allowance = allowance
         self.tables = {kind: defaultdict(dict) for kind in ModuleKind}
+        self.rows = {kind: {} for kind in POSITIVE_KINDS}
+        self.high = {}
 
     def charge(self, steps: int) -> None:
         self.allowance -= steps

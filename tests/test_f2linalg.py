@@ -106,6 +106,14 @@ def test_contains_length_mismatch():
             f2linalg.contains(full_space(2), bits)
 
 
+def test_contains_subspace_dimension_mismatch():
+    # The same pair intersect refuses: a line of F_2^3 is not in F_2^2.
+    for outer, inner in [(2, 3), (3, 2)]:
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            f2linalg.contains_subspace(f2linalg.subspace_from_rows(outer, [1]),
+                                       f2linalg.subspace_from_rows(inner, [1]))
+
+
 def test_solve_bits_outside_columns_raise():
     for bits in (0b1000, -1):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from oracles import naive_sq
-from test_modules import clear_expansion_caches, memo_size
+from test_modules import memo_size
 from sqhit import f2linalg, hit, modules, structure, suites
 from sqhit.f2linalg import BitMatrix, subspace_from_rows
 from sqhit.modules import Bidegree, Element, ModuleKind, basis, sq
@@ -15,6 +15,19 @@ G = ModuleKind.GAMMA
 
 def gamma(*tuples):
     return Element.from_monomials(G, len(tuples[0]), sum(tuples[0]), tuples)
+
+
+def checked(m):
+    """m, once the public BitMatrix constructor has checked its fields."""
+    assert type(m) is BitMatrix and BitMatrix(*m) == m
+    return m
+
+
+def memo_counts(ctx):
+    """The entries of each memo of a context: per kind its expansion tables
+    and its action rows, then the gamma-sym column tables."""
+    return ([sum(map(len, by_l.values())) for by_l in ctx.tables.values()],
+            [len(rows) for rows in ctx.rows.values()], len(ctx.high))
 
 
 class TestSqMatrix:
@@ -56,34 +69,31 @@ class TestSqMatrix:
         # d < s (no domain) and d - l < s (no codomain) lie inside the box.
         for d in range(0, 17):
             for l in range(0, 8):
-                m = hit.sq_matrix(Bidegree(s, d), l, G)
+                m = checked(hit.sq_matrix(Bidegree(s, d), l, G))
                 assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(s, d, l), (s, d, l)
 
     @pytest.mark.parametrize("b,l", UNHIT_4_18_2)
     def test_unhit_matrices_match_oracle(self, b, l):
-        m = hit.sq_matrix(Bidegree(*b), l, G)
+        m = checked(hit.sq_matrix(Bidegree(*b), l, G))
         assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(*b, l)
 
     @pytest.mark.parametrize("order", [UNHIT_4_18_2, UNHIT_4_18_2[::-1]])
     def test_blocks_filled_on_demand_match_oracle(self, monkeypatch, order):
         # Each call builds the blocks it lacks, whatever an earlier call
         # left in the cache.
-        hit.sq_matrix.cache_clear()
-        monkeypatch.setitem(hit._ROWS, G, {})
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         for b, l in order:
             m = hit.sq_matrix(Bidegree(*b), l, G)
             assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(*b, l), (b, l)
-        hit.sq_matrix.cache_clear()
 
     def test_unhit_builds_only_the_blocks_it_reads(self, monkeypatch):
         # Every arity-t block with t <= e <= d-s+t and j <= min(l, e-t)
         # would be 450 blocks of 24090 rows; first entries reach 347.
-        hit.sq_matrix.cache_clear()
-        monkeypatch.setitem(hit._ROWS, G, {})
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         hit.unhit_report(Bidegree(4, 18), 2, G)
-        assert len(hit._ROWS[G]) == 347
-        assert sum(map(len, hit._ROWS[G].values())) == 15388
-        hit.sq_matrix.cache_clear()
+        rows = modules.EXPANSIONS.rows[G]
+        assert len(rows) == 347
+        assert sum(map(len, rows.values())) == 15388
 
     def test_first_entry_blocks_match_naive_sq(self):
         def support(entries, l):
@@ -113,20 +123,38 @@ class TestSqMatrix:
     def test_cyc_rows_match_oracle(self, s):
         for d in range(s, 17):
             for l in range(0, 8):
-                m = hit.sq_matrix(Bidegree(s, d), l, self.C)
+                m = checked(hit.sq_matrix(Bidegree(s, d), l, self.C))
                 want = oracles.gamma_action_rows(s, d, l, oracles.cyc_sq_support, self.C)
                 assert (m.rows, m.cols, m.data) == want, (s, d, l)
 
-    def test_cyc_build_leaves_the_necklace_memo_empty(self):
+    def test_cyc_build_leaves_the_necklace_memo_empty(self, monkeypatch):
         # The rows fold plain terms themselves; the gamma-cyc tables are
         # element-level sq's.  A table read would create one for its l.
-        hit.sq_matrix.cache_clear()
-        clear_expansion_caches()
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         rep = hit.unhit_report(Bidegree(5, 16), 1, self.C)
-        hit.sq_matrix.cache_clear()
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (70, 70, 0)
         assert modules.EXPANSIONS.tables[self.C] == {}
         assert memo_size(ModuleKind.GAMMA) > 0
+
+    def test_cyc_build_fills_the_current_context(self, monkeypatch):
+        # hit reads modules.EXPANSIONS when it is called, so a context put in
+        # its place is the one filled, and the one it replaced is left alone.
+        old = modules.EXPANSIONS
+        before = memo_counts(old)
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
+        m = hit.sq_matrix(Bidegree(4, 13), 1, self.C)
+        assert modules.EXPANSIONS.rows[self.C] == {(4, 13, 1): m.data}
+        assert memo_size(G) > 0
+        assert memo_counts(old) == before
+
+    def test_repeated_cyc_call_builds_nothing(self, monkeypatch):
+        def no_basis(b, kind):
+            raise AssertionError(f"{kind.value} basis enumerated at {b}")
+
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
+        first = hit.sq_matrix(Bidegree(4, 13), 1, self.C)
+        monkeypatch.setattr(hit, "basis", no_basis)
+        assert hit.sq_matrix(Bidegree(4, 13), 1, self.C) == first
 
     S = ModuleKind.GAMMA_SYM
     # The four matrices of unhit at gamma-sym (6,24), k=1: Sq^1, Sq^2 out
@@ -137,7 +165,7 @@ class TestSqMatrix:
     def test_sym_blocks_match_oracle(self, s):
         for d in range(0, 21):
             for l in range(0, 8):
-                m = hit.sq_matrix(Bidegree(s, d), l, self.S)
+                m = checked(hit.sq_matrix(Bidegree(s, d), l, self.S))
                 want = oracles.gamma_action_rows(s, d, l, oracles.sym_sq_support, self.S)
                 assert (m.rows, m.cols, m.data) == want, (s, d, l)
 
@@ -166,13 +194,10 @@ class TestSqMatrix:
 
     @pytest.mark.parametrize("order", [UNHIT_SYM_6_24_1, UNHIT_SYM_6_24_1[::-1]])
     def test_sym_blocks_filled_on_demand_match_oracle(self, monkeypatch, order):
-        hit.sq_matrix.cache_clear()
-        monkeypatch.setitem(hit._ROWS, self.S, {})
-        monkeypatch.setattr(hit, "_HIGH", {})
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         for b, l in order:
             m = hit.sq_matrix(Bidegree(*b), l, self.S)
             assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(*b, l, oracles.sym_sq_support, self.S), (b, l)
-        hit.sq_matrix.cache_clear()
 
     def test_sym_high_arity_needs_no_recursion(self):
         # [2, 1, ..., 1]Sq^1 = [1, ..., 1].
@@ -187,12 +212,9 @@ class TestSqMatrix:
         def no_basis(b, kind):
             raise AssertionError(f"{kind.value} basis enumerated at {b}")
 
-        hit.sq_matrix.cache_clear()
-        monkeypatch.setitem(hit._ROWS, self.S, {})
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         monkeypatch.setattr(hit, "basis", no_basis)
-        clear_expansion_caches()
         rep = hit.unhit_report(Bidegree(6, 24), 1, self.S)
-        hit.sq_matrix.cache_clear()
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (50, 47, 3)
         assert memo_size(self.S) == 0
 
@@ -200,12 +222,10 @@ class TestSqMatrix:
         def no_plain_expansion(ctx, kind, entries, l):
             raise AssertionError(f"gamma-sym rows expanded {kind.value} {entries} Sq^{l}")
 
-        hit.sq_matrix.cache_clear()
-        clear_expansion_caches()
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         for kind in (G, ModuleKind.NABLA):
             monkeypatch.setitem(modules._EXPANSION, kind, no_plain_expansion)
         rep = hit.unhit_report(Bidegree(6, 24), 1, ModuleKind.GAMMA_SYM)
-        hit.sq_matrix.cache_clear()
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (50, 47, 3)
         assert memo_size() == 0
 
@@ -236,11 +256,9 @@ class TestSqMatrix:
         # hit holds its own reference to modules.basis.
         monkeypatch.setattr(modules, "basis", no_gamma_basis)
         monkeypatch.setattr(hit, "basis", no_gamma_basis)
-        hit.sq_matrix.cache_clear()
-        monkeypatch.setitem(hit._ROWS, G, {})
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         rep = hit.unhit_report(Bidegree(4, 18), 2, G)
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (60, 59, 1)
-        hit.sq_matrix.cache_clear()
 
 
 class TestSqStack:
@@ -253,7 +271,7 @@ class TestSqStack:
             n, cols, data = oracles.gamma_action_rows(*b, l, support, kind)
             rows = [r | (x << offset) for r, x in zip(rows or [0] * n, data)]
             offset += cols
-        m = hit.sq_stack(Bidegree(*b), squares, kind)
+        m = checked(hit.sq_stack(Bidegree(*b), squares, kind))
         assert (m.rows, m.cols, m.data) == (len(rows), offset, tuple(rows))
 
     def test_delta_is_kernel_of_the_stack(self):
@@ -268,6 +286,21 @@ class TestVectorConversion:
         x = gamma((1, 3), (3, 1))
         v = hit.element_to_vector(x, b, G)
         assert hit.vector_to_element(v, b, G) == x
+
+    def test_element_of_another_piece_rejected(self):
+        for x, b, kind in [(gamma((1, 2)), Bidegree(2, 4), G),
+                           (gamma((1, 2)), Bidegree(1, 3), G),
+                           (gamma((1, 2)), Bidegree(2, 3), ModuleKind.GAMMA_SYM)]:
+            with pytest.raises(ValueError, match=re.escape(f"{kind.value} ({b.s},{b.d})")):
+                hit.element_to_vector(x, b, kind)
+
+    def test_bits_beyond_the_basis_rejected(self):
+        # (2,4) has the three basis monomials [1,3], [2,2], [3,1].
+        b = Bidegree(2, 4)
+        for bits in (1 << 3, 1 << 10, -1):
+            with pytest.raises(ValueError, match=re.escape("gamma (2,4)")):
+                hit.vector_to_element(bits, b, G)
+        assert hit.vector_to_element(0b111, b, G) == gamma((1, 3), (2, 2), (3, 1))
 
     def test_zero(self):
         b = Bidegree(2, 4)
