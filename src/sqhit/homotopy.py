@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import filterfalse
 from typing import Callable, List, NamedTuple, Tuple
 
+from . import modules
 from .modules import (
     Element,
     InternalInconsistencyError,
@@ -105,7 +106,7 @@ def _null_predicate(h: HomotopySystem) -> Callable[[Tuple[int, ...]], bool]:
 
 
 def _check_position(x: Element, h: HomotopySystem) -> None:
-    if not x.is_zero() and h.kind is not ModuleKind.NABLA and h.position > x.s:
+    if not x.is_zero() and h.position > x.s:
         raise ValueError(f"position {h.position} out of range for arity {x.s}")
 
 
@@ -144,16 +145,32 @@ def verify_homotopy(x: Element, h: HomotopySystem, m: int) -> bool:
     return total == x
 
 
+def _broken_certificate(x: Element, h: HomotopySystem, i: int, what: str) -> ChainCertificateError:
+    return ChainCertificateError(f"{h.kind.value} bidegree (s,d)=({x.s},{x.d}), order {h.order}, "
+                                 f"position {h.position}: y_{i} {what}")
+
+
 def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     """The elements y_i = x psi^(2^i) ... psi^2 psi^1, each with
-    y_i Sq^(2^(i+1)-1) = x, for i = 0..order.
+    y_i Sq^R = x for R = 2^(i+1) - 1, for i = 0..order.
 
-    The steps are incremental, y_i = y_(i-1) psi^(2^i): every psi adds to
-    the same entry, so the shifts commute and order k takes k + 1 shifts.
-    Rejects inputs outside the null subspace or not killed by every
-    Sq^(2^i), i <= order.  Each certificate is re-verified before return;
-    a failure there indicates an implementation bug, not bad input.
+    Every psi adds to the same entry, so y_i = x psi^R, built straight from
+    x as ``shift`` builds it (an orbit term stays canonical).  The pass over x's support that builds y_i also checks it: both read
+    ``shifted[kind, position, R]`` of the default context
+    ``modules.EXPANSIONS``, which maps a term t to (t shifted by R, the
+    support of its Sq^R).  Shifting is one-to-one, so y_i has as many terms
+    as x, and the XOR of their supports is y_i Sq^R, which must equal x.
+
+    Rejects a system of another kind, a position beyond the arity, inputs
+    outside the null subspace and inputs not killed by every Sq^(2^i),
+    i <= order, in that order.  Each y_i is checked against x and for null
+    membership before return; a failure there (ChainCertificateError)
+    indicates an implementation bug, not bad input.  The memo holds
+    monomials only, never whole elements or chains, so every call runs
+    every check.
     """
+    if x.kind is not h.kind:
+        raise ValueError(f"kind mismatch: element {x.kind.value}, system {h.kind.value}")
     _check_position(x, h)
     null = _null_predicate(h)
     outside = list(filterfalse(null, x.support))
@@ -162,14 +179,26 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     for i in range(h.order + 1):
         if not sq(x, 1 << i).is_zero():
             raise AnnihilationError(i)
+    ctx = modules.EXPANSIONS
+    kind, p = h.kind, h.position
+    j = p - 1
     chain: List[Element] = []
-    y = x
     for i in range(h.order + 1):
-        y = _psi(y, h, i)
-        spike = (1 << (i + 1)) - 1
-        if sq(y, spike) != x:
-            raise ChainCertificateError(f"y_{i} Sq^{spike} != x")
-        if not in_null(y, h):
-            raise ChainCertificateError(f"y_{i} left the null subspace")
+        r = (2 << i) - 1
+        memo = ctx.shifted[kind, p, r]
+        terms = []
+        image: set = set()
+        for t in x.support:
+            pair = memo.get(t)
+            if pair is None:
+                u = t[:j] + (t[j] + r,) + t[p:]
+                pair = memo[t] = (u, ctx.support(kind, u, r))
+            terms.append(pair[0])
+            image ^= pair[1]
+        y = Element._make((kind, x.s, x.d + r, frozenset(terms)))
+        if len(y.support) != len(terms) or image != x.support:
+            raise _broken_certificate(x, h, i, f"Sq^{r} != x")
+        if not all(map(null, y.support)):
+            raise _broken_certificate(x, h, i, "left the null subspace")
         chain.append(y)
     return chain

@@ -186,15 +186,19 @@ class Expansions:
 
     ``rows[kind]`` holds the rows of ``hit.sq_matrix``, keyed (s, d, l);
     ``high`` the gamma-sym column tables they are sorted through, (s, e, b).
+    ``shifted[kind, position, r]`` serves ``homotopy.preimage_chain``: it
+    maps an entry tuple t to the pair (t with r added at the position, the
+    support of that tuple's Sq^r, the frozenset ``support`` returns).
     """
 
-    __slots__ = ("allowance", "tables", "rows", "high")
+    __slots__ = ("allowance", "tables", "rows", "high", "shifted")
 
     def __init__(self, allowance=math.inf):
         self.allowance = allowance
         self.tables = {kind: defaultdict(dict) for kind in ModuleKind}
         self.rows = {kind: {} for kind in POSITIVE_KINDS}
         self.high = {}
+        self.shifted = defaultdict(dict)
 
     def charge(self, steps: int) -> None:
         self.allowance -= steps

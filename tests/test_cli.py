@@ -520,6 +520,14 @@ class TestPreimage:
         y0 = element_from_json(json.loads((tmp_path / "y0.json").read_text()))
         assert sq(y0, 1) == x
 
+    def test_chain_printed_one_element_a_line(self, capsys, tmp_path):
+        # The console-script check in CI runs the same command.
+        x = element_from_json({"kind": "gamma", "s": 1, "d": 7, "monomials": [[7]]})
+        code, out, err = run(capsys, "preimage", "--in", write_element(tmp_path, x), "--k", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f'{{"d": {d}, "kind": "gamma", "monomials": [[{d}]], "s": 1}}' for d in (8, 10, 14)]
+
     def test_unwritable_output_prefix_exit_2(self, capsys, tmp_path):
         x = element_from_json({"kind": "gamma", "s": 1, "d": 1, "monomials": [[1]]})
         prefix = str(tmp_path / "missing-dir" / "y")

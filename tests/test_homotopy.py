@@ -1,11 +1,13 @@
 import random
+import re
 
 import pytest
 
 from oracles import nested_chain, null_monomial, toggled_shift
-from sqhit import f2linalg, hit, suites
+from sqhit import f2linalg, hit, modules, suites
 from sqhit.homotopy import (
     AnnihilationError,
+    ChainCertificateError,
     HomotopySystem,
     NullMembershipError,
     PreconditionError,
@@ -22,6 +24,34 @@ G = ModuleKind.GAMMA
 
 def mono(*entries, kind=G):
     return Element.single(kind, entries)
+
+
+def null_delta_classes(kind, s, d, k, p, rng, count):
+    """Seeded nonzero sums of null kernel classes of the order-k system at
+    position p.  Positive kinds sum a random half of a basis, as the
+    benchmark draws them.  On nabla every monomial is null, and each class
+    sums monomials of (s, d) that every Sq^(2^i), i <= k, kills, with all
+    entries but the last in -40..40."""
+    if kind is ModuleKind.NABLA:
+        killed = set()
+        while len(killed) < 2 * count:
+            head = [rng.randint(-40, 40) for _ in range(s - 1)]
+            x = mono(*head, d - sum(head), kind=kind)
+            if all(sq(x, 1 << i).is_zero() for i in range(k + 1)):
+                killed |= x.support
+        pool = sorted(killed)
+        return [Element(kind, s, d, frozenset(rng.sample(pool, count))) for _ in range(count)]
+    b = Bidegree(s, d)
+    h = HomotopySystem(kind, k, p)
+    vectors = f2linalg.intersect(hit.delta_basis(b, k, kind), suites._null_span(b, kind, h)).basis
+    assert vectors
+    out = []
+    for _ in range(count):
+        acc = 0
+        for v in rng.sample(vectors, (len(vectors) + 1) // 2):
+            acc ^= v
+        out.append(hit.vector_to_element(acc, b, kind))
+    return out
 
 
 class TestShift:
@@ -178,30 +208,73 @@ class TestPreimageChain:
             preimage_chain(mono(2), HomotopySystem(G, 0, 1))
         assert exc.value.failing_i == 0
 
+    def test_kind_mismatch_cyc_system(self):
+        # Without the kind check the gamma element was tested as a necklace
+        # and refused as outside the null subspace.
+        with pytest.raises(ValueError, match=r"^kind mismatch: element gamma, system gamma-cyc$"):
+            preimage_chain(mono(1, 3), HomotopySystem(ModuleKind.GAMMA_CYC, 1, 1))
+
+    def test_kind_mismatch_sym_system(self):
+        # Without the kind check [4, 2] passed the gamma-sym null test and
+        # was refused as not killed by Sq^1.
+        with pytest.raises(ValueError, match=r"^kind mismatch: element gamma, system gamma-sym$"):
+            preimage_chain(mono(4, 2), HomotopySystem(ModuleKind.GAMMA_SYM, 1, 1))
+
+    def test_nabla_position_beyond_arity(self, monkeypatch):
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
+        x, h = mono(3, kind=ModuleKind.NABLA), HomotopySystem(ModuleKind.NABLA, 0, 3)
+        with pytest.raises(ValueError, match=r"^position 3 out of range for arity 1$"):
+            preimage_chain(x, h)
+        with pytest.raises(ValueError, match=r"^position 3 out of range for arity 1$"):
+            in_null(x, h)
+        assert not modules.EXPANSIONS.shifted
+
     @pytest.mark.parametrize("kind,s,d,orders,positions", [
         (G, 4, 14, (0,), range(1, 5)),
         (G, 4, 16, (1,), range(1, 5)),
         (G, 4, 18, (2,), range(1, 5)),
         (ModuleKind.GAMMA_SYM, 5, 24, range(3), (1,)),
         (ModuleKind.GAMMA_CYC, 4, 22, range(3), (1,)),
-    ], ids=["gamma-4-14-k0", "gamma-4-16-k1", "gamma-4-18-k2", "gamma-sym-5-24", "gamma-cyc-4-22"])
-    def test_matches_nested_chain(self, kind, s, d, orders, positions):
-        # Seeded sums of null kernel classes, as the benchmark draws them.
+        (ModuleKind.NABLA, 3, 5, (2,), (2,)),
+    ], ids=["gamma-4-14-k0", "gamma-4-16-k1", "gamma-4-18-k2", "gamma-sym-5-24", "gamma-cyc-4-22", "nabla-3-5-k2"])
+    def test_matches_nested_chain(self, monkeypatch, kind, s, d, orders, positions):
         rng = random.Random(17)
-        b = Bidegree(s, d)
-        for k in orders:
-            delta = hit.delta_basis(b, k, kind)
-            for p in positions:
-                h = HomotopySystem(kind, k, p)
-                vectors = f2linalg.intersect(delta, suites._null_span(b, kind, h)).basis
-                assert vectors
-                for _ in range(8):
-                    acc = 0
-                    for v in rng.sample(vectors, (len(vectors) + 1) // 2):
-                        acc ^= v
-                    x = hit.vector_to_element(acc, b, kind)
-                    chain = preimage_chain(x, h)
-                    assert chain == nested_chain(x, k, p), (kind, k, p, x)
+        cases = [(x, HomotopySystem(kind, k, p)) for k in orders for p in positions
+                 for x in null_delta_classes(kind, s, d, k, p, rng, 8)]
+        # Through the shifted memo of a fresh context, again warm, and in a
+        # context put in its place.
+        for run in ("fresh", "warm", "swapped"):
+            if run != "warm":
+                monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
+            for x, h in cases:
+                assert preimage_chain(x, h) == nested_chain(x, h.order, h.position), (run, h, x)
+            assert {key for key, memo in modules.EXPANSIONS.shifted.items() if memo} == {
+                (kind, p, (2 << i) - 1) for k in orders for p in positions for i in range(k + 1)}
+
+    @pytest.mark.parametrize("corrupt,failure", [
+        ("support", r"y_1 Sq\^3 != x"),
+        ("shifted onto another", r"y_1 Sq\^3 != x"),
+        ("shifted out of null", r"y_1 left the null subspace"),
+    ], ids=["support", "shifted-onto-another", "shifted-out-of-null"])
+    def test_corrupt_memo_entry_is_caught(self, monkeypatch, corrupt, failure):
+        # The chain is checked on every call, so a wrong memo entry cannot
+        # vouch for a wrong chain.
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
+        x = null_delta_classes(G, 4, 16, 1, 1, random.Random(5), 1)[0]
+        h = HomotopySystem(G, 1, 1)
+        assert preimage_chain(x, h) == nested_chain(x, 1, 1)
+        memo = modules.EXPANSIONS.shifted[G, 1, 3]
+        t, other = sorted(x.support)[:2]
+        u, support = memo[t]
+        if corrupt == "support":
+            memo[t] = (u, support ^ {t})
+        elif corrupt == "shifted onto another":
+            memo[t] = (memo[other][0], support)
+        else:
+            memo[t] = ((1,) + u[1:], support)
+        with pytest.raises(ChainCertificateError) as exc:
+            preimage_chain(x, h)
+        assert re.fullmatch(rf"gamma bidegree \(s,d\)=\(4,16\), order 1, position 1: {failure}", str(exc.value))
 
     def test_order_one_exhaustive_bidegree(self):
         # Every kernel class at (5,12) supported on first-entry >= 2 monomials
