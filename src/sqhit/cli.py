@@ -256,8 +256,6 @@ def cmd_preimage(args, cfg: Config) -> int:
     x = _read_element(args.input)
     _check_order(cfg, args.k)
     _check_arity(x.s)
-    if not 1 <= args.position <= x.s:
-        raise ValueError(f"position {args.position} out of range for arity {x.s}")
     h = HomotopySystem(x.kind, args.k, args.position)
     try:
         chain = preimage_chain(x, h)

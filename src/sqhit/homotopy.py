@@ -62,12 +62,13 @@ class HomotopySystem(_HomotopySystemFields):
         if position < 1:
             raise ValueError("position must be >= 1")
         if kind in ORBIT_KINDS and position != 1:
-            raise ValueError("orbit kinds shift the leading canonical entry only")
+            raise ValueError("orbit kinds act at position 1 only")
         return tuple.__new__(cls, (kind, order, position))
 
 
 def shift(x: Element, i: int, r: int) -> Element:
-    """Add r to entry i of every monomial.
+    """Add r to entry i, 1 <= i <= x.s, of every monomial; a zero element
+    gives the zero of degree d + r.
 
     The support is built directly: adding r to one entry is one-to-one, so
     no two terms meet and none cancels.  Orbit kinds shift their leading
@@ -78,20 +79,27 @@ def shift(x: Element, i: int, r: int) -> Element:
     """
     if r < 0:
         raise ValueError("shift amount must be >= 0")
-    if x.is_zero():
-        return Element.zero(x.kind, x.s, x.d + r)
-    if not 1 <= i <= x.s:
-        raise ValueError(f"position {i} out of range for arity {x.s}")
+    _check_position(x, i)
     if x.kind in ORBIT_KINDS and i != 1:
-        raise ValueError("orbit kinds support position 1 only")
+        raise ValueError("orbit kinds act at position 1 only")
     j = i - 1
     support = frozenset(t[:j] + (t[j] + r,) + t[i:] for t in x.support)
     return Element._make((x.kind, x.s, x.d + r, support))
 
 
-def _null_predicate(h: HomotopySystem) -> Callable[[Tuple[int, ...]], bool]:
-    """The null-subspace condition of h on one monomial, decided on the
+def _check_position(x: Element, i: int) -> None:
+    """The position rule of every element, zeros included: arity is exact."""
+    if not 1 <= i <= x.s:
+        raise ValueError(f"position {i} out of range for arity {x.s}")
+
+
+def _null_test(x: Element, h: HomotopySystem) -> Callable[[Tuple[int, ...]], bool]:
+    """Check that h acts on x (same kind, position within x's arity), then
+    return h's null-subspace condition on one monomial, decided on the
     kind once: callers test every support term with it."""
+    if x.kind is not h.kind:
+        raise ValueError(f"kind mismatch: element {x.kind.value}, system {h.kind.value}")
+    _check_position(x, h.position)
     bound = 1 << h.order
     if h.kind is ModuleKind.NABLA:
         return lambda e: True
@@ -105,17 +113,10 @@ def _null_predicate(h: HomotopySystem) -> Callable[[Tuple[int, ...]], bool]:
     return lambda e: e[0] - max(e[1:]) > bound if len(e) > 1 else e[0] >= bound
 
 
-def _check_position(x: Element, h: HomotopySystem) -> None:
-    if not x.is_zero() and h.position > x.s:
-        raise ValueError(f"position {h.position} out of range for arity {x.s}")
-
-
 def in_null(x: Element, h: HomotopySystem) -> bool:
-    """True iff every support monomial satisfies the null-subspace condition."""
-    if x.kind is not h.kind:
-        raise ValueError(f"kind mismatch: element {x.kind.value}, system {h.kind.value}")
-    _check_position(x, h)
-    return all(map(_null_predicate(h), x.support))
+    """True iff every support monomial satisfies the null-subspace
+    condition; a wrong kind or position raises as in ``preimage_chain``."""
+    return all(map(_null_test(x, h), x.support))
 
 
 def _psi(x: Element, h: HomotopySystem, m: int) -> Element:
@@ -155,24 +156,22 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     y_i Sq^R = x for R = 2^(i+1) - 1, for i = 0..order.
 
     Every psi adds to the same entry, so y_i = x psi^R, built straight from
-    x as ``shift`` builds it (an orbit term stays canonical).  The pass over x's support that builds y_i also checks it: both read
+    x as ``shift`` builds it (an orbit term stays canonical).  The pass over
+    x's support that builds y_i also checks it: both read
     ``shifted[kind, position, R]`` of the default context
     ``modules.EXPANSIONS``, which maps a term t to (t shifted by R, the
     support of its Sq^R).  Shifting is one-to-one, so y_i has as many terms
     as x, and the XOR of their supports is y_i Sq^R, which must equal x.
 
-    Rejects a system of another kind, a position beyond the arity, inputs
-    outside the null subspace and inputs not killed by every Sq^(2^i),
-    i <= order, in that order.  Each y_i is checked against x and for null
-    membership before return; a failure there (ChainCertificateError)
-    indicates an implementation bug, not bad input.  The memo holds
-    monomials only, never whole elements or chains, so every call runs
-    every check.
+    Rejects a system of another kind, a position outside 1..x.s (zero
+    elements too), inputs outside the null subspace and inputs not killed
+    by every Sq^(2^i), i <= order, in that order.  Each y_i is checked
+    against x and for null membership before return; a failure there
+    (ChainCertificateError) indicates an implementation bug, not bad
+    input.  The memo holds monomials only, never whole elements or chains,
+    so every call runs every check.
     """
-    if x.kind is not h.kind:
-        raise ValueError(f"kind mismatch: element {x.kind.value}, system {h.kind.value}")
-    _check_position(x, h)
-    null = _null_predicate(h)
+    null = _null_test(x, h)
     outside = list(filterfalse(null, x.support))
     if outside:
         raise NullMembershipError(h.kind, min(outside))

@@ -102,15 +102,18 @@ class Element(_ElementFields):
     """Finite F_2-sum of monomials of one kind, arity and internal degree.
 
     The support is a frozenset of entry tuples.  This constructor checks
-    them against the kind, arity and degree; the library's operations,
-    whose terms are well-formed by construction, build with ``_make`` and
-    skip the checks.  Degrees are exact, zeros included: ``+`` needs equal
-    kind, arity and degree, and ``==`` compares all four fields.
+    s >= 0 and each term against the kind, arity and degree; the
+    library's operations, whose terms are well-formed by construction,
+    build with ``_make`` and skip the checks.  Degrees are exact, zeros
+    included: ``+`` needs equal kind, arity and degree, and ``==``
+    compares all four fields.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: ModuleKind, s: int, d: int, support: frozenset):
+        if s < 0:
+            raise ValueError(f"arity s={s} must be >= 0")
         positive = kind in POSITIVE_KINDS
         canon = _ORBIT_CANONICAL.get(kind)
         # Each check is one pass over the whole support; the loop below runs
@@ -494,8 +497,6 @@ def element_from_json(obj: dict) -> Element:
     # type() and not isinstance(): JSON true/false load as bool, an int subclass.
     if type(s) is not int or type(d) is not int:
         raise ValueError("s and d must be integers")
-    if s < 0:
-        raise ValueError(f"arity s={s} must be >= 0")
     if d < 0 and kind in POSITIVE_KINDS:
         raise ValueError(f"degree d={d} must be >= 0 for {kind.value}")
     monos = obj["monomials"]

@@ -557,6 +557,45 @@ class TestPreimage:
         assert code == 2 and out == ""
         assert "position 3" in err and "arity 1" in err
 
+    @pytest.mark.parametrize("kind,monomials,system,accepted", [
+        ("gamma", [[7, 7]], "gamma", {1, 2}),
+        ("gamma", [], "gamma", {1, 2}),
+        ("nabla", [[-1, 15]], "nabla", {1, 2}),
+        ("nabla", [], "nabla", {1, 2}),
+        ("gamma-sym", [[11, 3]], "gamma-sym", {1}),
+        ("gamma-sym", [], "gamma-sym", {1}),
+        ("gamma", [[7, 7]], "gamma-sym", set()),
+    ], ids=["gamma", "gamma-zero", "nabla", "nabla-zero", "gamma-sym", "gamma-sym-zero", "kind-mismatch"])
+    def test_library_and_cli_agree_on_position_and_kind(self, capsys, tmp_path, kind, monomials, system,
+                                                        accepted):
+        # Arity 2, order 1: each accepted position gives a chain, so exit 2
+        # and a ValueError come from the position and kind rules alone.
+        # Zero elements follow the same rules as the others.
+        x = element_from_json({"kind": kind, "s": 2, "d": 14, "monomials": monomials})
+        path = write_element(tmp_path, x)
+
+        def raises(call):
+            try:
+                call()
+            except ValueError:
+                return True
+            return False
+
+        def at(p):  # building the system is part of each library call
+            return homotopy.HomotopySystem(ModuleKind(system), 1, p)
+
+        ran = set()
+        for p in (0, 1, 2, 3):
+            refused = raises(lambda: homotopy.preimage_chain(x, at(p)))
+            assert raises(lambda: homotopy.in_null(x, at(p))) == refused, p
+            if system == kind:  # the CLI takes the system's kind from the element
+                code, _, _ = run(capsys, "preimage", "--in", path, "--k", "1", "--position", str(p))
+                assert code == (2 if refused else 0), p
+                assert raises(lambda: homotopy.shift(x, p, 1)) == refused, p
+            if not refused:
+                ran.add(p)
+        assert ran == accepted
+
     def test_guardrail_exit_3(self, capsys, tmp_path):
         x = element_from_json({"kind": "gamma", "s": 1, "d": 3, "monomials": [[3]]})
         path = write_element(tmp_path, x)

@@ -73,6 +73,18 @@ def test_add_refuses_a_zero_of_another_degree():
     assert Element.zero(G, 2, 3) + x == x
 
 
+@pytest.mark.parametrize("kind", list(ModuleKind), ids=[k.value for k in ModuleKind])
+def test_constructor_refuses_negative_arity(kind):
+    # An empty support has no term to contradict s, so the constructor
+    # checks s itself, with the message element_from_json gives.
+    for build in (lambda: Element(kind, -1, 3, frozenset()), lambda: Element.from_monomials(kind, -1, 3, [])):
+        with pytest.raises(ValueError, match=r"^arity s=-1 must be >= 0$"):
+            build()
+    assert Element(kind, 0, 0, frozenset()).is_zero()
+    # A negative degree stays allowed: sq past d builds such zeros.
+    assert Element(kind, 2, -5, frozenset()) == sq(Element.zero(kind, 2, 0), 5)
+
+
 def test_zeros_of_different_degree_differ():
     assert Element.zero(G, 2, 3) != Element.zero(G, 2, 4)
     assert sq(Element.single(G, (1, 1)), 1) == Element.zero(G, 2, 1)
