@@ -24,6 +24,7 @@ from .modules import (
     InternalInconsistencyError,
     ModuleKind,
     _cyc_canonical,
+    _sym_count,
     basis,
     basis_size,
     binom_mod2,
@@ -100,31 +101,6 @@ def _first_entries(kind: ModuleKind, s: int, d: int) -> range:
     """The first entries of the basis of (s, d), s >= 1, ascending: any a
     for gamma; the largest part of a gamma-sym partition, from ceil(d/s)."""
     return range(-(-d // s) if kind is _SYM else 1, d - s + 2)
-
-
-@lru_cache(maxsize=None)
-def _sym_count(s: int, d: int, c: int) -> int:
-    """Partitions of d into s parts, each at most c.  Taking 1 from each
-    part leaves the partitions of d - s that fit in a box of s rows and
-    c - 1 columns.  With k <= m the sides of the box, they are counted by
-    the coefficient of x^(d-s) in the Gaussian binomial [k + m, k], the
-    product over i = 1..k of (1 - x^(m+i)) / (1 - x^i).  It is symmetric of
-    degree km, so the coefficient of x^n with n <= km/2 is read, and the
-    factors with i > n are 1 up to x^n.  A box of one row holds one
-    partition of each size up to m."""
-    k, m = sorted((s, c - 1))
-    n = min(d - s, k * m - d + s)
-    if k < 0 or n < 0:
-        return int(s == d == 0)
-    if k == 1 or n == 0:
-        return 1
-    coef = [1] + [0] * n
-    for i in range(1, min(k, n) + 1):
-        for j in range(n, m + i - 1, -1):  # times 1 - x^(m+i)
-            coef[j] -= coef[j - m - i]
-        for j in range(i, n + 1):  # over 1 - x^i
-            coef[j] += coef[j - i]
-    return coef[n]
 
 
 @lru_cache(maxsize=None)

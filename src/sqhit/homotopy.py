@@ -13,10 +13,12 @@ from typing import Callable, List, NamedTuple, Tuple
 
 from . import modules
 from .modules import (
+    Bidegree,
     Element,
     InternalInconsistencyError,
     ModuleKind,
     ORBIT_KINDS,
+    basis,
     monomial_str,
     sq,
 )
@@ -117,6 +119,16 @@ def in_null(x: Element, h: HomotopySystem) -> bool:
     """True iff every support monomial satisfies the null-subspace
     condition; a wrong kind or position raises as in ``preimage_chain``."""
     return all(map(_null_test(x, h), x.support))
+
+
+def null_span(b: Bidegree, h: HomotopySystem):
+    """The ``f2linalg.Subspace`` spanned by the basis monomials of h's kind
+    at b that lie in h's null subspace; a position past b's arity raises as
+    in ``in_null``."""
+    from . import f2linalg  # here, not at the top: the chain path never needs it
+    monos = basis(b, h.kind)
+    null = _null_test(Element.zero(h.kind, b.s, b.d), h)
+    return f2linalg.subspace_from_rows(len(monos), [1 << j for j, m in enumerate(monos) if null(m)])
 
 
 def _psi(x: Element, h: HomotopySystem, m: int) -> Element:

@@ -133,7 +133,9 @@ class Element(_ElementFields):
 
     @classmethod
     def zero(cls, kind: ModuleKind, s: int, d: int) -> "Element":
-        return cls._make((kind, s, d, frozenset()))  # no terms to check
+        if s < 0:  # the one constructor check an empty support needs
+            raise ValueError(f"arity s={s} must be >= 0")
+        return cls._make((kind, s, d, frozenset()))
 
     @classmethod
     def from_monomials(cls, kind: ModuleKind, s: int, d: int, terms: Iterable[Tuple[int, ...]]) -> "Element":
@@ -375,6 +377,31 @@ def basis(b: Bidegree, kind: ModuleKind) -> Tuple[Tuple[int, ...], ...]:
     return tuple(_necklaces(d, s))
 
 
+@lru_cache(maxsize=None)
+def _sym_count(s: int, d: int, c: int) -> int:
+    """Partitions of d into s parts, each at most c.  Taking 1 from each
+    part leaves the partitions of d - s that fit in a box of s rows and
+    c - 1 columns.  With k <= m the sides of the box, they are counted by
+    the coefficient of x^(d-s) in the Gaussian binomial [k + m, k], the
+    product over i = 1..k of (1 - x^(m+i)) / (1 - x^i).  It is symmetric of
+    degree km, so the coefficient of x^n with n <= km/2 is read, and the
+    factors with i > n are 1 up to x^n.  A box of one row holds one
+    partition of each size up to m."""
+    k, m = sorted((s, c - 1))
+    n = min(d - s, k * m - d + s)
+    if k < 0 or n < 0:
+        return int(s == d == 0)
+    if k == 1 or n == 0:
+        return 1
+    coef = [1] + [0] * n
+    for i in range(1, min(k, n) + 1):
+        for j in range(n, m + i - 1, -1):  # times 1 - x^(m+i)
+            coef[j] -= coef[j - m - i]
+        for j in range(i, n + 1):  # over 1 - x^i
+            coef[j] += coef[j - i]
+    return coef[n]
+
+
 def _binomial(n: int, k: int, cap) -> int:
     """C(n, k), or cap + 1 once it passes cap.  C(n, j) grows with j up to
     n/2 and at least doubles, so at most log2(cap) + 1 steps run."""
@@ -385,26 +412,6 @@ def _binomial(n: int, k: int, cap) -> int:
         if c > cap:
             return cap + 1
     return c
-
-
-def _partitions_at_most(n: int, k: int, cap) -> int:
-    """Partitions of n into at most k parts, or cap + 1 once they pass cap.
-    Counted part size by part size; the count only grows, and a large n is
-    refused first by the at-most-three-parts count, at least (n+3)^2 // 12."""
-    k = min(k, n)
-    if k <= 1:
-        return 1
-    if k == 2:
-        return min(n // 2 + 1, cap + 1)
-    if (n + 3) ** 2 // 12 > cap:
-        return cap + 1
-    ways = [1] + [0] * n
-    for part in range(1, k + 1):
-        for i in range(part, n + 1):
-            ways[i] += ways[i - part]
-        if ways[n] > cap:
-            return cap + 1
-    return ways[n]
 
 
 def _divisor_phis(n: int):
@@ -428,9 +435,13 @@ def basis_size(b: Bidegree, kind: ModuleKind, limit: Optional[int] = None) -> in
     """len(basis(b, kind)), counted without enumerating; with a limit,
     min(len, limit + 1), and the work stays small however large b is.
 
-    gamma: C(d-1, s-1) compositions.  gamma-sym: p(d, s) partitions, where
-    p(d, s) = p(d-1, s-1) + p(d-s, s) is the number of partitions of d - s
-    into at most s parts (take 1 from each part).  gamma-cyc: by Burnside,
+    gamma: C(d-1, s-1) compositions.  gamma-sym: the partitions of
+    n = d - s into at most s parts (take 1 from each part), k = min(s, n)
+    of them nonzero: 1 for k = 1, n // 2 + 1 for k = 2, else
+    ``_sym_count``, after two lower bounds refuse a count past the limit:
+    at least (n+3)^2 // 12 partitions into at most three parts, and for
+    k >= 4 at least C(n+3, 3) / 24 into at most four, as each gives at most
+    4! compositions of n into four parts >= 0.  gamma-cyc: by Burnside,
     (1/s) * sum over j | gcd(s, d) of phi(j) * C(d/j - 1, s/j - 1) necklaces.
     """
     s, d = _finite_piece(b, kind)
@@ -440,7 +451,13 @@ def basis_size(b: Bidegree, kind: ModuleKind, limit: Optional[int] = None) -> in
     if kind is ModuleKind.GAMMA:
         return _binomial(d - 1, s - 1, cap)
     if kind is ModuleKind.GAMMA_SYM:
-        return _partitions_at_most(d - s, s, cap)
+        n = d - s
+        k = min(s, n)
+        if k <= 2:
+            return 1 if k == 1 else min(n // 2 + 1, cap + 1)
+        if (n + 3) ** 2 // 12 > cap or k > 3 and math.comb(n + 3, 3) > 24 * cap:
+            return cap + 1
+        return min(_sym_count(s, d, n + 1), cap + 1)
     # The j = 1 term alone is at most s times the count.
     if _binomial(d - 1, s - 1, s * cap) > s * cap:
         return cap + 1

@@ -17,6 +17,7 @@ from .homotopy import (
     HomotopySystem,
     NullMembershipError,
     in_null,
+    null_span,
     preimage_chain,
     shift,
     verify_commutation,
@@ -216,15 +217,6 @@ def suite_homotopy(seed: int = 0) -> SuiteResult:
     return rec.result
 
 
-def _null_span(b: Bidegree, kind: ModuleKind, h: HomotopySystem) -> f2linalg.Subspace:
-    monos = basis(b, kind)
-    rows = []
-    for j, m in enumerate(monos):
-        if in_null(Element.single(kind, m), h):
-            rows.append(1 << j)
-    return f2linalg.subspace_from_rows(len(monos), rows)
-
-
 def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> SuiteResult:
     """Certify that kernel classes supported on null monomials are spike
     images, constructively, via verified preimage chains."""
@@ -240,7 +232,7 @@ def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> 
                 image = hit.spike_image_basis(b, k, kind)
                 for i in positions:
                     h = HomotopySystem(kind, k, i)
-                    inter = f2linalg.intersect(delta, _null_span(b, kind, h))
+                    inter = f2linalg.intersect(delta, null_span(b, h))
                     for r in inter.basis:
                         x = hit.vector_to_element(r, b, kind)
                         note = f"certificate k={k} pos={i}"

@@ -5,7 +5,8 @@ math.comb and explicit power-series arithmetic, the square action is an
 itertools enumeration over compositions, bases are itertools compositions
 (canonicalised for the orbit kinds), and action matrices are built
 monomial by monomial.  The gamma-sym action keeps its old path, on its
-own plain Cartan recursion: expand, then sort and cancel.  Homotopy chains keep their old nested
+own plain Cartan recursion: expand, then sort and cancel.  Partition counts
+keep the old part-by-part recurrence.  Homotopy chains keep their old nested
 shifts, each one canonicalised and toggled.  Element JSON keeps its old
 per-monomial parse.  The reference elimination at the end is
 the slow dense-scan algorithm that the library's single sparse core must
@@ -64,6 +65,18 @@ def orbit_basis(kind: ModuleKind, s: int, d: int) -> tuple:
     of d into s >= 1 positive parts, then sort."""
     canon = {ModuleKind.GAMMA_SYM: sym_canonical, ModuleKind.GAMMA_CYC: cyc_canonical}[kind]
     return tuple(sorted({canon(t) for t in gamma_basis(s, d)}))
+
+
+def partitions_at_most(n: int, k: int, cap) -> int:
+    """Partitions of n >= 0 into at most k parts, or cap + 1 once they pass
+    cap, counted part size by part size; the count only grows."""
+    ways = [1] + [0] * n
+    for part in range(1, min(k, n) + 1):
+        for i in range(part, n + 1):
+            ways[i] += ways[i - part]
+        if ways[n] > cap:
+            return cap + 1
+    return ways[n]
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from sqhit import f2linalg, hit, suites
-from sqhit.homotopy import HomotopySystem, preimage_chain, shift
+from sqhit.homotopy import HomotopySystem, null_span, preimage_chain, shift
 from sqhit.modules import (
     ORBIT_KINDS,
     POSITIVE_KINDS,
@@ -77,7 +77,8 @@ def test_add_refuses_a_zero_of_another_degree():
 def test_constructor_refuses_negative_arity(kind):
     # An empty support has no term to contradict s, so the constructor
     # checks s itself, with the message element_from_json gives.
-    for build in (lambda: Element(kind, -1, 3, frozenset()), lambda: Element.from_monomials(kind, -1, 3, [])):
+    for build in (lambda: Element(kind, -1, 3, frozenset()), lambda: Element.from_monomials(kind, -1, 3, []),
+                  lambda: Element.zero(kind, -1, 3)):
         with pytest.raises(ValueError, match=r"^arity s=-1 must be >= 0$"):
             build()
     assert Element(kind, 0, 0, frozenset()).is_zero()
@@ -93,7 +94,7 @@ def test_zeros_of_different_degree_differ():
 def test_operations_run_without_the_constructor(monkeypatch):
     b = Bidegree(4, 18)
     h = HomotopySystem(G, 2, 1)
-    null = f2linalg.intersect(hit.delta_basis(b, 2, G), suites._null_span(b, G, h))
+    null = f2linalg.intersect(hit.delta_basis(b, 2, G), null_span(b, h))
     bits = null.basis[0]
     x = hit.vector_to_element(bits, b, G)
     one = Element.single(G, (3,))

@@ -176,7 +176,7 @@ class TestSqMatrix:
             for d in range(0, 16):
                 parts = oracles.orbit_basis(self.S, s, d) if s else ((),) * (d == 0)
                 for c in range(0, d + 2):
-                    assert hit._sym_count(s, d, c) == sum(max(p, default=0) <= c for p in parts), (s, d, c)
+                    assert modules._sym_count(s, d, c) == sum(max(p, default=0) <= c for p in parts), (s, d, c)
 
     def test_sym_blocks_match_expansion_over_report_box(self):
         # Every square of order 1 (l <= 3) out of the pieces a gamma-sym

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from oracles import nested_chain, null_monomial, toggled_shift
-from sqhit import f2linalg, hit, modules, suites
+from sqhit import f2linalg, hit, modules
 from sqhit.homotopy import (
     AnnihilationError,
     ChainCertificateError,
@@ -12,6 +12,7 @@ from sqhit.homotopy import (
     NullMembershipError,
     PreconditionError,
     in_null,
+    null_span,
     preimage_chain,
     shift,
     verify_commutation,
@@ -43,7 +44,7 @@ def null_delta_classes(kind, s, d, k, p, rng, count):
         return [Element(kind, s, d, frozenset(rng.sample(pool, count))) for _ in range(count)]
     b = Bidegree(s, d)
     h = HomotopySystem(kind, k, p)
-    vectors = f2linalg.intersect(hit.delta_basis(b, k, kind), suites._null_span(b, kind, h)).basis
+    vectors = f2linalg.intersect(hit.delta_basis(b, k, kind), null_span(b, h)).basis
     assert vectors
     out = []
     for _ in range(count):

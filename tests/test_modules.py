@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cyc_canonical, gamma_basis, json_element, naive_sq, orbit_basis, series_binom_mod2, sym_sq_support
+from oracles import (
+    cyc_canonical,
+    gamma_basis,
+    json_element,
+    naive_sq,
+    orbit_basis,
+    partitions_at_most,
+    series_binom_mod2,
+    sym_sq_support,
+)
 from sqhit import modules
 from sqhit.modules import (
     Bidegree,
@@ -375,11 +384,25 @@ class TestBases:
                 for limit in (1, 5, 40):
                     assert basis_size(Bidegree(s, d), kind, limit) == min(n, limit + 1), (kind, s, d, limit)
 
+    def test_sym_size_matches_partition_oracle(self):
+        # The partitions of n = d - s into at most s parts, clipped at
+        # limit + 1, on a grid that crosses both lower bounds basis_size
+        # refuses with: at limit 200000, n = 1546 | 1547 for three parts and
+        # C(n+3, 3) <= 24 * 200000 up to n = 304 for four or more.
+        grid = [(s, n, 200000) for s, ns in ((3, range(1601)), (4, range(321)), (5, range(321)),
+                                             (300, range(280, 321)), (1000, range(280, 321))) for n in ns]
+        grid += [(s, n, limit) for limit in (1, 5, 40, 1000) for s in (1, 2, 3, 4, 5, 8, 300, 1000) for n in range(121)]
+        for s, n, limit in grid:
+            want = min(partitions_at_most(n, s, limit), limit + 1)
+            assert basis_size(Bidegree(s, s + n), ModuleKind.GAMMA_SYM, limit) == want, (s, n, limit)
+
     @pytest.mark.parametrize("kind", POSITIVE_KINDS)
     def test_basis_size_limit_bounds_the_work(self, kind):
         start = time.perf_counter()
-        for s, d in ((2, 10**9), (1000, 10**9), (5 * 10**8, 10**9), (3, 10**6)):
+        for s, d in ((2, 10**9), (1000, 10**9), (5 * 10**8, 10**9), (3, 10**6), (1000, 1304), (300, 604)):
             assert basis_size(Bidegree(s, d), kind, 200000) == 200001, (kind, s, d)
+        # The largest gamma-sym count of three parts under the limit.
+        assert basis_size(Bidegree(3, 1549), kind, 200000) == (199950 if kind is ModuleKind.GAMMA_SYM else 200001)
         # s = d: one element, with no divisor sum over gcd(s, d) = 10^9.
         assert basis_size(Bidegree(10**9, 10**9), kind, 200000) == 1
         assert time.perf_counter() - start < 1.0
