@@ -158,7 +158,12 @@ def verify_homotopy(x: Element, h: HomotopySystem, m: int) -> bool:
     return total == x
 
 
-def _broken_certificate(x: Element, h: HomotopySystem, i: int, what: str) -> ChainCertificateError:
+def _failed_certificate(x: Element, h: HomotopySystem, i: int, what: str) -> Exception:
+    """The error for a chain whose step i failed: AnnihilationError for the
+    first Sq^(2^m), m <= order, that does not kill x, else a bug."""
+    for m in range(h.order + 1):
+        if not sq(x, 1 << m).is_zero():
+            return AnnihilationError(m)
     return ChainCertificateError(f"{h.kind.value} bidegree (s,d)=({x.s},{x.d}), order {h.order}, "
                                  f"position {h.position}: y_{i} {what}")
 
@@ -176,20 +181,20 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     as x, and the XOR of their supports is y_i Sq^R, which must equal x.
 
     Rejects a system of another kind, a position outside 1..x.s (zero
-    elements too), inputs outside the null subspace and inputs not killed
-    by every Sq^(2^i), i <= order, in that order.  Each y_i is checked
-    against x and for null membership before return; a failure there
-    (ChainCertificateError) indicates an implementation bug, not bad
-    input.  The memo holds monomials only, never whole elements or chains,
-    so every call runs every check.
+    elements too) and inputs outside the null subspace, in that order.
+    Each y_i is checked against x and for null membership before return.
+    A passed y_i Sq^R = x proves that Sq^(2^i) kills x, by the Adem
+    relation Sq^R Sq^(2^i) = 0, so a chain that passes computes no square
+    of x.  Only a failed check runs every Sq^(2^m), m <= order, on x, to
+    classify it: AnnihilationError for the first that does not kill x,
+    else ChainCertificateError, which indicates an implementation bug, not
+    bad input.  The memo holds monomials only, never whole elements or
+    chains, so every call runs every check.
     """
     null = _null_test(x, h)
     outside = list(filterfalse(null, x.support))
     if outside:
         raise NullMembershipError(h.kind, min(outside))
-    for i in range(h.order + 1):
-        if not sq(x, 1 << i).is_zero():
-            raise AnnihilationError(i)
     ctx = modules.EXPANSIONS
     kind, p = h.kind, h.position
     j = p - 1
@@ -208,8 +213,8 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
             image ^= pair[1]
         y = Element._make((kind, x.s, x.d + r, frozenset(terms)))
         if len(y.support) != len(terms) or image != x.support:
-            raise _broken_certificate(x, h, i, f"Sq^{r} != x")
+            raise _failed_certificate(x, h, i, f"Sq^{r} != x")
         if not all(map(null, y.support)):
-            raise _broken_certificate(x, h, i, "left the null subspace")
+            raise _failed_certificate(x, h, i, "left the null subspace")
         chain.append(y)
     return chain

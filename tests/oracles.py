@@ -7,10 +7,11 @@ itertools enumeration over compositions, bases are itertools compositions
 monomial by monomial.  The gamma-sym action keeps its old path, on its
 own plain Cartan recursion: expand, then sort and cancel.  Partition counts
 keep the old part-by-part recurrence.  Homotopy chains keep their old nested
-shifts, each one canonicalised and toggled.  Element JSON keeps its old
-per-monomial parse.  The reference elimination at the end is
-the slow dense-scan algorithm that the library's single sparse core must
-match basis for basis.
+shifts, each one canonicalised and toggled, and the first square that does
+not kill a chain's input comes from naive passes, one square at a time.
+Element JSON keeps its old per-monomial parse.  The reference elimination
+at the end is the slow dense-scan algorithm that the library's single
+sparse core must match basis for basis.
 """
 
 import functools
@@ -248,6 +249,15 @@ def nested_chain(x: Element, order: int, position: int) -> list:
             y = toggled_shift(y, position, 1 << m)
         chain.append(y)
     return chain
+
+
+def first_unkilled(x: Element, order: int):
+    """The least i <= order with x Sq^(2^i) != 0 by the naive expansion,
+    or None when every such square kills x."""
+    for i in range(order + 1):
+        if not naive_sq(x, 1 << i).is_zero():
+            return i
+    return None
 
 
 def null_monomial(kind: ModuleKind, order: int, position: int, e: tuple) -> bool:

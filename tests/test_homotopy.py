@@ -3,8 +3,8 @@ import re
 
 import pytest
 
-from oracles import nested_chain, null_monomial, toggled_shift
-from sqhit import f2linalg, hit, modules
+from oracles import first_unkilled, nested_chain, null_monomial, toggled_shift
+from sqhit import f2linalg, hit, homotopy, modules
 from sqhit.homotopy import (
     AnnihilationError,
     ChainCertificateError,
@@ -27,24 +27,25 @@ def mono(*entries, kind=G):
     return Element.single(kind, entries)
 
 
-def null_delta_classes(kind, s, d, k, p, rng, count):
-    """Seeded nonzero sums of null kernel classes of the order-k system at
-    position p.  Positive kinds sum a random half of a basis, as the
-    benchmark draws them.  On nabla every monomial is null, and each class
-    sums monomials of (s, d) that every Sq^(2^i), i <= k, kills, with all
-    entries but the last in -40..40."""
+def null_delta_classes(kind, s, d, k, p, rng, count, killed=None):
+    """Seeded nonzero sums of null classes of the order-k system at
+    position p that every Sq^(2^i), i <= killed (default k), kills.
+    Positive kinds sum a random half of a basis, as the benchmark draws
+    them.  On nabla every monomial is null, and each class sums such
+    killed monomials of (s, d), with all entries but the last in -40..40."""
+    killed = k if killed is None else killed
     if kind is ModuleKind.NABLA:
-        killed = set()
-        while len(killed) < 2 * count:
+        pool = set()
+        while len(pool) < 2 * count:
             head = [rng.randint(-40, 40) for _ in range(s - 1)]
             x = mono(*head, d - sum(head), kind=kind)
-            if all(sq(x, 1 << i).is_zero() for i in range(k + 1)):
-                killed |= x.support
-        pool = sorted(killed)
+            if all(sq(x, 1 << i).is_zero() for i in range(killed + 1)):
+                pool |= x.support
+        pool = sorted(pool)
         return [Element(kind, s, d, frozenset(rng.sample(pool, count))) for _ in range(count)]
     b = Bidegree(s, d)
     h = HomotopySystem(kind, k, p)
-    vectors = f2linalg.intersect(hit.delta_basis(b, k, kind), null_span(b, h)).basis
+    vectors = f2linalg.intersect(hit.delta_basis(b, killed, kind), null_span(b, h)).basis
     assert vectors
     out = []
     for _ in range(count):
@@ -53,6 +54,43 @@ def null_delta_classes(kind, s, d, k, p, rng, count):
             acc ^= v
         out.append(hit.vector_to_element(acc, b, kind))
     return out
+
+
+def null_elements(kind, s, d, k, p, rng, count):
+    """Seeded sums of one to six null monomials of the order-k system at
+    position p, killed or not by the Sq^(2^i), i <= k.  Nabla draws each
+    monomial with all entries but the last in -40..40."""
+    if kind is ModuleKind.NABLA:
+        def draw():
+            head = [rng.randint(-40, 40) for _ in range(s - 1)]
+            return (*head, d - sum(head))
+        return [Element.from_monomials(kind, s, d, [draw() for _ in range(rng.randint(1, 6))])
+                for _ in range(count)]
+    pool = [m for m in basis(Bidegree(s, d), kind) if null_monomial(kind, k, p, m)]
+    return [Element(kind, s, d, frozenset(rng.sample(pool, rng.randint(1, min(6, len(pool))))))
+            for _ in range(count)]
+
+
+@pytest.fixture
+def sq_calls(monkeypatch):
+    """The squares l that ``homotopy`` asks of ``sq``, in call order."""
+    calls = []
+
+    def counted(x, l, *args, **kwargs):
+        calls.append(l)
+        return sq(x, l, *args, **kwargs)
+    monkeypatch.setattr(homotopy, "sq", counted)
+    return calls
+
+
+CHAIN_PIECES = pytest.mark.parametrize("kind,s,d,orders,positions", [
+    (G, 4, 14, (0,), range(1, 5)),
+    (G, 4, 16, (1,), range(1, 5)),
+    (G, 4, 18, (2,), range(1, 5)),
+    (ModuleKind.GAMMA_SYM, 5, 24, range(3), (1,)),
+    (ModuleKind.GAMMA_CYC, 4, 22, range(3), (1,)),
+    (ModuleKind.NABLA, 3, 5, (2,), (2,)),
+], ids=["gamma-4-14-k0", "gamma-4-16-k1", "gamma-4-18-k2", "gamma-sym-5-24", "gamma-cyc-4-22", "nabla-3-5-k2"])
 
 
 class TestShift:
@@ -209,6 +247,29 @@ class TestPreimageChain:
             preimage_chain(mono(2), HomotopySystem(G, 0, 1))
         assert exc.value.failing_i == 0
 
+    @pytest.mark.parametrize("entry,k", [(5, 1), (11, 2)])
+    def test_rejects_unannihilated_higher_square(self, entry, k):
+        # Sq^(2^i) kills [5] for i = 0 only and [11] for i <= 1; both lie in
+        # the order-k null subspace, so the refusal comes from a failed
+        # certificate and names the least square that does not kill x.
+        x = mono(entry)
+        assert first_unkilled(x, k) == k
+        with pytest.raises(AnnihilationError, match=rf"^element is not killed by Sq\^{1 << k}$") as exc:
+            preimage_chain(x, HomotopySystem(G, k, 1))
+        assert exc.value.failing_i == k
+
+    def test_passing_chain_computes_no_square(self, sq_calls):
+        # y_i Sq^R = x with R = 2^(i+1) - 1 proves x Sq^(2^i) = 0 by the Adem
+        # relation, so only a failed certificate runs the square passes,
+        # each Sq^(2^m) once up to the first that does not kill x.
+        x = null_delta_classes(G, 4, 18, 2, 1, random.Random(5), 1)[0]
+        assert preimage_chain(x, HomotopySystem(G, 2, 1)) == nested_chain(x, 2, 1)
+        assert sq_calls == []
+        with pytest.raises(AnnihilationError) as exc:
+            preimage_chain(mono(5), HomotopySystem(G, 1, 1))
+        assert exc.value.failing_i == 1
+        assert sq_calls == [1, 2]
+
     def test_kind_mismatch_cyc_system(self):
         # Without the kind check the gamma element was tested as a necklace
         # and refused as outside the null subspace.
@@ -230,14 +291,7 @@ class TestPreimageChain:
             in_null(x, h)
         assert not modules.EXPANSIONS.shifted
 
-    @pytest.mark.parametrize("kind,s,d,orders,positions", [
-        (G, 4, 14, (0,), range(1, 5)),
-        (G, 4, 16, (1,), range(1, 5)),
-        (G, 4, 18, (2,), range(1, 5)),
-        (ModuleKind.GAMMA_SYM, 5, 24, range(3), (1,)),
-        (ModuleKind.GAMMA_CYC, 4, 22, range(3), (1,)),
-        (ModuleKind.NABLA, 3, 5, (2,), (2,)),
-    ], ids=["gamma-4-14-k0", "gamma-4-16-k1", "gamma-4-18-k2", "gamma-sym-5-24", "gamma-cyc-4-22", "nabla-3-5-k2"])
+    @CHAIN_PIECES
     def test_matches_nested_chain(self, monkeypatch, kind, s, d, orders, positions):
         rng = random.Random(17)
         cases = [(x, HomotopySystem(kind, k, p)) for k in orders for p in positions
@@ -252,18 +306,46 @@ class TestPreimageChain:
             assert {key for key, memo in modules.EXPANSIONS.shifted.items() if memo} == {
                 (kind, p, (2 << i) - 1) for k in orders for p in positions for i in range(k + 1)}
 
+    @CHAIN_PIECES
+    def test_error_order_matches_oracle(self, kind, s, d, orders, positions):
+        # Killed or not, every null input gets the answer that square
+        # passes run before the chain would give: the nested chain, or
+        # AnnihilationError at the least square that the naive expansion
+        # finds does not kill it.  Classes killed by the
+        # squares up to Sq^(2^j), j <= k, are mostly refused at j + 1.
+        rng = random.Random(29)
+        seen = set()
+        for k in orders:
+            for p in positions:
+                h = HomotopySystem(kind, k, p)
+                cases = null_elements(kind, s, d, k, p, rng, 4)
+                for j in range(k + 1):
+                    cases += null_delta_classes(kind, s, d, k, p, rng, 2, killed=j)
+                for x in cases:
+                    i = first_unkilled(x, k)
+                    seen.add(i)
+                    if i is None:
+                        assert preimage_chain(x, h) == nested_chain(x, k, p), (h, x)
+                        continue
+                    with pytest.raises(AnnihilationError) as exc:
+                        preimage_chain(x, h)
+                    assert exc.value.failing_i == i, (h, x)
+        assert seen == {None, *range(max(orders) + 1)}
+
     @pytest.mark.parametrize("corrupt,failure", [
         ("support", r"y_1 Sq\^3 != x"),
         ("shifted onto another", r"y_1 Sq\^3 != x"),
         ("shifted out of null", r"y_1 left the null subspace"),
     ], ids=["support", "shifted-onto-another", "shifted-out-of-null"])
-    def test_corrupt_memo_entry_is_caught(self, monkeypatch, corrupt, failure):
+    def test_corrupt_memo_entry_is_caught(self, monkeypatch, sq_calls, corrupt, failure):
         # The chain is checked on every call, so a wrong memo entry cannot
-        # vouch for a wrong chain.
+        # vouch for a wrong chain.  Only the failed call runs the square
+        # passes, and since x is killed by both it blames the chain.
         monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         x = null_delta_classes(G, 4, 16, 1, 1, random.Random(5), 1)[0]
         h = HomotopySystem(G, 1, 1)
         assert preimage_chain(x, h) == nested_chain(x, 1, 1)
+        assert sq_calls == []
         memo = modules.EXPANSIONS.shifted[G, 1, 3]
         t, other = sorted(x.support)[:2]
         u, support = memo[t]
@@ -275,6 +357,7 @@ class TestPreimageChain:
             memo[t] = ((1,) + u[1:], support)
         with pytest.raises(ChainCertificateError) as exc:
             preimage_chain(x, h)
+        assert sq_calls == [1, 2]
         assert re.fullmatch(rf"gamma bidegree \(s,d\)=\(4,16\), order 1, position 1: {failure}", str(exc.value))
 
     def test_order_one_exhaustive_bidegree(self):
