@@ -248,27 +248,24 @@ class TestPreimageChain:
         assert exc.value.failing_i == 0
 
     @pytest.mark.parametrize("entry,k", [(5, 1), (11, 2)])
-    def test_rejects_unannihilated_higher_square(self, entry, k):
+    def test_rejects_unannihilated_higher_square(self, sq_calls, entry, k):
         # Sq^(2^i) kills [5] for i = 0 only and [11] for i <= 1; both lie in
         # the order-k null subspace, so the refusal comes from a failed
-        # certificate and names the least square that does not kill x.
+        # certificate, whose square passes stop at the first that does not
+        # kill x and name it.
         x = mono(entry)
         assert first_unkilled(x, k) == k
         with pytest.raises(AnnihilationError, match=rf"^element is not killed by Sq\^{1 << k}$") as exc:
             preimage_chain(x, HomotopySystem(G, k, 1))
         assert exc.value.failing_i == k
+        assert sq_calls == [1 << i for i in range(k + 1)]
 
     def test_passing_chain_computes_no_square(self, sq_calls):
         # y_i Sq^R = x with R = 2^(i+1) - 1 proves x Sq^(2^i) = 0 by the Adem
-        # relation, so only a failed certificate runs the square passes,
-        # each Sq^(2^m) once up to the first that does not kill x.
+        # relation, so a chain that passes runs no square pass.
         x = null_delta_classes(G, 4, 18, 2, 1, random.Random(5), 1)[0]
         assert preimage_chain(x, HomotopySystem(G, 2, 1)) == nested_chain(x, 2, 1)
         assert sq_calls == []
-        with pytest.raises(AnnihilationError) as exc:
-            preimage_chain(mono(5), HomotopySystem(G, 1, 1))
-        assert exc.value.failing_i == 1
-        assert sq_calls == [1, 2]
 
     def test_kind_mismatch_cyc_system(self):
         # Without the kind check the gamma element was tested as a necklace
