@@ -23,7 +23,6 @@ from .modules import (
     Element,
     InternalInconsistencyError,
     ModuleKind,
-    _cyc_canonical,
     _sym_count,
     basis,
     basis_size,
@@ -150,21 +149,18 @@ def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) ->
     a whole, and is sorted into the others through the column tables in
     ``ctx.high``, where terms of different i may meet and cancel.
 
-    A necklace is not closed under the split, so a gamma-cyc row folds the
-    plain gamma terms of its basis monomial, from ctx, straight into the
-    row bits: each term is canonicalised to its necklace and XORed into
-    that column, which cancels the terms that meet mod 2.  ctx's gamma-cyc
-    tables, which serve element-level ``sq``, are neither read nor filled.
+    A necklace is not closed under the split, so a gamma-cyc row is the
+    support ``ctx.support`` gives its basis monomial: the plain gamma
+    support, from ctx's gamma tables, projected to necklaces.
     """
     if s == 1:
         return (binom_mod2(d - l, l),)
     if kind is _CYC:
-        index, plain = _basis_index(Bidegree(s, d - l), kind), partial(ctx.support, ModuleKind.GAMMA)
-        rows = []
+        index, rows = _basis_index(Bidegree(s, d - l), kind), []
         for m in basis(Bidegree(s, d), kind):
             bits = 0
-            for t in plain(m, l):
-                bits ^= 1 << index[_cyc_canonical(t)]
+            for t in ctx.support(kind, m, l):
+                bits |= 1 << index[t]
             rows.append(bits)
         return tuple(rows)
     tails, dom, cod = ctx.rows[kind], _offsets(kind, s, d), _offsets(kind, s, d - l)
@@ -237,7 +233,7 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     at ``rows[kind][s, d, l]`` of the default context ``modules.EXPANSIONS``,
     read once a call.  Gamma and gamma-sym rows come from first-entry
     blocks, built from the rows one arity down with no basis enumerated and
-    no monomial expanded; gamma-cyc rows fold plain gamma terms.
+    no monomial expanded; gamma-cyc rows project plain gamma supports.
     """
     n = basis_size(b, kind)
     if l < 0:

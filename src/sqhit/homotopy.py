@@ -18,6 +18,7 @@ from .modules import (
     InternalInconsistencyError,
     ModuleKind,
     ORBIT_KINDS,
+    _check_kind,
     basis,
     monomial_str,
     sq,
@@ -59,6 +60,7 @@ class HomotopySystem(_HomotopySystemFields):
     __slots__ = ()
 
     def __new__(cls, kind: ModuleKind, order: int, position: int = 1):
+        _check_kind(kind)
         if order < 0:
             raise ValueError("order must be >= 0")
         if position < 1:

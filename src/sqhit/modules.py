@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from operator import eq, neg
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Collection, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class ModuleKind(str, Enum):
@@ -79,16 +79,29 @@ def _cyc_canonical(entries: Tuple[int, ...]) -> Tuple[int, ...]:
 _ORBIT_CANONICAL = {ModuleKind.GAMMA_SYM: _sym_canonical, ModuleKind.GAMMA_CYC: _cyc_canonical}
 
 
+def _check_kind(kind) -> None:
+    """Refuse a kind that is not a ``ModuleKind``.  A member equals its
+    string tag, so only the type tells "gamma" from ``ModuleKind.GAMMA``."""
+    if type(kind) is not ModuleKind:
+        raise ValueError(f"kind {kind!r} is not a ModuleKind")
+
+
 def monomial_str(kind: ModuleKind, entries: Tuple[int, ...]) -> str:
     """A monomial as it is printed, e.g. ``gamma[1, 2]``."""
     return f"{kind.value}{list(entries)}"
 
 
-def _toggle(acc: set, item) -> None:
-    if item in acc:
-        acc.discard(item)
-    else:
-        acc.add(item)
+def _odd(terms: Iterable) -> frozenset:
+    """The terms that occur an odd number of times: their sum mod 2."""
+    return frozenset([t for t, n in Counter(terms).items() if n & 1])
+
+
+def _project(terms: Collection[Tuple[int, ...]], canon) -> frozenset:
+    """The sum mod 2 of the orbits of distinct terms under canon, which is
+    their projection to the orbit quotient.  Most supports meet no orbit
+    twice, so the orbits are counted only when some do."""
+    out = frozenset(map(canon, terms))
+    return out if len(out) == len(terms) else _odd(map(canon, terms))
 
 
 class _ElementFields(NamedTuple):
@@ -102,7 +115,7 @@ class Element(_ElementFields):
     """Finite F_2-sum of monomials of one kind, arity and internal degree.
 
     The support is a frozenset of entry tuples.  This constructor checks
-    s >= 0 and each term against the kind, arity and degree; the
+    the kind, s >= 0 and each term against the kind, arity and degree; the
     library's operations, whose terms are well-formed by construction,
     build with ``_make`` and skip the checks.  Degrees are exact, zeros
     included: ``+`` needs equal kind, arity and degree, and ``==``
@@ -112,6 +125,7 @@ class Element(_ElementFields):
     __slots__ = ()
 
     def __new__(cls, kind: ModuleKind, s: int, d: int, support: frozenset):
+        _check_kind(kind)
         if s < 0:
             raise ValueError(f"arity s={s} must be >= 0")
         positive = kind in POSITIVE_KINDS
@@ -133,16 +147,14 @@ class Element(_ElementFields):
 
     @classmethod
     def zero(cls, kind: ModuleKind, s: int, d: int) -> "Element":
-        if s < 0:  # the one constructor check an empty support needs
+        _check_kind(kind)  # the two constructor checks an empty support needs
+        if s < 0:
             raise ValueError(f"arity s={s} must be >= 0")
         return cls._make((kind, s, d, frozenset()))
 
     @classmethod
     def from_monomials(cls, kind: ModuleKind, s: int, d: int, terms: Iterable[Tuple[int, ...]]) -> "Element":
-        acc: set = set()
-        for t in terms:
-            _toggle(acc, t)
-        return cls(kind, s, d, frozenset(acc))
+        return cls(kind, s, d, _odd(terms))
 
     @classmethod
     def single(cls, kind: ModuleKind, entries: Tuple[int, ...]) -> "Element":
@@ -183,8 +195,10 @@ class Expansions:
     refusal keeps nothing.
 
     ``tables[kind][l]`` is a plain dict from entry tuples to the support of
-    [entries]Sq^l in that kind; the gamma and nabla tables hold the plain
-    expansion, which gamma-cyc reads.  Each expansion that misses its table
+    [entries]Sq^l in that kind, for gamma, nabla and gamma-sym.  gamma-cyc
+    has no table: a necklace's square is its representative's plain gamma
+    square projected to necklaces, so it reads the gamma table and keeps
+    nothing of its own.  Each expansion that misses its table
     charges the allowance: the loop steps, counted before the loop runs,
     and the entries of the terms they build, so the work done before a
     refusal does not grow with the arity.
@@ -200,7 +214,7 @@ class Expansions:
 
     def __init__(self, allowance=math.inf):
         self.allowance = allowance
-        self.tables = {kind: defaultdict(dict) for kind in ModuleKind}
+        self.tables = {kind: defaultdict(dict) for kind in ModuleKind if kind is not ModuleKind.GAMMA_CYC}
         self.rows = {kind: {} for kind in POSITIVE_KINDS}
         self.high = {}
         self.shifted = defaultdict(dict)
@@ -211,9 +225,13 @@ class Expansions:
             raise ExpansionTooLarge
 
     def support(self, kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
-        """The support of [entries]Sq^l in kind, from its table or expanded into it."""
-        out = self.tables[kind][l].get(entries)
-        return _EXPANSION[kind](self, kind, entries, l) if out is None else out
+        """The support of [entries]Sq^l in kind, from its table or expanded
+        into it; in gamma-cyc, the gamma support projected to necklaces."""
+        plain = ModuleKind.GAMMA if kind is ModuleKind.GAMMA_CYC else kind
+        out = self.tables[plain][l].get(entries)
+        if out is None:
+            out = _sq_mono(self, plain, entries, l)
+        return out if plain is kind else _project(out, _cyc_canonical)
 
 
 def _sq_mono(ctx: Expansions, kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
@@ -258,29 +276,6 @@ def _sq_mono(ctx: Expansions, kind: ModuleKind, entries: Tuple[int, ...], l: int
     return out
 
 
-def _cyc_mono(ctx: Expansions, kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
-    """Support (necklaces) of [entries]Sq^l in gamma-cyc: the plain
-    expansion of the representative, each term canonicalised; terms that
-    land in one necklace cancel mod 2 (a necklace is not closed under the
-    split, so there is no orbit-level recursion as for gamma-sym).  It
-    serves element-level ``sq``; ``hit.sq_matrix`` folds the plain terms
-    into its rows itself and leaves this table alone."""
-    out: set = set()
-    for t in ctx.support(ModuleKind.GAMMA, entries, l):
-        _toggle(out, _cyc_canonical(t))
-    ctx.tables[kind][l][entries] = out = frozenset(out)
-    return out
-
-
-# The one place that picks the expansion of a kind: (context, kind, entries,
-# l) -> support of [entries]Sq^l, stored in the kind's table.
-_EXPANSION = {
-    ModuleKind.GAMMA: _sq_mono,
-    ModuleKind.NABLA: _sq_mono,
-    ModuleKind.GAMMA_SYM: _sq_mono,
-    ModuleKind.GAMMA_CYC: _cyc_mono,
-}
-
 EXPANSIONS = Expansions()
 
 
@@ -297,13 +292,18 @@ def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
         # Every entry stays >= 1, so no term reaches degree d - l < s.
         return Element.zero(x.kind, x.s, x.d - l)
     ctx = EXPANSIONS if limit is None else Expansions(limit)
-    # Expansions.support inlined: one table fetch a call, one dict.get a term.
-    table, expand = ctx.tables[x.kind][l], _EXPANSION[x.kind]
+    # Expansions.support inlined: one table fetch a call, one dict.get a
+    # term.  Projection is linear, so a gamma-cyc element sums the plain
+    # gamma squares of its necklaces and projects the sum once.
+    kind = x.kind
+    plain = ModuleKind.GAMMA if kind is ModuleKind.GAMMA_CYC else kind
+    table = ctx.tables[plain][l]
     acc: set = set()
     for t in x.support:
         out = table.get(t)
-        acc ^= expand(ctx, x.kind, t, l) if out is None else out
-    return Element._make((x.kind, x.s, x.d - l, frozenset(acc)))
+        acc ^= _sq_mono(ctx, plain, t, l) if out is None else out
+    support = frozenset(acc) if plain is kind else _project(acc, _cyc_canonical)
+    return Element._make((kind, x.s, x.d - l, support))
 
 
 def _compositions(d: int, s: int, cap: int, nonincreasing: bool = False):
@@ -480,11 +480,7 @@ def project_to_orbit(x: Element, kind: ModuleKind) -> Element:
         raise ValueError("projection starts from a gamma element")
     if kind not in ORBIT_KINDS:
         raise ValueError("target must be an orbit kind")
-    canon = _ORBIT_CANONICAL[kind]
-    acc: set = set()
-    for t in x.support:
-        _toggle(acc, canon(t))
-    return Element._make((kind, x.s, x.d, frozenset(acc)))
+    return Element._make((kind, x.s, x.d, _project(x.support, _ORBIT_CANONICAL[kind])))
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -507,7 +503,7 @@ def element_from_json(obj: dict) -> Element:
     missing = {"kind", "s", "d", "monomials"} - set(obj)
     if missing:
         raise ValueError(f"element JSON missing keys: {sorted(missing)}")
-    kind = _KIND_BY_TAG.get(obj["kind"])
+    kind = _KIND_BY_TAG.get(obj["kind"]) if isinstance(obj["kind"], str) else None
     if kind is None:
         raise ValueError(f"unknown kind tag {obj['kind']!r}")
     s, d = obj["s"], obj["d"]

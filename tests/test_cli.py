@@ -229,6 +229,14 @@ class TestSq:
         code, out, err = run(capsys, "sq", "--in", str(path), "--l", "1")
         assert code == 2 and out == "" and err.startswith("bad element input: ")
 
+    @pytest.mark.parametrize("tag", [["gamma"], {"kind": "gamma"}])
+    def test_kind_that_is_not_a_string_exit_2(self, capsys, tmp_path, tag):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"kind": tag, "s": 1, "d": 1, "monomials": [[1]]}))
+        code, out, err = run(capsys, "sq", "--in", str(path), "--l", "1")
+        assert code == 2 and out == ""
+        assert err.strip() == f"bad element input: unknown kind tag {tag!r}"
+
     def test_huge_square_returns_zero_at_once(self, capsys, tmp_path):
         # modules.sq returns the zero at once; the command refuses it, as its
         # degree 8 - 10**8 is one no element file may have.

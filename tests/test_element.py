@@ -86,6 +86,17 @@ def test_constructor_refuses_negative_arity(kind):
     assert Element(kind, 2, -5, frozenset()) == sq(Element.zero(kind, 2, 0), 5)
 
 
+@pytest.mark.parametrize("tag", ["gamma-cyc", "bogus", None])
+def test_constructors_refuse_a_kind_that_is_not_a_module_kind(tag):
+    # A ModuleKind equals its string tag, so only the type tells them apart;
+    # a tag let through would fail later, inside sq or an error message.
+    for build in (lambda: Element(tag, 2, 5, frozenset({(3, 2)})), lambda: Element.zero(tag, 2, 5),
+                  lambda: Element.from_monomials(tag, 2, 5, [(3, 2)]), lambda: HomotopySystem(tag, 1)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"kind {tag!r} is not a ModuleKind"
+
+
 def test_zeros_of_different_degree_differ():
     assert Element.zero(G, 2, 3) != Element.zero(G, 2, 4)
     assert sq(Element.single(G, (1, 1)), 1) == Element.zero(G, 2, 1)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from oracles import naive_sq
 from test_modules import memo_size
-from sqhit import f2linalg, hit, modules, structure, suites
+from sqhit import f2linalg, hit, homotopy, modules, structure, suites
 from sqhit.f2linalg import BitMatrix, subspace_from_rows
 from sqhit.modules import Bidegree, Element, ModuleKind, basis, sq
 
@@ -128,13 +128,27 @@ class TestSqMatrix:
                 assert (m.rows, m.cols, m.data) == want, (s, d, l)
 
     def test_cyc_build_leaves_the_necklace_memo_empty(self, monkeypatch):
-        # The rows fold plain terms themselves; the gamma-cyc tables are
-        # element-level sq's.  A table read would create one for its l.
+        # The rows project plain gamma supports; no necklace support is kept.
         monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         rep = hit.unhit_report(Bidegree(5, 16), 1, self.C)
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (70, 70, 0)
-        assert modules.EXPANSIONS.tables[self.C] == {}
+        assert self.C not in modules.EXPANSIONS.tables
         assert memo_size(ModuleKind.GAMMA) > 0
+
+    def test_cyc_squares_keep_no_expansion_of_their_own(self, monkeypatch):
+        # Element-level sq, a preimage chain and a matrix build each read
+        # the gamma tables, and the context gets no gamma-cyc table; only
+        # the chain's shifted memo keeps projected supports.
+        ctx = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", ctx)
+        x = Element.from_monomials(self.C, 3, 9, [(5, 2, 2), (5, 3, 1)])
+        assert sq(x, 2) == naive_sq(x, 2)
+        y = Element.single(self.C, (7, 1, 1))
+        chain = homotopy.preimage_chain(y, homotopy.HomotopySystem(self.C, 1))
+        assert [sq(z, (2 << i) - 1) for i, z in enumerate(chain)] == [y, y]
+        hit.sq_matrix(Bidegree(4, 13), 1, self.C)
+        assert self.C not in ctx.tables and ctx.tables[G]
+        assert {key[0] for key in ctx.shifted} == {self.C}
 
     def test_cyc_build_fills_the_current_context(self, monkeypatch):
         # hit reads modules.EXPANSIONS when it is called, so a context put in
@@ -223,8 +237,7 @@ class TestSqMatrix:
             raise AssertionError(f"gamma-sym rows expanded {kind.value} {entries} Sq^{l}")
 
         monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
-        for kind in (G, ModuleKind.NABLA):
-            monkeypatch.setitem(modules._EXPANSION, kind, no_plain_expansion)
+        monkeypatch.setattr(modules, "_sq_mono", no_plain_expansion)
         rep = hit.unhit_report(Bidegree(6, 24), 1, ModuleKind.GAMMA_SYM)
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (50, 47, 3)
         assert memo_size() == 0

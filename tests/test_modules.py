@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import time
 from functools import partial
 
@@ -165,6 +166,28 @@ class TestAction:
         l = data.draw(st.integers(0, 5))
         assert sq(x, l) == naive_sq(x, l)
 
+    def test_cyc_is_the_projected_plain_square_of_the_representatives(self):
+        # Projection is linear, so sq sums the representatives' plain
+        # squares before it projects: [3, 1, 2] is in the plain Sq^1 of both
+        # [3, 2, 2] and [4, 1, 2], and cancels.
+        C = ModuleKind.GAMMA_CYC
+        x = Element.from_monomials(C, 3, 7, [(3, 2, 2), (4, 1, 2)])
+        assert sq(x, 1).sorted_support() == [(3, 2, 1), (4, 1, 1)]
+        rng = random.Random(26)
+        cases = 0
+        for s in range(1, 5):
+            for d in range(s, 13):
+                monos = basis(Bidegree(s, d), C)
+                for size in sorted({min(2, len(monos)), min(5, len(monos))}):
+                    x = Element.from_monomials(C, s, d, rng.sample(monos, size))
+                    for l in range(d + 1):
+                        want: set = set()
+                        for t in naive_sq(Element(G, s, d, x.support), l).support:
+                            want ^= {cyc_canonical(t)}
+                        assert sq(x, l) == Element(C, s, d - l, frozenset(want)), (x, l)
+                        cases += size > 1
+        assert cases == 437
+
     def test_sym_support_matches_sorted_plain_expansion(self):
         expand = partial(modules.EXPANSIONS.support, ModuleKind.GAMMA_SYM)
         cases = 0
@@ -231,8 +254,8 @@ class TestCartanSteps:
             clear_expansion_caches()
             with pytest.raises(ExpansionTooLarge):
                 sq(x, l, limit=steps - 1)
-            # A refused expansion leaves nothing in the default context,
-            # no necklace and no plain suffix.
+            # A refused expansion leaves no plain suffix in the default
+            # context.
             assert memo_size() == 0
             # The default context's allowance is untouched by a refusal, also
             # for callers that expand without sq, as hit.sq_matrix does.
@@ -474,6 +497,12 @@ class TestJsonRoundTrip:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             element_from_json({"kind": "bogus", "s": 1, "d": 1, "monomials": []})
+
+    @pytest.mark.parametrize("tag", [["gamma"], {"kind": "gamma"}])
+    def test_rejects_a_kind_that_is_not_a_string(self, tag):
+        with pytest.raises(ValueError) as err:
+            element_from_json({"kind": tag, "s": 1, "d": 1, "monomials": [[1]]})
+        assert str(err.value) == f"unknown kind tag {tag!r}"
 
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError):
