@@ -33,7 +33,7 @@ from .modules import (
     sq,
 )
 
-# modules._sq_mono (the gamma-sym split on the largest part included)
+# modules.Expansions.support (the gamma-sym split on the largest part included)
 # expands a monomial one recursion level per entry, so larger arities are
 # refused well before Python's recursion limit of 1000. Only sq, preimage
 # and gamma-cyc matrices reach it, but every command that takes --s keeps

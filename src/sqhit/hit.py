@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import f2linalg, modules
@@ -61,7 +61,10 @@ def vector_to_element(bits: int, b: Bidegree, kind: ModuleKind) -> Element:
     monos = basis(b, kind)
     if bits < 0 or bits >> len(monos):
         raise ValueError(f"bits set outside the {len(monos)} basis monomials of {kind.value} ({b.s},{b.d})")
-    support = frozenset(monos[j] for j in range(bits.bit_length()) if bits >> j & 1)
+    # One pass over the binary digits, lowest bit first, as bytes with 0 for
+    # a clear bit, so compress tests them in C; a shift per bit would cost
+    # O(n) each.
+    support = frozenset(compress(monos, bin(bits)[:1:-1].replace("0", "\0").encode()))
     return Element._make((kind, b.s, b.d, support))
 
 

@@ -131,12 +131,13 @@ class Element(_ElementFields):
         positive = kind in POSITIVE_KINDS
         canon = _ORBIT_CANONICAL.get(kind)
         # Each check is one pass over the whole support; the loop below runs
-        # only when a pass fails, to name the first failing term.
+        # only when a pass fails, to name the least failing term, so the
+        # message does not hang on the order the set was built in.
         if not ({*map(len, support)} <= {s}
                 and {*map(sum, support)} <= {d}
                 and (not positive or min(chain.from_iterable(support), default=1) >= 1)
                 and (canon is None or all(map(eq, map(canon, support), support)))):
-            for t in support:
+            for t in sorted(support):
                 if len(t) != s or sum(t) != d:
                     raise ValueError(f"monomial {monomial_str(kind, t)} inconsistent with element ({kind.value},{s},{d})")
                 if positive and min(t, default=1) < 1:
@@ -195,13 +196,14 @@ class Expansions:
     refusal keeps nothing.
 
     ``tables[kind][l]`` is a plain dict from entry tuples to the support of
-    [entries]Sq^l in that kind, for gamma, nabla and gamma-sym.  gamma-cyc
-    has no table: a necklace's square is its representative's plain gamma
-    square projected to necklaces, so it reads the gamma table and keeps
-    nothing of its own.  Each expansion that misses its table
-    charges the allowance: the loop steps, counted before the loop runs,
-    and the entries of the terms they build, so the work done before a
-    refusal does not grow with the arity.
+    [entries]Sq^l in that kind, for gamma, nabla and gamma-sym; ``support``
+    looks its entries up and expands the ones it lacks.  gamma-cyc has no
+    table: a necklace's square is its representative's plain gamma square
+    projected to necklaces, so it reads the gamma table and keeps nothing
+    of its own.  Each expansion that misses its table charges the
+    allowance: the loop steps, counted before the loop runs, and the
+    entries of the terms they build, so the work done before a refusal
+    does not grow with the arity.
 
     ``rows[kind]`` holds the rows of ``hit.sq_matrix``, keyed (s, d, l);
     ``high`` the gamma-sym column tables they are sorted through, (s, e, b).
@@ -226,54 +228,52 @@ class Expansions:
 
     def support(self, kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
         """The support of [entries]Sq^l in kind, from its table or expanded
-        into it; in gamma-cyc, the gamma support projected to necklaces."""
-        plain = ModuleKind.GAMMA if kind is ModuleKind.GAMMA_CYC else kind
-        out = self.tables[plain][l].get(entries)
-        if out is None:
-            out = _sq_mono(self, plain, entries, l)
-        return out if plain is kind else _project(out, _cyc_canonical)
+        into it; in gamma-cyc, the gamma support projected to necklaces.
 
+        An expansion is the Cartan formula on the first entry a, whose
+        shared tails are reused from the tables: entry tuples for gamma and
+        nabla, partitions for gamma-sym.  The terms are C(a - i, i)(a - i | t)
+        over the terms t of [rest]Sq^(l - i).  In gamma and nabla distinct
+        splits give distinct first entries, so nothing cancels.
 
-def _sq_mono(ctx: Expansions, kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
-    """Support of [entries]Sq^l by the Cartan formula on the first entry a,
-    expanded into ctx's tables, where shared tails are reused: entry tuples
-    for gamma and nabla, partitions for gamma-sym.  The terms are
-    C(a - i, i)(a - i | t) over the terms t of [rest]Sq^(l - i).  In gamma
-    and nabla distinct splits give distinct first entries, so nothing
-    cancels.
-
-    A gamma-sym partition splits on its largest part, and rest is a
-    partition too.  Sorting (a - i | t) inserts a - i into sorted(t), so the
-    parity of the plain terms that sort to each partition is that of the
-    gamma-sym support of [rest]Sq^(l - i) with a - i inserted.  For one i
-    the insertion is one-to-one; across i terms may meet and cancel mod 2.
-    It serves element-level ``sq`` only (the ``sq`` command, preimage
-    chains); ``hit.sq_matrix`` builds gamma-sym matrices from blocks.
-    """
-    if not entries:
-        return frozenset([()]) if l == 0 else frozenset()
-    tables = ctx.tables[kind]
-    a, rest = entries[0], entries[1:]
-    nabla, sym = kind is ModuleKind.NABLA, kind is ModuleKind.GAMMA_SYM
-    out: set = set()
-    # The last entry takes what is left of l, in one step; a positive entry
-    # a tries only the i <= a - 1 that keep it >= 1.
-    top = l if nabla else min(l, a - 1)
-    ctx.charge(top + 1 if rest else 1)
-    for i in range(top + 1) if rest else (l,):
-        b = a - i
-        if not (gen_binom_mod2(b, i) if nabla else b >= 1 and binom_mod2(b, i)):
-            continue
-        tails = tables[l - i].get(rest)
-        if tails is None:
-            tails = _sq_mono(ctx, kind, rest, l - i)
-        ctx.charge(len(tails) * len(entries))
-        if sym:  # rest is non-increasing, so b goes before the first entry below it
-            out ^= {t[:j] + (b,) + t[j:] for t in tails for j in (bisect_left(t, -b, key=neg),)}
-        else:
-            out.update((b,) + t for t in tails)
-    tables[l][entries] = out = frozenset(out)
-    return out
+        A gamma-sym partition splits on its largest part, and rest is a
+        partition too.  Sorting (a - i | t) inserts a - i into sorted(t), so
+        the parity of the plain terms that sort to each partition is that of
+        the gamma-sym support of [rest]Sq^(l - i) with a - i inserted.  For
+        one i the insertion is one-to-one; across i terms may meet and
+        cancel mod 2.  It serves element-level ``sq`` only (the ``sq``
+        command, preimage chains); ``hit.sq_matrix`` builds gamma-sym
+        matrices from blocks.
+        """
+        if kind is ModuleKind.GAMMA_CYC:
+            return _project(self.support(ModuleKind.GAMMA, entries, l), _cyc_canonical)
+        tables = self.tables[kind]
+        out = tables[l].get(entries)
+        if out is not None:
+            return out
+        if not entries:
+            return frozenset([()]) if l == 0 else frozenset()
+        a, rest = entries[0], entries[1:]
+        nabla, sym = kind is ModuleKind.NABLA, kind is ModuleKind.GAMMA_SYM
+        out = set()
+        # The last entry takes what is left of l, in one step; a positive
+        # entry a tries only the i <= a - 1 that keep it >= 1.
+        top = l if nabla else min(l, a - 1)
+        self.charge(top + 1 if rest else 1)
+        for i in range(top + 1) if rest else (l,):
+            b = a - i
+            if not (gen_binom_mod2(b, i) if nabla else b >= 1 and binom_mod2(b, i)):
+                continue
+            tails = tables[l - i].get(rest)
+            if tails is None:
+                tails = self.support(kind, rest, l - i)
+            self.charge(len(tails) * len(entries))
+            if sym:  # rest is non-increasing, so b goes before the first entry below it
+                out ^= {t[:j] + (b,) + t[j:] for t in tails for j in (bisect_left(t, -b, key=neg),)}
+            else:
+                out.update((b,) + t for t in tails)
+        tables[l][entries] = out = frozenset(out)
+        return out
 
 
 EXPANSIONS = Expansions()
@@ -292,16 +292,17 @@ def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
         # Every entry stays >= 1, so no term reaches degree d - l < s.
         return Element.zero(x.kind, x.s, x.d - l)
     ctx = EXPANSIONS if limit is None else Expansions(limit)
-    # Expansions.support inlined: one table fetch a call, one dict.get a
-    # term.  Projection is linear, so a gamma-cyc element sums the plain
-    # gamma squares of its necklaces and projects the sum once.
+    # Expansions.support's lookup inlined: one table fetch a call, one
+    # dict.get a term, and support itself on a miss.  Projection is
+    # linear, so a gamma-cyc element sums the plain gamma squares of its
+    # necklaces and projects the sum once.
     kind = x.kind
     plain = ModuleKind.GAMMA if kind is ModuleKind.GAMMA_CYC else kind
     table = ctx.tables[plain][l]
     acc: set = set()
     for t in x.support:
         out = table.get(t)
-        acc ^= _sq_mono(ctx, plain, t, l) if out is None else out
+        acc ^= ctx.support(plain, t, l) if out is None else out
     support = frozenset(acc) if plain is kind else _project(acc, _cyc_canonical)
     return Element._make((kind, x.s, x.d - l, support))
 
@@ -414,23 +415,6 @@ def _binomial(n: int, k: int, cap) -> int:
     return c
 
 
-def _divisor_phis(n: int):
-    """Pairs (j, phi(j)) for the divisors j of n, from its prime factors."""
-    pairs = [(1, 1)]
-    p = 2
-    while n > 1:
-        if p * p > n:
-            p = n  # what is left is prime
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        pairs = [(j * p ** i, f * (p ** i - p ** (i - 1) if i else 1))
-                 for j, f in pairs for i in range(e + 1)]
-        p += 1
-    return pairs
-
-
 def basis_size(b: Bidegree, kind: ModuleKind, limit: Optional[int] = None) -> int:
     """len(basis(b, kind)), counted without enumerating; with a limit,
     min(len, limit + 1), and the work stays small however large b is.
@@ -461,7 +445,12 @@ def basis_size(b: Bidegree, kind: ModuleKind, limit: Optional[int] = None) -> in
     # The j = 1 term alone is at most s times the count.
     if _binomial(d - 1, s - 1, s * cap) > s * cap:
         return cap + 1
-    fixed = sum(f * math.comb(d // j - 1, s // j - 1) for j, f in _divisor_phis(math.gcd(s, d)))
+    # phi over the divisors of g = gcd(s, d), ascending: phi(j) = j minus
+    # the phi of the smaller divisors of j, since they sum to j (Gauss).
+    g, phi = math.gcd(s, d), {}
+    for j in sorted({k for i in range(1, math.isqrt(g) + 1) if g % i == 0 for k in (i, g // i)}):
+        phi[j] = j - sum(f for k, f in phi.items() if j % k == 0)
+    fixed = sum(f * math.comb(d // j - 1, s // j - 1) for j, f in phi.items())
     return min(fixed // s, cap + 1)
 
 
@@ -510,6 +499,8 @@ def element_from_json(obj: dict) -> Element:
     # type() and not isinstance(): JSON true/false load as bool, an int subclass.
     if type(s) is not int or type(d) is not int:
         raise ValueError("s and d must be integers")
+    if s < 0:
+        raise ValueError(f"arity s={s} must be >= 0")
     if d < 0 and kind in POSITIVE_KINDS:
         raise ValueError(f"degree d={d} must be >= 0 for {kind.value}")
     monos = obj["monomials"]

@@ -195,7 +195,7 @@ def json_element(obj: dict) -> Element:
     missing = {"kind", "s", "d", "monomials"} - set(obj)
     if missing:
         raise ValueError(f"element JSON missing keys: {sorted(missing)}")
-    kind = {k.value: k for k in ModuleKind}.get(obj["kind"])
+    kind = {k.value: k for k in ModuleKind}.get(obj["kind"]) if isinstance(obj["kind"], str) else None
     if kind is None:
         raise ValueError(f"unknown kind tag {obj['kind']!r}")
     s, d = obj["s"], obj["d"]

@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import itertools
 import json
 import pkgutil
 import re
@@ -236,6 +237,18 @@ class TestSq:
         code, out, err = run(capsys, "sq", "--in", str(path), "--l", "1")
         assert code == 2 and out == ""
         assert err.strip() == f"bad element input: unknown kind tag {tag!r}"
+
+    def test_refusal_does_not_hang_on_the_monomial_order(self, capsys, tmp_path):
+        # Two bad terms, gamma[5, 0] and gamma[1, 1, 1]: every order of the
+        # file names the least of them.
+        path = tmp_path / "two-bad.json"
+        errors = set()
+        for monos in itertools.permutations([[4, 1], [5, 0], [3, 2], [1, 1, 1]]):
+            path.write_text(json.dumps({"kind": "gamma", "s": 2, "d": 5, "monomials": list(monos)}))
+            code, out, err = run(capsys, "sq", "--in", str(path), "--l", "1")
+            assert code == 2 and out == ""
+            errors.add(err.strip())
+        assert errors == {"bad element input: monomial gamma[1, 1, 1] inconsistent with element (gamma,2,5)"}
 
     def test_huge_square_returns_zero_at_once(self, capsys, tmp_path):
         # modules.sq returns the zero at once; the command refuses it, as its

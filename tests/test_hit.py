@@ -237,7 +237,7 @@ class TestSqMatrix:
             raise AssertionError(f"gamma-sym rows expanded {kind.value} {entries} Sq^{l}")
 
         monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
-        monkeypatch.setattr(modules, "_sq_mono", no_plain_expansion)
+        monkeypatch.setattr(modules.Expansions, "support", no_plain_expansion)
         rep = hit.unhit_report(Bidegree(6, 24), 1, ModuleKind.GAMMA_SYM)
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (50, 47, 3)
         assert memo_size() == 0

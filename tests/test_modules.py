@@ -548,14 +548,30 @@ def _bad_terms(s, d):
 
 
 MUTATIONS = ("bool", "float", "str", "list", "not-list", "empty", "repeat-2", "repeat-3",
-             "repeat-beside-inconsistent", "two-failing", "length", "sum", "zero", "noncanonical")
+             "repeat-beside-inconsistent", "two-failing", "length", "sum", "zero", "noncanonical",
+             "kind-list", "kind-dict", "kind-unknown", "s-bool", "s-negative", "d-negative",
+             "s-and-d-negative")
 
 
 def mutate(data, name, obj):
     """obj with one mutation applied; each new or repeated term goes to a
-    drawn position."""
+    drawn position.  The header mutations change kind, s or d only; a
+    negative d goes on a positive kind, where it is refused."""
     monos = [list(t) for t in obj["monomials"]]
     s, d = obj["s"], obj["d"]
+    positive = obj["kind"] if obj["kind"] != "nabla" else "gamma"
+    header = {
+        "kind-list": lambda: {"kind": [obj["kind"]]},
+        "kind-dict": lambda: {"kind": {"kind": obj["kind"]}},
+        "kind-unknown": lambda: {"kind": data.draw(st.sampled_from(["Gamma", "gamma_sym", "cyc", ""]))},
+        "s-bool": lambda: {"s": data.draw(st.booleans())},
+        "s-negative": lambda: {"s": -data.draw(st.integers(1, 3))},
+        "d-negative": lambda: {"kind": positive, "d": -data.draw(st.integers(1, 3))},
+        "s-and-d-negative": lambda: {"kind": positive, "s": -data.draw(st.integers(1, 3)),
+                                     "d": -data.draw(st.integers(1, 3))},
+    }
+    if name in header:
+        return dict(obj, **header[name]())
     bad = _bad_terms(s, d)
 
     def insert(t):
@@ -625,6 +641,14 @@ class TestJsonAgainstOracle:
         with pytest.raises(ValueError) as err:
             element_from_json(obj)
         assert str(err.value) == message
+
+    def test_several_failing_terms_name_the_least(self):
+        # Four bad terms; the two parses build their sets differently, and
+        # each names gamma[1, 1, 1, 1, 1], whatever the set's order.
+        obj = {"kind": "gamma", "s": 4, "d": 7,
+               "monomials": [[1, 1, 1, 1, 1], [7, 0, 0, 0], [1, 1, 1, 4], [1, 1, 2, 3], [1, 1, 3, 2]]}
+        want = (ValueError, "monomial gamma[1, 1, 1, 1, 1] inconsistent with element (gamma,4,7)")
+        assert parse_outcome(element_from_json, obj) == parse_outcome(json_element, obj) == want
 
 
 class TestDegreeBookkeeping:
