@@ -8,8 +8,9 @@ turns kernel membership into constructive spike-square preimages.
 
 from __future__ import annotations
 
-from itertools import filterfalse
-from typing import Callable, List, NamedTuple, Tuple
+from functools import reduce
+from operator import itemgetter, sub, xor
+from typing import Callable, Collection, List, NamedTuple, Tuple
 
 from . import modules
 from .modules import (
@@ -23,6 +24,9 @@ from .modules import (
     monomial_str,
     sq,
 )
+
+
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 class PreconditionError(ValueError):
@@ -97,30 +101,35 @@ def _check_position(x: Element, i: int) -> None:
         raise ValueError(f"position {i} out of range for arity {x.s}")
 
 
-def _null_test(x: Element, h: HomotopySystem) -> Callable[[Tuple[int, ...]], bool]:
+def _null_test(x: Element, h: HomotopySystem) -> Callable[[Collection[Tuple[int, ...]]], bool]:
     """Check that h acts on x (same kind, position within x's arity), then
-    return h's null-subspace condition on one monomial, decided on the
-    kind once: callers test every support term with it."""
+    return h's null-subspace condition on a whole support of x's arity:
+    true iff every term meets it, so an empty support passes.  It is chosen
+    once, from the kind, the order, the position and the arity, and runs as
+    C-level passes over the support (``map``, ``min``), hashing no term.
+    Callers that must name a failing term apply it to one term at a time."""
     if x.kind is not h.kind:
         raise ValueError(f"kind mismatch: element {x.kind.value}, system {h.kind.value}")
     _check_position(x, h.position)
     bound = 1 << h.order
     if h.kind is ModuleKind.NABLA:
-        return lambda e: True
-    if h.kind is ModuleKind.GAMMA:
-        p = h.position - 1
-        return lambda e: e[p] >= bound
+        return lambda support: True
+    lead = itemgetter(h.position - 1)
     # Arity-1 orbit pieces coincide with the plain module; the difference
     # conditions below are vacuous there but the entry bound is still needed.
+    if h.kind is ModuleKind.GAMMA or x.s == 1:
+        return lambda support: min(map(lead, support), default=bound) >= bound
     if h.kind is ModuleKind.GAMMA_SYM:
-        return lambda e: e[0] - e[1] >= bound if len(e) > 1 else e[0] >= bound
-    return lambda e: e[0] - max(e[1:]) > bound if len(e) > 1 else e[0] >= bound
+        second = itemgetter(1)
+        return lambda support: min(map(sub, map(lead, support), map(second, support)), default=bound) >= bound
+    rest = itemgetter(slice(1, None))
+    return lambda support: min(map(sub, map(lead, support), map(max, map(rest, support))), default=bound + 1) > bound
 
 
 def in_null(x: Element, h: HomotopySystem) -> bool:
     """True iff every support monomial satisfies the null-subspace
     condition; a wrong kind or position raises as in ``preimage_chain``."""
-    return all(map(_null_test(x, h), x.support))
+    return _null_test(x, h)(x.support)
 
 
 def null_span(b: Bidegree, h: HomotopySystem):
@@ -130,7 +139,7 @@ def null_span(b: Bidegree, h: HomotopySystem):
     from . import f2linalg  # here, not at the top: the chain path never needs it
     monos = basis(b, h.kind)
     null = _null_test(Element.zero(h.kind, b.s, b.d), h)
-    return f2linalg.subspace_from_rows(len(monos), [1 << j for j, m in enumerate(monos) if null(m)])
+    return f2linalg.subspace_from_rows(len(monos), [1 << j for j, m in enumerate(monos) if null((m,))])
 
 
 def _psi(x: Element, h: HomotopySystem, m: int) -> Element:
@@ -175,16 +184,22 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     y_i Sq^R = x for R = 2^(i+1) - 1, for i = 0..order.
 
     Every psi adds to the same entry, so y_i = x psi^R, built straight from
-    x as ``shift`` builds it (an orbit term stays canonical).  The pass over
-    x's support that builds y_i also checks it: both read
+    x as ``shift`` builds it (an orbit term stays canonical).  One lookup
+    per term of x builds y_i and checks it: both read
     ``shifted[kind, position, R]`` of the default context
-    ``modules.EXPANSIONS``, which maps a term t to (t shifted by R, the
-    support of its Sq^R).  Shifting is one-to-one, so y_i has as many terms
-    as x, and the XOR of their supports is y_i Sq^R, which must equal x.
+    ``modules.EXPANSIONS``, which maps a term t to (u, err), u being t
+    shifted by R and err the mask of t plus the terms of u Sq^R in the
+    bits that ``Expansions.bits`` gives x's piece.  Shifting is
+    one-to-one, so y_i must have as many terms as x.  Within one piece
+    every term has its own bit, so the XOR of the errs over x is the
+    indicator of x + y_i Sq^R, which must be 0: the test
+    y_i Sq^R = x with one integer XOR per term.
 
     Rejects a system of another kind, a position outside 1..x.s (zero
-    elements too) and inputs outside the null subspace, in that order.
-    Each y_i is checked against x and for null membership before return.
+    elements too) and inputs outside the null subspace, in that order; the
+    null refusal names the least term outside.  Each y_i is checked
+    against x and, with the one whole-support null predicate of
+    ``_null_test``, for null membership before return.
     A passed y_i Sq^R = x proves that Sq^(2^i) kills x, by the Adem
     relation Sq^R Sq^(2^i) = 0, so a chain that passes computes no square
     of x.  Only a failed check runs every Sq^(2^m), m <= order, on x, to
@@ -194,9 +209,8 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     chains, so every call runs every check.
     """
     null = _null_test(x, h)
-    outside = list(filterfalse(null, x.support))
-    if outside:
-        raise NullMembershipError(h.kind, min(outside))
+    if not null(x.support):
+        raise NullMembershipError(h.kind, min(t for t in x.support if not null((t,))))
     ctx = modules.EXPANSIONS
     kind, p = h.kind, h.position
     j = p - 1
@@ -204,19 +218,16 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     for i in range(h.order + 1):
         r = (2 << i) - 1
         memo = ctx.shifted[kind, p, r]
-        terms = []
-        image: set = set()
-        for t in x.support:
-            pair = memo.get(t)
-            if pair is None:
-                u = t[:j] + (t[j] + r,) + t[p:]
-                pair = memo[t] = (u, ctx.support(kind, u, r))
-            terms.append(pair[0])
-            image ^= pair[1]
-        y = Element._make((kind, x.s, x.d + r, frozenset(terms)))
-        if len(y.support) != len(terms) or image != x.support:
+        pairs = [*map(memo.get, x.support)]
+        if not all(pairs):
+            for n, t in enumerate(x.support):
+                if pairs[n] is None:
+                    u = t[:j] + (t[j] + r,) + t[p:]
+                    pairs[n] = memo[t] = (u, ctx.mask(kind, x.s, x.d, (t, *ctx.support(kind, u, r))))
+        y = Element._make((kind, x.s, x.d + r, frozenset(map(_first, pairs))))
+        if len(y.support) != len(pairs) or reduce(xor, map(_second, pairs), 0):
             raise _failed_certificate(x, h, i, f"Sq^{r} != x")
-        if not all(map(null, y.support)):
+        if not null(y.support):
             raise _failed_certificate(x, h, i, "left the null subspace")
         chain.append(y)
     return chain

@@ -208,11 +208,16 @@ class Expansions:
     ``rows[kind]`` holds the rows of ``hit.sq_matrix``, keyed (s, d, l);
     ``high`` the gamma-sym column tables they are sorted through, (s, e, b).
     ``shifted[kind, position, r]`` serves ``homotopy.preimage_chain``: it
-    maps an entry tuple t to the pair (t with r added at the position, the
-    support of that tuple's Sq^r, the frozenset ``support`` returns).
+    maps an entry tuple t to the pair (u, err), u being t with r added at
+    the position and err the ``mask`` of t and of the terms of u Sq^r, all
+    of t's piece.  ``bits[kind, s, d]`` interns the terms of one piece: it
+    gives each its own bit, 1 << j, j counting the terms in the order they
+    were first seen, so a mask is at most as wide as the number of terms
+    interned for its piece, and within one piece the XOR of masks is the
+    sum mod 2 of their terms.
     """
 
-    __slots__ = ("allowance", "tables", "rows", "high", "shifted")
+    __slots__ = ("allowance", "tables", "rows", "high", "shifted", "bits")
 
     def __init__(self, allowance=math.inf):
         self.allowance = allowance
@@ -220,11 +225,24 @@ class Expansions:
         self.rows = {kind: {} for kind in POSITIVE_KINDS}
         self.high = {}
         self.shifted = defaultdict(dict)
+        self.bits = defaultdict(dict)
 
     def charge(self, steps: int) -> None:
         self.allowance -= steps
         if self.allowance < 0:
             raise ExpansionTooLarge
+
+    def mask(self, kind: ModuleKind, s: int, d: int, terms: Iterable[Tuple[int, ...]]) -> int:
+        """The XOR of the bits of terms, all of piece (kind, s, d), in
+        ``bits``; a term not yet interned there gets the next bit."""
+        bits = self.bits[kind, s, d]
+        out = 0
+        for t in terms:
+            b = bits.get(t)
+            if b is None:
+                b = bits[t] = 1 << len(bits)
+            out ^= b
+        return out
 
     def support(self, kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
         """The support of [entries]Sq^l in kind, from its table or expanded

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from oracles import first_unkilled, nested_chain, null_monomial, toggled_shift
+from oracles import first_unkilled, naive_sq, nested_chain, null_monomial, toggled_shift
 from sqhit import f2linalg, hit, homotopy, modules
 from sqhit.homotopy import (
     AnnihilationError,
@@ -83,14 +83,16 @@ def sq_calls(monkeypatch):
     return calls
 
 
-CHAIN_PIECES = pytest.mark.parametrize("kind,s,d,orders,positions", [
+CHAIN_SYSTEMS = [
     (G, 4, 14, (0,), range(1, 5)),
     (G, 4, 16, (1,), range(1, 5)),
     (G, 4, 18, (2,), range(1, 5)),
     (ModuleKind.GAMMA_SYM, 5, 24, range(3), (1,)),
     (ModuleKind.GAMMA_CYC, 4, 22, range(3), (1,)),
     (ModuleKind.NABLA, 3, 5, (2,), (2,)),
-], ids=["gamma-4-14-k0", "gamma-4-16-k1", "gamma-4-18-k2", "gamma-sym-5-24", "gamma-cyc-4-22", "nabla-3-5-k2"])
+]
+CHAIN_PIECES = pytest.mark.parametrize("kind,s,d,orders,positions", CHAIN_SYSTEMS, ids=[
+    "gamma-4-14-k0", "gamma-4-16-k1", "gamma-4-18-k2", "gamma-sym-5-24", "gamma-cyc-4-22", "nabla-3-5-k2"])
 
 
 class TestShift:
@@ -162,6 +164,47 @@ class TestNullPredicate:
     def test_kind_mismatch(self):
         with pytest.raises(ValueError):
             in_null(mono(1), HomotopySystem(ModuleKind.NABLA, 0, 1))
+
+    def test_bound_edge_of_the_orbit_kinds(self):
+        # [4, 2, 2] at order 1: 4 - 2 >= 2 on gamma-sym, but not 4 - 2 > 2 on gamma-cyc.
+        for kind, null in ((ModuleKind.GAMMA_SYM, True), (ModuleKind.GAMMA_CYC, False)):
+            x = Element.single(kind, (4, 2, 2))
+            assert in_null(x, HomotopySystem(kind, 1, 1)) is null
+            assert null_monomial(kind, 1, 1, (4, 2, 2)) is null
+
+    def test_whole_support_matches_termwise_oracle(self):
+        # Multi-term elements of every kind, against the term-by-term
+        # condition; a refusal names the least term the oracle rejects.
+        rng = random.Random(23)
+        cases = []
+        for kind in (G, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC):
+            for s in range(1, 5):
+                for d in range(s, 15):
+                    monos = basis(Bidegree(s, d), kind)
+                    for _ in range(4):
+                        cases.append(Element(kind, s, d, frozenset(rng.sample(monos, rng.randint(1, min(6, len(monos)))))))
+        # gamma-cyc terms whose largest entry is tied, never null, next to
+        # terms that are null at every order here.
+        cases += [Element(ModuleKind.GAMMA_CYC, 3, 11, frozenset([(5, 5, 1), (9, 1, 1)])),
+                  Element(ModuleKind.GAMMA_CYC, 4, 10, frozenset([(4, 1, 4, 1), (7, 1, 1, 1)])),
+                  Element(ModuleKind.GAMMA_CYC, 4, 22, frozenset([(7, 7, 7, 1), (19, 1, 1, 1), (13, 6, 1, 2)]))]
+        cases += null_elements(ModuleKind.NABLA, 3, 5, 0, 1, rng, 8)
+        seen = set()
+        for x in cases:
+            for k in range(3):
+                for p in range(1, x.s + 1) if x.kind in (G, ModuleKind.NABLA) else (1,):
+                    h = HomotopySystem(x.kind, k, p)
+                    outside = [m for m in x.support if not null_monomial(x.kind, k, p, m)]
+                    assert in_null(x, h) == (not outside), (h, x)
+                    seen.add((x.kind, x.s == 1, bool(outside), len(x.support) > 1))
+                    if outside:
+                        with pytest.raises(NullMembershipError) as exc:
+                            preimage_chain(x, h)
+                        assert exc.value.entries == min(outside), (h, x)
+        assert {(kind, True, False, False) for kind in (G, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC)} <= seen
+        assert {(kind, False, bad, True) for kind in (G, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC)
+                for bad in (False, True)} <= seen
+        assert (ModuleKind.NABLA, False, False, True) in seen
 
     def test_matches_termwise_condition(self):
         for kind in (G, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC):
@@ -303,6 +346,26 @@ class TestPreimageChain:
             assert {key for key, memo in modules.EXPANSIONS.shifted.items() if memo} == {
                 (kind, p, (2 << i) - 1) for k in orders for p in positions for i in range(k + 1)}
 
+    def test_pieces_stay_isolated_in_one_context(self, monkeypatch):
+        # The chains of every system in one shuffled order through one fresh
+        # context: the gamma pieces share shifted[G, 1, 1], and each mask
+        # there comes from the interning table of its own term's piece.
+        ctx = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", ctx)
+        rng = random.Random(31)
+        cases = [(x, HomotopySystem(kind, k, p)) for kind, s, d, orders, positions in CHAIN_SYSTEMS
+                 for k in orders for p in positions for x in null_delta_classes(kind, s, d, k, p, rng, 3)]
+        rng.shuffle(cases)
+        for x, h in cases:
+            assert preimage_chain(x, h) == nested_chain(x, h.order, h.position), (h, x)
+        assert set(ctx.bits) == {(kind, s, d) for kind, s, d, _, _ in CHAIN_SYSTEMS}
+        memo = ctx.shifted[G, 1, 1]
+        assert {(len(t), sum(t)) for t in memo} == {(4, 14), (4, 16), (4, 18)}
+        for t, (u, err) in memo.items():
+            bits = ctx.bits[G, len(t), sum(t)]
+            assert err < 1 << len(bits)
+            assert {v for v, b in bits.items() if err & b} == {t} ^ naive_sq(mono(*u), 1).support, t
+
     @CHAIN_PIECES
     def test_error_order_matches_oracle(self, kind, s, d, orders, positions):
         # Killed or not, every null input gets the answer that square
@@ -333,7 +396,8 @@ class TestPreimageChain:
         ("support", r"y_1 Sq\^3 != x"),
         ("shifted onto another", r"y_1 Sq\^3 != x"),
         ("shifted out of null", r"y_1 left the null subspace"),
-    ], ids=["support", "shifted-onto-another", "shifted-out-of-null"])
+        ("mask zeroed", r"y_1 Sq\^3 != x"),
+    ], ids=["support", "shifted-onto-another", "shifted-out-of-null", "mask-zeroed"])
     def test_corrupt_memo_entry_is_caught(self, monkeypatch, sq_calls, corrupt, failure):
         # The chain is checked on every call, so a wrong memo entry cannot
         # vouch for a wrong chain.  Only the failed call runs the square
@@ -345,13 +409,18 @@ class TestPreimageChain:
         assert sq_calls == []
         memo = modules.EXPANSIONS.shifted[G, 1, 3]
         t, other = sorted(x.support)[:2]
-        u, support = memo[t]
+        u, err = memo[t]
         if corrupt == "support":
-            memo[t] = (u, support ^ {t})
+            # The bit of t flipped: the mask of t's image support with t
+            # added or taken out.
+            memo[t] = (u, err ^ modules.EXPANSIONS.bits[G, 4, 16][t])
         elif corrupt == "shifted onto another":
-            memo[t] = (memo[other][0], support)
+            memo[t] = (memo[other][0], err)
+        elif corrupt == "shifted out of null":
+            memo[t] = ((1,) + u[1:], err)
         else:
-            memo[t] = ((1,) + u[1:], support)
+            z = min(z for z in x.support if memo[z][1])
+            memo[z] = (memo[z][0], 0)
         with pytest.raises(ChainCertificateError) as exc:
             preimage_chain(x, h)
         assert sq_calls == [1, 2]
