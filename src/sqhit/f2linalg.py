@@ -3,8 +3,9 @@
 Vectors are rows and maps act on the right: a matrix M sends v to v*M,
 so composition reads left to right.  A vector is a plain int whose bit j
 is coordinate j; its length is that of the matrix side or subspace it
-meets, and a bit at or beyond that length raises ValueError.  All
-operations are pure; inputs are never mutated.
+meets, and a bit at or beyond that length raises ValueError;
+``subspace_from_rows`` checks each row it is given.  All operations are
+pure; inputs are never mutated.
 
 One elimination core, ``_echelon``, keeps one row per lowest-bit pivot.
 Kernels, solutions and intersections tag each row in its high bits (row
@@ -38,6 +39,8 @@ class BitMatrix(_BitMatrixFields):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, data: tuple):
+        if type(data) is not tuple:
+            raise ValueError(f"data must be a tuple, not {type(data).__name__}")
         if len(data) != rows:
             raise ValueError("row count mismatch")
         for r in data:
@@ -131,12 +134,17 @@ def _tagged(m: BitMatrix) -> Iterable[int]:
 
 
 def subspace_from_rows(ambient_dim: int, rows: Iterable[int]) -> Subspace:
+    """The span of rows, each checked to lie in F_2^ambient_dim."""
+    rows = list(rows)
+    for r in rows:
+        _check_bits(r, ambient_dim)
     return Subspace(ambient_dim, _echelon(rows))
 
 
 def image_basis(m: BitMatrix) -> Subspace:
-    """Row space of m: the image of the right-action map v -> v*m."""
-    return subspace_from_rows(m.cols, m.data)
+    """Row space of m: the image of the right-action map v -> v*m.  The
+    rows of a BitMatrix are in range already, so none is checked again."""
+    return Subspace(m.cols, _echelon(m.data))
 
 
 def kernel_basis(m: BitMatrix) -> Subspace:

@@ -65,6 +65,9 @@ class HomotopySystem(_HomotopySystemFields):
 
     def __new__(cls, kind: ModuleKind, order: int, position: int = 1):
         _check_kind(kind)
+        # type() and not isinstance(): a bool is an int subclass.
+        if type(order) is not int or type(position) is not int:
+            raise ValueError("order and position must be integers")
         if order < 0:
             raise ValueError("order must be >= 0")
         if position < 1:

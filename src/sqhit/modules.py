@@ -115,17 +115,20 @@ class Element(_ElementFields):
     """Finite F_2-sum of monomials of one kind, arity and internal degree.
 
     The support is a frozenset of entry tuples.  This constructor checks
-    the kind, s >= 0 and each term against the kind, arity and degree; the
-    library's operations, whose terms are well-formed by construction,
-    build with ``_make`` and skip the checks.  Degrees are exact, zeros
-    included: ``+`` needs equal kind, arity and degree, and ``==``
-    compares all four fields.
+    the kind, that the support is a frozenset (a list or set would keep
+    duplicates or not hash), s >= 0 and each term against the kind, arity
+    and degree; the library's operations, whose terms are well-formed by
+    construction, build with ``_make`` and skip the checks.  Degrees are
+    exact, zeros included: ``+`` needs equal kind, arity and degree, and
+    ``==`` compares all four fields.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: ModuleKind, s: int, d: int, support: frozenset):
         _check_kind(kind)
+        if type(support) is not frozenset:
+            raise ValueError(f"support must be a frozenset, not {type(support).__name__}")
         if s < 0:
             raise ValueError(f"arity s={s} must be >= 0")
         positive = kind in POSITIVE_KINDS
@@ -200,10 +203,13 @@ class Expansions:
     looks its entries up and expands the ones it lacks.  gamma-cyc has no
     table: a necklace's square is its representative's plain gamma square
     projected to necklaces, so it reads the gamma table and keeps nothing
-    of its own.  Each expansion that misses its table charges the
-    allowance: the loop steps, counted before the loop runs, and the
-    entries of the terms they build, so the work done before a refusal
-    does not grow with the arity.
+    of its own.  ``support`` is the one code that reads ``tables`` or
+    projects a gamma-cyc square, and every square of a monomial goes
+    through it: ``sq`` term by term, the gamma-cyc rows of
+    ``hit.sq_matrix`` and the memo misses of ``homotopy.preimage_chain``.
+    Each expansion that misses its table charges the allowance: the loop
+    steps, counted before the loop runs, and the entries of the terms they
+    build, so the work done before a refusal does not grow with the arity.
 
     ``rows[kind]`` holds the rows of ``hit.sq_matrix``, keyed (s, d, l);
     ``high`` the gamma-sym column tables they are sorted through, (s, e, b).
@@ -298,10 +304,13 @@ EXPANSIONS = Expansions()
 
 
 def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
-    """Total right action of Sq^l on an element.  With a limit, the
-    expansions of all its terms together may take at most that many Cartan
-    steps (loop steps plus entries built, see ``Expansions``), or
-    ExpansionTooLarge is raised."""
+    """Total right action of Sq^l on an element: the sum mod 2 of
+    ``Expansions.support`` over its terms.  For gamma-cyc each term's
+    square is projected to necklaces on its own, which gives the same sum
+    since projection is linear mod 2.  With a limit, the expansions of all
+    its terms together may take at most that many Cartan steps (loop steps
+    plus entries built, see ``Expansions``), or ExpansionTooLarge is
+    raised."""
     if l < 0:
         raise ValueError("negative square index")
     if l == 0:
@@ -310,19 +319,10 @@ def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
         # Every entry stays >= 1, so no term reaches degree d - l < s.
         return Element.zero(x.kind, x.s, x.d - l)
     ctx = EXPANSIONS if limit is None else Expansions(limit)
-    # Expansions.support's lookup inlined: one table fetch a call, one
-    # dict.get a term, and support itself on a miss.  Projection is
-    # linear, so a gamma-cyc element sums the plain gamma squares of its
-    # necklaces and projects the sum once.
-    kind = x.kind
-    plain = ModuleKind.GAMMA if kind is ModuleKind.GAMMA_CYC else kind
-    table = ctx.tables[plain][l]
     acc: set = set()
     for t in x.support:
-        out = table.get(t)
-        acc ^= ctx.support(plain, t, l) if out is None else out
-    support = frozenset(acc) if plain is kind else _project(acc, _cyc_canonical)
-    return Element._make((kind, x.s, x.d - l, support))
+        acc ^= ctx.support(x.kind, t, l)
+    return Element._make((x.kind, x.s, x.d - l, frozenset(acc)))
 
 
 def _compositions(d: int, s: int, cap: int, nonincreasing: bool = False):

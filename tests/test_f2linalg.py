@@ -106,6 +106,15 @@ def test_contains_length_mismatch():
             f2linalg.contains(full_space(2), bits)
 
 
+def test_subspace_from_rows_refuses_rows_outside_the_space():
+    # A row with a bit at or beyond the ambient dimension, or a negative
+    # int, is not a vector of F_2^3; one such row among good ones is enough.
+    for rows in ([8, 1], [1, 0b1000], [-1], [0b111, -2]):
+        with pytest.raises(ValueError):
+            f2linalg.subspace_from_rows(3, rows)
+    assert f2linalg.subspace_from_rows(3, iter([0b111, 0b100])).basis == (0b011, 0b100)
+
+
 def test_contains_subspace_dimension_mismatch():
     # The same pair intersect refuses: a line of F_2^3 is not in F_2^2.
     for outer, inner in [(2, 3), (3, 2)]:

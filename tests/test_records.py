@@ -69,10 +69,17 @@ def test_subspaces_equal_by_rref_basis():
     pytest.param(lambda: Element(G, 2, 3, frozenset([(1, 1)])), id="Element-degree"),
     pytest.param(lambda: Element(G, 2, 2, frozenset([(0, 2)])), id="Element-entry"),
     pytest.param(lambda: Element(ModuleKind.GAMMA_SYM, 2, 3, frozenset([(1, 2)])), id="Element-canonical"),
+    pytest.param(lambda: Element(G, 1, 3, [(3,), (3,)]), id="Element-support-list"),
+    pytest.param(lambda: Element(G, 1, 3, {(3,)}), id="Element-support-set"),
     pytest.param(lambda: f2linalg.BitMatrix(2, 2, (1,)), id="BitMatrix-rows"),
     pytest.param(lambda: f2linalg.BitMatrix(1, 2, (0b100,)), id="BitMatrix-cols"),
+    pytest.param(lambda: f2linalg.BitMatrix(2, 2, [1, 2]), id="BitMatrix-data-list"),
     pytest.param(lambda: HomotopySystem(G, -1), id="HomotopySystem-order"),
     pytest.param(lambda: HomotopySystem(G, 1, 0), id="HomotopySystem-position"),
+    pytest.param(lambda: HomotopySystem(G, 1.0), id="HomotopySystem-order-float"),
+    pytest.param(lambda: HomotopySystem(G, True), id="HomotopySystem-order-bool"),
+    pytest.param(lambda: HomotopySystem(G, 1, 1.0), id="HomotopySystem-position-float"),
+    pytest.param(lambda: HomotopySystem(G, 1, True), id="HomotopySystem-position-bool"),
     pytest.param(lambda: HomotopySystem(ModuleKind.GAMMA_CYC, 1, 2), id="HomotopySystem-orbit"),
 ])
 def test_constructors_validate(build):
