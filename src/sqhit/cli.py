@@ -93,7 +93,7 @@ def _check_arity(s: int) -> None:
 
 def _check_dim(cfg: Config, kind: ModuleKind, s: int, d: int) -> None:
     if basis_size(Bidegree(s, d), kind, cfg.max_dim) > cfg.max_dim:
-        raise CliError(3, f"basis size exceeds max_dim={cfg.max_dim}")
+        raise CliError(3, f"{kind.value} bidegree (s,d)=({s},{d}): basis size exceeds max_dim={cfg.max_dim}")
     _check_arity(s)
 
 
@@ -209,11 +209,11 @@ def cmd_unhit(args, cfg: Config) -> int:
 
 def cmd_report(args, cfg: Config) -> int:
     _check_order(cfg, args.k)
-    rows = []
-    for s in range(args.s_min, args.s_max + 1):
-        for d in range(args.d_min, args.d_max + 1):
-            _check_pieces(cfg, args.kind, s, d, args.k)
-            rows.append(_report_row(hit.unhit_report(Bidegree(s, d), args.k, args.kind)))
+    cells = [(s, d) for s in range(args.s_min, args.s_max + 1) for d in range(args.d_min, args.d_max + 1)]
+    # Refuse a box before computing any of its cells.
+    for s, d in cells:
+        _check_pieces(cfg, args.kind, s, d, args.k)
+    rows = [_report_row(hit.unhit_report(Bidegree(s, d), args.k, args.kind)) for s, d in cells]
     if args.format == "json":
         print(json.dumps(rows))
     else:
@@ -236,7 +236,7 @@ def cmd_verify(args, cfg: Config) -> int:
         names = [args.suite]
     else:
         raise ValueError(f"unknown suite {args.suite!r}; known: {', '.join(suites.SUITES)}, all")
-    results = [suites.SUITES[name](args.seed) for name in names]
+    results = [suites.run(name, args.seed) for name in names]
     summary = {
         "seed": args.seed,
         "suites": [{"name": r.name, "passed": r.passed, "failed": r.failed} for r in results],

@@ -1,14 +1,18 @@
 """Property and identity suites shared by the CLI `verify` command and tests.
 
-Each suite returns a SuiteResult with pass/fail counts and the first failing
-case rendered as element JSON, so a CLI failure is directly reproducible.
+Each suite is a generator that yields one ``(ok, describe)`` pair per check.
+``tally`` counts a suite's checks into a SuiteResult, and ``run`` tallies the
+suite that SUITES names. Only the first failing check is described, as element
+JSON, so a CLI failure is directly reproducible; ``tally`` calls its
+``describe`` before the suite resumes, so a describe may read the suite's
+loop variables.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from . import f2linalg, hit, structure
 from .homotopy import (
@@ -47,30 +51,26 @@ class SuiteResult(NamedTuple):
         return self.failed == 0
 
 
-class _Recorder:
-    """Counts the checks of one suite as they run; ``result`` reads them."""
+Check = Tuple[bool, Callable[[], str]]
 
-    def __init__(self, name: str):
-        self.name, self.passed, self.failed, self.first_failure = name, 0, 0, None
 
-    def check(self, ok: bool, describe: Callable[[], str]) -> None:
+def tally(name: str, checks: Iterable[Check]) -> SuiteResult:
+    """Count the checks; describe the first failure before taking the next."""
+    passed = failed = 0
+    first_failure = None
+    for ok, describe in checks:
         if ok:
-            self.passed += 1
+            passed += 1
         else:
-            self.failed += 1
-            if self.first_failure is None:
-                self.first_failure = describe()
+            failed += 1
+            if first_failure is None:
+                first_failure = describe()
+    return SuiteResult(name, passed, failed, first_failure)
 
-    def add(self, sub: SuiteResult) -> None:
-        """Count the checks of a finished suite as this one's."""
-        self.passed += sub.passed
-        self.failed += sub.failed
-        if self.first_failure is None:
-            self.first_failure = sub.first_failure
 
-    @property
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.passed, self.failed, self.first_failure)
+def run(name: str, seed: int = 0) -> SuiteResult:
+    """The result of the suite that SUITES names, run with the given seed."""
+    return tally(name, SUITES[name](seed))
 
 
 def _fail_json(x: Element, note: str) -> str:
@@ -83,11 +83,10 @@ def random_element(rng: random.Random, kind: ModuleKind, s: int, d: int) -> Elem
     return Element.from_monomials(kind, s, d, picked)
 
 
-def suite_adem(seed: int = 0) -> SuiteResult:
+def suite_adem(seed: int = 0) -> Iterator[Check]:
     """(x Sq^(2n-1)) Sq^n = 0 on every basis monomial of the positive
     kinds, 1 <= n <= d: the relation that lets a preimage chain's
     certificate stand for the annihilation checks."""
-    rec = _Recorder("adem")
     for kind in (ModuleKind.GAMMA, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC):
         for s in range(1, 5):
             for d in range(s, 17):
@@ -95,7 +94,7 @@ def suite_adem(seed: int = 0) -> SuiteResult:
                     x = Element.single(kind, m)
                     for n in range(1, d + 1):
                         y = sq(sq(x, 2 * n - 1), n)
-                        rec.check(y.is_zero(), lambda x=x, n=n: _fail_json(x, f"Sq^{2*n-1}Sq^{n} != 0"))
+                        yield y.is_zero(), lambda: _fail_json(x, f"Sq^{2*n-1}Sq^{n} != 0")
     # Same shape on windowed random nabla monomials.
     rng = random.Random(seed)
     for _ in range(200):
@@ -104,13 +103,11 @@ def suite_adem(seed: int = 0) -> SuiteResult:
         x = Element.single(ModuleKind.NABLA, entries)
         n = rng.randint(1, 8)
         y = sq(sq(x, 2 * n - 1), n)
-        rec.check(y.is_zero(), lambda x=x, n=n: _fail_json(x, f"nabla Sq^{2*n-1}Sq^{n} != 0"))
-    return rec.result
+        yield y.is_zero(), lambda: _fail_json(x, f"nabla Sq^{2*n-1}Sq^{n} != 0")
 
 
-def suite_cartan(seed: int = 0) -> SuiteResult:
+def suite_cartan(seed: int = 0) -> Iterator[Check]:
     """sq(x.y, l) = sum_p sq(x,p).sq(y,l-p) for random gamma pairs."""
-    rec = _Recorder("cartan")
     rng = random.Random(seed)
     for _ in range(200):
         s1, s2 = rng.randint(1, 2), rng.randint(1, 2)
@@ -123,13 +120,11 @@ def suite_cartan(seed: int = 0) -> SuiteResult:
         rhs = Element.zero(ModuleKind.GAMMA, s1 + s2, d1 + d2 - l)
         for p in range(l + 1):
             rhs = rhs + concat_product(sq(x, p), sq(y, l - p))
-        rec.check(lhs == rhs, lambda x=x, y=y, l=l: _fail_json(x, f"cartan l={l} vs {element_to_json(y)}"))
-    return rec.result
+        yield lhs == rhs, lambda: _fail_json(x, f"cartan l={l} vs {element_to_json(y)}")
 
 
-def suite_instability(seed: int = 0) -> SuiteResult:
+def suite_instability(seed: int = 0) -> Iterator[Check]:
     """x Sq^l = 0 whenever 2l > d, on random elements of every positive kind."""
-    rec = _Recorder("instability")
     rng = random.Random(seed)
     kinds = [ModuleKind.GAMMA, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC]
     for _ in range(300):
@@ -138,26 +133,21 @@ def suite_instability(seed: int = 0) -> SuiteResult:
         d = rng.randint(s, s + 8)
         x = random_element(rng, kind, s, d)
         l = rng.randint(d // 2 + 1, d + 4)
-        rec.check(sq(x, l).is_zero(), lambda x=x, l=l: _fail_json(x, f"instability 2*{l} > {x.d}"))
-    return rec.result
+        yield sq(x, l).is_zero(), lambda: _fail_json(x, f"instability 2*{l} > {x.d}")
 
 
-def suite_composition(seed: int = 0) -> SuiteResult:
+def suite_composition(seed: int = 0) -> Iterator[Check]:
     """Sq^1 Sq^2 = Sq^3 on full bases; composition is associative with sq."""
-    rec = _Recorder("composition")
     for s in range(1, 4):
         for d in range(s, 11):
             for m in basis(Bidegree(s, d), ModuleKind.GAMMA):
                 x = Element.single(ModuleKind.GAMMA, m)
-                rec.check(sq(sq(x, 1), 2) == sq(x, 3),
-                          lambda x=x: _fail_json(x, "Sq^1Sq^2 != Sq^3"))
-    return rec.result
+                yield sq(sq(x, 1), 2) == sq(x, 3), lambda: _fail_json(x, "Sq^1Sq^2 != Sq^3")
 
 
-def suite_homotopy(seed: int = 0) -> SuiteResult:
+def suite_homotopy(seed: int = 0) -> Iterator[Check]:
     """Commutation and homotopy identities on null monomials, plus the
     unrestricted nabla case and the shift/permutation relation."""
-    rec = _Recorder("homotopy")
     for k in range(4):
         for s in range(1, 5):
             for i in range(1, s + 1):
@@ -168,12 +158,11 @@ def suite_homotopy(seed: int = 0) -> SuiteResult:
                         if not in_null(x, h):
                             continue
                         for m in range(k + 1):
-                            rec.check(verify_homotopy(x, h, m),
-                                      lambda x=x, m=m, i=i: _fail_json(x, f"homotopy m={m} pos={i}"))
+                            yield verify_homotopy(x, h, m), lambda: _fail_json(x, f"homotopy m={m} pos={i}")
                             if m >= 1:
                                 for l in range(1, 1 << m):
-                                    rec.check(verify_commutation(x, h, m, l),
-                                              lambda x=x, m=m, l=l, i=i: _fail_json(x, f"commutation m={m} l={l} pos={i}"))
+                                    yield (verify_commutation(x, h, m, l),
+                                           lambda: _fail_json(x, f"commutation m={m} l={l} pos={i}"))
     # Nabla: identities with no entry restriction, random seeded monomials.
     rng = random.Random(seed)
     for _ in range(1000):
@@ -182,14 +171,13 @@ def suite_homotopy(seed: int = 0) -> SuiteResult:
         x = Element.single(ModuleKind.NABLA, entries)
         h = HomotopySystem(ModuleKind.NABLA, 4, rng.randint(1, s))
         for m in range(5):
-            rec.check(verify_homotopy(x, h, m),
-                      lambda x=x, m=m: _fail_json(x, f"nabla homotopy m={m}"))
+            yield verify_homotopy(x, h, m), lambda: _fail_json(x, f"nabla homotopy m={m}")
             if m >= 1:
                 ls = {1, 1 << m >> 1, (1 << m) - 1, rng.randrange(1, 1 << m)}
                 for l in ls:
                     if 1 <= l < (1 << m):
-                        rec.check(verify_commutation(x, h, m, l),
-                                  lambda x=x, m=m, l=l: _fail_json(x, f"nabla commutation m={m} l={l}"))
+                        yield (verify_commutation(x, h, m, l),
+                               lambda: _fail_json(x, f"nabla commutation m={m} l={l}"))
     # Shift/permutation compatibility on random monomials and transpositions.
     for _ in range(300):
         s = rng.randint(2, 4)
@@ -215,15 +203,13 @@ def suite_homotopy(seed: int = 0) -> SuiteResult:
             ModuleKind.GAMMA, s, d + r, (transpose(t) for t in shift(x, i, r).support))
         permuted = Element.single(ModuleKind.GAMMA, transpose(mono))
         permuted_then_shifted = shift(permuted, sigma_i, r)
-        rec.check(shifted_then_permuted == permuted_then_shifted,
-                  lambda x=x: _fail_json(x, f"shift/permutation i={i} r={r}"))
-    return rec.result
+        yield (shifted_then_permuted == permuted_then_shifted,
+               lambda: _fail_json(x, f"shift/permutation i={i} r={r}"))
 
 
-def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> SuiteResult:
+def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> Iterator[Check]:
     """Certify that kernel classes supported on null monomials are spike
     images, constructively, via verified preimage chains."""
-    rec = _Recorder(f"certify-{kind.value}")
     for k in range(k_max + 1):
         for s in range(1, s_max + 1):
             positions = range(1, s + 1) if kind is ModuleKind.GAMMA else (1,)
@@ -244,17 +230,15 @@ def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> 
                             ok = f2linalg.contains(image, r)
                         except (NullMembershipError, AnnihilationError, ChainCertificateError) as exc:
                             ok, note = False, f"{note}: {exc}"
-                        rec.check(ok, lambda x=x, note=note: _fail_json(x, note))
-    return rec.result
+                        yield ok, lambda: _fail_json(x, note)
 
 
-def suite_certificates(seed: int = 0) -> SuiteResult:
-    return certify_null_delta(ModuleKind.GAMMA, 4, 16, 2)._replace(name="certificates")
+def suite_certificates(seed: int = 0) -> Iterator[Check]:
+    return certify_null_delta(ModuleKind.GAMMA, 4, 16, 2)
 
 
-def suite_orbit(seed: int = 0) -> SuiteResult:
+def suite_orbit(seed: int = 0) -> Iterator[Check]:
     """Orbit actions are representative-independent; orbit-kind certificates."""
-    rec = _Recorder("orbit")
     rng = random.Random(seed)
     for _ in range(400):
         s = rng.randint(1, 4)
@@ -273,16 +257,14 @@ def suite_orbit(seed: int = 0) -> SuiteResult:
         x = Element.single(ModuleKind.GAMMA, mono)
         lhs = sq(project_to_orbit(x, kind), l)
         rhs = project_to_orbit(sq(translated, l), kind)
-        rec.check(lhs == rhs, lambda x=x, l=l, kind=kind: _fail_json(x, f"orbit action {kind.value} l={l}"))
+        yield lhs == rhs, lambda: _fail_json(x, f"orbit action {kind.value} l={l}")
     for kind, (s_max, d_max, k_max) in ((ModuleKind.GAMMA_SYM, (4, 14, 1)),
                                         (ModuleKind.GAMMA_CYC, (4, 14, 1))):
-        rec.add(certify_null_delta(kind, s_max, d_max, k_max))
-    return rec.result
+        yield from certify_null_delta(kind, s_max, d_max, k_max)
 
 
-def suite_ideal(seed: int = 0) -> SuiteResult:
+def suite_ideal(seed: int = 0) -> Iterator[Check]:
     """Products of spike images with kernel classes stay spike images."""
-    rec = _Recorder("ideal")
     rng = random.Random(seed)
     cases = 0
     while cases < 60:
@@ -302,13 +284,11 @@ def suite_ideal(seed: int = 0) -> SuiteResult:
         target = hit.spike_image_basis(prod_b, k, ModuleKind.GAMMA)
         for p in (concat_product(x, y), concat_product(y, x)):
             v = hit.element_to_vector(p, prod_b, ModuleKind.GAMMA)
-            rec.check(f2linalg.contains(target, v), lambda p=p, k=k: _fail_json(p, f"ideal k={k}"))
-    return rec.result
+            yield f2linalg.contains(target, v), lambda: _fail_json(p, f"ideal k={k}")
 
 
-def suite_containment(seed: int = 0) -> SuiteResult:
+def suite_containment(seed: int = 0) -> Iterator[Check]:
     """Spike images are contained in the kernel intersection, every kind."""
-    rec = _Recorder("containment")
     for kind in (ModuleKind.GAMMA, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC):
         for k in range(3):
             for s in range(1, 5):
@@ -317,46 +297,41 @@ def suite_containment(seed: int = 0) -> SuiteResult:
                     delta = hit.delta_basis(b, k, kind)
                     image = hit.spike_image_basis(b, k, kind)
                     ok = f2linalg.contains_subspace(delta, image)
-                    rec.check(ok, lambda b=b, k=k, kind=kind: json.dumps(
-                        {"case": f"containment {kind.value} {b} k={k}"}))
-    return rec.result
+                    yield ok, lambda: json.dumps({"case": f"containment {kind.value} {b} k={k}"})
 
 
-def suite_structure(seed: int = 0) -> SuiteResult:
+def suite_structure(seed: int = 0) -> Iterator[Check]:
     """First-factor checkers match kernel membership exactly, both directions."""
-    rec = _Recorder("structure")
     rng = random.Random(seed)
     for s in range(2, 5):
         for d in range(s, 13):
             b = Bidegree(s, d)
             ker1 = f2linalg.kernel_basis(hit.sq_matrix(b, 1, ModuleKind.GAMMA))
             for x in hit.subspace_elements(ker1, b, ModuleKind.GAMMA):
-                rec.check(not structure.check_sq1_relations(x),
-                          lambda x=x: _fail_json(x, "sq1 checker on kernel vector"))
+                yield (not structure.check_sq1_relations(x),
+                       lambda: _fail_json(x, "sq1 checker on kernel vector"))
             ker2 = f2linalg.kernel_basis(hit.sq_matrix(b, 2, ModuleKind.GAMMA))
             for x in hit.subspace_elements(ker2, b, ModuleKind.GAMMA):
-                rec.check(not structure.check_sq2_relations(x),
-                          lambda x=x: _fail_json(x, "sq2 checker on kernel vector"))
+                yield (not structure.check_sq2_relations(x),
+                       lambda: _fail_json(x, "sq2 checker on kernel vector"))
             for x in hit.subspace_elements(hit.delta_basis(b, 1, ModuleKind.GAMMA), b, ModuleKind.GAMMA):
-                rec.check(not structure.check_delta1_structure(x),
-                          lambda x=x: _fail_json(x, "delta1 checker on kernel vector"))
+                yield (not structure.check_delta1_structure(x),
+                       lambda: _fail_json(x, "delta1 checker on kernel vector"))
             # Coincidence on random elements covers the converse direction.
             for _ in range(6):
                 x = random_element(rng, ModuleKind.GAMMA, s, d)
-                rec.check((not structure.check_sq1_relations(x)) == sq(x, 1).is_zero(),
-                          lambda x=x: _fail_json(x, "sq1 checker equivalence"))
-                rec.check((not structure.check_sq2_relations(x)) == sq(x, 2).is_zero(),
-                          lambda x=x: _fail_json(x, "sq2 checker equivalence"))
+                yield ((not structure.check_sq1_relations(x)) == sq(x, 1).is_zero(),
+                       lambda: _fail_json(x, "sq1 checker equivalence"))
+                yield ((not structure.check_sq2_relations(x)) == sq(x, 2).is_zero(),
+                       lambda: _fail_json(x, "sq2 checker equivalence"))
                 in_delta1 = sq(x, 1).is_zero() and sq(x, 2).is_zero()
-                rec.check((not structure.check_delta1_structure(x)) == in_delta1,
-                          lambda x=x: _fail_json(x, "delta1 checker equivalence"))
-    return rec.result
+                yield ((not structure.check_delta1_structure(x)) == in_delta1,
+                       lambda: _fail_json(x, "delta1 checker equivalence"))
 
 
-def suite_i1_membership(seed: int = 0) -> SuiteResult:
+def suite_i1_membership(seed: int = 0) -> Iterator[Check]:
     """The first-factor image criterion agrees with direct Sq^3 linear algebra
     on full kernel bases, and every positive witness is exact."""
-    rec = _Recorder("i1-membership")
     for s in range(2, 5):
         for d in range(s, 13):
             b = Bidegree(s, d)
@@ -368,15 +343,13 @@ def suite_i1_membership(seed: int = 0) -> SuiteResult:
                 x = hit.vector_to_element(r, b, ModuleKind.GAMMA)
                 member, witness = structure.i1_membership(x)
                 direct = f2linalg.contains(im3, r)
-                rec.check(member == direct, lambda x=x: _fail_json(x, "criterion vs direct image membership"))
+                yield member == direct, lambda: _fail_json(x, "criterion vs direct image membership")
                 if member:
-                    rec.check(sq(witness, 3) == x, lambda x=x: _fail_json(x, "witness Sq^3 mismatch"))
-    return rec.result
+                    yield sq(witness, 3) == x, lambda: _fail_json(x, "witness Sq^3 mismatch")
 
 
-def suite_builder(seed: int = 0) -> SuiteResult:
+def suite_builder(seed: int = 0) -> Iterator[Check]:
     """Elements assembled from a Sq^2-kernel first factor land in the kernels."""
-    rec = _Recorder("builder")
     rng = random.Random(seed)
     cases = 0
     while cases < 40:
@@ -392,14 +365,12 @@ def suite_builder(seed: int = 0) -> SuiteResult:
         ok = sq(x, 1).is_zero() and sq(x, 2).is_zero()
         if ok and not x.is_zero():
             ok = structure.decompose_first_factor(x).get(1, Element.zero(ModuleKind.GAMMA, s1, d1)) == x1
-        rec.check(ok, lambda x1=x1: _fail_json(x1, "builder output membership"))
-    return rec.result
+        yield ok, lambda: _fail_json(x1, "builder output membership")
 
 
-def suite_counterexample(seed: int = 0) -> SuiteResult:
+def suite_counterexample(seed: int = 0) -> Iterator[Check]:
     """The (5,9) class: w in (4,8) is in ker Sq^2 outside im Sq^2, z in (5,9)
     is in Delta(1) outside im Sq^3, and U(1) at (5,9) is nonzero."""
-    rec = _Recorder("counterexample")
     G = ModuleKind.GAMMA
     w, z = structure.sq2_kernel_witness(), structure.unhit_witness_5_9()
     wvec = hit.element_to_vector(w, Bidegree(4, 8), G)
@@ -415,11 +386,10 @@ def suite_counterexample(seed: int = 0) -> SuiteResult:
         ("unhit dimension at (5,9) is zero", hit.unhit_report(Bidegree(5, 9), 1, G).dim_unhit >= 1),
     )
     for case, ok in facts:
-        rec.check(ok, lambda case=case: json.dumps({"case": case}))
-    return rec.result
+        yield ok, lambda: json.dumps({"case": case})
 
 
-SUITES: Dict[str, Callable[[int], SuiteResult]] = {
+SUITES: Dict[str, Callable[[int], Iterator[Check]]] = {
     "adem": suite_adem,
     "cartan": suite_cartan,
     "instability": suite_instability,

@@ -19,7 +19,7 @@ def report(name, ok):
 
 
 def test_criterion_1_counterexample_reproduction():
-    result = suites.suite_counterexample()
+    result = suites.run("counterexample")
     m2 = hit.sq_matrix(Bidegree(4, 10), 2, G)
     m3 = hit.sq_matrix(Bidegree(5, 12), 3, G)
     ok = (
@@ -48,22 +48,22 @@ def test_criterion_3_single_generator_order_one():
 
 
 def test_criterion_4_preimage_certificates():
-    rec = suites.certify_null_delta(G, 4, 16, 2)
+    rec = suites.tally("certify-gamma", suites.certify_null_delta(G, 4, 16, 2))
     report("criterion 4: null-subspace kernel classes certified by preimage chains", rec.failed == 0)
 
 
 def test_criterion_5_homotopy_identities():
-    result = suites.suite_homotopy(seed=0)
+    result = suites.run("homotopy", seed=0)
     report("criterion 5: commutation and homotopy identities, zero failures", result.failed == 0)
 
 
 def test_criterion_6_structure_equivalences():
-    result = suites.suite_structure(seed=0)
+    result = suites.run("structure", seed=0)
     report("criterion 6: first-factor checkers match kernels both ways", result.failed == 0)
 
 
 def test_criterion_7_image_membership_equivalence():
-    result = suites.suite_i1_membership(seed=0)
+    result = suites.run("i1-membership", seed=0)
     report("criterion 7: constructive image test matches direct linear algebra", result.failed == 0)
 
 
@@ -98,6 +98,6 @@ def test_criterion_8_oracle_cross_checks():
 
 def test_criterion_9_property_suites():
     names = ("containment", "ideal", "instability", "adem", "orbit", "cartan", "builder")
-    failed = {name: suites.SUITES[name](0).failed for name in names}
+    failed = {name: suites.run(name, 0).failed for name in names}
     report("criterion 9: containment/ideal/instability/adem/orbit/cartan/builder suites green",
            all(v == 0 for v in failed.values()))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sqhit
-from sqhit import cli, f2linalg, hit, homotopy, structure
+from sqhit import cli, f2linalg, hit, homotopy, structure, suites
 from sqhit.cli import main
 from sqhit.homotopy import ChainCertificateError
 from sqhit.modules import (
@@ -105,6 +105,10 @@ class TestBasis:
         code, out, err = run(capsys, "basis", "--kind", "gamma", "--s", "256", "--d", "258")
         assert code == 3 and out == ""
         assert err.strip() == "listing 32896 monomials of arity 256 exceeds max_dim=200000 entries"
+
+    def test_orbit_listing(self, capsys):
+        code, out, _ = run(capsys, "basis", "--kind", "gamma-sym", "--s", "3", "--d", "7")
+        assert (code, out) == (0, "[3, 2, 2]\n[3, 3, 1]\n[4, 2, 1]\n[5, 1, 1]\n")
 
     def test_json_listing(self, capsys):
         code, out, _ = run(capsys, "basis", "--kind", "gamma", "--s", "2", "--d", "3", "--json")
@@ -415,6 +419,21 @@ class TestDeltaImageUnhit:
         assert payload["dim"] == 1
         assert payload["basis"][0]["monomials"] == [[3]]
 
+    def test_delta_text(self, capsys):
+        code, out, _ = run(capsys, "delta", "--kind", "gamma", "--s", "3", "--d", "5", "--k", "1")
+        assert (code, out) == (0, "dim = 3\ngamma[1, 1, 3]\ngamma[1, 3, 1]\ngamma[3, 1, 1]\n")
+
+    def test_unhit_witnesses(self, capsys):
+        code, out, _ = run(capsys, "unhit", "--kind", "gamma", "--s", "5", "--d", "9", "--k", "1", "--witnesses")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["dim_unhit"] == 1
+        # The unhit coset lists the RREF rows of Delta(1) outside I(1): two
+        # here, though the quotient has dimension one.
+        witnesses = {key: [element_from_json(e) for e in val] for key, val in payload["witnesses"].items()}
+        assert {key: len(val) for key, val in witnesses.items()} == {"delta": 32, "image": 31, "unhit_coset": 2}
+        assert all(sq(x, 1).is_zero() and sq(x, 2).is_zero() for x in witnesses["unhit_coset"])
+
     def test_unhit_counterexample_bidegree(self, capsys):
         code, out, _ = run(capsys, "unhit", "--kind", "gamma", "--s", "5", "--d", "9", "--k", "1")
         assert code == 0
@@ -481,6 +500,33 @@ class TestDeltaImageUnhit:
                            "--s", "2", "--d", "9", "--k", "1")
         assert code == 3 and "max_dim=10" in err
 
+    @pytest.mark.parametrize("max_dim,argv,message", [
+        ("200000", ("basis", "--kind", "gamma-cyc", "--s", "12", "--d", "60"),
+         "gamma-cyc bidegree (s,d)=(12,60): basis size exceeds max_dim=200000"),
+        # unhit at (2,9), k=1 reads (2,12), the source of Sq^3.
+        ("10", ("unhit", "--kind", "gamma", "--s", "2", "--d", "9", "--k", "1"),
+         "gamma bidegree (s,d)=(2,12): basis size exceeds max_dim=10"),
+    ], ids=["basis", "largest-piece"])
+    def test_guardrail_names_the_piece(self, capsys, tmp_path, max_dim, argv, message):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"max_dim = {max_dim}\n")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert (code, out, err) == (3, "", message + "\n")
+
+    def test_config_comments_and_blank_lines(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# guardrails\n\nmax_k = 2\n")
+        code, out, err = run(capsys, "--config", str(cfg), "delta", "--kind", "gamma",
+                             "--s", "1", "--d", "3", "--k", "3")
+        assert (code, out, err) == (3, "", "order k=3 exceeds max_k=2\n")
+
+    def test_config_line_without_equals_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("max_dim 5\n")
+        code, out, err = run(capsys, "--config", str(cfg), "basis", "--kind", "gamma",
+                             "--s", "1", "--d", "1")
+        assert (code, out, err) == (2, "", "bad config: bad config line: 'max_dim 5'\n")
+
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("max_k = -1\n")
@@ -504,6 +550,16 @@ class TestReport:
         rows = json.loads(out)
         assert all(row["dim_unhit"] == 0 for row in rows)
 
+    def test_box_refused_before_any_cell_is_computed(self, capsys, monkeypatch):
+        # Only the last cell, (7,24), is refused: it reads (7,27), which has
+        # C(26,6) = 230230 compositions.
+        def computed(*args, **kwargs):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(hit, "unhit_report", computed)
+        code, out, err = run(capsys, "report", "--kind", "gamma", "--k", "1", "--s-max", "7", "--d-max", "24")
+        assert (code, out, err) == (3, "", "gamma bidegree (s,d)=(7,27): basis size exceeds max_dim=200000\n")
+
     @pytest.mark.parametrize("k,code,message", [
         ("-2", 2, "order k=-2 must be >= 0"), ("9", 3, "order k=9 exceeds max_k=4"),
     ], ids=["negative", "past-max-k"])
@@ -519,6 +575,22 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"]
         assert payload["suites"] == [{"name": "counterexample", "passed": 5, "failed": 0}]
+
+    def test_all_runs_every_suite_in_order(self, capsys, monkeypatch):
+        monkeypatch.setattr(suites, "SUITES", {name: lambda seed: iter(()) for name in suites.SUITES})
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert [r["name"] for r in json.loads(out)["suites"]] == [
+            "adem", "cartan", "instability", "composition", "homotopy", "certificates", "orbit",
+            "ideal", "containment", "structure", "i1-membership", "builder", "counterexample"]
+
+    def test_failed_suite_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(structure, "unhit_witness_5_9", lambda: Element.zero(ModuleKind.GAMMA, 5, 9))
+        code, out, err = run(capsys, "verify", "--suite", "counterexample")
+        assert code == 1
+        assert json.loads(out) == {"seed": 0, "suites": [{"name": "counterexample", "passed": 4, "failed": 1}],
+                                   "ok": False}
+        assert err == 'FAIL counterexample: {"case": "witness z unexpectedly lies in im Sq^3"}\n'
 
     def test_unknown_suite_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "no-such-suite")

@@ -492,7 +492,7 @@ class TestImageMembership:
 
 class TestCounterexample:
     def test_suite_passes(self):
-        assert suites.suite_counterexample() == suites.SuiteResult("counterexample", 5, 0)
+        assert suites.run("counterexample") == suites.SuiteResult("counterexample", 5, 0)
         rep = hit.unhit_report(Bidegree(5, 9), 1, G)
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (32, 31, 1)
 

@@ -1,16 +1,26 @@
 """The package's records: read-only fields, equality and hashing by value,
-validation in the constructors, and what importing the CLI loads."""
+validation in the constructors and the library functions, and what
+importing the CLI loads."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from sqhit import cli, f2linalg, hit, suites
-from sqhit.homotopy import HomotopySystem
-from sqhit.modules import Bidegree, Element, ModuleKind
+from sqhit import cli, f2linalg, hit, structure, suites
+from sqhit.homotopy import HomotopySystem, shift, verify_commutation, verify_homotopy
+from sqhit.modules import (
+    Bidegree,
+    Element,
+    ModuleKind,
+    element_from_json,
+    gen_binom_mod2,
+    project_to_orbit,
+    sq,
+)
 
 G = ModuleKind.GAMMA
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -85,3 +95,41 @@ def test_subspaces_equal_by_rref_basis():
 def test_constructors_validate(build):
     with pytest.raises(ValueError):
         build()
+
+
+SYM = ModuleKind.GAMMA_SYM
+X3, X12, SYM21 = Element.single(G, (3,)), Element.single(G, (1, 2)), Element.single(SYM, (2, 1))
+H1 = HomotopySystem(G, 1)
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: gen_binom_mod2(1, -1), "negative power-series index", id="gen_binom_mod2-index"),
+    pytest.param(lambda: X12 + SYM21, "cannot add elements of different kind or arity", id="add-kinds"),
+    pytest.param(lambda: sq(X3, -1), "negative square index", id="sq-index"),
+    pytest.param(lambda: project_to_orbit(SYM21, ModuleKind.GAMMA_CYC), "projection starts from a gamma element",
+                 id="project_to_orbit-source"),
+    pytest.param(lambda: project_to_orbit(X12, G), "target must be an orbit kind", id="project_to_orbit-target"),
+    pytest.param(lambda: element_from_json([]), "element JSON must be an object", id="element_from_json-list"),
+    pytest.param(lambda: element_from_json({"kind": "gamma", "s": 1, "d": 3, "monomials": "x"}),
+                 "monomials must be a list", id="element_from_json-monomials"),
+    pytest.param(lambda: shift(X3, 1, -1), "shift amount must be >= 0", id="shift-amount"),
+    pytest.param(lambda: verify_commutation(X3, H1, 2, 1), "need 1 <= m <= order, got m=2",
+                 id="verify_commutation-m"),
+    # (1) lies outside the null subspace of order 1 at position 1.
+    pytest.param(lambda: verify_commutation(Element.single(G, (1,)), H1, 1, 1),
+                 "element is not in the null subspace", id="verify_commutation-null"),
+    pytest.param(lambda: verify_homotopy(X3, H1, 2), "need 0 <= m <= order, got m=2", id="verify_homotopy-m"),
+    pytest.param(lambda: hit.spike_image_basis(Bidegree(1, 3), -1, G), "order must be >= 0",
+                 id="spike_image_basis-order"),
+    pytest.param(lambda: structure.decompose_first_factor(SYM21),
+                 "first-factor decomposition is defined on gamma elements", id="decompose_first_factor-kind"),
+    pytest.param(lambda: structure.build_delta1_element(SYM21, 4), "x_1 must be a gamma element",
+                 id="build_delta1_element-kind"),
+    pytest.param(lambda: structure.build_delta1_element(Element.zero(G, 1, 3), 3), "x_1 must have degree 2",
+                 id="build_delta1_element-degree"),
+    pytest.param(lambda: structure.i1_membership(X3), "arity must be >= 2", id="i1_membership-arity"),
+])
+def test_library_refuses(call, message):
+    # PreconditionError, the homotopy refusals' type, is a ValueError.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

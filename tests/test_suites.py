@@ -9,13 +9,23 @@ from sqhit.modules import Element, ModuleKind
 G = ModuleKind.GAMMA
 
 
+class TestTally:
+    def test_first_failure_described_before_the_suite_resumes(self):
+        # The describes read the loop variable late, as the suites' do.
+        def checks():
+            for n in range(4):
+                yield n % 2 == 0, lambda: f"case {n}"
+
+        assert suites.tally("t", checks()) == suites.SuiteResult("t", 2, 2, "case 1")
+
+
 class TestCertifyNullDelta:
     def test_certificate_error_counted_with_message(self, monkeypatch):
         def broken(x, h):
             raise ChainCertificateError("y_0 Sq^1 != x")
 
         monkeypatch.setattr(suites, "preimage_chain", broken)
-        res = suites.certify_null_delta(ModuleKind.GAMMA, 1, 3, 0)
+        res = suites.tally("certify", suites.certify_null_delta(ModuleKind.GAMMA, 1, 3, 0))
         assert res.passed == 0 and res.failed == 2
         assert json.loads(res.first_failure)["case"] == "certificate k=0 pos=1: y_0 Sq^1 != x"
 
@@ -25,13 +35,14 @@ class TestCertifyNullDelta:
 
         monkeypatch.setattr(suites, "preimage_chain", broken)
         with pytest.raises(TypeError):
-            suites.certify_null_delta(ModuleKind.GAMMA, 1, 3, 0)
+            suites.tally("certify", suites.certify_null_delta(ModuleKind.GAMMA, 1, 3, 0))
 
 
 class TestCertificatesSuite:
     def test_reports_under_its_own_name(self, monkeypatch):
-        monkeypatch.setattr(suites, "certify_null_delta", lambda *args: suites.SuiteResult("gamma", 3, 1, "x"))
-        assert suites.suite_certificates() == suites.SuiteResult("certificates", 3, 1, "x")
+        checks = [(True, None), (False, lambda: "x"), (True, None), (True, None)]
+        monkeypatch.setattr(suites, "certify_null_delta", lambda *args: iter(checks))
+        assert suites.run("certificates") == suites.SuiteResult("certificates", 3, 1, "x")
 
 
 class TestCounterexampleSuite:
@@ -46,10 +57,10 @@ class TestCounterexampleSuite:
     ]
 
     def test_one_check_per_reported_assertion(self, monkeypatch):
-        assert suites.suite_counterexample() == suites.SuiteResult("counterexample", 5, 0)
+        assert suites.run("counterexample") == suites.SuiteResult("counterexample", 5, 0)
         for name, broken, failed, first in self.BROKEN:
             with monkeypatch.context() as m:
                 m.setattr(structure, name, lambda broken=broken: broken)
-                res = suites.suite_counterexample()
+                res = suites.run("counterexample")
             assert (res.passed, res.failed) == (5 - failed, failed), (name, broken)
             assert json.loads(res.first_failure) == {"case": first}
