@@ -19,6 +19,7 @@ from typing import List, NamedTuple, Optional
 
 from . import hit
 from .modules import (
+    MAX_ARITY,
     Bidegree,
     Element,
     ExpansionTooLarge,
@@ -32,13 +33,6 @@ from .modules import (
     monomial_str,
     sq,
 )
-
-# modules.Expansions.support (the gamma-sym split on the largest part included)
-# expands a monomial one recursion level per entry, so larger arities are
-# refused well before Python's recursion limit of 1000. Only sq, preimage
-# and gamma-cyc matrices reach it, but every command that takes --s keeps
-# the same cap.
-MAX_ARITY = 256
 
 
 class Config(NamedTuple):
@@ -171,9 +165,13 @@ def cmd_sq(args, cfg: Config) -> int:
 
 
 def cmd_subspace(args, cfg: Config) -> int:
-    """delta or image: args.subspace is hit.delta_basis or hit.spike_image_basis."""
+    """delta or image: args.subspace is hit.delta_basis or hit.spike_image_basis.
+    delta reads no piece above (s,d), so only image checks the spike sources."""
     _check_order(cfg, args.k)
-    _check_pieces(cfg, args.kind, args.s, args.d, args.k)
+    if args.command == "delta":
+        _check_dim(cfg, args.kind, args.s, args.d)
+    else:
+        _check_pieces(cfg, args.kind, args.s, args.d, args.k)
     b = Bidegree(args.s, args.d)
     sub = args.subspace(b, args.k, args.kind)
     elems = hit.subspace_elements(sub, b, args.kind)

@@ -12,7 +12,8 @@ Kernels, solutions and intersections tag each row in its high bits (row
 index or row copy); rows whose low bits cancel carry the answer there.
 A ``Subspace`` is the semi-echelon form that elimination leaves, which is
 enough for its dimension and for membership.  RREF is built by
-back-substitution only where a basis is read.
+back-substitution only where a basis is read; ``complement`` clears
+another subspace's pivot bits with the same walk, ``_clear``.
 """
 
 from __future__ import annotations
@@ -106,19 +107,24 @@ def _echelon(rows: Iterable[int]) -> Dict[int, int]:
     return pivots
 
 
+def _clear(r: int, rows: Dict[int, int], mask: int) -> int:
+    """r with every bit of mask cleared, lowest first, by adding rows[q]
+    for each bit q met; rows[q] has bit q and no other bit of mask."""
+    hits = r & mask
+    while hits:
+        low = hits & -hits
+        r ^= rows[low.bit_length() - 1]
+        hits = r & mask & -(low << 1)
+    return r
+
+
 def _rref(pivots: Dict[int, int]) -> tuple:
     """RREF rows sorted by pivot, by back-substitution in descending pivot
     order: one xor per higher pivot bit present."""
     done: Dict[int, int] = {}
     mask = 0
     for p in sorted(pivots, reverse=True):
-        r = pivots[p]
-        hits = r & mask
-        while hits:
-            low = hits & -hits
-            r ^= done[low.bit_length() - 1]
-            hits = r & mask & -(low << 1)
-        done[p] = r
+        done[p] = _clear(pivots[p], done, mask)
         mask |= 1 << p
     return tuple(done[p] for p in sorted(done))
 
@@ -174,6 +180,17 @@ def contains_subspace(outer: Subspace, inner: Subspace) -> bool:
     if outer.ambient_dim != inner.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return all(outer.reduce(r) == 0 for r in inner.pivots.values())
+
+
+def complement(outer: Subspace, inner: Subspace) -> Subspace:
+    """The span of outer's rows with every pivot bit of inner cleared by
+    inner's RREF rows: for inner inside outer, the one complement of inner
+    in outer with no bit at a pivot of inner, of dim outer.dim - inner.dim."""
+    if outer.ambient_dim != inner.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    rref = dict(zip(sorted(inner.pivots), inner.basis))
+    mask = sum(1 << p for p in inner.pivots)
+    return Subspace(outer.ambient_dim, _echelon(_clear(r, rref, mask) for r in outer.pivots.values()))
 
 
 def solve(m: BitMatrix, bits: int) -> Optional[int]:

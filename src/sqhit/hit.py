@@ -12,13 +12,14 @@ The first-factor structure theory built on these lives in ``structure``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
-from itertools import accumulate, compress
+from functools import lru_cache
+from itertools import accumulate, chain, compress
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import f2linalg, modules
 from .f2linalg import BitMatrix, Subspace
 from .modules import (
+    MAX_ARITY,
     Bidegree,
     Element,
     InternalInconsistencyError,
@@ -68,32 +69,14 @@ def vector_to_element(bits: int, b: Bidegree, kind: ModuleKind) -> Element:
     return Element._make((kind, b.s, b.d, support))
 
 
-def subspace_elements(sub: Subspace, b: Bidegree, kind: ModuleKind,
-                      outside: Optional[Subspace] = None) -> List[Element]:
-    """The RREF basis rows of sub as elements of (s,d); with outside given,
-    only the rows that do not lie in it."""
-    return [vector_to_element(r, b, kind)
-            for r in sub.basis if outside is None or outside.reduce(r) != 0]
+def subspace_elements(sub: Subspace, b: Bidegree, kind: ModuleKind) -> List[Element]:
+    """The RREF basis rows of sub as elements of (s,d)."""
+    return [vector_to_element(r, b, kind) for r in sub.basis]
 
 
 @lru_cache(maxsize=None)
 def _basis_index(b: Bidegree, kind: ModuleKind) -> Dict[Tuple[int, ...], int]:
     return {t: j for j, t in enumerate(basis(b, kind))}
-
-
-def _fill(cache: dict, top: tuple, children, build):
-    """cache[top], built after the keys it reads.  children(*key) names
-    the keys one arity down that build(*key) reads.  The keys the cache
-    lacks are walked down arity by arity, then built lowest arity first, in
-    loops, so no call goes deeper than one arity."""
-    levels = [{top}]
-    while levels[-1]:
-        levels.append({child for key in levels[-1] if key not in cache for child in children(*key)})
-    for level in reversed(levels):
-        for key in level:
-            if key not in cache:
-                cache[key] = build(*key)
-    return cache[top]
 
 
 _SYM, _CYC = ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC
@@ -131,15 +114,10 @@ def _splits(kind: ModuleKind, s: int, d: int, l: int):
                 yield a, i
 
 
-def _row_children(kind: ModuleKind, s: int, d: int, l: int):
-    """The keys of the tail rows ``_block(ctx, kind, s, d, l)`` reads; a
-    gamma-cyc block reads none."""
-    return [(s - 1, d - a, l - i) for a, i in _splits(kind, s, d, l)] if s > 1 and kind is not _CYC else ()
-
-
 def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) -> Tuple[int, ...]:
-    """Rows of Sq^l on (s, d), s >= 1, d - l >= s, from the arity-(s-1)
-    rows in ``ctx.rows[kind]``.
+    """Rows of Sq^l on (s, d), s >= 1, d - l >= s: ``ctx.rows[kind][s, d, l]``,
+    built on a miss from the arity-(s-1) rows that this same call reads or
+    builds, so a build recurses one level per arity.
 
     The basis is in ascending lex order, so the monomials (a | m) with
     first entry a form one block.  By the Cartan formula the row of (a | m)
@@ -149,43 +127,42 @@ def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) ->
     the columns of first entry b.  For gamma-sym m has no part above a, so
     the block is a prefix of the basis of (s-1, d-a).  b goes in front of
     the tail columns that start at most at b, a low prefix that shifts as
-    a whole, and is sorted into the others through the column tables in
-    ``ctx.high``, where terms of different i may meet and cancel.
+    a whole, and is sorted into the others through the column tables that
+    ``_high_block`` keeps in ``ctx.high``, where terms of different i may
+    meet and cancel.
 
     A necklace is not closed under the split, so a gamma-cyc row is the
     support ``ctx.support`` gives its basis monomial: the plain gamma
     support, from ctx's gamma tables, projected to necklaces.
     """
+    out = ctx.rows[kind].get((s, d, l))
+    if out is not None:
+        return out
     if s == 1:
-        return (binom_mod2(d - l, l),)
-    if kind is _CYC:
-        index, rows = _basis_index(Bidegree(s, d - l), kind), []
-        for m in basis(Bidegree(s, d), kind):
-            bits = 0
-            for t in ctx.support(kind, m, l):
-                bits |= 1 << index[t]
-            rows.append(bits)
-        return tuple(rows)
-    tails, dom, cod = ctx.rows[kind], _offsets(kind, s, d), _offsets(kind, s, d - l)
-    high_block = partial(_high_block, ctx.high)
-    blocks: Dict[int, List[int]] = {}
-    for a, i in _splits(kind, s, d, l):
-        b = a - i
-        tail, shift, acc = tails[s - 1, d - a, l - i], cod[b], blocks.get(a)
-        if kind is _SYM:
-            tail = tail[:dom[a + 1] - dom[a]]  # the m with no part above a
-            if b < d - l - b - s + 2:  # some tail columns start above b
-                low = cod[b + 1] - shift
-                high, mask = _fill(ctx.high, (s - 1, d - l - b, b), _high_children, high_block), (1 << low) - 1
-                rows = [(r & mask) << shift | _scatter(r >> low, high) if r >> low else r << shift
-                        for r in tail]
-                blocks[a] = rows if acc is None else [x ^ y for x, y in zip(acc, rows)]
-                continue
-        blocks[a] = [r << shift for r in tail] if acc is None else [x ^ r << shift for x, r in zip(acc, tail)]
-    rows = []
-    for a in _first_entries(kind, s, d):
-        rows.extend(blocks[a] if a in blocks else [0] * (dom[a + 1] - dom[a]))
-    return tuple(rows)
+        out = (binom_mod2(d - l, l),)
+    elif kind is _CYC:
+        index = _basis_index(Bidegree(s, d - l), kind)
+        out = tuple(sum(1 << index[t] for t in ctx.support(kind, m, l)) for m in basis(Bidegree(s, d), kind))
+    else:
+        dom, cod = _offsets(kind, s, d), _offsets(kind, s, d - l)
+        blocks: Dict[int, List[int]] = {}
+        for a, i in _splits(kind, s, d, l):
+            b = a - i
+            tail, shift, acc = _block(ctx, kind, s - 1, d - a, l - i), cod[b], blocks.get(a)
+            if kind is _SYM:
+                tail = tail[:dom[a + 1] - dom[a]]  # the m with no part above a
+                if b < d - l - b - s + 2:  # some tail columns start above b
+                    low = cod[b + 1] - shift
+                    high, mask = _high_block(ctx.high, s - 1, d - l - b, b), (1 << low) - 1
+                    rows = [(r & mask) << shift | _scatter(r >> low, high) if r >> low else r << shift
+                            for r in tail]
+                    blocks[a] = rows if acc is None else [x ^ y for x, y in zip(acc, rows)]
+                    continue
+            blocks[a] = [r << shift for r in tail] if acc is None else [x ^ r << shift for x, r in zip(acc, tail)]
+        out = tuple(chain.from_iterable(blocks[a] if a in blocks else [0] * (dom[a + 1] - dom[a])
+                                        for a in _first_entries(kind, s, d)))
+    ctx.rows[kind][s, d, l] = out
+    return out
 
 
 def _scatter(bits: int, columns: Tuple[int, ...]) -> int:
@@ -198,46 +175,43 @@ def _scatter(bits: int, columns: Tuple[int, ...]) -> int:
     return out
 
 
-def _high_firsts(s: int, e: int, b: int):
-    """The first entries c above b of the partitions (c | t') of (s, e),
-    each with whether some t' starts above b."""
-    for c in range(max(b + 1, -(-e // s)), e - s + 2):
-        yield c, e - c - s + 2 > b
-
-
-def _high_children(s: int, e: int, b: int):
-    """The keys of the tables ``_high_block(high, s, e, b)`` reads."""
-    return [(s - 1, e - c, b) for c, above in _high_firsts(s, e, b) if above]
-
-
 def _high_block(high: dict, s: int, e: int, b: int) -> Tuple[int, ...]:
     """For the partitions t of (s, e) with first entry above b, in basis
-    order, the index of sorted(b | t) in (s+1, e+b), from the arity-(s-1)
-    tables in high.  t = (c | t') sorts with b to (c | sorted(b | t')): in
-    block c of (s+1, e+b), at the index of sorted(b | t') in (s, e+b-c).
-    For the t' with no part above b, the low prefix of (s-1, e-c), that is
-    b in front of t'; for the others it is in ``high[s-1, e-c, b]``."""
-    out: List[int] = []
-    for c, above in _high_firsts(s, e, b):
+    order, the index of sorted(b | t) in (s+1, e+b): ``high[s, e, b]``,
+    built on a miss from the arity-(s-1) tables that this same call reads
+    or builds.  t = (c | t') sorts with b to (c | sorted(b | t')): in block
+    c of (s+1, e+b), at the index of sorted(b | t') in (s, e+b-c).  For
+    the t' with no part above b, the low prefix of (s-1, e-c), that is b
+    in front of t'; for the others it is in ``high[s-1, e-c, b]``."""
+    out = high.get((s, e, b))
+    if out is not None:
+        return out
+    columns: List[int] = []
+    for c in range(max(b + 1, -(-e // s)), e - s + 2):
         base = _sym_count(s + 1, e + b, c - 1)
         low = _sym_count(s - 1, e - c, b)
         front = base + _sym_count(s, e + b - c, b - 1)
-        out.extend(range(front, front + low))
-        if above:
-            out.extend(base + j for j in high[s - 1, e - c, b][:_sym_count(s - 1, e - c, c) - low])
-    return tuple(out)
+        columns.extend(range(front, front + low))
+        if e - c - s + 2 > b:  # some t' starts above b
+            columns.extend(base + j for j in _high_block(high, s - 1, e - c, b)[:_sym_count(s - 1, e - c, c) - low])
+    out = high[s, e, b] = tuple(columns)
+    return out
 
 
 def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     """Matrix of the right action of Sq^l from (s,d) to (s,d-l).
 
     Row u is the coordinate vector of (basis monomial u)Sq^l in the
-    lexicographic basis of the target piece, built by ``_block`` and kept
-    at ``rows[kind][s, d, l]`` of the default context ``modules.EXPANSIONS``,
-    read once a call.  Gamma and gamma-sym rows come from first-entry
-    blocks, built from the rows one arity down with no basis enumerated and
-    no monomial expanded; gamma-cyc rows project plain gamma supports.
+    lexicographic basis of the target piece, kept at ``rows[kind][s, d, l]``
+    of the default context ``modules.EXPANSIONS``, read once a call, and
+    built there by ``_block`` on a miss.  Gamma and gamma-sym rows
+    come from first-entry blocks, built from the rows one arity down with
+    no basis enumerated and no monomial expanded; gamma-cyc rows project
+    plain gamma supports.  Every build recurses one level per arity, so an
+    arity above ``MAX_ARITY`` is refused with ValueError before any is built.
     """
+    if b.s > MAX_ARITY:
+        raise ValueError(f"arity s={b.s} exceeds the largest supported arity {MAX_ARITY}")
     n = basis_size(b, kind)
     if l < 0:
         raise ValueError("negative square index")
@@ -247,9 +221,7 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
         # No codomain gives zero rows.  At arity 0 a nonempty codomain
         # means (0, 0) Sq^0, the identity on the one monomial ().
         return BitMatrix._make((n, cols, (int(cols > 0),) * n))
-    ctx = modules.EXPANSIONS
-    rows = _fill(ctx.rows[kind], (b.s, b.d, l), partial(_row_children, kind), partial(_block, ctx, kind))
-    return BitMatrix._make((n, cols, rows))
+    return BitMatrix._make((n, cols, _block(modules.EXPANSIONS, kind, b.s, b.d, l)))
 
 
 # --- kernel / image / quotient ---------------------------------------------
@@ -293,6 +265,9 @@ def spike_image_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
 
 
 def unhit_report(b: Bidegree, k: int, kind: ModuleKind, witnesses: bool = False) -> DeltaReport:
+    """The dimensions of delta(k), image(k) and their quotient at (s,d);
+    witnesses adds their RREF bases as elements, the quotient's under
+    "unhit": that of ``f2linalg.complement(delta, image)``."""
     delta = delta_basis(b, k, kind)
     image = spike_image_basis(b, k, kind)
     if not f2linalg.contains_subspace(delta, image):
@@ -303,7 +278,7 @@ def unhit_report(b: Bidegree, k: int, kind: ModuleKind, witnesses: bool = False)
         report_witnesses = {
             "delta": subspace_elements(delta, b, kind),
             "image": subspace_elements(image, b, kind),
-            "unhit_coset": subspace_elements(delta, b, kind, outside=image),
+            "unhit": subspace_elements(f2linalg.complement(delta, image), b, kind),
         }
     return DeltaReport(
         kind=kind,

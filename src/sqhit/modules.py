@@ -191,6 +191,13 @@ class ExpansionTooLarge(Exception):
     """A limited ``sq`` spent its allowance of Cartan steps."""
 
 
+# Expansions.support (the gamma-sym split on the largest part included)
+# recurses one level per entry and hit.sq_matrix one level per arity, so
+# larger arities are refused well before Python's recursion limit of 1000:
+# by sq_matrix itself, and by every command that takes --s or an element.
+MAX_ARITY = 256
+
+
 class Expansions:
     """A context of monomial expansions: their memos, and the allowance of
     Cartan steps they may still take.  ``sq`` without a limit expands in
@@ -533,10 +540,10 @@ def element_from_json(obj: dict) -> Element:
             return Element(kind, s, d, support)
     out = []
     for t in monos:
-        if not isinstance(t, list) or not all(type(a) is int for a in t):
+        if type(t) is not list or not all(type(a) is int for a in t):
             raise ValueError(f"bad monomial {t!r}")
         out.append(tuple(t))
-    x = Element.from_monomials(kind, s, d, out)
-    if len(x.support) != len(monos):
-        raise ValueError("duplicate monomials in element JSON")
-    return x
+    # Every term is well typed, so one repeats; building the element first
+    # names a term inconsistent with it before the duplicate.
+    Element.from_monomials(kind, s, d, out)
+    raise ValueError("duplicate monomials in element JSON")

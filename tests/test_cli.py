@@ -428,11 +428,11 @@ class TestDeltaImageUnhit:
         assert code == 0
         payload = json.loads(out)
         assert payload["dim_unhit"] == 1
-        # The unhit coset lists the RREF rows of Delta(1) outside I(1): two
-        # here, though the quotient has dimension one.
+        # unhit lists a basis of the quotient U(1): one class, as many as
+        # dim_unhit.
         witnesses = {key: [element_from_json(e) for e in val] for key, val in payload["witnesses"].items()}
-        assert {key: len(val) for key, val in witnesses.items()} == {"delta": 32, "image": 31, "unhit_coset": 2}
-        assert all(sq(x, 1).is_zero() and sq(x, 2).is_zero() for x in witnesses["unhit_coset"])
+        assert {key: len(val) for key, val in witnesses.items()} == {"delta": 32, "image": 31, "unhit": 1}
+        assert all(sq(x, 1).is_zero() and sq(x, 2).is_zero() for x in witnesses["unhit"])
 
     def test_unhit_counterexample_bidegree(self, capsys):
         code, out, _ = run(capsys, "unhit", "--kind", "gamma", "--s", "5", "--d", "9", "--k", "1")
@@ -499,6 +499,19 @@ class TestDeltaImageUnhit:
         code, _, err = run(capsys, "--config", str(cfg), "unhit", "--kind", "gamma",
                            "--s", "2", "--d", "9", "--k", "1")
         assert code == 3 and "max_dim=10" in err
+
+    def test_delta_guard_checks_only_the_pieces_it_reads(self, capsys, tmp_path):
+        # delta at gamma (4,16), k=2 reads (4,16) and the smaller targets of
+        # its squares; only image and unhit read (4,23), the source of Sq^7,
+        # with 1540 compositions.
+        cfg = tmp_path / "cfg"
+        cfg.write_text("max_dim = 500\n")
+        argv = ("--kind", "gamma", "--s", "4", "--d", "16", "--k", "2")
+        code, out, err = run(capsys, "--config", str(cfg), "delta", *argv)
+        assert (code, out.splitlines()[0], err) == (0, "dim = 35", "")
+        for command in ("image", "unhit"):
+            code, out, err = run(capsys, "--config", str(cfg), command, *argv)
+            assert (code, out, err) == (3, "", "gamma bidegree (s,d)=(4,23): basis size exceeds max_dim=500\n")
 
     @pytest.mark.parametrize("max_dim,argv,message", [
         ("200000", ("basis", "--kind", "gamma-cyc", "--s", "12", "--d", "60"),

@@ -73,6 +73,11 @@ def test_add_refuses_a_zero_of_another_degree():
     assert Element.zero(G, 2, 3) + x == x
 
 
+def test_zero_repr_names_its_piece():
+    assert repr(Element.zero(G, 2, 3)) == "0(gamma,2,3)"
+    assert repr(Element.single(G, (1, 2)) + Element.single(G, (1, 2))) == "0(gamma,2,3)"
+
+
 @pytest.mark.parametrize("kind", list(ModuleKind), ids=[k.value for k in ModuleKind])
 def test_constructor_refuses_negative_arity(kind):
     # An empty support has no term to contradict s, so the constructor

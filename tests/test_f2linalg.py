@@ -27,7 +27,23 @@ def test_public_names():
     public = {name for name, obj in vars(f2linalg).items()
               if not name.startswith("_") and getattr(obj, "__module__", None) == f2linalg.__name__}
     assert public == {"BitMatrix", "Subspace", "subspace_from_rows", "image_basis", "kernel_basis",
-                      "intersect", "contains", "contains_subspace", "solve"}
+                      "intersect", "contains", "contains_subspace", "complement", "solve"}
+
+
+def test_subspace_repr_and_foreign_equality():
+    sub = f2linalg.subspace_from_rows(3, [0b110, 0b011])
+    assert repr(sub) == "Subspace(ambient_dim=3, pivots={1: 6, 0: 3})"
+    assert (sub == 3) is False and sub != 3
+
+
+def test_complement_hand_case():
+    # Outer: all of F_2^3; inner: the span of 0b011.  Clearing bit 0 leaves
+    # 0b010 and 0b100.
+    inner = f2linalg.subspace_from_rows(3, [0b011])
+    assert f2linalg.complement(full_space(3), inner).basis == (0b010, 0b100)
+    assert f2linalg.complement(inner, inner).dim == 0
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        f2linalg.complement(full_space(2), inner)
 
 
 def test_rref_identity_fixed():
@@ -231,6 +247,21 @@ def test_intersect_matches_oracle(a, b):
     sb = f2linalg.subspace_from_rows(n, [r & ((1 << n) - 1) for r in b.data])
     expected = oracles.intersect_rows(sa.basis, sb.basis, n)
     assert f2linalg.intersect(sa, sb).basis == expected
+
+
+@given(any_matrices, any_matrices)
+def test_complement_matches_oracle(a, b):
+    # inner is the part of b's row space inside a's: the outer space.
+    n = a.cols
+    outer = f2linalg.image_basis(a)
+    inner = f2linalg.intersect(outer, f2linalg.subspace_from_rows(n, [r & ((1 << n) - 1) for r in b.data]))
+    outer_rows = oracles.rref_rows(a.data)
+    inner_rows = oracles.intersect_rows(outer_rows, oracles.rref_rows([r & ((1 << n) - 1) for r in b.data]), n)
+    comp = f2linalg.complement(outer, inner)
+    assert comp.basis == oracles.rref_rows([oracles.reduce_rows(inner_rows, r) for r in outer_rows])
+    assert comp.dim == outer.dim - inner.dim
+    assert f2linalg.contains_subspace(outer, comp) and f2linalg.intersect(comp, inner).dim == 0
+    assert not any(r >> p & 1 for r in comp.basis for p in inner.pivots)
 
 
 @given(any_matrices, st.integers(0, (1 << 48) - 1), st.booleans())

@@ -1,3 +1,4 @@
+import random
 import re
 from functools import partial
 
@@ -21,6 +22,11 @@ def checked(m):
     """m, once the public BitMatrix constructor has checked its fields."""
     assert type(m) is BitMatrix and BitMatrix(*m) == m
     return m
+
+
+def from_depth(frames, fn, *args):
+    """fn(*args), called from frames more stack frames than this call."""
+    return fn(*args) if frames == 0 else from_depth(frames - 1, fn, *args)
 
 
 def memo_counts(ctx):
@@ -213,14 +219,28 @@ class TestSqMatrix:
             m = hit.sq_matrix(Bidegree(*b), l, self.S)
             assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(*b, l, oracles.sym_sq_support, self.S), (b, l)
 
-    def test_sym_high_arity_needs_no_recursion(self):
+    def test_sym_rows_at_max_arity_and_refusal_above(self, monkeypatch):
+        ctx = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", ctx)
+        top = modules.MAX_ARITY
         # [2, 1, ..., 1]Sq^1 = [1, ..., 1].
-        m = hit.sq_matrix(Bidegree(1500, 1501), 1, self.S)
+        m = from_depth(300, hit.sq_matrix, Bidegree(top, top + 1), 1, self.S)
         assert (m.rows, m.cols, m.data) == (1, 1, (1,))
         # Out of (2,2,2,1..), (3,2,1..), (4,1..) into (2,2,1..), (3,1..):
         # Sq^1 lowers an even entry by one, three ways from (2,2,2,1..).
-        m = hit.sq_matrix(Bidegree(1500, 1503), 1, self.S)
+        m = from_depth(300, hit.sq_matrix, Bidegree(top, top + 3), 1, self.S)
         assert (m.rows, m.cols, m.data) == (3, 2, (0b01, 0b10, 0b10))
+        # A part 1 is fixed by every positive square, so past arity 10 the
+        # rows out of excess 10 are those of (10, 20), ones appended.  The
+        # column tables recurse too, from arity top - 1 down to top - 9.
+        m = from_depth(300, hit.sq_matrix, Bidegree(top, top + 10), 7, self.S)
+        assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(10, 20, 7, oracles.sym_sq_support, self.S)
+        assert {s for s, _, _ in ctx.high} == set(range(top - 9, top))
+        built = memo_counts(ctx)
+        for s in (top + 1, 1500):
+            with pytest.raises(ValueError, match=f"^arity s={s} exceeds the largest supported arity {top}$"):
+                hit.sq_matrix(Bidegree(s, s + 1), 1, self.S)
+        assert memo_counts(ctx) == built
 
     def test_sym_unhit_expands_no_monomial(self, monkeypatch):
         def no_basis(b, kind):
@@ -242,13 +262,21 @@ class TestSqMatrix:
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (50, 47, 3)
         assert memo_size() == 0
 
-    def test_high_arity_needs_no_recursion(self):
-        # The arities are built in a loop: arity 1500 is past Python's
-        # recursion limit.
-        m = hit.sq_matrix(Bidegree(1500, 1501), 1, G)
-        assert (m.rows, m.cols) == (1500, 1)
+    def test_rows_at_max_arity_and_refusal_above(self, monkeypatch):
+        # A build recurses one level per arity, so it is refused above
+        # MAX_ARITY before anything is built.
+        ctx = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", ctx)
+        top = modules.MAX_ARITY
+        m = from_depth(300, hit.sq_matrix, Bidegree(top, top + 1), 1, G)
+        assert (m.rows, m.cols) == (top, 1)
         # Sq^1 takes (.., 2, ..) to (.., 1, ..) with C(1, 1) = 1.
-        assert m.data == (1,) * 1500
+        assert m.data == (1,) * top
+        built = memo_counts(ctx)
+        for s in (top + 1, 1500):
+            with pytest.raises(ValueError, match=f"^arity s={s} exceeds the largest supported arity {top}$"):
+                hit.sq_matrix(Bidegree(s, s + 1), 1, G)
+        assert memo_counts(ctx) == built
 
     @pytest.mark.parametrize("kind", [G, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC])
     def test_bad_arguments_rejected(self, kind):
@@ -364,9 +392,52 @@ class TestDeltaAndImage:
     def test_unhit_report_witnesses(self):
         rep = hit.unhit_report(Bidegree(5, 9), 1, G, witnesses=True)
         assert rep.dim_unhit == 1
-        assert len(rep.witnesses["unhit_coset"]) >= 1
-        for x in rep.witnesses["unhit_coset"]:
+        assert len(rep.witnesses["unhit"]) == 1
+        for x in rep.witnesses["unhit"]:
             assert sq(x, 1).is_zero() and sq(x, 2).is_zero()
+
+    @pytest.mark.parametrize("kind,s,d,k,classes", [
+        (G, 5, 9, 1, 1), (G, 4, 16, 2, 4), (G, 4, 18, 2, 1), (G, 5, 16, 2, 20),
+        (ModuleKind.GAMMA_SYM, 6, 24, 1, 3), (ModuleKind.GAMMA_CYC, 4, 14, 2, 2),
+        (ModuleKind.GAMMA_CYC, 6, 22, 1, 7)])
+    def test_unhit_witnesses_are_a_basis_of_the_quotient(self, kind, s, d, k, classes):
+        b = Bidegree(s, d)
+        rep = hit.unhit_report(b, k, kind, witnesses=True)
+        unhit = rep.witnesses["unhit"]
+        assert len(unhit) == rep.dim_unhit == classes
+        for x in unhit:
+            assert all(sq(x, 1 << i).is_zero() for i in range(k + 1)), x
+        # Independent modulo I(k), and no term at a pivot of I(k).
+        image = hit.spike_image_basis(b, k, kind)
+        rows = [hit.element_to_vector(x, b, kind) for x in unhit]
+        assert subspace_from_rows(image.ambient_dim, [*image.basis, *rows]).dim == image.dim + classes
+        assert not any(r >> p & 1 for r in rows for p in image.pivots)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind,s,d,k", [(G, 4, 16, 2), (ModuleKind.GAMMA_CYC, 6, 22, 1)])
+    def test_unhit_basis_ignores_row_order(self, kind, s, d, k, seed):
+        # Delta(k) and I(k) rebuilt from their matrices with the rows
+        # shuffled give other semi-echelon rows and the same basis of U(k).
+        rng = random.Random(seed)
+        b = Bidegree(s, d)
+
+        def shuffled(m):
+            perm = list(range(m.rows))
+            rng.shuffle(perm)
+            return perm, BitMatrix(m.rows, m.cols, tuple(m.data[p] for p in perm))
+
+        perm, stack = shuffled(hit.sq_stack(b, [1 << i for i in range(k + 1)], kind))
+        kernel = f2linalg.kernel_basis(stack).basis
+        delta = subspace_from_rows(stack.rows, [sum(1 << perm[j] for j in range(stack.rows) if v >> j & 1)
+                                                for v in kernel])
+        image = None
+        for i in range(k + 1):
+            l = (2 << i) - 1
+            im = f2linalg.image_basis(shuffled(hit.sq_matrix(Bidegree(s, d + l), l, kind))[1])
+            image = im if image is None else f2linalg.intersect(image, im)
+        assert delta == hit.delta_basis(b, k, kind) and image == hit.spike_image_basis(b, k, kind)
+        unhit = hit.unhit_report(b, k, kind, witnesses=True).witnesses["unhit"]
+        assert [hit.vector_to_element(r, b, kind) for r in f2linalg.complement(delta, image).basis] == unhit
 
     @pytest.mark.parametrize("kind,s,d,k,unhit", [
         (G, 5, 9, 1, 1), (G, 4, 18, 2, 1), (ModuleKind.GAMMA_SYM, 6, 24, 1, 3),
@@ -396,9 +467,11 @@ class TestDeltaAndImage:
         assert hit.spike_image_basis(b, k, kind).basis == image
         assert len(delta) - len(image) == unhit
 
-        coset = hit.unhit_report(b, k, kind, witnesses=True).witnesses["unhit_coset"]
-        expected = [r for r in delta if oracles.reduce_rows(image, r)]
-        assert [hit.element_to_vector(x, b, kind) for x in coset] == expected
+        # U(k): the Delta(k) rows with every pivot bit of I(k) cleared, in RREF.
+        classes = hit.unhit_report(b, k, kind, witnesses=True).witnesses["unhit"]
+        expected = oracles.rref_rows([oracles.reduce_rows(image, r) for r in delta])
+        assert tuple(hit.element_to_vector(x, b, kind) for x in classes) == expected
+        assert len(expected) == unhit
 
     @pytest.mark.parametrize("kind,s,d,k,dims", [
         (G, 4, 18, 2, (60, 59, 1)), (ModuleKind.GAMMA_SYM, 6, 24, 1, (50, 47, 3)),
@@ -460,6 +533,14 @@ class TestFirstFactorStructure:
         with pytest.raises(structure.InternalInconsistencyError, match=re.escape(message)):
             structure.build_delta1_element(gamma((3,)), 4)
 
+    def test_builder_failed_check_raises(self, monkeypatch):
+        # x_3 should solve x_3 Sq^1 = [6]Sq^3 = [3]; zero in its place
+        # leaves the assembled element outside Delta(1).
+        monkeypatch.setattr(f2linalg, "solve", lambda m, bits: 0)
+        message = "gamma (2,7), k=1, build_delta1_element check: assembled element is not killed by Sq^1 and Sq^2"
+        with pytest.raises(structure.InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+            structure.build_delta1_element(gamma((6,)), 7)
+
 
 class TestImageMembership:
     def test_hit_element_has_verified_witness(self):
@@ -484,6 +565,14 @@ class TestImageMembership:
     def test_rejects_element_outside_delta(self):
         with pytest.raises(ValueError):
             structure.i1_membership(gamma((2, 1)))
+
+    def test_failed_verification_raises(self, monkeypatch):
+        # [1, 3] = ([2, 5] + [4, 3])Sq^3, with w = [5] solving w Sq^2 = x_1
+        # = [3]; zero in place of w makes a witness that fails its check.
+        monkeypatch.setattr(f2linalg, "solve", lambda m, bits: 0)
+        message = "gamma (2,4), k=1, i1_membership check: constructed Sq^3 preimage failed verification"
+        with pytest.raises(structure.InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+            structure.i1_membership(gamma((1, 3)))
 
     def test_zero_is_trivially_hit(self):
         ok, witness = structure.i1_membership(Element.zero(G, 2, 5))
