@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 bad input (an unreadable or
 malformed element file, nested too deep included, or an unwritable output
 path), 3 guardrail exceeded, 4 input outside the null subspace or not
 annihilated, 5 internal error (a computed result failed its own check; a bug,
-not bad input). main holds this mapping: the commands raise, and only verify
-returns a nonzero code, 1.
+not bad input), 141 stdout closed by its reader (128 + SIGPIPE, as a shell
+reports a writer killed by a closed pipe; nothing is printed). main holds
+this mapping: the commands raise, and only verify returns a nonzero code, 1.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from typing import List, NamedTuple, Optional
 
@@ -338,9 +340,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         return _die(2, f"bad config: {exc}")
     try:
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
     except CliError as exc:
         return _die(exc.code, str(exc))
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  That is no bad input: exit
+        # as a writer killed by SIGPIPE, and send the interpreter's last
+        # flush to /dev/null so that it writes no traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:
         return _die(2, str(exc))
     except InternalInconsistencyError as exc:

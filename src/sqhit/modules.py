@@ -104,6 +104,23 @@ def _project(terms: Collection[Tuple[int, ...]], canon) -> frozenset:
     return out if len(out) == len(terms) else _odd(map(canon, terms))
 
 
+# Entry types that sort and sum with ints.  Element holds plain ints only
+# (a bool is an int subclass, and JSON writes it as true or false).
+_NUMBERS = {int, bool, float}
+
+
+def _check_arity(s) -> None:
+    if type(s) is not int:
+        raise ValueError(f"arity s={s!r} must be a plain int")
+    if s < 0:
+        raise ValueError(f"arity s={s} must be >= 0")
+
+
+def _check_degree(d) -> None:
+    if type(d) is not int:
+        raise ValueError(f"degree d={d!r} must be a plain int")
+
+
 class _ElementFields(NamedTuple):
     kind: ModuleKind
     s: int
@@ -116,8 +133,9 @@ class Element(_ElementFields):
 
     The support is a frozenset of entry tuples.  This constructor checks
     the kind, that the support is a frozenset (a list or set would keep
-    duplicates or not hash), s >= 0 and each term against the kind, arity
-    and degree; the library's operations, whose terms are well-formed by
+    duplicates or not hash), that s, d and every entry are plain ints (no
+    bool or float), s >= 0 and each term against the kind, arity and
+    degree; the library's operations, whose terms are well-formed by
     construction, build with ``_make`` and skip the checks.  Degrees are
     exact, zeros included: ``+`` needs equal kind, arity and degree, and
     ``==`` compares all four fields.
@@ -129,31 +147,40 @@ class Element(_ElementFields):
         _check_kind(kind)
         if type(support) is not frozenset:
             raise ValueError(f"support must be a frozenset, not {type(support).__name__}")
-        if s < 0:
-            raise ValueError(f"arity s={s} must be >= 0")
+        _check_arity(s)
         positive = kind in POSITIVE_KINDS
         canon = _ORBIT_CANONICAL.get(kind)
-        # Each check is one pass over the whole support; the loop below runs
-        # only when a pass fails, to name the least failing term, so the
-        # message does not hang on the order the set was built in.
-        if not ({*map(len, support)} <= {s}
+        # Each check is one pass over the whole support, the entry types
+        # first so that sum and min meet ints only.  The loops below run only
+        # when a pass fails, to name the least failing term, so the message
+        # does not hang on the order the set was built in.
+        if not ({*map(type, chain.from_iterable(support))} <= {int}
+                and type(d) is int
+                and {*map(len, support)} <= {s}
                 and {*map(sum, support)} <= {d}
                 and (not positive or min(chain.from_iterable(support), default=1) >= 1)
                 and (canon is None or all(map(eq, map(canon, support), support)))):
-            for t in sorted(support):
+            # Terms of numbers sort and sum together, bools and floats too.
+            for t in sorted(t for t in support if {*map(type, t)} <= _NUMBERS):
                 if len(t) != s or sum(t) != d:
                     raise ValueError(f"monomial {monomial_str(kind, t)} inconsistent with element ({kind.value},{s},{d})")
                 if positive and min(t, default=1) < 1:
                     raise ValueError(f"{kind.value} entries must be >= 1: {monomial_str(kind, t)}")
                 if canon is not None and canon(t) != t:
                     raise ValueError(f"monomial {monomial_str(kind, t)} is not canonical; expected {list(canon(t))}")
+            # Mixed entry types need not compare, so the least printed form
+            # names the term.
+            bad = [monomial_str(kind, t) for t in support if not {*map(type, t)} <= {int}]
+            if bad:
+                raise ValueError(f"entries must be plain ints: {min(bad)}")
+            _check_degree(d)
         return tuple.__new__(cls, (kind, s, d, support))
 
     @classmethod
     def zero(cls, kind: ModuleKind, s: int, d: int) -> "Element":
-        _check_kind(kind)  # the two constructor checks an empty support needs
-        if s < 0:
-            raise ValueError(f"arity s={s} must be >= 0")
+        _check_kind(kind)  # the constructor checks an empty support needs
+        _check_arity(s)
+        _check_degree(d)
         return cls._make((kind, s, d, frozenset()))
 
     @classmethod
@@ -162,7 +189,10 @@ class Element(_ElementFields):
 
     @classmethod
     def single(cls, kind: ModuleKind, entries: Tuple[int, ...]) -> "Element":
-        return cls(kind, len(entries), sum(entries), frozenset([entries]))
+        # An entry that is no number has no degree to sum; the constructor
+        # refuses its term by name whatever d is.
+        d = sum(entries) if {*map(type, entries)} <= _NUMBERS else 0
+        return cls(kind, len(entries), d, frozenset([entries]))
 
     def is_zero(self) -> bool:
         return not self.support
@@ -503,12 +533,11 @@ _KIND_BY_TAG = {k.value: k for k in ModuleKind}
 
 
 def element_to_json(x: Element) -> dict:
-    return {
-        "kind": x.kind.value,
-        "s": x.s,
-        "d": x.d,
-        "monomials": [list(t) for t in x.sorted_support()],
-    }
+    """The element as a dict for ``json.dumps``.  Its monomials are the
+    support's own entry tuples in sorted order, which ``json.dumps`` writes
+    as arrays: no list is copied per monomial.  Parsed JSON holds lists,
+    and only lists go back through ``element_from_json``."""
+    return {"kind": x.kind.value, "s": x.s, "d": x.d, "monomials": x.sorted_support()}
 
 
 def element_from_json(obj: dict) -> Element:
@@ -531,19 +560,23 @@ def element_from_json(obj: dict) -> Element:
     monos = obj["monomials"]
     if not isinstance(monos, list):
         raise ValueError("monomials must be a list")
-    # Whole-list passes: lists of ints (booleans refused), none repeated; a
-    # set copied into its frozenset sizes the table tightly.  The loop below
-    # runs only when a pass fails, to name the failing term.
-    if {*map(type, monos)} <= {list} and {*map(type, chain.from_iterable(monos))} <= {int}:
-        support = frozenset({*map(tuple, monos)})
-        if len(support) == len(monos):
-            return Element(kind, s, d, support)
+    # Whole-list passes: lists, none repeated, and Element's own (entries
+    # plain ints, so booleans refused); a set copied into its frozenset sizes
+    # the table tightly.  When a pass fails (hashing a list entry raises
+    # TypeError), the loop below names the failing term in input order.
+    if {*map(type, monos)} <= {list}:
+        try:
+            support = frozenset({*map(tuple, monos)})
+            if len(support) == len(monos):
+                return Element(kind, s, d, support)
+        except (TypeError, ValueError):
+            pass
     out = []
     for t in monos:
         if type(t) is not list or not all(type(a) is int for a in t):
             raise ValueError(f"bad monomial {t!r}")
         out.append(tuple(t))
-    # Every term is well typed, so one repeats; building the element first
-    # names a term inconsistent with it before the duplicate.
+    # Every term is well typed.  Building the element names a term
+    # inconsistent with it, before any duplicate; if none is, one repeats.
     Element.from_monomials(kind, s, d, out)
     raise ValueError("duplicate monomials in element JSON")

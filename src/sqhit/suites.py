@@ -120,7 +120,7 @@ def suite_cartan(seed: int = 0) -> Iterator[Check]:
         rhs = Element.zero(ModuleKind.GAMMA, s1 + s2, d1 + d2 - l)
         for p in range(l + 1):
             rhs = rhs + concat_product(sq(x, p), sq(y, l - p))
-        yield lhs == rhs, lambda: _fail_json(x, f"cartan l={l} vs {element_to_json(y)}")
+        yield lhs == rhs, lambda: _fail_json(x, f"cartan l={l} vs {json.dumps(element_to_json(y))}")
 
 
 def suite_instability(seed: int = 0) -> Iterator[Check]:

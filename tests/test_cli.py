@@ -2,8 +2,11 @@ import argparse
 import importlib
 import itertools
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -119,6 +122,20 @@ class TestBasis:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "basis", "--kind", "bogus", "--s", "1", "--d", "1")
         assert exc.value.code == 2
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # 135047 bytes, more than the one read buffer the reader fills plus a
+        # 64 KiB pipe, so the writer always meets the closed pipe: that is no
+        # bad input, and prints nothing.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen([sys.executable, "-m", "sqhit.cli", "basis", "--kind", "gamma", "--s", "4", "--d", "40"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"[1, 1, 1, 37]\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 class TestSq:

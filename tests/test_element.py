@@ -102,6 +102,38 @@ def test_constructors_refuse_a_kind_that_is_not_a_module_kind(tag):
         assert str(err.value) == f"kind {tag!r} is not a ModuleKind"
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Element.single(G, (1.5, 1.5)), "entries must be plain ints: gamma[1.5, 1.5]"),
+    (lambda: Element.single(ModuleKind.GAMMA_SYM, (True, True)), "entries must be plain ints: gamma-sym[True, True]"),
+    (lambda: Element.single(G, ("1", 2)), "entries must be plain ints: gamma['1', 2]"),
+    (lambda: Element.single(G, (None, 2)), "entries must be plain ints: gamma[None, 2]"),
+    (lambda: Element.single(ModuleKind.NABLA, (2.0, -1)), "entries must be plain ints: nabla[2.0, -1]"),
+    # Mixed entry types do not sort: the least printed form is named.
+    (lambda: Element(G, 2, 3, frozenset({(None, 3), (1, 2), ("a", 2), (1.5, 1.5)})),
+     "entries must be plain ints: gamma['a', 2]"),
+])
+def test_constructor_refuses_entries_that_are_not_plain_ints(build, message):
+    # Before, the str and None entries raised TypeError from sum, and the rest
+    # were built, to fail later in sq or in element_from_json.
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("s,d,message", [
+    (True, 1, "arity s=True must be a plain int"),
+    (1.0, 1, "arity s=1.0 must be a plain int"),
+    (1, 1.0, "degree d=1.0 must be a plain int"),
+    (1, False, "degree d=False must be a plain int"),
+])
+def test_constructors_refuse_s_and_d_that_are_not_plain_ints(s, d, message):
+    support = frozenset({(1,)}) if d else frozenset()
+    for build in (lambda: Element(G, s, d, support), lambda: Element.zero(G, s, d)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_zeros_of_different_degree_differ():
     assert Element.zero(G, 2, 3) != Element.zero(G, 2, 4)
     assert sq(Element.single(G, (1, 1)), 1) == Element.zero(G, 2, 1)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -495,7 +496,7 @@ class TestJsonRoundTrip:
 
     def test_monomials_sorted(self):
         x = gamma((2, 1), (1, 2))
-        assert element_to_json(x)["monomials"] == [[1, 2], [2, 1]]
+        assert json.loads(json.dumps(element_to_json(x)))["monomials"] == [[1, 2], [2, 1]]
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -515,11 +516,43 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             element_from_json({"kind": "gamma", "s": 1, "d": 1, "monomials": [[1], [1]]})
 
+    def test_monomials_are_the_supports_own_tuples(self):
+        # No list is copied per monomial: json.dumps writes a tuple as one.
+        x = gamma((3, 1), (1, 3), (2, 2))
+        assert [id(t) for t in element_to_json(x)["monomials"]] == [id(t) for t in sorted(x.support)]
+
+    @pytest.mark.parametrize("kind,terms,text", [
+        ("gamma", [(2, 1), (1, 2)], '{"d": 3, "kind": "gamma", "monomials": [[1, 2], [2, 1]], "s": 2}'),
+        ("nabla", [(-1, 4), (3, 0)], '{"d": 3, "kind": "nabla", "monomials": [[-1, 4], [3, 0]], "s": 2}'),
+        ("gamma-sym", [(3, 2, 2), (4, 2, 1)],
+         '{"d": 7, "kind": "gamma-sym", "monomials": [[3, 2, 2], [4, 2, 1]], "s": 3}'),
+        ("gamma-cyc", [(3, 2, 2), (4, 1, 2)],
+         '{"d": 7, "kind": "gamma-cyc", "monomials": [[3, 2, 2], [4, 1, 2]], "s": 3}'),
+    ])
+    def test_dumps_text_is_pinned(self, kind, terms, text):
+        x = Element.from_monomials(ModuleKind(kind), len(terms[0]), sum(terms[0]), terms)
+        assert json.dumps(element_to_json(x), sort_keys=True) == text
+
+    def test_peak_memory_per_monomial(self):
+        # The 10626 monomials of gamma (5,25): a list of the support's own
+        # tuples is about 12 bytes a monomial; a list copied per monomial
+        # took 120.
+        x = Element.from_monomials(G, 5, 25, basis(Bidegree(5, 25), G))
+        assert len(x.support) == 10626
+        tracemalloc.start()
+        try:
+            obj = element_to_json(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(obj["monomials"]) == 10626
+        assert peak < 32 * 10626
+
     def test_arity_zero_round_trip(self):
         obj = {"kind": "gamma", "s": 0, "d": 0, "monomials": [[]]}
         x = element_from_json(obj)
         assert x.support == frozenset({()})
-        assert element_to_json(x) == obj
+        assert json.loads(json.dumps(element_to_json(x))) == obj
 
 
 @st.composite
@@ -623,7 +656,7 @@ class TestJsonAgainstOracle:
     def test_valid_elements(self, obj):
         x = element_from_json(obj)
         assert x == json_element(obj)
-        assert element_to_json(x) == dict(obj, monomials=sorted(obj["monomials"]))
+        assert json.loads(json.dumps(element_to_json(x))) == dict(obj, monomials=sorted(obj["monomials"]))
 
     @pytest.mark.parametrize("name", MUTATIONS)
     @settings(max_examples=40, deadline=None)

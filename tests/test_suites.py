@@ -19,6 +19,16 @@ class TestTally:
         assert suites.tally("t", checks()) == suites.SuiteResult("t", 2, 2, "case 1")
 
 
+class TestCartanSuite:
+    def test_failure_note_writes_the_second_factor_as_json(self, monkeypatch):
+        monkeypatch.setattr(Element, "__eq__", lambda a, b: False)  # every check fails
+        res = suites.run("cartan")
+        assert res.failed == 200
+        case = json.loads(res.first_failure)["case"]
+        y = json.loads(case.split(" vs ", 1)[1])
+        assert set(y) == {"kind", "s", "d", "monomials"} and y["kind"] == "gamma"
+
+
 class TestCertifyNullDelta:
     def test_certificate_error_counted_with_message(self, monkeypatch):
         def broken(x, h):
