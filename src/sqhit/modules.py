@@ -133,10 +133,11 @@ class Element(_ElementFields):
 
     The support is a frozenset of entry tuples.  This constructor checks
     the kind, that the support is a frozenset (a list or set would keep
-    duplicates or not hash), that s, d and every entry are plain ints (no
-    bool or float), s >= 0 and each term against the kind, arity and
-    degree; the library's operations, whose terms are well-formed by
-    construction, build with ``_make`` and skip the checks.  Degrees are
+    duplicates or not hash), that every term is a tuple, that s, d and
+    every entry are plain ints (no bool or float), s >= 0 and each term
+    against the kind, arity and degree; the library's operations, whose
+    terms are well-formed by construction, build with ``_make`` and skip
+    the checks.  Degrees are
     exact, zeros included: ``+`` needs equal kind, arity and degree, and
     ``==`` compares all four fields.
     """
@@ -150,16 +151,23 @@ class Element(_ElementFields):
         _check_arity(s)
         positive = kind in POSITIVE_KINDS
         canon = _ORBIT_CANONICAL.get(kind)
-        # Each check is one pass over the whole support, the entry types
-        # first so that sum and min meet ints only.  The loops below run only
-        # when a pass fails, to name the least failing term, so the message
-        # does not hang on the order the set was built in.
-        if not ({*map(type, chain.from_iterable(support))} <= {int}
+        # Each check is one pass over the whole support, the term types
+        # first, then the entry types so that sum and min meet ints only.
+        # The loops below run only when a pass fails, to name the least
+        # failing term, so the message does not hang on the order the set
+        # was built in.
+        if not ({*map(type, support)} <= {tuple}
+                and {*map(type, chain.from_iterable(support))} <= {int}
                 and type(d) is int
                 and {*map(len, support)} <= {s}
                 and {*map(sum, support)} <= {d}
                 and (not positive or min(chain.from_iterable(support), default=1) >= 1)
                 and (canon is None or all(map(eq, map(canon, support), support)))):
+            # A term that is not a tuple has no entries to check; terms of
+            # different types need not sort, so the least repr names one.
+            bad = [repr(t) for t in support if type(t) is not tuple]
+            if bad:
+                raise ValueError(f"terms must be tuples: {min(bad)}")
             # Terms of numbers sort and sum together, bools and floats too.
             for t in sorted(t for t in support if {*map(type, t)} <= _NUMBERS):
                 if len(t) != s or sum(t) != d:
@@ -189,8 +197,12 @@ class Element(_ElementFields):
 
     @classmethod
     def single(cls, kind: ModuleKind, entries: Tuple[int, ...]) -> "Element":
-        # An entry that is no number has no degree to sum; the constructor
-        # refuses its term by name whatever d is.
+        # A list does not hash into a support, so it is refused here as the
+        # constructor refuses any term that is not a tuple.  An entry that is
+        # no number has no degree to sum; the constructor refuses its term by
+        # name whatever d is.
+        if type(entries) is not tuple:
+            raise ValueError(f"terms must be tuples: {entries!r}")
         d = sum(entries) if {*map(type, entries)} <= _NUMBERS else 0
         return cls(kind, len(entries), d, frozenset([entries]))
 
@@ -258,9 +270,17 @@ class Expansions:
     were first seen, so a mask is at most as wide as the number of terms
     interned for its piece, and within one piece the XOR of masks is the
     sum mod 2 of their terms.
+
+    ``terms[kind, s, d]`` serves ``element_from_json``: it maps each term
+    that has passed ``Element``'s checks for that piece to the one tuple
+    that stands for it, so that decoded elements of one piece share their
+    equal terms and each distinct term is checked once.  It holds only
+    valid terms of the piece, so for a positive kind it is at most as
+    large as the piece's basis.  It lives as long as the context, and a
+    refused decode adds nothing to it.
     """
 
-    __slots__ = ("allowance", "tables", "rows", "high", "shifted", "bits")
+    __slots__ = ("allowance", "tables", "rows", "high", "shifted", "bits", "terms")
 
     def __init__(self, allowance=math.inf):
         self.allowance = allowance
@@ -269,6 +289,7 @@ class Expansions:
         self.high = {}
         self.shifted = defaultdict(dict)
         self.bits = defaultdict(dict)
+        self.terms = {}
 
     def charge(self, steps: int) -> None:
         self.allowance -= steps
@@ -560,17 +581,28 @@ def element_from_json(obj: dict) -> Element:
     monos = obj["monomials"]
     if not isinstance(monos, list):
         raise ValueError("monomials must be a list")
-    # Whole-list passes: lists, none repeated, and Element's own (entries
-    # plain ints, so booleans refused); a set copied into its frozenset sizes
-    # the table tightly.  When a pass fails (hashing a list entry raises
-    # TypeError), the loop below names the failing term in input order.
+    # Whole-list passes: lists, entries plain ints, none repeated; then
+    # Element's checks on the terms the piece's table of checked terms
+    # lacks.  The entry types are checked on every term before any lookup,
+    # since (1.0, 2) and (True, 2) hash and compare equal to (1, 2).  Each
+    # term is swapped for the table's tuple, and a set copied into its
+    # frozenset sizes the support tightly.  When a pass fails, the loop
+    # below names the failing term in input order, and the table is left as
+    # it was.
     if {*map(type, monos)} <= {list}:
-        try:
-            support = frozenset({*map(tuple, monos)})
+        terms = [*map(tuple, monos)]
+        if {*map(type, chain.from_iterable(terms))} <= {int}:
+            ctx, key = EXPANSIONS, (kind, s, d)
+            seen = ctx.terms.get(key, {})
+            support = frozenset({*map(seen.get, terms, terms)})
             if len(support) == len(monos):
-                return Element(kind, s, d, support)
-        except (TypeError, ValueError):
-            pass
+                try:
+                    fresh = Element(kind, s, d, support.difference(seen)).support
+                except ValueError:
+                    pass
+                else:
+                    ctx.terms.setdefault(key, seen).update(zip(fresh, fresh))
+                    return Element._make((kind, s, d, support))
     out = []
     for t in monos:
         if type(t) is not list or not all(type(a) is int for a in t):

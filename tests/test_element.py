@@ -120,6 +120,25 @@ def test_constructor_refuses_entries_that_are_not_plain_ints(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Element(G, 1, 1, frozenset({5})), "terms must be tuples: 5"),
+    (lambda: Element(G, 1, 1, frozenset({frozenset({1})})), "terms must be tuples: frozenset({1})"),
+    (lambda: Element(G, 1, 1, frozenset({range(1, 2)})), "terms must be tuples: range(1, 2)"),
+    (lambda: Element(G, 1, 1, frozenset({b"\x01"})), "terms must be tuples: b'\\x01'"),
+    (lambda: Element(G, 2, 2, frozenset({Bidegree(1, 1)})), "terms must be tuples: Bidegree(s=1, d=1)"),
+    # Terms of different types do not sort: the least repr is named.
+    (lambda: Element(ModuleKind.GAMMA_SYM, 1, 1, frozenset({(1,), 5, "a"})), "terms must be tuples: 'a'"),
+    (lambda: Element.single(G, [1, 2]), "terms must be tuples: [1, 2]"),
+], ids=["int", "frozenset", "range", "bytes", "namedtuple", "mixed", "single-list"])
+def test_constructor_refuses_terms_that_are_not_tuples(build, message):
+    # Such a term has no entries to check: an int term or a list would raise
+    # TypeError, and a frozenset term would be built only to fail later, in
+    # json.dumps.
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("s,d,message", [
     (True, 1, "arity s=True must be a plain int"),
     (1.0, 1, "arity s=1.0 must be a plain int"),

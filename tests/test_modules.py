@@ -548,6 +548,65 @@ class TestJsonRoundTrip:
         assert len(obj["monomials"]) == 10626
         assert peak < 32 * 10626
 
+    def test_decodes_of_one_piece_share_their_terms(self, monkeypatch):
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
+        text = '{"kind": "gamma", "s": 3, "d": 6, "monomials": [[1, 2, 3], [2, 2, 2]]}'
+        x = element_from_json(json.loads(text))
+        y = element_from_json(json.loads(text.replace("[1, 2, 3]", "[3, 2, 1]")))
+        z = element_from_json(json.loads(text))
+        first = {t: t for t in x.support}
+        assert [(t, t is first[t]) for t in y.support if t in first] == [((2, 2, 2), True)]
+        assert all(t is first[t] for t in z.support)
+        assert modules.EXPANSIONS.terms == {(G, 3, 6): {t: t for t in x.support | y.support}}
+
+    @pytest.mark.parametrize("monos,message", [
+        ([[1.0, 2]], "bad monomial [1.0, 2]"),
+        ([[True, 2]], "bad monomial [True, 2]"),
+        ([[2, 1], [1.0, 2]], "bad monomial [1.0, 2]"),
+        ([[1, 2], [True, 2]], "bad monomial [True, 2]"),
+    ])
+    def test_int_like_entries_refused_after_the_int_term_is_checked(self, monkeypatch, monos, message):
+        # (1.0, 2) and (True, 2) hash and compare equal to (1, 2), which the
+        # first decode puts in the piece's table of checked terms.
+        obj = {"kind": "gamma", "s": 2, "d": 3, "monomials": monos}
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
+        cold = parse_outcome(element_from_json, obj)
+        element_from_json({"kind": "gamma", "s": 2, "d": 3, "monomials": [[1, 2]]})
+        assert modules.EXPANSIONS.terms[G, 2, 3] == {(1, 2): (1, 2)}
+        assert parse_outcome(element_from_json, obj) == cold == (ValueError, message)
+
+    @pytest.mark.parametrize("kind,s,d,monos", [
+        ("gamma", 2, 3, [[2, 1], [5]]),
+        ("gamma", 2, 3, [[2, 1], [2, 1]]),
+        ("gamma", 2, 3, [[2, 1], [3, 0]]),
+        ("gamma", 2, 3, [[2, 1], [1.5, 1.5]]),
+        ("gamma", 2, 4, [[1, 3], [9]]),
+        ("gamma-sym", 3, 7, [[3, 2, 2], [2, 2, 3]]),
+    ])
+    def test_a_refused_decode_leaves_the_table_unchanged(self, monkeypatch, kind, s, d, monos):
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
+        element_from_json({"kind": "gamma", "s": 2, "d": 3, "monomials": [[1, 2]]})
+        terms = modules.EXPANSIONS.terms
+        before = {key: dict(table) for key, table in terms.items()}
+        with pytest.raises(ValueError):
+            element_from_json({"kind": kind, "s": s, "d": d, "monomials": monos})
+        assert terms == before == {(G, 2, 3): {(1, 2): (1, 2)}}
+
+    def test_memory_kept_per_repeated_monomial(self, monkeypatch):
+        # 200 decodes of one 100-term element: each repeat keeps its support
+        # (about 44 bytes a monomial) and shares the first decode's tuples; a
+        # tuple of its own per monomial would keep 116.
+        monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
+        obj = {"kind": "gamma", "s": 4, "d": 14, "monomials": [list(t) for t in basis(Bidegree(4, 14), G)[:100]]}
+        tracemalloc.start()
+        try:
+            xs = [element_from_json(obj) for _ in range(200)]
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(xs) == 200 and len(xs[-1].support) == 100
+        assert kept < 64 * 100 * 199
+
     def test_arity_zero_round_trip(self):
         obj = {"kind": "gamma", "s": 0, "d": 0, "monomials": [[]]}
         x = element_from_json(obj)
@@ -654,16 +713,27 @@ class TestJsonAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(element_objs())
     def test_valid_elements(self, obj):
-        x = element_from_json(obj)
-        assert x == json_element(obj)
+        # Twice in one fresh context: a cold decode, then one whose every
+        # term is in the piece's table of checked terms.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modules, "EXPANSIONS", modules.Expansions())
+            x, y = element_from_json(obj), element_from_json(obj)
+        assert x == y == json_element(obj)
         assert json.loads(json.dumps(element_to_json(x))) == dict(obj, monomials=sorted(obj["monomials"]))
 
     @pytest.mark.parametrize("name", MUTATIONS)
     @settings(max_examples=40, deadline=None)
     @given(obj=element_objs(), data=st.data())
     def test_mutations(self, name, obj, data):
+        # Twice in one context that already holds the valid terms of obj,
+        # so a term equal to one of them is still checked.
         bad = mutate(data, name, obj)
-        assert parse_outcome(element_from_json, bad) == parse_outcome(json_element, bad)
+        want = parse_outcome(json_element, bad)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modules, "EXPANSIONS", modules.Expansions())
+            element_from_json(obj)
+            assert parse_outcome(element_from_json, bad) == want
+            assert parse_outcome(element_from_json, bad) == want
 
     @pytest.mark.parametrize("monos,message", [
         # The repeated pair cancels in the toggle, so the lone term is named.
