@@ -88,6 +88,8 @@ def shift(x: Element, i: int, r: int) -> Element:
     becomes the strict maximum, so the shifted tuple is still canonical and
     needs no re-canonicalisation.
     """
+    if type(r) is not int:
+        raise ValueError(f"shift amount r={r!r} must be a plain int")
     if r < 0:
         raise ValueError("shift amount must be >= 0")
     _check_position(x, i)
@@ -100,6 +102,8 @@ def shift(x: Element, i: int, r: int) -> Element:
 
 def _check_position(x: Element, i: int) -> None:
     """The position rule of every element, zeros included: arity is exact."""
+    if type(i) is not int:
+        raise ValueError(f"position i={i!r} must be a plain int")
     if not 1 <= i <= x.s:
         raise ValueError(f"position {i} out of range for arity {x.s}")
 

@@ -121,6 +121,13 @@ def _check_degree(d) -> None:
         raise ValueError(f"degree d={d!r} must be a plain int")
 
 
+def _check_tuples(terms: Collection) -> None:
+    """The tuple rule, run before any term is hashed: a list would not hash.
+    Terms of different types need not sort, so the least repr names one."""
+    if not {*map(type, terms)} <= {tuple}:
+        raise ValueError(f"terms must be tuples: {min(repr(t) for t in terms if type(t) is not tuple)}")
+
+
 class _ElementFields(NamedTuple):
     kind: ModuleKind
     s: int
@@ -149,25 +156,19 @@ class Element(_ElementFields):
         if type(support) is not frozenset:
             raise ValueError(f"support must be a frozenset, not {type(support).__name__}")
         _check_arity(s)
+        _check_tuples(support)
         positive = kind in POSITIVE_KINDS
         canon = _ORBIT_CANONICAL.get(kind)
-        # Each check is one pass over the whole support, the term types
-        # first, then the entry types so that sum and min meet ints only.
-        # The loops below run only when a pass fails, to name the least
-        # failing term, so the message does not hang on the order the set
-        # was built in.
-        if not ({*map(type, support)} <= {tuple}
-                and {*map(type, chain.from_iterable(support))} <= {int}
+        # Each check is one pass over the whole support, the entry types
+        # first so that sum and min meet ints only.  The loops below run
+        # only when a pass fails, to name the least failing term, so the
+        # message does not hang on the order the set was built in.
+        if not ({*map(type, chain.from_iterable(support))} <= {int}
                 and type(d) is int
                 and {*map(len, support)} <= {s}
                 and {*map(sum, support)} <= {d}
                 and (not positive or min(chain.from_iterable(support), default=1) >= 1)
                 and (canon is None or all(map(eq, map(canon, support), support)))):
-            # A term that is not a tuple has no entries to check; terms of
-            # different types need not sort, so the least repr names one.
-            bad = [repr(t) for t in support if type(t) is not tuple]
-            if bad:
-                raise ValueError(f"terms must be tuples: {min(bad)}")
             # Terms of numbers sort and sum together, bools and floats too.
             for t in sorted(t for t in support if {*map(type, t)} <= _NUMBERS):
                 if len(t) != s or sum(t) != d:
@@ -193,16 +194,15 @@ class Element(_ElementFields):
 
     @classmethod
     def from_monomials(cls, kind: ModuleKind, s: int, d: int, terms: Iterable[Tuple[int, ...]]) -> "Element":
+        terms = list(terms)
+        _check_tuples(terms)
         return cls(kind, s, d, _odd(terms))
 
     @classmethod
     def single(cls, kind: ModuleKind, entries: Tuple[int, ...]) -> "Element":
-        # A list does not hash into a support, so it is refused here as the
-        # constructor refuses any term that is not a tuple.  An entry that is
-        # no number has no degree to sum; the constructor refuses its term by
-        # name whatever d is.
-        if type(entries) is not tuple:
-            raise ValueError(f"terms must be tuples: {entries!r}")
+        # An entry that is no number has no degree to sum; the constructor
+        # refuses its term by name whatever d is.
+        _check_tuples((entries,))
         d = sum(entries) if {*map(type, entries)} <= _NUMBERS else 0
         return cls(kind, len(entries), d, frozenset([entries]))
 
@@ -369,6 +369,8 @@ def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
     its terms together may take at most that many Cartan steps (loop steps
     plus entries built, see ``Expansions``), or ExpansionTooLarge is
     raised."""
+    if type(l) is not int:
+        raise ValueError(f"square index l={l!r} must be a plain int")
     if l < 0:
         raise ValueError("negative square index")
     if l == 0:
@@ -562,6 +564,16 @@ def element_to_json(x: Element) -> dict:
 
 
 def element_from_json(obj: dict) -> Element:
+    """The element that parsed element JSON stands for; decoded elements of
+    one piece share their equal terms through ``EXPANSIONS.terms``.
+
+    Refusals, each a ValueError, in order: no object, a missing key, an
+    unknown kind, s or d not a plain int, s < 0, d < 0 for a positive kind,
+    monomials not a list, the first monomial in input order that is not a
+    list of plain ints, a term left once repeats cancel mod 2 that fails
+    ``Element``'s checks, a repeat, then the least term that fails them, by
+    ``Element``'s rule.  A refused decode leaves the table unchanged.
+    """
     if not isinstance(obj, dict):
         raise ValueError("element JSON must be an object")
     missing = {"kind", "s", "d", "monomials"} - set(obj)
@@ -581,34 +593,19 @@ def element_from_json(obj: dict) -> Element:
     monos = obj["monomials"]
     if not isinstance(monos, list):
         raise ValueError("monomials must be a list")
-    # Whole-list passes: lists, entries plain ints, none repeated; then
-    # Element's checks on the terms the piece's table of checked terms
-    # lacks.  The entry types are checked on every term before any lookup,
-    # since (1.0, 2) and (True, 2) hash and compare equal to (1, 2).  Each
-    # term is swapped for the table's tuple, and a set copied into its
-    # frozenset sizes the support tightly.  When a pass fails, the loop
-    # below names the failing term in input order, and the table is left as
-    # it was.
-    if {*map(type, monos)} <= {list}:
-        terms = [*map(tuple, monos)]
-        if {*map(type, chain.from_iterable(terms))} <= {int}:
-            ctx, key = EXPANSIONS, (kind, s, d)
-            seen = ctx.terms.get(key, {})
-            support = frozenset({*map(seen.get, terms, terms)})
-            if len(support) == len(monos):
-                try:
-                    fresh = Element(kind, s, d, support.difference(seen)).support
-                except ValueError:
-                    pass
-                else:
-                    ctx.terms.setdefault(key, seen).update(zip(fresh, fresh))
-                    return Element._make((kind, s, d, support))
-    out = []
-    for t in monos:
-        if type(t) is not list or not all(type(a) is int for a in t):
-            raise ValueError(f"bad monomial {t!r}")
-        out.append(tuple(t))
-    # Every term is well typed.  Building the element names a term
-    # inconsistent with it, before any duplicate; if none is, one repeats.
-    Element.from_monomials(kind, s, d, out)
-    raise ValueError("duplicate monomials in element JSON")
+    # Whole-list passes before any lookup: (1.0, 2) and (True, 2) hash and
+    # compare equal to (1, 2).
+    if not ({*map(type, monos)} <= {list} and {*map(type, chain.from_iterable(monos))} <= {int}):
+        bad = next(t for t in monos if type(t) is not list or not {*map(type, t)} <= {int})
+        raise ValueError(f"bad monomial {bad!r}")
+    terms = [*map(tuple, monos)]
+    # A set copied into a frozenset sizes the support tightly.
+    ctx, key = EXPANSIONS, (kind, s, d)
+    seen = ctx.terms.get(key, {})
+    support = frozenset({*map(seen.get, terms, terms)})
+    if len(support) != len(monos):
+        Element.from_monomials(kind, s, d, terms)
+        raise ValueError("duplicate monomials in element JSON")
+    fresh = Element(kind, s, d, support.difference(seen)).support
+    ctx.terms.setdefault(key, seen).update(zip(fresh, fresh))
+    return Element._make((kind, s, d, support))

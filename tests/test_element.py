@@ -6,10 +6,11 @@ The operations skip the constructor's checks at run time, so these tests
 run the checks on what they return."""
 
 import random
+import re
 
 import pytest
 
-from sqhit import f2linalg, hit, suites
+from sqhit import f2linalg, hit, modules, suites
 from sqhit.homotopy import HomotopySystem, null_span, preimage_chain, shift
 from sqhit.modules import (
     ORBIT_KINDS,
@@ -18,6 +19,7 @@ from sqhit.modules import (
     Element,
     ModuleKind,
     concat_product,
+    element_from_json,
     project_to_orbit,
     sq,
 )
@@ -129,7 +131,10 @@ def test_constructor_refuses_entries_that_are_not_plain_ints(build, message):
     # Terms of different types do not sort: the least repr is named.
     (lambda: Element(ModuleKind.GAMMA_SYM, 1, 1, frozenset({(1,), 5, "a"})), "terms must be tuples: 'a'"),
     (lambda: Element.single(G, [1, 2]), "terms must be tuples: [1, 2]"),
-], ids=["int", "frozenset", "range", "bytes", "namedtuple", "mixed", "single-list"])
+    (lambda: Element.from_monomials(G, 2, 3, [[1, 2]]), "terms must be tuples: [1, 2]"),
+    (lambda: Element.from_monomials(G, 2, 3, [(1, 2), [2, 1], (2, 1)]), "terms must be tuples: [2, 1]"),
+], ids=["int", "frozenset", "range", "bytes", "namedtuple", "mixed", "single-list", "from_monomials-list",
+        "from_monomials-mixed"])
 def test_constructor_refuses_terms_that_are_not_tuples(build, message):
     # Such a term has no entries to check: an int term or a list would raise
     # TypeError, and a frozenset term would be built only to fail later, in
@@ -180,3 +185,20 @@ def test_operations_run_without_the_constructor(monkeypatch):
     assert concat_product(one, x).d == 21
     assert project_to_orbit(x, ModuleKind.GAMMA_SYM).kind is ModuleKind.GAMMA_SYM
     assert preimage_chain(x, h) == chain
+
+
+def test_a_refused_decode_builds_the_element_once(monkeypatch):
+    # gamma[2, 2] is inconsistent with (gamma,2,3): Element's checks name it
+    # on their one run, and the decode runs no second parse to name it.
+    monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
+    built = []
+    new = Element.__new__
+
+    def counted(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Element, "__new__", counted)
+    with pytest.raises(ValueError, match=re.escape("monomial gamma[2, 2] inconsistent with element (gamma,2,3)")):
+        element_from_json({"kind": "gamma", "s": 2, "d": 3, "monomials": [[1, 2], [2, 2]]})
+    assert len(built) == 1

@@ -106,6 +106,8 @@ H1 = HomotopySystem(G, 1)
     pytest.param(lambda: gen_binom_mod2(1, -1), "negative power-series index", id="gen_binom_mod2-index"),
     pytest.param(lambda: X12 + SYM21, "cannot add elements of different kind or arity", id="add-kinds"),
     pytest.param(lambda: sq(X3, -1), "negative square index", id="sq-index"),
+    pytest.param(lambda: sq(X3, 2.0), "square index l=2.0 must be a plain int", id="sq-float-index"),
+    pytest.param(lambda: sq(X3, True), "square index l=True must be a plain int", id="sq-bool-index"),
     pytest.param(lambda: project_to_orbit(SYM21, ModuleKind.GAMMA_CYC), "projection starts from a gamma element",
                  id="project_to_orbit-source"),
     pytest.param(lambda: project_to_orbit(X12, G), "target must be an orbit kind", id="project_to_orbit-target"),
@@ -113,6 +115,11 @@ H1 = HomotopySystem(G, 1)
     pytest.param(lambda: element_from_json({"kind": "gamma", "s": 1, "d": 3, "monomials": "x"}),
                  "monomials must be a list", id="element_from_json-monomials"),
     pytest.param(lambda: shift(X3, 1, -1), "shift amount must be >= 0", id="shift-amount"),
+    # Built with _make, gamma[4.5] would be an element the constructor refuses.
+    pytest.param(lambda: shift(X3, 1, 1.5), "shift amount r=1.5 must be a plain int", id="shift-float-amount"),
+    pytest.param(lambda: shift(X3, 1, True), "shift amount r=True must be a plain int", id="shift-bool-amount"),
+    pytest.param(lambda: shift(X3, 1.0, 1), "position i=1.0 must be a plain int", id="shift-float-position"),
+    pytest.param(lambda: shift(X3, True, 1), "position i=True must be a plain int", id="shift-bool-position"),
     pytest.param(lambda: verify_commutation(X3, H1, 2, 1), "need 1 <= m <= order, got m=2",
                  id="verify_commutation-m"),
     # (1) lies outside the null subspace of order 1 at position 1.
