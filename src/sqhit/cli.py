@@ -13,7 +13,6 @@ this mapping: the commands raise, and only verify returns a nonzero code, 1.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -198,11 +197,12 @@ def _report_row(rep: hit.DeltaReport) -> dict:
 def cmd_unhit(args, cfg: Config) -> int:
     _check_order(cfg, args.k)
     _check_pieces(cfg, args.kind, args.s, args.d, args.k)
-    report = hit.unhit_report(Bidegree(args.s, args.d), args.k, args.kind, witnesses=args.witnesses)
+    b = Bidegree(args.s, args.d)
+    report = hit.unhit_report(b, args.k, args.kind)
     out = _report_row(report)
-    if report.witnesses is not None:
-        out["witnesses"] = {key: [element_to_json(e) for e in val]
-                            for key, val in report.witnesses.items()}
+    if args.witnesses:
+        out["witnesses"] = {key: [element_to_json(e) for e in hit.subspace_elements(getattr(report, key), b, args.kind)]
+                            for key in ("delta", "image", "unhit")}
     print(json.dumps(out))
     return 0
 
@@ -219,11 +219,9 @@ def cmd_report(args, cfg: Config) -> int:
     else:
         import csv  # the one branch that needs it
 
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=REPORT_COLUMNS)
+        writer = csv.DictWriter(sys.stdout, fieldnames=REPORT_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
     return 0
 
 

@@ -12,9 +12,9 @@ The first-factor structure theory built on these lives in ``structure``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from . import f2linalg, modules
 from .f2linalg import BitMatrix, Subspace
@@ -32,14 +32,36 @@ from .modules import (
 
 
 class DeltaReport(NamedTuple):
+    """delta(k) and image(k) at a bidegree, as ``unhit_report`` computed
+    them; the dimensions, the flag and the quotient are read off the two."""
+
     kind: ModuleKind
     bidegree: Bidegree
     k: int
-    dim_delta: int
-    dim_image: int
-    dim_unhit: int
-    degenerate: bool
-    witnesses: Optional[dict] = None
+    delta: Subspace
+    image: Subspace
+
+    @property
+    def dim_delta(self) -> int:
+        return self.delta.dim
+
+    @property
+    def dim_image(self) -> int:
+        return self.image.dim
+
+    @property
+    def dim_unhit(self) -> int:
+        return self.delta.dim - self.image.dim
+
+    @property
+    def degenerate(self) -> bool:
+        return self.bidegree.d < (1 << (self.k + 1))
+
+    @property
+    def unhit(self) -> Subspace:
+        """The canonical basis of unhit(k): ``f2linalg.complement(delta,
+        image)``, built anew on each read."""
+        return f2linalg.complement(self.delta, self.image)
 
 
 # --- matrices ---------------------------------------------------------------
@@ -213,6 +235,8 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     if b.s > MAX_ARITY:
         raise ValueError(f"arity s={b.s} exceeds the largest supported arity {MAX_ARITY}")
     n = basis_size(b, kind)
+    if type(l) is not int:
+        raise ValueError(f"square index l={l!r} must be a plain int")
     if l < 0:
         raise ValueError("negative square index")
     target = Bidegree(b.s, b.d - l)
@@ -241,52 +265,34 @@ def sq_stack(b: Bidegree, squares: Iterable[int], kind: ModuleKind) -> BitMatrix
     return BitMatrix._make((n, sum(blk.cols for blk in blocks), tuple(rows)))
 
 
+def _check_order(k: int) -> None:
+    if type(k) is not int:
+        raise ValueError(f"order k={k!r} must be a plain int")
+    if k < 0:
+        raise ValueError("order must be >= 0")
+
+
 def delta_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
     """Intersection of the kernels of Sq^(2^i), i <= k, as a subspace of the
     coordinates over the basis of (s,d)."""
-    if k < 0:
-        raise ValueError("order must be >= 0")
+    _check_order(k)
     return f2linalg.kernel_basis(sq_stack(b, [1 << i for i in range(k + 1)], kind))
 
 
 def spike_image_basis(b: Bidegree, k: int, kind: ModuleKind) -> Subspace:
     """Intersection of the images of Sq^(2^(i+1)-1), i <= k, landing in (s,d)."""
-    if k < 0:
-        raise ValueError("order must be >= 0")
-    n = basis_size(b, kind)
-    result = None
-    for i in range(k + 1):
-        l = (1 << (i + 1)) - 1
-        src = Bidegree(b.s, b.d + l)
-        im = f2linalg.image_basis(sq_matrix(src, l, kind))
-        result = im if result is None else f2linalg.intersect(result, im)
-    assert result is not None and result.ambient_dim == n
-    return result
+    _check_order(k)
+    spikes = [(2 << i) - 1 for i in range(k + 1)]
+    return reduce(f2linalg.intersect, (f2linalg.image_basis(sq_matrix(Bidegree(b.s, b.d + l), l, kind))
+                                       for l in spikes))
 
 
-def unhit_report(b: Bidegree, k: int, kind: ModuleKind, witnesses: bool = False) -> DeltaReport:
-    """The dimensions of delta(k), image(k) and their quotient at (s,d);
-    witnesses adds their RREF bases as elements, the quotient's under
-    "unhit": that of ``f2linalg.complement(delta, image)``."""
+def unhit_report(b: Bidegree, k: int, kind: ModuleKind) -> DeltaReport:
+    """delta(k) and image(k) at (s,d), once image(k) is checked to lie in
+    delta(k)."""
     delta = delta_basis(b, k, kind)
     image = spike_image_basis(b, k, kind)
     if not f2linalg.contains_subspace(delta, image):
         raise InternalInconsistencyError(f"{kind.value} ({b.s},{b.d}), k={k}, unhit containment check:"
                                          " image not contained in kernel")
-    report_witnesses = None
-    if witnesses:
-        report_witnesses = {
-            "delta": subspace_elements(delta, b, kind),
-            "image": subspace_elements(image, b, kind),
-            "unhit": subspace_elements(f2linalg.complement(delta, image), b, kind),
-        }
-    return DeltaReport(
-        kind=kind,
-        bidegree=b,
-        k=k,
-        dim_delta=delta.dim,
-        dim_image=image.dim,
-        dim_unhit=delta.dim - image.dim,
-        degenerate=b.d < (1 << (k + 1)),
-        witnesses=report_witnesses,
-    )
+    return DeltaReport(kind, b, k, delta, image)

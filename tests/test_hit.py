@@ -390,10 +390,11 @@ class TestDeltaAndImage:
         assert not hit.unhit_report(Bidegree(1, 4), 1, G).degenerate
 
     def test_unhit_report_witnesses(self):
-        rep = hit.unhit_report(Bidegree(5, 9), 1, G, witnesses=True)
+        rep = hit.unhit_report(Bidegree(5, 9), 1, G)
         assert rep.dim_unhit == 1
-        assert len(rep.witnesses["unhit"]) == 1
-        for x in rep.witnesses["unhit"]:
+        unhit = hit.subspace_elements(rep.unhit, Bidegree(5, 9), G)
+        assert len(unhit) == 1
+        for x in unhit:
             assert sq(x, 1).is_zero() and sq(x, 2).is_zero()
 
     @pytest.mark.parametrize("kind,s,d,k,classes", [
@@ -402,8 +403,8 @@ class TestDeltaAndImage:
         (ModuleKind.GAMMA_CYC, 6, 22, 1, 7)])
     def test_unhit_witnesses_are_a_basis_of_the_quotient(self, kind, s, d, k, classes):
         b = Bidegree(s, d)
-        rep = hit.unhit_report(b, k, kind, witnesses=True)
-        unhit = rep.witnesses["unhit"]
+        rep = hit.unhit_report(b, k, kind)
+        unhit = hit.subspace_elements(rep.unhit, b, kind)
         assert len(unhit) == rep.dim_unhit == classes
         for x in unhit:
             assert all(sq(x, 1 << i).is_zero() for i in range(k + 1)), x
@@ -436,7 +437,7 @@ class TestDeltaAndImage:
             im = f2linalg.image_basis(shuffled(hit.sq_matrix(Bidegree(s, d + l), l, kind))[1])
             image = im if image is None else f2linalg.intersect(image, im)
         assert delta == hit.delta_basis(b, k, kind) and image == hit.spike_image_basis(b, k, kind)
-        unhit = hit.unhit_report(b, k, kind, witnesses=True).witnesses["unhit"]
+        unhit = hit.subspace_elements(hit.unhit_report(b, k, kind).unhit, b, kind)
         assert [hit.vector_to_element(r, b, kind) for r in f2linalg.complement(delta, image).basis] == unhit
 
     @pytest.mark.parametrize("kind,s,d,k,unhit", [
@@ -468,7 +469,7 @@ class TestDeltaAndImage:
         assert len(delta) - len(image) == unhit
 
         # U(k): the Delta(k) rows with every pivot bit of I(k) cleared, in RREF.
-        classes = hit.unhit_report(b, k, kind, witnesses=True).witnesses["unhit"]
+        classes = hit.subspace_elements(hit.unhit_report(b, k, kind).unhit, b, kind)
         expected = oracles.rref_rows([oracles.reduce_rows(image, r) for r in delta])
         assert tuple(hit.element_to_vector(x, b, kind) for x in classes) == expected
         assert len(expected) == unhit
@@ -484,6 +485,20 @@ class TestDeltaAndImage:
         monkeypatch.setattr(f2linalg, "_rref", no_rref)
         rep = hit.unhit_report(Bidegree(s, d), k, kind)
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == dims
+
+    @pytest.mark.parametrize("kind,s,d,k", [
+        (G, 5, 9, 1), (G, 1, 3, 1), (G, 4, 18, 2), (ModuleKind.GAMMA_SYM, 6, 24, 1),
+        (ModuleKind.GAMMA_CYC, 4, 14, 2)])
+    def test_report_holds_its_subspaces(self, kind, s, d, k):
+        # The report keeps Delta(k) and I(k); the rest is read off them.
+        b = Bidegree(s, d)
+        rep = hit.unhit_report(b, k, kind)
+        delta, image = hit.delta_basis(b, k, kind), hit.spike_image_basis(b, k, kind)
+        assert rep.delta == delta and rep.image == image
+        assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (delta.dim, image.dim, delta.dim - image.dim)
+        assert rep.degenerate == (d < 2 << k)
+        assert rep.unhit == f2linalg.complement(delta, image)
+        assert rep.unhit.dim == rep.dim_unhit
 
 
 class TestFirstFactorStructure:

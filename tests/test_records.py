@@ -43,12 +43,13 @@ HASHABLE = [
     pytest.param(lambda: Element(G, 2, 3, frozenset([(1, 2), (2, 1)])), "support", id="Element"),
     pytest.param(lambda: f2linalg.BitMatrix(2, 3, (0b011, 0b110)), "data", id="BitMatrix"),
     pytest.param(lambda: HomotopySystem(G, 2, 1), "order", id="HomotopySystem"),
-    pytest.param(lambda: hit.DeltaReport(G, Bidegree(5, 9), 1, 32, 31, 1, False), "dim_unhit", id="DeltaReport"),
     pytest.param(lambda: cli.Config(max_k=3), "max_dim", id="Config"),
     pytest.param(lambda: suites.SuiteResult("adem", 3, 0), "passed", id="SuiteResult"),
 ]
 UNHASHABLE = [
     pytest.param(lambda: f2linalg.subspace_from_rows(3, [0b011, 0b110]), "pivots", id="Subspace"),
+    # A report holds two subspaces, so it is no more hashable than they are.
+    pytest.param(lambda: hit.unhit_report(Bidegree(5, 9), 1, G), "delta", id="DeltaReport"),
 ]
 
 
@@ -128,6 +129,14 @@ H1 = HomotopySystem(G, 1)
     pytest.param(lambda: verify_homotopy(X3, H1, 2), "need 0 <= m <= order, got m=2", id="verify_homotopy-m"),
     pytest.param(lambda: hit.spike_image_basis(Bidegree(1, 3), -1, G), "order must be >= 0",
                  id="spike_image_basis-order"),
+    pytest.param(lambda: hit.sq_matrix(Bidegree(3, 10), 2.0, G), "square index l=2.0 must be a plain int",
+                 id="sq_matrix-float-index"),
+    pytest.param(lambda: hit.sq_matrix(Bidegree(3, 10), True, G), "square index l=True must be a plain int",
+                 id="sq_matrix-bool-index"),
+    pytest.param(lambda: hit.unhit_report(Bidegree(5, 9), 1.0, G), "order k=1.0 must be a plain int",
+                 id="unhit_report-float-order"),
+    pytest.param(lambda: hit.unhit_report(Bidegree(5, 9), True, G), "order k=True must be a plain int",
+                 id="unhit_report-bool-order"),
     pytest.param(lambda: structure.decompose_first_factor(SYM21),
                  "first-factor decomposition is defined on gamma elements", id="decompose_first_factor-kind"),
     pytest.param(lambda: structure.build_delta1_element(SYM21, 4), "x_1 must be a gamma element",
