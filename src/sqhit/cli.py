@@ -242,7 +242,7 @@ def cmd_verify(args, cfg: Config) -> int:
     }
     print(json.dumps(summary))
     for r in results:
-        if not r.ok and r.first_failure:
+        if not r.ok:
             print(f"FAIL {r.name}: {r.first_failure}", file=sys.stderr)
     return 0 if summary["ok"] else 1
 

@@ -187,10 +187,7 @@ class Element(_ElementFields):
 
     @classmethod
     def zero(cls, kind: ModuleKind, s: int, d: int) -> "Element":
-        _check_kind(kind)  # the constructor checks an empty support needs
-        _check_arity(s)
-        _check_degree(d)
-        return cls._make((kind, s, d, frozenset()))
+        return cls(kind, s, d, frozenset())
 
     @classmethod
     def from_monomials(cls, kind: ModuleKind, s: int, d: int, terms: Iterable[Tuple[int, ...]]) -> "Element":
@@ -377,7 +374,7 @@ def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
         return x
     if x.kind in POSITIVE_KINDS and l > x.d - x.s:
         # Every entry stays >= 1, so no term reaches degree d - l < s.
-        return Element.zero(x.kind, x.s, x.d - l)
+        return Element._make((x.kind, x.s, x.d - l, frozenset()))
     ctx = EXPANSIONS if limit is None else Expansions(limit)
     acc: set = set()
     for t in x.support:

@@ -45,7 +45,7 @@ def _parts(x: Element) -> Tuple[Callable[[int], Element], int]:
     largest first entry of x's bidegree."""
     parts = decompose_first_factor(x)
     s1, d = x.s - 1, x.d
-    return (lambda i: parts[i] if i in parts else Element.zero(G, s1, d - i)), d - s1
+    return (lambda i: parts[i] if i in parts else Element._make((G, s1, d - i, frozenset()))), d - s1
 
 
 def check_sq1_relations(x: Element) -> List[Tuple[str, int]]:

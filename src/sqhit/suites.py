@@ -1,11 +1,10 @@
 """Property and identity suites shared by the CLI `verify` command and tests.
 
-Each suite is a generator that yields one ``(ok, describe)`` pair per check.
+Each suite is a generator that yields one ``(ok, case, element)`` record per
+check: whether it passed, its case text, and the element it checked, or None.
 ``tally`` counts a suite's checks into a SuiteResult, and ``run`` tallies the
-suite that SUITES names. Only the first failing check is described, as element
-JSON, so a CLI failure is directly reproducible; ``tally`` calls its
-``describe`` before the suite resumes, so a describe may read the suite's
-loop variables.
+suite that SUITES names. ``tally`` writes the first failure only, as JSON of
+its case and its element, so a CLI failure is directly reproducible.
 """
 
 from __future__ import annotations
@@ -51,30 +50,28 @@ class SuiteResult(NamedTuple):
         return self.failed == 0
 
 
-Check = Tuple[bool, Callable[[], str]]
+Check = Tuple[bool, str, Optional[Element]]
 
 
 def tally(name: str, checks: Iterable[Check]) -> SuiteResult:
-    """Count the checks; describe the first failure before taking the next."""
+    """Count the checks, and write the first failure as JSON: its case, and
+    its element when it has one."""
     passed = failed = 0
     first_failure = None
-    for ok, describe in checks:
+    for ok, case, x in checks:
         if ok:
             passed += 1
         else:
             failed += 1
             if first_failure is None:
-                first_failure = describe()
+                fields = {"case": case} if x is None else {"case": case, "element": element_to_json(x)}
+                first_failure = json.dumps(fields)
     return SuiteResult(name, passed, failed, first_failure)
 
 
 def run(name: str, seed: int = 0) -> SuiteResult:
     """The result of the suite that SUITES names, run with the given seed."""
     return tally(name, SUITES[name](seed))
-
-
-def _fail_json(x: Element, note: str) -> str:
-    return json.dumps({"case": note, "element": element_to_json(x)})
 
 
 def random_element(rng: random.Random, kind: ModuleKind, s: int, d: int) -> Element:
@@ -94,7 +91,7 @@ def suite_adem(seed: int = 0) -> Iterator[Check]:
                     x = Element.single(kind, m)
                     for n in range(1, d + 1):
                         y = sq(sq(x, 2 * n - 1), n)
-                        yield y.is_zero(), lambda: _fail_json(x, f"Sq^{2*n-1}Sq^{n} != 0")
+                        yield y.is_zero(), f"Sq^{2*n-1}Sq^{n} != 0", x
     # Same shape on windowed random nabla monomials.
     rng = random.Random(seed)
     for _ in range(200):
@@ -103,7 +100,7 @@ def suite_adem(seed: int = 0) -> Iterator[Check]:
         x = Element.single(ModuleKind.NABLA, entries)
         n = rng.randint(1, 8)
         y = sq(sq(x, 2 * n - 1), n)
-        yield y.is_zero(), lambda: _fail_json(x, f"nabla Sq^{2*n-1}Sq^{n} != 0")
+        yield y.is_zero(), f"nabla Sq^{2*n-1}Sq^{n} != 0", x
 
 
 def suite_cartan(seed: int = 0) -> Iterator[Check]:
@@ -120,7 +117,7 @@ def suite_cartan(seed: int = 0) -> Iterator[Check]:
         rhs = Element.zero(ModuleKind.GAMMA, s1 + s2, d1 + d2 - l)
         for p in range(l + 1):
             rhs = rhs + concat_product(sq(x, p), sq(y, l - p))
-        yield lhs == rhs, lambda: _fail_json(x, f"cartan l={l} vs {json.dumps(element_to_json(y))}")
+        yield lhs == rhs, f"cartan l={l} vs {json.dumps(element_to_json(y))}", x
 
 
 def suite_instability(seed: int = 0) -> Iterator[Check]:
@@ -133,7 +130,7 @@ def suite_instability(seed: int = 0) -> Iterator[Check]:
         d = rng.randint(s, s + 8)
         x = random_element(rng, kind, s, d)
         l = rng.randint(d // 2 + 1, d + 4)
-        yield sq(x, l).is_zero(), lambda: _fail_json(x, f"instability 2*{l} > {x.d}")
+        yield sq(x, l).is_zero(), f"instability 2*{l} > {x.d}", x
 
 
 def suite_composition(seed: int = 0) -> Iterator[Check]:
@@ -142,7 +139,7 @@ def suite_composition(seed: int = 0) -> Iterator[Check]:
         for d in range(s, 11):
             for m in basis(Bidegree(s, d), ModuleKind.GAMMA):
                 x = Element.single(ModuleKind.GAMMA, m)
-                yield sq(sq(x, 1), 2) == sq(x, 3), lambda: _fail_json(x, "Sq^1Sq^2 != Sq^3")
+                yield sq(sq(x, 1), 2) == sq(x, 3), "Sq^1Sq^2 != Sq^3", x
 
 
 def suite_homotopy(seed: int = 0) -> Iterator[Check]:
@@ -158,11 +155,11 @@ def suite_homotopy(seed: int = 0) -> Iterator[Check]:
                         if not in_null(x, h):
                             continue
                         for m in range(k + 1):
-                            yield verify_homotopy(x, h, m), lambda: _fail_json(x, f"homotopy m={m} pos={i}")
+                            yield verify_homotopy(x, h, m), f"homotopy m={m} pos={i}", x
                             if m >= 1:
                                 for l in range(1, 1 << m):
                                     yield (verify_commutation(x, h, m, l),
-                                           lambda: _fail_json(x, f"commutation m={m} l={l} pos={i}"))
+                                           f"commutation m={m} l={l} pos={i}", x)
     # Nabla: identities with no entry restriction, random seeded monomials.
     rng = random.Random(seed)
     for _ in range(1000):
@@ -171,13 +168,11 @@ def suite_homotopy(seed: int = 0) -> Iterator[Check]:
         x = Element.single(ModuleKind.NABLA, entries)
         h = HomotopySystem(ModuleKind.NABLA, 4, rng.randint(1, s))
         for m in range(5):
-            yield verify_homotopy(x, h, m), lambda: _fail_json(x, f"nabla homotopy m={m}")
+            yield verify_homotopy(x, h, m), f"nabla homotopy m={m}", x
             if m >= 1:
                 ls = {1, 1 << m >> 1, (1 << m) - 1, rng.randrange(1, 1 << m)}
                 for l in ls:
-                    if 1 <= l < (1 << m):
-                        yield (verify_commutation(x, h, m, l),
-                               lambda: _fail_json(x, f"nabla commutation m={m} l={l}"))
+                    yield verify_commutation(x, h, m, l), f"nabla commutation m={m} l={l}", x
     # Shift/permutation compatibility on random monomials and transpositions.
     for _ in range(300):
         s = rng.randint(2, 4)
@@ -203,8 +198,7 @@ def suite_homotopy(seed: int = 0) -> Iterator[Check]:
             ModuleKind.GAMMA, s, d + r, (transpose(t) for t in shift(x, i, r).support))
         permuted = Element.single(ModuleKind.GAMMA, transpose(mono))
         permuted_then_shifted = shift(permuted, sigma_i, r)
-        yield (shifted_then_permuted == permuted_then_shifted,
-               lambda: _fail_json(x, f"shift/permutation i={i} r={r}"))
+        yield shifted_then_permuted == permuted_then_shifted, f"shift/permutation i={i} r={r}", x
 
 
 def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> Iterator[Check]:
@@ -215,22 +209,20 @@ def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> 
             positions = range(1, s + 1) if kind is ModuleKind.GAMMA else (1,)
             for d in range(s, d_max + 1):
                 b = Bidegree(s, d)
-                delta = hit.delta_basis(b, k, kind)
-                if delta.dim == 0:
+                rep = hit.unhit_report(b, k, kind)
+                if rep.dim_delta == 0:
                     continue
-                image = hit.spike_image_basis(b, k, kind)
                 for i in positions:
                     h = HomotopySystem(kind, k, i)
-                    inter = f2linalg.intersect(delta, null_span(b, h))
-                    for r in inter.basis:
+                    for r in f2linalg.intersect(rep.delta, null_span(b, h)).basis:
                         x = hit.vector_to_element(r, b, kind)
-                        note = f"certificate k={k} pos={i}"
+                        case = f"certificate k={k} pos={i}"
                         try:
                             preimage_chain(x, h)
-                            ok = f2linalg.contains(image, r)
+                            ok = f2linalg.contains(rep.image, r)
                         except (NullMembershipError, AnnihilationError, ChainCertificateError) as exc:
-                            ok, note = False, f"{note}: {exc}"
-                        yield ok, lambda: _fail_json(x, note)
+                            ok, case = False, f"{case}: {exc}"
+                        yield ok, case, x
 
 
 def suite_certificates(seed: int = 0) -> Iterator[Check]:
@@ -257,7 +249,7 @@ def suite_orbit(seed: int = 0) -> Iterator[Check]:
         x = Element.single(ModuleKind.GAMMA, mono)
         lhs = sq(project_to_orbit(x, kind), l)
         rhs = project_to_orbit(sq(translated, l), kind)
-        yield lhs == rhs, lambda: _fail_json(x, f"orbit action {kind.value} l={l}")
+        yield lhs == rhs, f"orbit action {kind.value} l={l}", x
     for kind, (s_max, d_max, k_max) in ((ModuleKind.GAMMA_SYM, (4, 14, 1)),
                                         (ModuleKind.GAMMA_CYC, (4, 14, 1))):
         yield from certify_null_delta(kind, s_max, d_max, k_max)
@@ -284,7 +276,7 @@ def suite_ideal(seed: int = 0) -> Iterator[Check]:
         target = hit.spike_image_basis(prod_b, k, ModuleKind.GAMMA)
         for p in (concat_product(x, y), concat_product(y, x)):
             v = hit.element_to_vector(p, prod_b, ModuleKind.GAMMA)
-            yield f2linalg.contains(target, v), lambda: _fail_json(p, f"ideal k={k}")
+            yield f2linalg.contains(target, v), f"ideal k={k}", p
 
 
 def suite_containment(seed: int = 0) -> Iterator[Check]:
@@ -297,7 +289,7 @@ def suite_containment(seed: int = 0) -> Iterator[Check]:
                     delta = hit.delta_basis(b, k, kind)
                     image = hit.spike_image_basis(b, k, kind)
                     ok = f2linalg.contains_subspace(delta, image)
-                    yield ok, lambda: json.dumps({"case": f"containment {kind.value} {b} k={k}"})
+                    yield ok, f"containment {kind.value} {b} k={k}", None
 
 
 def suite_structure(seed: int = 0) -> Iterator[Check]:
@@ -308,25 +300,21 @@ def suite_structure(seed: int = 0) -> Iterator[Check]:
             b = Bidegree(s, d)
             ker1 = f2linalg.kernel_basis(hit.sq_matrix(b, 1, ModuleKind.GAMMA))
             for x in hit.subspace_elements(ker1, b, ModuleKind.GAMMA):
-                yield (not structure.check_sq1_relations(x),
-                       lambda: _fail_json(x, "sq1 checker on kernel vector"))
+                yield not structure.check_sq1_relations(x), "sq1 checker on kernel vector", x
             ker2 = f2linalg.kernel_basis(hit.sq_matrix(b, 2, ModuleKind.GAMMA))
             for x in hit.subspace_elements(ker2, b, ModuleKind.GAMMA):
-                yield (not structure.check_sq2_relations(x),
-                       lambda: _fail_json(x, "sq2 checker on kernel vector"))
+                yield not structure.check_sq2_relations(x), "sq2 checker on kernel vector", x
             for x in hit.subspace_elements(hit.delta_basis(b, 1, ModuleKind.GAMMA), b, ModuleKind.GAMMA):
-                yield (not structure.check_delta1_structure(x),
-                       lambda: _fail_json(x, "delta1 checker on kernel vector"))
+                yield not structure.check_delta1_structure(x), "delta1 checker on kernel vector", x
             # Coincidence on random elements covers the converse direction.
             for _ in range(6):
                 x = random_element(rng, ModuleKind.GAMMA, s, d)
                 yield ((not structure.check_sq1_relations(x)) == sq(x, 1).is_zero(),
-                       lambda: _fail_json(x, "sq1 checker equivalence"))
+                       "sq1 checker equivalence", x)
                 yield ((not structure.check_sq2_relations(x)) == sq(x, 2).is_zero(),
-                       lambda: _fail_json(x, "sq2 checker equivalence"))
+                       "sq2 checker equivalence", x)
                 in_delta1 = sq(x, 1).is_zero() and sq(x, 2).is_zero()
-                yield ((not structure.check_delta1_structure(x)) == in_delta1,
-                       lambda: _fail_json(x, "delta1 checker equivalence"))
+                yield (not structure.check_delta1_structure(x)) == in_delta1, "delta1 checker equivalence", x
 
 
 def suite_i1_membership(seed: int = 0) -> Iterator[Check]:
@@ -343,9 +331,9 @@ def suite_i1_membership(seed: int = 0) -> Iterator[Check]:
                 x = hit.vector_to_element(r, b, ModuleKind.GAMMA)
                 member, witness = structure.i1_membership(x)
                 direct = f2linalg.contains(im3, r)
-                yield member == direct, lambda: _fail_json(x, "criterion vs direct image membership")
+                yield member == direct, "criterion vs direct image membership", x
                 if member:
-                    yield sq(witness, 3) == x, lambda: _fail_json(x, "witness Sq^3 mismatch")
+                    yield sq(witness, 3) == x, "witness Sq^3 mismatch", x
 
 
 def suite_builder(seed: int = 0) -> Iterator[Check]:
@@ -365,7 +353,7 @@ def suite_builder(seed: int = 0) -> Iterator[Check]:
         ok = sq(x, 1).is_zero() and sq(x, 2).is_zero()
         if ok and not x.is_zero():
             ok = structure.decompose_first_factor(x).get(1, Element.zero(ModuleKind.GAMMA, s1, d1)) == x1
-        yield ok, lambda: _fail_json(x1, "builder output membership")
+        yield ok, "builder output membership", x1
 
 
 def suite_counterexample(seed: int = 0) -> Iterator[Check]:
@@ -377,16 +365,17 @@ def suite_counterexample(seed: int = 0) -> Iterator[Check]:
     zvec = hit.element_to_vector(z, Bidegree(5, 9), G)
     im2 = f2linalg.image_basis(hit.sq_matrix(Bidegree(4, 10), 2, G))
     im3 = f2linalg.image_basis(hit.sq_matrix(Bidegree(5, 12), 3, G))
+    rep = hit.unhit_report(Bidegree(5, 9), 1, G)
     facts = (
         ("witness w is not killed by Sq^2", sq(w, 2).is_zero()),
         ("witness w unexpectedly lies in im Sq^2", not f2linalg.contains(im2, wvec)),
         ("witness z is not killed by Sq^1 and Sq^2",
-         f2linalg.contains(hit.delta_basis(Bidegree(5, 9), 1, G), zvec)),
+         f2linalg.contains(rep.delta, zvec)),
         ("witness z unexpectedly lies in im Sq^3", not f2linalg.contains(im3, zvec)),
-        ("unhit dimension at (5,9) is zero", hit.unhit_report(Bidegree(5, 9), 1, G).dim_unhit >= 1),
+        ("unhit dimension at (5,9) is zero", rep.dim_unhit >= 1),
     )
     for case, ok in facts:
-        yield ok, lambda: json.dumps({"case": case})
+        yield ok, case, None
 
 
 SUITES: Dict[str, Callable[[int], Iterator[Check]]] = {

@@ -633,6 +633,14 @@ class TestVerify:
                                    "ok": False}
         assert err == 'FAIL counterexample: {"case": "witness z unexpectedly lies in im Sq^3"}\n'
 
+    def test_certificate_cell_outside_its_kernel_exit_5(self, capsys, monkeypatch):
+        # The certificate reads each cell through unhit_report, whose
+        # containment check raises rather than failing a check.
+        monkeypatch.setattr(f2linalg, "contains_subspace", lambda outer, inner: False)
+        code, out, err = run(capsys, "verify", "--suite", "certificates")
+        assert (code, out) == (5, "")
+        assert err == "internal error: gamma (1,1), k=0, unhit containment check: image not contained in kernel\n"
+
     def test_unknown_suite_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "no-such-suite")
         assert code == 2 and "unknown suite" in err
@@ -764,9 +772,8 @@ class TestReadme:
 
     def test_cited_names_resolve(self):
         # Every `module.name` or `sqhit.module.name` that README cites
-        # outside its list of removed names exists.
-        text = README.read_text().split("Removed names and what replaces each:", 1)[0]
-        text = re.sub(r"```.*?```", "", text, flags=re.S)
+        # exists.
+        text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
         modules = {m.name for m in pkgutil.iter_modules(sqhit.__path__)}
         cited = [m.groups() for m in (re.match(r"(?:sqhit\.)?(\w+)\.(\w+)", span)
                                       for span in re.findall(r"`([^`]+)`", text))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sqhit import structure, suites
+from sqhit import f2linalg, structure, suites
 from sqhit.homotopy import ChainCertificateError
 from sqhit.modules import Element, ModuleKind
 
@@ -10,13 +10,26 @@ G = ModuleKind.GAMMA
 
 
 class TestTally:
-    def test_first_failure_described_before_the_suite_resumes(self):
-        # The describes read the loop variable late, as the suites' do.
-        def checks():
-            for n in range(4):
-                yield n % 2 == 0, lambda: f"case {n}"
+    def test_first_failure_written_as_json(self):
+        checks = [(True, "a", None), (False, "b", Element.single(G, (2, 1))), (False, "c", None)]
+        assert suites.tally("t", checks) == suites.SuiteResult(
+            "t", 1, 2, '{"case": "b", "element": {"kind": "gamma", "s": 2, "d": 3, "monomials": [[2, 1]]}}')
+        assert suites.tally("t", checks[2:]) == suites.SuiteResult("t", 0, 1, '{"case": "c"}')
 
-        assert suites.tally("t", checks()) == suites.SuiteResult("t", 2, 2, "case 1")
+    @pytest.mark.parametrize("module,name,broken,suite,first", [
+        (structure, "unhit_witness_5_9", lambda: Element.zero(G, 5, 9), "counterexample",
+         {"case": "witness z unexpectedly lies in im Sq^3"}),
+        (f2linalg, "contains_subspace", lambda a, b: False, "containment",
+         {"case": "containment gamma Bidegree(s=1, d=1) k=0"}),
+    ], ids=["counterexample", "containment"])
+    def test_collected_checks_name_the_streamed_first_failure(self, monkeypatch, module, name, broken,
+                                                              suite, first):
+        # A record carries its own case, so a suite's checks collected into
+        # a list name the same first failure as the stream does.
+        monkeypatch.setattr(module, name, broken)
+        streamed = suites.run(suite)
+        assert json.loads(streamed.first_failure) == first
+        assert suites.tally(suite, list(suites.SUITES[suite](0))) == streamed
 
 
 class TestCartanSuite:
@@ -50,9 +63,9 @@ class TestCertifyNullDelta:
 
 class TestCertificatesSuite:
     def test_reports_under_its_own_name(self, monkeypatch):
-        checks = [(True, None), (False, lambda: "x"), (True, None), (True, None)]
+        checks = [(True, "w", None), (False, "x", None), (True, "y", None), (True, "z", None)]
         monkeypatch.setattr(suites, "certify_null_delta", lambda *args: iter(checks))
-        assert suites.run("certificates") == suites.SuiteResult("certificates", 3, 1, "x")
+        assert suites.run("certificates") == suites.SuiteResult("certificates", 3, 1, '{"case": "x"}')
 
 
 class TestCounterexampleSuite:
