@@ -24,6 +24,7 @@ from .modules import (
     Bidegree,
     Element,
     ExpansionTooLarge,
+    Expansions,
     InternalInconsistencyError,
     ModuleKind,
     POSITIVE_KINDS,
@@ -119,6 +120,11 @@ def _read_element(path: str) -> Element:
         raise ValueError(f"bad element input: {exc}") from exc
 
 
+def _terms(x: Element) -> str:
+    """The terms of x as a refusal names them, e.g. ``5 arity-2 terms``."""
+    return f"an arity-{x.s} term" if len(x.support) == 1 else f"{len(x.support)} arity-{x.s} terms"
+
+
 def _write_element(x: Element, path: Optional[str]) -> None:
     text = json.dumps(element_to_json(x), indent=None, sort_keys=True)
     if path is None or path == "-":
@@ -156,11 +162,10 @@ def cmd_sq(args, cfg: Config) -> int:
         # The output would have a negative degree, which no element file has.
         raise ValueError(f"Sq^{args.l} exceeds the degree d={x.d} of a {x.kind.value} element")
     try:
-        y = sq(x, args.l, limit=cfg.max_dim)
+        with Expansions(cfg.max_dim):
+            y = sq(x, args.l)
     except ExpansionTooLarge:
-        n = len(x.support)
-        terms = f"an arity-{x.s} term" if n == 1 else f"{n} arity-{x.s} terms"
-        raise CliError(3, f"Sq^{args.l} takes too many Cartan steps on {terms}, more than max_dim={cfg.max_dim}")
+        raise CliError(3, f"Sq^{args.l} takes too many Cartan steps on {_terms(x)}, more than max_dim={cfg.max_dim}")
     _write_element(y, args.output)
     return 0
 
@@ -213,9 +218,9 @@ def cmd_report(args, cfg: Config) -> int:
     # Refuse a box before computing any of its cells.
     for s, d in cells:
         _check_pieces(cfg, args.kind, s, d, args.k)
-    rows = [_report_row(hit.unhit_report(Bidegree(s, d), args.k, args.kind)) for s, d in cells]
+    rows = (_report_row(hit.unhit_report(Bidegree(s, d), args.k, args.kind)) for s, d in cells)
     if args.format == "json":
-        print(json.dumps(rows))
+        print(json.dumps([*rows]))
     else:
         import csv  # the one branch that needs it
 
@@ -255,11 +260,15 @@ def cmd_preimage(args, cfg: Config) -> int:
     _check_order(cfg, args.k)
     _check_arity(x.s)
     h = HomotopySystem(x.kind, args.k, args.position)
+    budget = (args.k + 1) * cfg.max_dim  # one max_dim per spike square checked
     try:
-        chain = preimage_chain(x, h)
+        with Expansions(budget):
+            chain = preimage_chain(x, h)
+    except ExpansionTooLarge:
+        raise CliError(3, f"preimage chain of order k={args.k} takes too many Cartan steps on {_terms(x)}, "
+                          f"more than (k+1)*max_dim={budget}")
     except NullMembershipError as exc:
-        offending = monomial_str(exc.kind, exc.entries)
-        raise CliError(4, f"element outside null subspace: offending monomial {offending}")
+        raise CliError(4, f"element outside null subspace: offending monomial {monomial_str(exc.kind, exc.entries)}")
     except AnnihilationError as exc:
         raise CliError(4, f"element not annihilated: failing i={exc.failing_i}")
     for i, y in enumerate(chain):

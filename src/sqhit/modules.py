@@ -227,7 +227,7 @@ class InternalInconsistencyError(RuntimeError):
 
 
 class ExpansionTooLarge(Exception):
-    """A limited ``sq`` spent its allowance of Cartan steps."""
+    """An expansion spent its context's allowance of Cartan steps."""
 
 
 # Expansions.support (the gamma-sym split on the largest part included)
@@ -239,10 +239,10 @@ MAX_ARITY = 256
 
 class Expansions:
     """A context of monomial expansions: their memos, and the allowance of
-    Cartan steps they may still take.  ``sq`` without a limit expands in
-    the module's context ``EXPANSIONS``; a limited ``sq`` in a fresh one
-    that it drops, so its charge does not depend on earlier calls and a
-    refusal keeps nothing.
+    Cartan steps they may still take; every memo read and every charge is
+    the current context's, ``EXPANSIONS``.  ``with Expansions(n):`` makes a
+    fresh one current for one block at a time and restores the ``outer``
+    one however the block ends, so the n steps are the block's own budget.
 
     ``tables[kind][l]`` is a plain dict from entry tuples to the support of
     [entries]Sq^l in that kind, for gamma, nabla and gamma-sym; ``support``
@@ -277,7 +277,7 @@ class Expansions:
     refused decode adds nothing to it.
     """
 
-    __slots__ = ("allowance", "tables", "rows", "high", "shifted", "bits", "terms")
+    __slots__ = ("allowance", "tables", "rows", "high", "shifted", "bits", "terms", "outer")
 
     def __init__(self, allowance=math.inf):
         self.allowance = allowance
@@ -287,6 +287,15 @@ class Expansions:
         self.shifted = defaultdict(dict)
         self.bits = defaultdict(dict)
         self.terms = {}
+
+    def __enter__(self) -> "Expansions":
+        global EXPANSIONS
+        self.outer, EXPANSIONS = EXPANSIONS, self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global EXPANSIONS
+        EXPANSIONS = self.outer
 
     def charge(self, steps: int) -> None:
         self.allowance -= steps
@@ -358,14 +367,12 @@ class Expansions:
 EXPANSIONS = Expansions()
 
 
-def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
+def sq(x: Element, l: int) -> Element:
     """Total right action of Sq^l on an element: the sum mod 2 of
-    ``Expansions.support`` over its terms.  For gamma-cyc each term's
+    ``Expansions.support`` over its terms in the current context, whose
+    allowance they charge (see ``Expansions``).  For gamma-cyc each term's
     square is projected to necklaces on its own, which gives the same sum
-    since projection is linear mod 2.  With a limit, the expansions of all
-    its terms together may take at most that many Cartan steps (loop steps
-    plus entries built, see ``Expansions``), or ExpansionTooLarge is
-    raised."""
+    since projection is linear mod 2."""
     if type(l) is not int:
         raise ValueError(f"square index l={l!r} must be a plain int")
     if l < 0:
@@ -375,10 +382,9 @@ def sq(x: Element, l: int, limit: Optional[int] = None) -> Element:
     if x.kind in POSITIVE_KINDS and l > x.d - x.s:
         # Every entry stays >= 1, so no term reaches degree d - l < s.
         return Element._make((x.kind, x.s, x.d - l, frozenset()))
-    ctx = EXPANSIONS if limit is None else Expansions(limit)
     acc: set = set()
     for t in x.support:
-        acc ^= ctx.support(x.kind, t, l)
+        acc ^= EXPANSIONS.support(x.kind, t, l)
     return Element._make((x.kind, x.s, x.d - l, frozenset(acc)))
 
 

@@ -20,7 +20,6 @@ from .modules import (
     Element,
     InternalInconsistencyError,
     ModuleKind,
-    concat_product,
     sq,
 )
 
@@ -38,6 +37,12 @@ def decompose_first_factor(x: Element) -> Dict[int, Element]:
         grouped.setdefault(t[0], []).append(t[1:])
     # The tails that share a first entry are distinct, so nothing cancels.
     return {i: Element._make((G, x.s - 1, x.d - i, frozenset(tails))) for i, tails in grouped.items()}
+
+
+def compose_first_factor(parts: Dict[int, Element], s: int, d: int) -> Element:
+    """The element x = sum [i].x_i of (s, d) from its parts {i: x_i}, each
+    of arity s-1 and degree d-i: the inverse of ``decompose_first_factor``."""
+    return Element(G, s, d, frozenset([(i,) + t for i, part in parts.items() for t in part.support]))
 
 
 def _parts(x: Element) -> Tuple[Callable[[int], Element], int]:
@@ -113,15 +118,7 @@ def build_delta1_element(x1: Element, d: int) -> Element:
     if x1.d != d - 1:
         raise ValueError(f"x_1 must have degree {d - 1}")
     s1 = x1.s
-    x = Element.zero(G, s1 + 1, d)
-
-    def put(i: int, part: Element) -> None:
-        nonlocal x
-        if not part.is_zero():
-            x = x + concat_product(Element.single(G, (i,)), part)
-
-    put(1, x1)
-    put(2, sq(x1, 1))
+    parts = {1: x1, 2: sq(x1, 1)}
     # x_i for i = 4m-1 solves x_i Sq^1 = x_1 Sq^3 (m = 1) or x_{i-4}Sq^2Sq^3;
     # a part x_i is nonzero only for i <= d - s1.
     target = sq(x1, 3)
@@ -132,11 +129,9 @@ def build_delta1_element(x1: Element, d: int) -> Element:
             raise InternalInconsistencyError(f"gamma ({b.s},{b.d}), k=1, build_delta1_element Sq^1 preimage:"
                                              " no preimage; construction should not fail")
         y = vector_to_element(v, b, G)
-        put(i, y)
-        put(i + 1, sq(y, 1))
-        put(i + 2, sq(y, 2))
-        put(i + 3, sq(sq(y, 2), 1))
+        parts.update({i: y, i + 1: sq(y, 1), i + 2: sq(y, 2), i + 3: sq(sq(y, 2), 1)})
         target = sq(sq(y, 2), 3)
+    x = compose_first_factor(parts, s1 + 1, d)
     if not sq(x, 1).is_zero() or not sq(x, 2).is_zero():
         raise InternalInconsistencyError(f"gamma ({s1 + 1},{d}), k=1, build_delta1_element check:"
                                          " assembled element is not killed by Sq^1 and Sq^2")
@@ -167,10 +162,8 @@ def i1_membership(x: Element) -> Tuple[bool, Optional[Element]]:
         return False, None
 
     # The tail preimage shifts every odd first factor [i] up to [i+3].
-    witness = concat_product(Element.single(G, (2,)), vector_to_element(wbits, src, G))
-    for i in sorted(parts):
-        if i % 2 == 1:
-            witness = witness + concat_product(Element.single(G, (i + 3,)), parts[i])
+    witness = compose_first_factor({2: vector_to_element(wbits, src, G),
+                                    **{i + 3: part for i, part in parts.items() if i % 2}}, x.s, x.d + 3)
     if sq(witness, 3) != x:
         raise InternalInconsistencyError(f"gamma ({x.s},{x.d}), k=1, i1_membership check:"
                                          " constructed Sq^3 preimage failed verification")

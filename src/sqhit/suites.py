@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from . import f2linalg, hit, structure
@@ -182,22 +183,13 @@ def suite_homotopy(seed: int = 0) -> Iterator[Check]:
         i = rng.randint(1, s)
         a, b = rng.sample(range(s), 2)
         r = rng.randint(1, 8)
-
-        def transpose(t):
-            t = list(t)
-            t[a], t[b] = t[b], t[a]
-            return tuple(t)
-
-        sigma_i = i
-        if i - 1 == a:
-            sigma_i = b + 1
-        elif i - 1 == b:
-            sigma_i = a + 1
+        perm = [*range(s)]
+        perm[a], perm[b] = b, a
+        permute = itemgetter(*perm)  # s >= 2 items, so it gives a tuple
         x = Element.single(ModuleKind.GAMMA, mono)
-        shifted_then_permuted = Element.from_monomials(
-            ModuleKind.GAMMA, s, d + r, (transpose(t) for t in shift(x, i, r).support))
-        permuted = Element.single(ModuleKind.GAMMA, transpose(mono))
-        permuted_then_shifted = shift(permuted, sigma_i, r)
+        shifted_then_permuted = Element.from_monomials(ModuleKind.GAMMA, s, d + r, map(permute, shift(x, i, r).support))
+        # The transposition is its own inverse: entry i - 1 moves to perm[i - 1].
+        permuted_then_shifted = shift(Element.single(ModuleKind.GAMMA, permute(mono)), perm[i - 1] + 1, r)
         yield shifted_then_permuted == permuted_then_shifted, f"shift/permutation i={i} r={r}", x
 
 

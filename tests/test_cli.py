@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sqhit
-from sqhit import cli, f2linalg, hit, homotopy, structure, suites
+from sqhit import cli, f2linalg, hit, homotopy, modules, structure, suites
 from sqhit.cli import main
 from sqhit.homotopy import ChainCertificateError
 from sqhit.modules import (
@@ -601,6 +601,24 @@ class TestReport:
         code, out, err = run(capsys, "report", "--kind", "gamma", "--k", "1", "--s-max", "7", "--d-max", "24")
         assert (code, out, err) == (3, "", "gamma bidegree (s,d)=(7,27): basis size exceeds max_dim=200000\n")
 
+    def test_csv_rows_stream_before_a_failed_cell(self, capsys, monkeypatch):
+        # The third of six cells fails; CSV has already written the two
+        # rows before it.
+        calls = []
+        real = hit.unhit_report
+
+        def third_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise hit.InternalInconsistencyError("third cell")
+            return real(*args)
+
+        monkeypatch.setattr(hit, "unhit_report", third_fails)
+        code, out, err = run(capsys, "report", "--kind", "gamma", "--k", "1", "--s-max", "2", "--d-max", "3")
+        assert (code, err) == (5, "internal error: third cell\n")
+        assert out.splitlines() == ["kind,s,d,k,dim_delta,dim_image,dim_unhit,degenerate",
+                                    "gamma,1,1,1,1,0,1,True", "gamma,1,2,1,0,0,0,True"]
+
     @pytest.mark.parametrize("k,code,message", [
         ("-2", 2, "order k=-2 must be >= 0"), ("9", 3, "order k=9 exceeds max_k=4"),
     ], ids=["negative", "past-max-k"])
@@ -743,6 +761,21 @@ class TestPreimage:
         path = write_element(tmp_path, x)
         code, _, _ = run(capsys, "preimage", "--in", path, "--k", "9")
         assert code == 3
+
+    def test_chain_past_its_budget_exit_3(self, capsys, tmp_path):
+        # Forty arity-40 terms in ker Sq^1, null at position 1: y_1 Sq^3
+        # expands each, and the chain spends its (k+1)*max_dim steps at once.
+        terms = [[7] + [2] * 39] + [[8] + [2] * (p - 1) + [1] + [2] * (39 - p) for p in range(1, 40)]
+        path = tmp_path / "wide-40.json"
+        path.write_text(json.dumps({"kind": "gamma", "s": 40, "d": 85, "monomials": terms}))
+        outer = modules.EXPANSIONS
+        start = time.perf_counter()
+        code, out, err = run(capsys, "preimage", "--in", str(path), "--k", "1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.strip() == ("preimage chain of order k=1 takes too many Cartan steps on 40 arity-40 terms,"
+                               " more than (k+1)*max_dim=400000")
+        assert modules.EXPANSIONS is outer
 
     def test_negative_order_exit_2(self, capsys, tmp_path):
         x = element_from_json({"kind": "gamma", "s": 1, "d": 3, "monomials": [[3]]})

@@ -509,6 +509,14 @@ class TestFirstFactorStructure:
         assert sum((modules.concat_product(gamma((i,)), part) for i, part in parts.items()),
                    Element.zero(G, 3, 4)) == x
 
+    def test_compose_inverts_decompose(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            s = rng.randint(2, 5)
+            b = Bidegree(s, rng.randint(s, s + 7))
+            x = hit.vector_to_element(rng.getrandbits(len(basis(b, G))), b, G)
+            assert structure.compose_first_factor(structure.decompose_first_factor(x), x.s, x.d) == x
+
     def test_decompose_rejects_arity_one(self):
         with pytest.raises(ValueError):
             structure.decompose_first_factor(gamma((3,)))
@@ -617,6 +625,18 @@ class TestCounterexample:
     def test_mutated_witness_leaves_delta(self):
         z = structure.unhit_witness_5_9() + gamma((1, 1, 1, 1, 5))
         assert not (sq(z, 1).is_zero() and sq(z, 2).is_zero())
+
+    def test_built_class_is_the_unhit_class(self):
+        # Built from x_1 = w, the element lies in Delta(1) but not in I(1).
+        # It differs from z in four terms of x_3, and that difference lies
+        # in I(1): both stand for the one class of U(1) at (5,9).
+        x = structure.build_delta1_element(structure.sq2_kernel_witness(), 9)
+        assert sq(x, 1).is_zero() and sq(x, 2).is_zero()
+        assert structure.i1_membership(x) == (False, None)
+        diff = x + structure.unhit_witness_5_9()
+        assert {t[0] for t in diff.support} == {3} and len(diff.support) == 4
+        rep = hit.unhit_report(Bidegree(5, 9), 1, G)
+        assert f2linalg.contains(rep.image, hit.element_to_vector(diff, Bidegree(5, 9), G))
 
     def test_z_relates_to_w_by_first_factor(self):
         # The degree-1 first-factor part of z is exactly w.

@@ -227,6 +227,12 @@ def memo_size(kind=None):
     return sum(len(table) for k in (tables if kind is None else (kind,)) for table in tables[k].values())
 
 
+def limited_sq(x, l, steps):
+    """x Sq^l in a fresh context of its own, with an allowance of steps."""
+    with modules.Expansions(steps):
+        return sq(x, l)
+
+
 class TestCartanSteps:
     def test_hand_values(self):
         # The count is exact: an allowance of steps is enough and one less
@@ -250,11 +256,11 @@ class TestCartanSteps:
         ):
             x = Element.single(kind, entries)
             clear_expansion_caches()
-            out = sq(x, l, limit=steps)
+            out = limited_sq(x, l, steps)
             assert out == naive_sq(x, l)
             clear_expansion_caches()
             with pytest.raises(ExpansionTooLarge):
-                sq(x, l, limit=steps - 1)
+                limited_sq(x, l, steps - 1)
             # A refused expansion leaves no plain suffix in the default
             # context.
             assert memo_size() == 0
@@ -272,10 +278,10 @@ class TestCartanSteps:
         for kind in (G, ModuleKind.GAMMA_CYC):
             x = Element(kind, 2, 4, frozenset([(2, 2), (3, 1)]))
             clear_expansion_caches()
-            assert sq(x, 1, limit=13) == naive_sq(x, 1)
+            assert limited_sq(x, 1, 13) == naive_sq(x, 1)
             clear_expansion_caches()
             with pytest.raises(ExpansionTooLarge):
-                sq(x, 1, limit=12)
+                limited_sq(x, 1, 12)
 
     def test_bounds_the_terms_built(self):
         # On forty 2s every loop takes at most two steps, at most 40 * 21
@@ -289,22 +295,22 @@ class TestCartanSteps:
             start = time.perf_counter()
             if refused:
                 with pytest.raises(ExpansionTooLarge):
-                    sq(x, 20, limit=200000)
+                    limited_sq(x, 20, 200000)
             else:
-                assert sq(x, 20, limit=10000).is_zero()
+                assert limited_sq(x, 20, 10000).is_zero()
             assert time.perf_counter() - start < 1.0
 
     def test_limited_outcome_does_not_depend_on_earlier_calls(self):
         # [2, 2]Sq^1 takes 10 steps however warm the default context is: a
-        # limited sq expands in a context of its own.
+        # limited sq expands in a fresh context of its own.
         x = gamma((2, 2))
         clear_expansion_caches()
         with pytest.raises(ExpansionTooLarge):
-            sq(x, 1, limit=9)
+            limited_sq(x, 1, 9)
         assert sq(x, 1) == naive_sq(x, 1)
         with pytest.raises(ExpansionTooLarge):
-            sq(x, 1, limit=9)
-        assert sq(x, 1, limit=10) == naive_sq(x, 1)
+            limited_sq(x, 1, 9)
+        assert limited_sq(x, 1, 10) == naive_sq(x, 1)
 
     def test_refusal_leaves_the_default_context_unchanged(self):
         # Refused part way, [2]*6 Sq^3 has finished several suffixes; none
@@ -314,8 +320,30 @@ class TestCartanSteps:
         before = memo_size()
         assert before > 0
         with pytest.raises(ExpansionTooLarge):
-            sq(x, 3, limit=40)
+            limited_sq(x, 3, 40)
         assert memo_size() == before
+
+    def test_raising_block_restores_the_outer_context(self):
+        # [2, 2]Sq^1 takes 10 steps, one more than the block's allowance.
+        outer = modules.EXPANSIONS
+        with pytest.raises(ExpansionTooLarge):
+            with modules.Expansions(9) as ctx:
+                assert modules.EXPANSIONS is ctx
+                sq(gamma((2, 2)), 1)
+        assert modules.EXPANSIONS is outer
+
+    def test_nested_blocks_restore_in_order(self):
+        # The inner block takes the charge and the memos; the outer one
+        # gets both back untouched.
+        outer = modules.EXPANSIONS
+        with modules.Expansions(100) as a:
+            with modules.Expansions(10) as b:
+                assert modules.EXPANSIONS is b
+                assert sq(gamma((2, 2)), 1) == naive_sq(gamma((2, 2)), 1)
+            assert modules.EXPANSIONS is a
+            assert (a.allowance, b.allowance) == (100, 0)
+            assert memo_size() == 0
+        assert modules.EXPANSIONS is outer
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -337,7 +365,7 @@ class TestCartanSteps:
                 limit = data.draw(st.none() | st.integers(0, 60))
                 size = memo_size()
                 try:
-                    out = sq(x, l, limit)
+                    out = sq(x, l) if limit is None else limited_sq(x, l, limit)
                 except ExpansionTooLarge:
                     assert limit is not None
                 else:
