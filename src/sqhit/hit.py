@@ -154,8 +154,8 @@ def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) ->
     meet and cancel.
 
     A necklace is not closed under the split, so a gamma-cyc row is the
-    support ``ctx.support`` gives its basis monomial: the plain gamma
-    support, from ctx's gamma tables, projected to necklaces.
+    support ``ctx.support`` gives its basis monomial, not kept: the plain
+    gamma support, built on ctx's gamma tails, projected to necklaces.
     """
     out = ctx.rows[kind].get((s, d, l))
     if out is not None:
@@ -164,7 +164,7 @@ def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) ->
         out = (binom_mod2(d - l, l),)
     elif kind is _CYC:
         index = _basis_index(Bidegree(s, d - l), kind)
-        out = tuple(sum(1 << index[t] for t in ctx.support(kind, m, l)) for m in basis(Bidegree(s, d), kind))
+        out = tuple(sum(1 << index[t] for t in ctx.support(kind, m, l, keep=False)) for m in basis(Bidegree(s, d), kind))
     else:
         dom, cod = _offsets(kind, s, d), _offsets(kind, s, d - l)
         blocks: Dict[int, List[int]] = {}

@@ -230,7 +230,7 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
             for n, t in enumerate(x.support):
                 if pairs[n] is None:
                     u = t[:j] + (t[j] + r,) + t[p:]
-                    pairs[n] = memo[t] = (u, ctx.mask(kind, x.s, x.d, (t, *ctx.support(kind, u, r))))
+                    pairs[n] = memo[t] = (u, ctx.mask(kind, x.s, x.d, (t, *ctx.support(kind, u, r, keep=False))))
         y = Element._make((kind, x.s, x.d + r, frozenset(map(_first, pairs))))
         if len(y.support) != len(pairs) or reduce(xor, map(_second, pairs), 0):
             raise _failed_certificate(x, h, i, f"Sq^{r} != x")

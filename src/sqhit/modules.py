@@ -245,17 +245,18 @@ class Expansions:
     one however the block ends, so the n steps are the block's own budget.
 
     ``tables[kind][l]`` is a plain dict from entry tuples to the support of
-    [entries]Sq^l in that kind, for gamma, nabla and gamma-sym; ``support``
-    looks its entries up and expands the ones it lacks.  gamma-cyc has no
-    table: a necklace's square is its representative's plain gamma square
-    projected to necklaces, so it reads the gamma table and keeps nothing
-    of its own.  ``support`` is the one code that reads ``tables`` or
-    projects a gamma-cyc square, and every square of a monomial goes
-    through it: ``sq`` term by term, the gamma-cyc rows of
-    ``hit.sq_matrix`` and the memo misses of ``homotopy.preimage_chain``.
-    Each expansion that misses its table charges the allowance: the loop
-    steps, counted before the loop runs, and the entries of the terms they
-    build, so the work done before a refusal does not grow with the arity.
+    [entries]Sq^l in that kind, for gamma, nabla and gamma-sym.  gamma-cyc
+    has no table: a necklace's square is its representative's plain gamma
+    square projected to necklaces, which reads the gamma table.  Every
+    square of a monomial goes through ``support``, the one code that reads
+    ``tables``.  It keeps every tail it recurses into, but the support it
+    was asked for only if the caller asks: ``sq`` does, as its terms
+    repeat, while the gamma-cyc rows of ``hit.sq_matrix`` and the memo
+    misses of ``homotopy.preimage_chain`` keep theirs in ``rows`` and
+    ``shifted``.  Each expansion that misses its table charges the
+    allowance: the loop steps, counted before the loop runs, and the
+    entries of the terms they build, so the work done before a refusal
+    does not grow with the arity.
 
     ``rows[kind]`` holds the rows of ``hit.sq_matrix``, keyed (s, d, l);
     ``high`` the gamma-sym column tables they are sorted through, (s, e, b).
@@ -314,9 +315,10 @@ class Expansions:
             out ^= b
         return out
 
-    def support(self, kind: ModuleKind, entries: Tuple[int, ...], l: int) -> frozenset:
-        """The support of [entries]Sq^l in kind, from its table or expanded
-        into it; in gamma-cyc, the gamma support projected to necklaces.
+    def support(self, kind: ModuleKind, entries: Tuple[int, ...], l: int, keep: bool = True) -> frozenset:
+        """The support of [entries]Sq^l in kind, from its table or expanded,
+        its tails kept there and itself only with keep; in gamma-cyc, the
+        gamma support projected to necklaces.
 
         An expansion is the Cartan formula on the first entry a, whose
         shared tails are reused from the tables: entry tuples for gamma and
@@ -334,7 +336,7 @@ class Expansions:
         matrices from blocks.
         """
         if kind is ModuleKind.GAMMA_CYC:
-            return _project(self.support(ModuleKind.GAMMA, entries, l), _cyc_canonical)
+            return _project(self.support(ModuleKind.GAMMA, entries, l, keep), _cyc_canonical)
         tables = self.tables[kind]
         out = tables[l].get(entries)
         if out is not None:
@@ -360,7 +362,9 @@ class Expansions:
                 out ^= {t[:j] + (b,) + t[j:] for t in tails for j in (bisect_left(t, -b, key=neg),)}
             else:
                 out.update((b,) + t for t in tails)
-        tables[l][entries] = out = frozenset(out)
+        out = frozenset(out)
+        if keep:
+            tables[l][entries] = out
         return out
 
 

@@ -134,12 +134,32 @@ class TestSqMatrix:
                 assert (m.rows, m.cols, m.data) == want, (s, d, l)
 
     def test_cyc_build_leaves_the_necklace_memo_empty(self, monkeypatch):
-        # The rows project plain gamma supports; no necklace support is kept.
+        # The rows project plain gamma supports; no necklace support is kept,
+        # and of the plain ones only the tails below arity 5.
         monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         rep = hit.unhit_report(Bidegree(5, 16), 1, self.C)
         assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (70, 70, 0)
         assert self.C not in modules.EXPANSIONS.tables
         assert memo_size(ModuleKind.GAMMA) > 0
+        assert max(len(t) for by_l in modules.EXPANSIONS.tables[G].values() for t in by_l) == 4
+
+    def test_cyc_rows_keep_only_the_tails(self, monkeypatch):
+        # A row is packed into ctx.rows, so the plain support of its
+        # necklace is not kept; the arity-5 tails it was built from are.
+        b = Bidegree(6, 25)
+        with modules.Expansions() as ctx:
+            m = hit.sq_matrix(b, 3, self.C)
+        assert {len(t) for by_l in ctx.tables[G].values() for t in by_l} == {1, 2, 3, 4, 5}
+        # A build that keeps every support it expands, as sq does, gives the
+        # same rows and the same tails, and the arity-6 supports besides.
+        keep_all = modules.Expansions.support
+        monkeypatch.setattr(modules.Expansions, "support",
+                            lambda self, kind, entries, l, keep=True: keep_all(self, kind, entries, l))
+        with modules.Expansions() as kept:
+            assert hit.sq_matrix(b, 3, self.C) == m
+        tails = {l: {t: v for t, v in by_l.items() if len(t) < 6} for l, by_l in kept.tables[G].items()}
+        assert {l: by_l for l, by_l in tails.items() if by_l} == {l: by_l for l, by_l in ctx.tables[G].items() if by_l}
+        assert any(len(t) == 6 for by_l in kept.tables[G].values() for t in by_l)
 
     def test_cyc_squares_keep_no_expansion_of_their_own(self, monkeypatch):
         # Element-level sq, a preimage chain and a matrix build each read

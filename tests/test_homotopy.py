@@ -346,6 +346,21 @@ class TestPreimageChain:
             assert {key for key, memo in modules.EXPANSIONS.shifted.items() if memo} == {
                 (kind, p, (2 << i) - 1) for k in orders for p in positions for i in range(k + 1)}
 
+    @pytest.mark.parametrize("kind,s,d,k,positions", [
+        (G, 4, 16, 1, range(1, 5)), (ModuleKind.GAMMA_CYC, 4, 22, 2, (1,)),
+    ], ids=["gamma-4-16-k1", "gamma-cyc-4-22-k2"])
+    def test_chain_keeps_no_support_of_its_arity(self, kind, s, d, k, positions):
+        # The shifted memo keeps each (u, err), so the support of u Sq^R is
+        # not kept: only the tails it was expanded from, of lower arity.
+        rng = random.Random(23)
+        cases = [(x, HomotopySystem(kind, k, p))
+                 for p in positions for x in null_delta_classes(kind, s, d, k, p, rng, 4)]
+        with modules.Expansions() as ctx:
+            for x, h in cases:
+                assert preimage_chain(x, h) == nested_chain(x, h.order, h.position), (h, x)
+        assert any(ctx.tables[G].values())
+        assert not [t for table in ctx.tables.values() for by_l in table.values() for t in by_l if len(t) == s]
+
     def test_pieces_stay_isolated_in_one_context(self, monkeypatch):
         # The chains of every system in one shuffled order through one fresh
         # context: the gamma pieces share shifted[G, 1, 1], and each mask

@@ -323,6 +323,20 @@ class TestCartanSteps:
             limited_sq(x, 3, 40)
         assert memo_size() == before
 
+    def test_repeated_square_in_one_block_is_free(self):
+        # sq keeps the support of every term it expands, so the same square
+        # again in the same block reads them back and charges nothing.
+        # [2, 2]Sq^1 and [3, 1]Sq^1 take 10 + 3 steps, as above.
+        x = Element(G, 2, 4, frozenset([(2, 2), (3, 1)]))
+        with modules.Expansions(13) as ctx:
+            first = sq(x, 1)
+            assert ctx.allowance == 0
+            assert sq(x, 1) == first == naive_sq(x, 1)
+            assert ctx.allowance == 0
+            # Both terms, and the tails [2]Sq^1, [2]Sq^0 and [1]Sq^1.
+            assert x.support <= ctx.tables[G][1].keys()
+            assert memo_size() == 5
+
     def test_raising_block_restores_the_outer_context(self):
         # [2, 2]Sq^1 takes 10 steps, one more than the block's allowance.
         outer = modules.EXPANSIONS
