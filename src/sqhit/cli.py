@@ -218,7 +218,7 @@ def cmd_report(args, cfg: Config) -> int:
     # Refuse a box before computing any of its cells.
     for s, d in cells:
         _check_pieces(cfg, args.kind, s, d, args.k)
-    rows = (_report_row(hit.unhit_report(Bidegree(s, d), args.k, args.kind)) for s, d in cells)
+    rows = map(_report_row, hit.sweep(args.kind, cells, args.k))
     if args.format == "json":
         print(json.dumps([*rows]))
     else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from . import f2linalg, modules
 from .f2linalg import BitMatrix, Subspace
@@ -225,21 +225,18 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
 
     Row u is the coordinate vector of (basis monomial u)Sq^l in the
     lexicographic basis of the target piece, kept at ``rows[kind][s, d, l]``
-    of the default context ``modules.EXPANSIONS``, read once a call, and
-    built there by ``_block`` on a miss.  Gamma and gamma-sym rows
-    come from first-entry blocks, built from the rows one arity down with
-    no basis enumerated and no monomial expanded; gamma-cyc rows project
-    plain gamma supports.  Every build recurses one level per arity, so an
-    arity above ``MAX_ARITY`` is refused with ValueError before any is built.
+    of the current context, read once a call and built by ``_block`` on a
+    miss: a ``sweep``'s own for ``report`` and the chain certificates, else
+    the default ``modules.EXPANSIONS``.  Gamma and gamma-sym rows come from
+    first-entry blocks, built from the rows one arity down with no basis
+    enumerated and no monomial expanded; gamma-cyc rows project plain gamma
+    supports.  Every build recurses one level per arity, so an arity above
+    ``MAX_ARITY`` is refused with ValueError before any is built.
     """
     if b.s > MAX_ARITY:
         raise ValueError(f"arity s={b.s} exceeds the largest supported arity {MAX_ARITY}")
     n = basis_size(b, kind)
-    if type(l) is not int:
-        raise ValueError(f"square index l={l!r} must be a plain int")
-    if l < 0:
-        raise ValueError("negative square index")
-    target = Bidegree(b.s, b.d - l)
+    target = Bidegree(b.s, b.d - modules._square_index(l))
     cols = basis_size(target, kind) if target.d >= 0 else 0
     if cols == 0 or b.s == 0:
         # No codomain gives zero rows.  At arity 0 a nonempty codomain
@@ -296,3 +293,15 @@ def unhit_report(b: Bidegree, k: int, kind: ModuleKind) -> DeltaReport:
         raise InternalInconsistencyError(f"{kind.value} ({b.s},{b.d}), k={k}, unhit containment check:"
                                          " image not contained in kernel")
     return DeltaReport(kind, b, k, delta, image)
+
+
+def sweep(kind: ModuleKind, cells: Iterable[Tuple[int, int]], k: int) -> Iterator[DeltaReport]:
+    """The ``unhit_report`` of each (s, d) cell, in order, computed inside
+    ``with ctx:`` for one ``modules.Expansions`` that the sweep owns and
+    frees.  Each report is yielded after that block, so the caller's code
+    between reports runs in the caller's context, however it stops."""
+    ctx = modules.Expansions()
+    for s, d in cells:
+        with ctx:
+            rep = unhit_report(Bidegree(s, d), k, kind)
+        yield rep

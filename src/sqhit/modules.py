@@ -116,6 +116,12 @@ def _check_arity(s) -> None:
         raise ValueError(f"arity s={s} must be >= 0")
 
 
+def _square_index(l) -> int:
+    if type(l) is not int or l < 0:
+        raise ValueError("negative square index" if type(l) is int else f"square index l={l!r} must be a plain int")
+    return l
+
+
 def _check_degree(d) -> None:
     if type(d) is not int:
         raise ValueError(f"degree d={d!r} must be a plain int")
@@ -245,29 +251,29 @@ class Expansions:
     one however the block ends, so the n steps are the block's own budget.
 
     ``tables[kind][l]`` is a plain dict from entry tuples to the support of
-    [entries]Sq^l in that kind, for gamma, nabla and gamma-sym.  gamma-cyc
-    has no table: a necklace's square is its representative's plain gamma
-    square projected to necklaces, which reads the gamma table.  Every
-    square of a monomial goes through ``support``, the one code that reads
-    ``tables``.  It keeps every tail it recurses into, but the support it
-    was asked for only if the caller asks: ``sq`` does, as its terms
-    repeat, while the gamma-cyc rows of ``hit.sq_matrix`` and the memo
-    misses of ``homotopy.preimage_chain`` keep theirs in ``rows`` and
-    ``shifted``.  Each expansion that misses its table charges the
-    allowance: the loop steps, counted before the loop runs, and the
-    entries of the terms they build, so the work done before a refusal
+    [entries]Sq^l in that kind, for gamma, nabla and gamma-sym.  gamma-cyc has
+    no table: a necklace's square is its representative's plain gamma square
+    projected to necklaces, which reads the gamma table.  Every square of a
+    monomial goes through ``support``, the one code that reads ``tables``.  It
+    keeps every tail it recurses into, but the support it was asked for only if
+    the caller asks: ``sq`` does, as its terms repeat, while the gamma-cyc rows
+    of ``hit.sq_matrix`` and the memo misses of ``homotopy.preimage_chain``
+    keep theirs in ``rows`` and ``shifted``.  Each expansion that misses its
+    table charges the allowance: the loop steps, counted before the loop runs,
+    and the entries of the terms they build, so the work done before a refusal
     does not grow with the arity.
 
-    ``rows[kind]`` holds the rows of ``hit.sq_matrix``, keyed (s, d, l);
+    ``rows[kind]`` holds the rows of ``hit.sq_matrix``, keyed (s, d, l), and
     ``high`` the gamma-sym column tables they are sorted through, (s, e, b).
-    ``shifted[kind, position, r]`` serves ``homotopy.preimage_chain``: it
-    maps an entry tuple t to the pair (u, err), u being t with r added at
-    the position and err the ``mask`` of t and of the terms of u Sq^r, all
-    of t's piece.  ``bits[kind, s, d]`` interns the terms of one piece: it
-    gives each its own bit, 1 << j, j counting the terms in the order they
-    were first seen, so a mask is at most as wide as the number of terms
-    interned for its piece, and within one piece the XOR of masks is the
-    sum mod 2 of their terms.
+    ``report`` and the chain certificates keep both in a ``hit.sweep``'s own
+    context, and the rest in the default one.  ``shifted[kind, position, r]``
+    serves ``homotopy.preimage_chain``: it maps an entry tuple t to the pair
+    (u, err), u being t with r added at the position and err the ``mask`` of t
+    and of the terms of u Sq^r, all of t's piece.  ``bits[kind, s, d]`` interns
+    the terms of one piece: it gives each its own bit, 1 << j, j counting the
+    terms in the order they were first seen, so a mask is at most as wide as
+    the number of terms interned for its piece, and within one piece the XOR of
+    masks is the sum mod 2 of their terms.
 
     ``terms[kind, s, d]`` serves ``element_from_json``: it maps each term
     that has passed ``Element``'s checks for that piece to the one tuple
@@ -377,11 +383,7 @@ def sq(x: Element, l: int) -> Element:
     allowance they charge (see ``Expansions``).  For gamma-cyc each term's
     square is projected to necklaces on its own, which gives the same sum
     since projection is linear mod 2."""
-    if type(l) is not int:
-        raise ValueError(f"square index l={l!r} must be a plain int")
-    if l < 0:
-        raise ValueError("negative square index")
-    if l == 0:
+    if _square_index(l) == 0:
         return x
     if x.kind in POSITIVE_KINDS and l > x.d - x.s:
         # Every entry stays >= 1, so no term reaches degree d - l < s.
@@ -440,6 +442,7 @@ def _necklaces(d: int, s: int):
 
 def _finite_piece(b: Bidegree, kind: ModuleKind) -> Bidegree:
     """The bidegree of a graded piece that has a finite basis, or ValueError."""
+    _check_kind(kind)
     if kind is ModuleKind.NABLA:
         raise ValueError(f"nabla bidegree (s,d)=({b.s},{b.d}): its graded piece is infinite")
     if b.s < 0 or b.d < 0:
@@ -447,7 +450,7 @@ def _finite_piece(b: Bidegree, kind: ModuleKind) -> Bidegree:
     return b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # "gamma" is no key for ModuleKind.GAMMA
 def basis(b: Bidegree, kind: ModuleKind) -> Tuple[Tuple[int, ...], ...]:
     """The fixed coordinate basis of one graded piece, in ascending
     lexicographic order of entry tuples: compositions for gamma; for

@@ -195,26 +195,25 @@ def suite_homotopy(seed: int = 0) -> Iterator[Check]:
 
 def certify_null_delta(kind: ModuleKind, s_max: int, d_max: int, k_max: int) -> Iterator[Check]:
     """Certify that kernel classes supported on null monomials are spike
-    images, constructively, via verified preimage chains."""
+    images, constructively, via verified preimage chains.  The cells' matrix
+    memos live in one ``hit.sweep`` per k, the chains in the caller's context."""
+    cells = [(s, d) for s in range(1, s_max + 1) for d in range(s, d_max + 1)]
     for k in range(k_max + 1):
-        for s in range(1, s_max + 1):
-            positions = range(1, s + 1) if kind is ModuleKind.GAMMA else (1,)
-            for d in range(s, d_max + 1):
-                b = Bidegree(s, d)
-                rep = hit.unhit_report(b, k, kind)
-                if rep.dim_delta == 0:
-                    continue
-                for i in positions:
-                    h = HomotopySystem(kind, k, i)
-                    for r in f2linalg.intersect(rep.delta, null_span(b, h)).basis:
-                        x = hit.vector_to_element(r, b, kind)
-                        case = f"certificate k={k} pos={i}"
-                        try:
-                            preimage_chain(x, h)
-                            ok = f2linalg.contains(rep.image, r)
-                        except (NullMembershipError, AnnihilationError, ChainCertificateError) as exc:
-                            ok, case = False, f"{case}: {exc}"
-                        yield ok, case, x
+        for rep in hit.sweep(kind, cells, k):
+            b = rep.bidegree
+            if rep.dim_delta == 0:
+                continue
+            for i in range(1, b.s + 1) if kind is ModuleKind.GAMMA else (1,):
+                h = HomotopySystem(kind, k, i)
+                for r in f2linalg.intersect(rep.delta, null_span(b, h)).basis:
+                    x = hit.vector_to_element(r, b, kind)
+                    case = f"certificate k={k} pos={i}"
+                    try:
+                        preimage_chain(x, h)
+                        ok = f2linalg.contains(rep.image, r)
+                    except (NullMembershipError, AnnihilationError, ChainCertificateError) as exc:
+                        ok, case = False, f"{case}: {exc}"
+                    yield ok, case, x
 
 
 def suite_certificates(seed: int = 0) -> Iterator[Check]:
@@ -242,9 +241,8 @@ def suite_orbit(seed: int = 0) -> Iterator[Check]:
         lhs = sq(project_to_orbit(x, kind), l)
         rhs = project_to_orbit(sq(translated, l), kind)
         yield lhs == rhs, f"orbit action {kind.value} l={l}", x
-    for kind, (s_max, d_max, k_max) in ((ModuleKind.GAMMA_SYM, (4, 14, 1)),
-                                        (ModuleKind.GAMMA_CYC, (4, 14, 1))):
-        yield from certify_null_delta(kind, s_max, d_max, k_max)
+    for kind in ORBIT_KINDS:
+        yield from certify_null_delta(kind, 4, 14, 1)
 
 
 def suite_ideal(seed: int = 0) -> Iterator[Check]:

@@ -619,6 +619,22 @@ class TestReport:
         assert out.splitlines() == ["kind,s,d,k,dim_delta,dim_image,dim_unhit,degenerate",
                                     "gamma,1,1,1,1,0,1,True", "gamma,1,2,1,0,0,0,True"]
 
+    @pytest.mark.parametrize("kind", ["gamma", "gamma-sym", "gamma-cyc"])
+    def test_report_leaves_the_default_context_as_it_was(self, capsys, monkeypatch, kind):
+        # The report's cells fill its sweep's context, which goes with it.
+        ctx = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", ctx)
+        hit.unhit_report(Bidegree(3, 9), 1, ModuleKind(kind))
+
+        def sizes():
+            return ([len(rows) for rows in ctx.rows.values()], len(ctx.high),
+                    [sum(map(len, by_l.values())) for by_l in ctx.tables.values()])
+
+        before = sizes()
+        code, out, _ = run(capsys, "report", "--kind", kind, "--k", "1", "--s-max", "5", "--d-max", "14")
+        assert (code, len(out.splitlines())) == (0, 1 + 5 * 14)
+        assert modules.EXPANSIONS is ctx and sizes() == before
+
     @pytest.mark.parametrize("k,code,message", [
         ("-2", 2, "order k=-2 must be >= 0"), ("9", 3, "order k=9 exceeds max_k=4"),
     ], ids=["negative", "past-max-k"])

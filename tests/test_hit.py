@@ -308,6 +308,18 @@ class TestSqMatrix:
         with pytest.raises(ValueError, match="infinite"):
             hit.sq_matrix(Bidegree(1, 1), 1, ModuleKind.NABLA)
 
+    @pytest.mark.parametrize("call,tag", [
+        (lambda: hit.sq_matrix(Bidegree(3, 6), 1, "gamma"), "gamma"),
+        (lambda: hit.unhit_report(Bidegree(2, 3), 1, "gamma-cyc"), "gamma-cyc"),
+        (lambda: next(hit.sweep("gamma", [(2, 3)], 1)), "gamma"),
+    ], ids=["sq_matrix", "unhit_report", "sweep"])
+    def test_str_kind_refused(self, call, tag):
+        # A tag equals its ModuleKind but fails every "kind is" test, so it
+        # would read another kind's piece.
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"kind {tag!r} is not a ModuleKind"
+
     def test_gamma_unhit_enumerates_no_basis(self, monkeypatch):
         def no_gamma_basis(b, kind):
             if kind is G:
@@ -519,6 +531,53 @@ class TestDeltaAndImage:
         assert rep.degenerate == (d < 2 << k)
         assert rep.unhit == f2linalg.complement(delta, image)
         assert rep.unhit.dim == rep.dim_unhit
+
+
+class TestSweep:
+    CELLS = [(s, d) for s in range(1, 5) for d in range(1, 13)]
+
+    @pytest.mark.parametrize("kind", [G, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_reports_equal_the_per_cell_reports(self, kind, k):
+        reps = list(hit.sweep(kind, self.CELLS, k))
+        assert [(rep.kind, rep.bidegree, rep.k) for rep in reps] == [(kind, Bidegree(*c), k) for c in self.CELLS]
+        for rep in reps:
+            one = hit.unhit_report(rep.bidegree, k, kind)
+            assert (rep.dim_delta, rep.dim_image, rep.dim_unhit) == (one.dim_delta, one.dim_image, one.dim_unhit)
+            for key in ("delta", "image", "unhit"):
+                assert getattr(rep, key).basis == getattr(one, key).basis, (rep.bidegree, key)
+
+    def test_loop_body_runs_in_the_callers_context(self, monkeypatch):
+        outer = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", outer)
+        for rep in hit.sweep(ModuleKind.GAMMA_SYM, [(3, 9), (4, 12)], 1):
+            assert modules.EXPANSIONS is outer
+            with modules.Expansions() as inner:
+                m = hit.sq_matrix(rep.bidegree, 1, rep.kind)
+                assert modules.EXPANSIONS is inner
+                assert inner.rows[rep.kind][(*rep.bidegree, 1)] == m.data
+            assert modules.EXPANSIONS is outer
+        # The sweep's cells filled its own context, not the caller's.
+        assert memo_counts(outer) == memo_counts(modules.Expansions())
+
+    def test_outer_context_current_after_an_early_stop(self, monkeypatch):
+        outer = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", outer)
+        reps = hit.sweep(G, [(2, 5), (3, 7), (4, 9)], 1)
+        for rep in reps:
+            break
+        assert modules.EXPANSIONS is outer  # the sweep is suspended at its yield
+        reps.close()
+        assert modules.EXPANSIONS is outer
+
+    def test_outer_context_current_after_a_failed_cell(self, monkeypatch):
+        outer = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", outer)
+        reps = hit.sweep(G, [(2, 5), (1, -1), (3, 7)], 1)
+        assert next(reps).bidegree == Bidegree(2, 5)
+        with pytest.raises(ValueError, match=r"^gamma bidegree \(s,d\)=\(1,-1\) out of range"):
+            next(reps)
+        assert modules.EXPANSIONS is outer
 
 
 class TestFirstFactorStructure:

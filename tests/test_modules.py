@@ -405,6 +405,17 @@ class TestBases:
         with pytest.raises(ValueError):
             basis(Bidegree(1, 1), ModuleKind.NABLA)
 
+    def test_str_kind_refused_whatever_the_cache_holds(self):
+        # "gamma" equals ModuleKind.GAMMA and hashes alike, so one cache key
+        # for both would hand either the basis cached for the other.
+        basis.cache_clear()
+        for _ in range(2):  # cold, then with the gamma piece cached
+            for piece in (basis, basis_size):
+                with pytest.raises(ValueError) as err:
+                    piece(Bidegree(2, 3), "gamma")
+                assert str(err.value) == "kind 'gamma' is not a ModuleKind"
+            assert basis(Bidegree(2, 3), G) == ((1, 2), (2, 1))
+
     def test_gamma_basis_matches_oracle(self):
         # Tuple for tuple and in the same order, as for the orbit kinds.
         for s in range(1, 7):

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from sqhit import f2linalg, structure, suites
-from sqhit.homotopy import ChainCertificateError
+from sqhit import f2linalg, modules, structure, suites
+from sqhit.homotopy import ChainCertificateError, preimage_chain
 from sqhit.modules import Element, ModuleKind
 
 G = ModuleKind.GAMMA
@@ -51,6 +51,22 @@ class TestCertifyNullDelta:
         res = suites.tally("certify", suites.certify_null_delta(ModuleKind.GAMMA, 1, 3, 0))
         assert res.passed == 0 and res.failed == 2
         assert json.loads(res.first_failure)["case"] == "certificate k=0 pos=1: y_0 Sq^1 != x"
+
+    def test_cells_in_the_sweeps_context_and_chains_in_the_callers(self, monkeypatch):
+        ctx = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", ctx)
+        contexts = []
+
+        def chain(x, h):
+            contexts.append(modules.EXPANSIONS)
+            return preimage_chain(x, h)
+
+        monkeypatch.setattr(suites, "preimage_chain", chain)
+        res = suites.tally("certify", suites.certify_null_delta(G, 4, 10, 1))
+        assert res.ok and res.passed == len(contexts) > 0
+        assert {*map(id, contexts)} == {id(ctx)}
+        # The chains filled the caller's expansion tables; no matrix row is left there.
+        assert ctx.tables[G] and not any(ctx.rows.values()) and not ctx.high
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(x, h):
