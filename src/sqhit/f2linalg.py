@@ -64,6 +64,10 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses.
+        return Subspace, (self.ambient_dim, self.pivots)
+
     def __repr__(self):
         return f"Subspace(ambient_dim={self.ambient_dim}, pivots={self.pivots})"
 

@@ -24,6 +24,8 @@ from .modules import (
     Element,
     InternalInconsistencyError,
     ModuleKind,
+    _check_kind,
+    _frozen,
     _sym_count,
     basis,
     basis_size,
@@ -68,7 +70,9 @@ class DeltaReport(NamedTuple):
 
 def element_to_vector(x: Element, b: Bidegree, kind: ModuleKind) -> int:
     """x as a packed vector over the basis of (s,d): bit j is basis monomial j.
-    ValueError if x is not of that kind and bidegree."""
+    ValueError if kind is not a ``ModuleKind`` or x is not of that kind and
+    bidegree."""
+    _check_kind(kind)
     if x.kind is not kind or (x.s, x.d) != b:
         raise ValueError(f"element of {x.kind.value} ({x.s},{x.d}) is not in {kind.value} ({b.s},{b.d})")
     index = _basis_index(b, kind)
@@ -87,7 +91,7 @@ def vector_to_element(bits: int, b: Bidegree, kind: ModuleKind) -> Element:
     # One pass over the binary digits, lowest bit first, as bytes with 0 for
     # a clear bit, so compress tests them in C; a shift per bit would cost
     # O(n) each.
-    support = frozenset(compress(monos, bin(bits)[:1:-1].replace("0", "\0").encode()))
+    support = _frozen(compress(monos, bin(bits)[:1:-1].replace("0", "\0").encode()))
     return Element._make((kind, b.s, b.d, support))
 
 

@@ -8,7 +8,7 @@ turns kernel membership into constructive spike-square preimages.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import itemgetter, sub, xor
 from typing import Callable, Collection, List, NamedTuple, Tuple
 
@@ -20,6 +20,7 @@ from .modules import (
     ModuleKind,
     ORBIT_KINDS,
     _check_kind,
+    _frozen,
     basis,
     monomial_str,
     sq,
@@ -96,7 +97,7 @@ def shift(x: Element, i: int, r: int) -> Element:
     if x.kind in ORBIT_KINDS and i != 1:
         raise ValueError("orbit kinds act at position 1 only")
     j = i - 1
-    support = frozenset(t[:j] + (t[j] + r,) + t[i:] for t in x.support)
+    support = _frozen(t[:j] + (t[j] + r,) + t[i:] for t in x.support)
     return Element._make((x.kind, x.s, x.d + r, support))
 
 
@@ -111,22 +112,30 @@ def _check_position(x: Element, i: int) -> None:
 def _null_test(x: Element, h: HomotopySystem) -> Callable[[Collection[Tuple[int, ...]]], bool]:
     """Check that h acts on x (same kind, position within x's arity), then
     return h's null-subspace condition on a whole support of x's arity:
-    true iff every term meets it, so an empty support passes.  It is chosen
-    once, from the kind, the order, the position and the arity, and runs as
-    C-level passes over the support (``map``, ``min``), hashing no term.
-    Callers that must name a failing term apply it to one term at a time."""
+    true iff every term meets it, so an empty support passes.  The checks
+    run on every call; the condition is built once per kind, order,
+    position and arity 1 or not, by ``_null_condition``.  Callers that must
+    name a failing term apply it to one term at a time."""
     if x.kind is not h.kind:
         raise ValueError(f"kind mismatch: element {x.kind.value}, system {h.kind.value}")
     _check_position(x, h.position)
-    bound = 1 << h.order
-    if h.kind is ModuleKind.NABLA:
+    return _null_condition(h.kind, h.order, h.position, x.s == 1)
+
+
+@lru_cache(maxsize=None)
+def _null_condition(kind: ModuleKind, order: int, position: int,
+                    unary: bool) -> Callable[[Collection[Tuple[int, ...]]], bool]:
+    """The null-subspace condition of ``_null_test``, run as C-level passes
+    over the support (``map``, ``min``), hashing no term."""
+    bound = 1 << order
+    if kind is ModuleKind.NABLA:
         return lambda support: True
-    lead = itemgetter(h.position - 1)
+    lead = itemgetter(position - 1)
     # Arity-1 orbit pieces coincide with the plain module; the difference
     # conditions below are vacuous there but the entry bound is still needed.
-    if h.kind is ModuleKind.GAMMA or x.s == 1:
+    if kind is ModuleKind.GAMMA or unary:
         return lambda support: min(map(lead, support), default=bound) >= bound
-    if h.kind is ModuleKind.GAMMA_SYM:
+    if kind is ModuleKind.GAMMA_SYM:
         second = itemgetter(1)
         return lambda support: min(map(sub, map(lead, support), map(second, support)), default=bound) >= bound
     rest = itemgetter(slice(1, None))
@@ -193,10 +202,14 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     Every psi adds to the same entry, so y_i = x psi^R, built straight from
     x as ``shift`` builds it (an orbit term stays canonical).  One lookup
     per term of x builds y_i and checks it: both read
-    ``shifted[kind, position, R]`` of the default context
+    ``shifted[kind, position, R]`` of the current context
     ``modules.EXPANSIONS``, which maps a term t to (u, err), u being t
     shifted by R and err the mask of t plus the terms of u Sq^R in the
-    bits that ``Expansions.bits`` gives x's piece.  Shifting is
+    bits that ``Expansions.bits`` gives x's piece.  The u's become y_i's
+    support by ``modules._frozen``, a set copied into a frozenset, sized
+    for its length like every support the library returns; a term that
+    missed the memo stops that build (its lookup gave None), and the
+    misses are filled before it runs again.  Shifting is
     one-to-one, so y_i must have as many terms as x.  Within one piece
     every term has its own bit, so the XOR of the errs over x is the
     indicator of x + y_i Sq^R, which must be 0: the test
@@ -226,13 +239,16 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
         r = (2 << i) - 1
         memo = ctx.shifted[kind, p, r]
         pairs = [*map(memo.get, x.support)]
-        if not all(pairs):
+        try:
+            support = _frozen(map(_first, pairs))
+        except TypeError:  # _first(None): some term missed the memo
             for n, t in enumerate(x.support):
                 if pairs[n] is None:
                     u = t[:j] + (t[j] + r,) + t[p:]
                     pairs[n] = memo[t] = (u, ctx.mask(kind, x.s, x.d, (t, *ctx.support(kind, u, r, keep=False))))
-        y = Element._make((kind, x.s, x.d + r, frozenset(map(_first, pairs))))
-        if len(y.support) != len(pairs) or reduce(xor, map(_second, pairs), 0):
+            support = _frozen(map(_first, pairs))
+        y = Element._make((kind, x.s, x.d + r, support))
+        if len(support) != len(pairs) or reduce(xor, map(_second, pairs), 0):
             raise _failed_certificate(x, h, i, f"Sq^{r} != x")
         if not null(y.support):
             raise _failed_certificate(x, h, i, "left the null subspace")

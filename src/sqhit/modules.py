@@ -91,9 +91,16 @@ def monomial_str(kind: ModuleKind, entries: Tuple[int, ...]) -> str:
     return f"{kind.value}{list(entries)}"
 
 
+def _frozen(terms: Iterable) -> frozenset:
+    """The frozenset of terms, a repeat kept once, sized as every support
+    the library returns is: copied from a set, its table is sized for its
+    length, where one grown from an iterator may be up to 4x as large."""
+    return frozenset({*terms})
+
+
 def _odd(terms: Iterable) -> frozenset:
     """The terms that occur an odd number of times: their sum mod 2."""
-    return frozenset([t for t, n in Counter(terms).items() if n & 1])
+    return _frozen(t for t, n in Counter(terms).items() if n & 1)
 
 
 def _project(terms: Collection[Tuple[int, ...]], canon) -> frozenset:
@@ -258,7 +265,10 @@ class Expansions:
     keeps every tail it recurses into, but the support it was asked for only if
     the caller asks: ``sq`` does, as its terms repeat, while the gamma-cyc rows
     of ``hit.sq_matrix`` and the memo misses of ``homotopy.preimage_chain``
-    keep theirs in ``rows`` and ``shifted``.  Each expansion that misses its
+    keep theirs in ``rows`` and ``shifted``.  A support it builds is a set
+    copied into a frozenset, sized as ``_frozen`` sizes every support the
+    library returns; a gamma-cyc projection is not resized, as its caller
+    packs it into a row or a mask, or sums it, at once.  Each expansion that misses its
     table charges the allowance: the loop steps, counted before the loop runs,
     and the entries of the terms they build, so the work done before a refusal
     does not grow with the arity.
@@ -547,7 +557,7 @@ def concat_product(x: Element, y: Element) -> Element:
     A product term splits back into its factors at x.s, so none cancels."""
     if x.kind is not ModuleKind.GAMMA or y.kind is not ModuleKind.GAMMA:
         raise ValueError("concatenation product is defined on gamma elements only")
-    support = frozenset(m + n for m in x.support for n in y.support)
+    support = _frozen(m + n for m in x.support for n in y.support)
     return Element._make((ModuleKind.GAMMA, x.s + y.s, x.d + y.d, support))
 
 
@@ -557,7 +567,7 @@ def project_to_orbit(x: Element, kind: ModuleKind) -> Element:
         raise ValueError("projection starts from a gamma element")
     if kind not in ORBIT_KINDS:
         raise ValueError("target must be an orbit kind")
-    return Element._make((kind, x.s, x.d, _project(x.support, _ORBIT_CANONICAL[kind])))
+    return Element._make((kind, x.s, x.d, _odd(map(_ORBIT_CANONICAL[kind], x.support))))
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -20,6 +20,7 @@ from .modules import (
     Element,
     InternalInconsistencyError,
     ModuleKind,
+    _frozen,
     sq,
 )
 
@@ -36,13 +37,13 @@ def decompose_first_factor(x: Element) -> Dict[int, Element]:
     for t in x.support:
         grouped.setdefault(t[0], []).append(t[1:])
     # The tails that share a first entry are distinct, so nothing cancels.
-    return {i: Element._make((G, x.s - 1, x.d - i, frozenset(tails))) for i, tails in grouped.items()}
+    return {i: Element._make((G, x.s - 1, x.d - i, _frozen(tails))) for i, tails in grouped.items()}
 
 
 def compose_first_factor(parts: Dict[int, Element], s: int, d: int) -> Element:
     """The element x = sum [i].x_i of (s, d) from its parts {i: x_i}, each
     of arity s-1 and degree d-i: the inverse of ``decompose_first_factor``."""
-    return Element(G, s, d, frozenset([(i,) + t for i, part in parts.items() for t in part.support]))
+    return Element(G, s, d, _frozen((i,) + t for i, part in parts.items() for t in part.support))
 
 
 def _parts(x: Element) -> Tuple[Callable[[int], Element], int]:

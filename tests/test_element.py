@@ -7,17 +7,20 @@ run the checks on what they return."""
 
 import random
 import re
+import sys
 
 import pytest
 
-from sqhit import f2linalg, hit, modules, suites
+from sqhit import f2linalg, hit, modules, structure, suites
 from sqhit.homotopy import HomotopySystem, null_span, preimage_chain, shift
+from test_homotopy import CHAIN_PIECES, null_delta_classes
 from sqhit.modules import (
     ORBIT_KINDS,
     POSITIVE_KINDS,
     Bidegree,
     Element,
     ModuleKind,
+    basis,
     concat_product,
     element_from_json,
     project_to_orbit,
@@ -206,3 +209,48 @@ def test_a_refused_decode_builds_the_element_once(monkeypatch):
     with pytest.raises(ValueError, match=re.escape("monomial gamma[2, 2] inconsistent with element (gamma,2,3)")):
         element_from_json({"kind": "gamma", "s": 2, "d": 3, "monomials": [[1, 2], [2, 2]]})
     assert len(built) == 1
+
+
+def sized(x):
+    """x, after its support is found sized as a set copied into a frozenset
+    sizes it: by its length alone, on any CPython."""
+    assert sys.getsizeof(x.support) == sys.getsizeof(frozenset(set(x.support))), (len(x.support), x.kind, x.s, x.d)
+    return x
+
+
+def whole(kind, s, d):
+    """The sum of the whole basis of (s, d), built by the constructor."""
+    return Element(kind, s, d, frozenset(basis(Bidegree(s, d), kind)))
+
+
+@CHAIN_PIECES
+def test_chain_outputs_are_sized(kind, s, d, orders, positions):
+    rng = random.Random(37)
+    for k in orders:
+        for p in positions:
+            h = HomotopySystem(kind, k, p)
+            for x in null_delta_classes(kind, s, d, k, p, rng, 3):
+                # Cold, then warm: the memo misses and the memo hits.
+                for _ in range(2):
+                    for y in preimage_chain(x, h):
+                        sized(y)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Element.from_monomials(G, 4, 14, basis(Bidegree(4, 14), G) * 3),
+    lambda: hit.vector_to_element((1 << 286) - 1, Bidegree(4, 14), G),
+    lambda: shift(whole(G, 4, 14), 2, 3),
+    lambda: shift(whole(ModuleKind.GAMMA_CYC, 4, 22), 1, 1),
+    # Each orbit's canonical term once, as a gamma element.
+    lambda: project_to_orbit(Element(G, 4, 24, whole(ModuleKind.GAMMA_SYM, 4, 24).support), ModuleKind.GAMMA_SYM),
+    lambda: project_to_orbit(Element(G, 4, 22, whole(ModuleKind.GAMMA_CYC, 4, 22).support), ModuleKind.GAMMA_CYC),
+    lambda: concat_product(whole(G, 2, 9), whole(G, 2, 12)),
+    lambda: max(structure.decompose_first_factor(whole(G, 4, 14)).values(), key=lambda x: len(x.support)),
+    lambda: structure.compose_first_factor({1: whole(G, 3, 13), 2: whole(G, 3, 12)}, 4, 14),
+], ids=["from_monomials", "vector_to_element", "shift", "shift-cyc", "project_to_orbit-sym",
+        "project_to_orbit-cyc", "concat_product", "decompose_first_factor", "compose_first_factor"])
+def test_operations_size_their_supports(build):
+    # Each support here is large enough that one grown term by term from an
+    # iterator would hold a table of another size.
+    x = checked(sized(build()))
+    assert len(x.support) > 20

@@ -1,10 +1,14 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from sqhit import f2linalg
+from sqhit import f2linalg, hit
 from sqhit.f2linalg import BitMatrix
+from sqhit.modules import Bidegree, ModuleKind
 
 
 def identity(n):
@@ -34,6 +38,17 @@ def test_subspace_repr_and_foreign_equality():
     sub = f2linalg.subspace_from_rows(3, [0b110, 0b011])
     assert repr(sub) == "Subspace(ambient_dim=3, pivots={1: 6, 0: 3})"
     assert (sub == 3) is False and sub != 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: f2linalg.subspace_from_rows(5, [0b10110, 0b00011]),
+    lambda: hit.unhit_report(Bidegree(5, 9), 1, ModuleKind.GAMMA),
+], ids=["subspace", "unhit_report"])
+def test_subspace_copies_and_pickles(build):
+    # Before, each copy raised AttributeError: cannot assign to field 'ambient_dim'.
+    value = build()
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value
 
 
 def test_complement_hand_case():

@@ -312,7 +312,9 @@ class TestSqMatrix:
         (lambda: hit.sq_matrix(Bidegree(3, 6), 1, "gamma"), "gamma"),
         (lambda: hit.unhit_report(Bidegree(2, 3), 1, "gamma-cyc"), "gamma-cyc"),
         (lambda: next(hit.sweep("gamma", [(2, 3)], 1)), "gamma"),
-    ], ids=["sq_matrix", "unhit_report", "sweep"])
+        # Before, the mismatch message read "gamma".value: AttributeError.
+        (lambda: hit.element_to_vector(Element.zero(G, 2, 4), Bidegree(2, 4), "gamma"), "gamma"),
+    ], ids=["sq_matrix", "unhit_report", "sweep", "element_to_vector"])
     def test_str_kind_refused(self, call, tag):
         # A tag equals its ModuleKind but fails every "kind is" test, so it
         # would read another kind's piece.
