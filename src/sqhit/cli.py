@@ -214,8 +214,11 @@ def cmd_unhit(args, cfg: Config) -> int:
 
 def cmd_report(args, cfg: Config) -> int:
     _check_order(cfg, args.k)
-    cells = [(s, d) for s in range(args.s_min, args.s_max + 1) for d in range(args.d_min, args.d_max + 1)]
-    # Refuse a box before computing any of its cells.
+    # Refuse a box before computing any of its cells, or listing them.
+    ss, ds = range(args.s_min, args.s_max + 1), range(args.d_min, args.d_max + 1)
+    if len(ss) * len(ds) > cfg.max_dim:
+        raise CliError(3, f"report box of {len(ss) * len(ds)} cells exceeds max_dim={cfg.max_dim}")
+    cells = [(s, d) for s in ss for d in ds]
     for s, d in cells:
         _check_pieces(cfg, args.kind, s, d, args.k)
     rows = map(_report_row, hit.sweep(args.kind, cells, args.k))

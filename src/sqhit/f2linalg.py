@@ -45,21 +45,34 @@ class BitMatrix(_BitMatrixFields):
         if len(data) != rows:
             raise ValueError("row count mismatch")
         for r in data:
-            if r < 0 or r >> cols:
-                raise ValueError("row has bits outside column range")
+            if type(r) is not int or r < 0 or r >> cols:
+                raise ValueError(f"row {r!r} is not a plain int inside the column range")
         return tuple.__new__(cls, (rows, cols, data))
 
 
 class Subspace:
     """A subspace of F_2^ambient_dim in semi-echelon form: pivots maps each
-    pivot to the one row whose lowest set bit it is.  Its fields are read
-    only; __dict__ holds the cached basis."""
+    pivot to the one row whose lowest set bit it is.  The constructor checks
+    that, and that each row lies in F_2^ambient_dim; the eliminations here
+    build with ``_make`` and skip the checks.  Its fields are read only;
+    __dict__ holds the cached basis."""
 
     __slots__ = ("ambient_dim", "pivots", "__dict__")
 
     def __init__(self, ambient_dim: int, pivots: Dict[int, int]):
+        for p, r in pivots.items():
+            if type(r) is not int or r <= 0 or (r & -r).bit_length() - 1 != p:
+                raise ValueError(f"row {r!r} does not have its lowest set bit at its pivot {p!r}")
+            _check_bits(r, ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "pivots", pivots)
+
+    @classmethod
+    def _make(cls, ambient_dim: int, pivots: Dict[int, int]) -> "Subspace":
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "pivots", pivots)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -148,18 +161,18 @@ def subspace_from_rows(ambient_dim: int, rows: Iterable[int]) -> Subspace:
     rows = list(rows)
     for r in rows:
         _check_bits(r, ambient_dim)
-    return Subspace(ambient_dim, _echelon(rows))
+    return Subspace._make(ambient_dim, _echelon(rows))
 
 
 def image_basis(m: BitMatrix) -> Subspace:
     """Row space of m: the image of the right-action map v -> v*m.  The
     rows of a BitMatrix are in range already, so none is checked again."""
-    return Subspace(m.cols, _echelon(m.data))
+    return Subspace._make(m.cols, _echelon(m.data))
 
 
 def kernel_basis(m: BitMatrix) -> Subspace:
     """Left kernel: all v with v*m = 0.  dim = rows - rank."""
-    return Subspace(m.rows, _carried(_echelon(_tagged(m)), m.cols))
+    return Subspace._make(m.rows, _carried(_echelon(_tagged(m)), m.cols))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -172,7 +185,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     # b's rows go first: their pivots are distinct, so they are kept as they
     # are and only a's rows are reduced.
     stacked = list(b.pivots.values()) + [r | (r << n) for r in a.pivots.values()]
-    return Subspace(n, _carried(_echelon(stacked), n))
+    return Subspace._make(n, _carried(_echelon(stacked), n))
 
 
 def contains(s: Subspace, bits: int) -> bool:
@@ -194,7 +207,7 @@ def complement(outer: Subspace, inner: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     rref = dict(zip(sorted(inner.pivots), inner.basis))
     mask = sum(1 << p for p in inner.pivots)
-    return Subspace(outer.ambient_dim, _echelon(_clear(r, rref, mask) for r in outer.pivots.values()))
+    return Subspace._make(outer.ambient_dim, _echelon(_clear(r, rref, mask) for r in outer.pivots.values()))
 
 
 def solve(m: BitMatrix, bits: int) -> Optional[int]:

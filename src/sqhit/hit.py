@@ -12,7 +12,7 @@ The first-factor structure theory built on these lives in ``structure``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, chain, compress
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
@@ -75,7 +75,7 @@ def element_to_vector(x: Element, b: Bidegree, kind: ModuleKind) -> int:
     _check_kind(kind)
     if x.kind is not kind or (x.s, x.d) != b:
         raise ValueError(f"element of {x.kind.value} ({x.s},{x.d}) is not in {kind.value} ({b.s},{b.d})")
-    index = _basis_index(b, kind)
+    index = modules.EXPANSIONS.piece(_basis_index, kind, b.s, b.d)
     bits = 0
     for t in x.support:
         bits |= 1 << index[t]
@@ -100,9 +100,8 @@ def subspace_elements(sub: Subspace, b: Bidegree, kind: ModuleKind) -> List[Elem
     return [vector_to_element(r, b, kind) for r in sub.basis]
 
 
-@lru_cache(maxsize=None)
-def _basis_index(b: Bidegree, kind: ModuleKind) -> Dict[Tuple[int, ...], int]:
-    return {t: j for j, t in enumerate(basis(b, kind))}
+def _basis_index(kind: ModuleKind, s: int, d: int) -> Dict[Tuple[int, ...], int]:
+    return {t: j for j, t in enumerate(basis(Bidegree(s, d), kind))}
 
 
 _SYM, _CYC = ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC
@@ -114,7 +113,6 @@ def _first_entries(kind: ModuleKind, s: int, d: int) -> range:
     return range(-(-d // s) if kind is _SYM else 1, d - s + 2)
 
 
-@lru_cache(maxsize=None)
 def _offsets(kind: ModuleKind, s: int, d: int) -> Tuple[int, ...]:
     """Entry c: the basis monomials of (s, d), s >= 2, with first entry
     below c, for c up to one past the last first entry.  The block of first
@@ -167,10 +165,10 @@ def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) ->
     if s == 1:
         out = (binom_mod2(d - l, l),)
     elif kind is _CYC:
-        index = _basis_index(Bidegree(s, d - l), kind)
+        index = ctx.piece(_basis_index, kind, s, d - l)
         out = tuple(sum(1 << index[t] for t in ctx.support(kind, m, l, keep=False)) for m in basis(Bidegree(s, d), kind))
     else:
-        dom, cod = _offsets(kind, s, d), _offsets(kind, s, d - l)
+        dom, cod = ctx.piece(_offsets, kind, s, d), ctx.piece(_offsets, kind, s, d - l)
         blocks: Dict[int, List[int]] = {}
         for a, i in _splits(kind, s, d, l):
             b = a - i

@@ -292,9 +292,14 @@ class Expansions:
     valid terms of the piece, so for a positive kind it is at most as
     large as the piece's basis.  It lives as long as the context, and a
     refused decode adds nothing to it.
+
+    ``pieces`` holds each ``basis``, and ``hit``'s basis indices and offsets.
+    So a fresh context is as empty as a fresh process: only ``_sym_count``
+    and ``homotopy._null_condition`` cache across contexts, as their values
+    (one int, one predicate a key) do not grow with a piece.
     """
 
-    __slots__ = ("allowance", "tables", "rows", "high", "shifted", "bits", "terms", "outer")
+    __slots__ = ("allowance", "tables", "rows", "high", "shifted", "bits", "terms", "pieces", "outer")
 
     def __init__(self, allowance=math.inf):
         self.allowance = allowance
@@ -304,6 +309,7 @@ class Expansions:
         self.shifted = defaultdict(dict)
         self.bits = defaultdict(dict)
         self.terms = {}
+        self.pieces = {}
 
     def __enter__(self) -> "Expansions":
         global EXPANSIONS
@@ -318,6 +324,13 @@ class Expansions:
         self.allowance -= steps
         if self.allowance < 0:
             raise ExpansionTooLarge
+
+    def piece(self, build, kind: ModuleKind, s: int, d: int):
+        """build(kind, s, d), kept in ``pieces`` from its first call."""
+        key = build, kind, s, d
+        if key not in self.pieces:
+            self.pieces[key] = build(kind, s, d)
+        return self.pieces[key]
 
     def mask(self, kind: ModuleKind, s: int, d: int, terms: Iterable[Tuple[int, ...]]) -> int:
         """The XOR of the bits of terms, all of piece (kind, s, d), in
@@ -460,13 +473,17 @@ def _finite_piece(b: Bidegree, kind: ModuleKind) -> Bidegree:
     return b
 
 
-@lru_cache(maxsize=None, typed=True)  # "gamma" is no key for ModuleKind.GAMMA
 def basis(b: Bidegree, kind: ModuleKind) -> Tuple[Tuple[int, ...], ...]:
     """The fixed coordinate basis of one graded piece, in ascending
     lexicographic order of entry tuples: compositions for gamma; for
     gamma-sym the partitions, entries non-increasing; for gamma-cyc the
-    necklaces, each entry tuple its own lex-greatest rotation."""
+    necklaces, each its own lex-greatest rotation.  Checked before the
+    memo is read, "gamma" is refused whatever the memo holds."""
     s, d = _finite_piece(b, kind)
+    return EXPANSIONS.piece(_enumerate, kind, s, d)
+
+
+def _enumerate(kind: ModuleKind, s: int, d: int) -> Tuple[Tuple[int, ...], ...]:
     if s == 0:
         return ((),) if d == 0 else ()
     if kind is ModuleKind.GAMMA:

@@ -590,6 +590,14 @@ class TestReport:
         code, out, err = run(capsys, "report", "--kind", "gamma", "--k", "1", "--s-max", "7", "--d-max", "24")
         assert (code, out, err) == (3, "", "gamma bidegree (s,d)=(7,27): basis size exceeds max_dim=200000\n")
 
+    def test_box_past_max_dim_cells_refused(self, capsys, tmp_path):
+        # Every cell of a 1 x 501 box passes its own checks, as a piece at
+        # s = 1 has one monomial; the box is refused before any is listed.
+        cfg = tmp_path / "cfg"
+        cfg.write_text("max_dim = 500\n")
+        code, out, err = run(capsys, "--config", str(cfg), "report", "--k", "1", "--s-max", "1", "--d-max", "501")
+        assert (code, out, err) == (3, "", "report box of 501 cells exceeds max_dim=500\n")
+
     def test_csv_rows_stream_before_a_failed_cell(self, capsys, monkeypatch):
         # The third of six cells fails; CSV has already written the two
         # rows before it.

@@ -562,6 +562,18 @@ class TestSweep:
         # The sweep's cells filled its own context, not the caller's.
         assert memo_counts(outer) == memo_counts(modules.Expansions())
 
+    @pytest.mark.parametrize("kind,builds", [
+        (ModuleKind.GAMMA_CYC, {modules._enumerate, hit._basis_index}), (G, {hit._offsets})])
+    def test_piece_memos_go_with_the_sweep(self, monkeypatch, kind, builds):
+        # gamma-cyc rows read bases and column indices, gamma rows offsets;
+        # the sweep's cells keep them in its own context.
+        outer = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", outer)
+        assert len(list(hit.sweep(kind, self.CELLS, 1))) == len(self.CELLS)
+        assert outer.pieces == {}
+        hit.unhit_report(Bidegree(4, 12), 1, kind)  # one of the cells, in the caller's context
+        assert {key[0] for key in outer.pieces} == builds
+
     def test_outer_context_current_after_an_early_stop(self, monkeypatch):
         outer = modules.Expansions()
         monkeypatch.setattr(modules, "EXPANSIONS", outer)

@@ -406,15 +406,28 @@ class TestBases:
             basis(Bidegree(1, 1), ModuleKind.NABLA)
 
     def test_str_kind_refused_whatever_the_cache_holds(self):
-        # "gamma" equals ModuleKind.GAMMA and hashes alike, so one cache key
-        # for both would hand either the basis cached for the other.
-        basis.cache_clear()
-        for _ in range(2):  # cold, then with the gamma piece cached
-            for piece in (basis, basis_size):
-                with pytest.raises(ValueError) as err:
-                    piece(Bidegree(2, 3), "gamma")
-                assert str(err.value) == "kind 'gamma' is not a ModuleKind"
-            assert basis(Bidegree(2, 3), G) == ((1, 2), (2, 1))
+        # "gamma" equals ModuleKind.GAMMA and hashes alike, so one memo key
+        # for both would hand either the basis kept for the other.
+        with modules.Expansions():
+            for _ in range(2):  # cold, then with the gamma piece memoized
+                for piece in (basis, basis_size):
+                    with pytest.raises(ValueError) as err:
+                        piece(Bidegree(2, 3), "gamma")
+                    assert str(err.value) == "kind 'gamma' is not a ModuleKind"
+                assert basis(Bidegree(2, 3), G) == ((1, 2), (2, 1))
+
+    def test_basis_memo_lives_in_the_context(self, monkeypatch):
+        outer = modules.Expansions()
+        monkeypatch.setattr(modules, "EXPANSIONS", outer)
+        b = Bidegree(4, 9)
+        first = basis(b, G)
+        assert basis(b, G) is first
+        held = dict(outer.pieces)
+        with modules.Expansions() as inner:
+            again = basis(b, G)
+            assert again == first and again is not first
+            assert list(inner.pieces.values()) == [again]
+        assert outer.pieces == held and basis(b, G) is first
 
     def test_gamma_basis_matches_oracle(self):
         # Tuple for tuple and in the same order, as for the orbit kinds.

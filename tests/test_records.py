@@ -2,7 +2,9 @@
 validation in the constructors and the library functions, and what
 importing the CLI loads."""
 
+import ast
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -35,6 +37,25 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == ""
+
+
+def test_only_two_caches_outlive_a_context():
+    # Every memo that grows with a piece lives in a modules.Expansions; the
+    # two process-wide caches hold one int or one predicate a key.  Every
+    # use of a cache name is counted, so one applied by a call fails too.
+    def cache(node):
+        return getattr(node, "id", getattr(node, "attr", None)) in ("lru_cache", "cache")
+
+    decorated, uses = [], []
+    for path in sorted((SRC / "sqhit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            for dec in getattr(node, "decorator_list", []):
+                if cache(dec.func if isinstance(dec, ast.Call) else dec):
+                    decorated.append(f"{path.stem}.{node.name}")
+            if isinstance(node, (ast.Name, ast.Attribute)) and cache(node):
+                uses.append(f"{path.stem}:{node.lineno}")
+    assert sorted(decorated) == ["homotopy._null_condition", "modules._sym_count"]
+    assert len(uses) == len(decorated), uses
 
 
 # Each factory builds a fresh record, equal to the one built before; the
@@ -85,6 +106,13 @@ def test_subspaces_equal_by_rref_basis():
     pytest.param(lambda: f2linalg.BitMatrix(2, 2, (1,)), id="BitMatrix-rows"),
     pytest.param(lambda: f2linalg.BitMatrix(1, 2, (0b100,)), id="BitMatrix-cols"),
     pytest.param(lambda: f2linalg.BitMatrix(2, 2, [1, 2]), id="BitMatrix-data-list"),
+    pytest.param(lambda: f2linalg.BitMatrix(1, 2, (1.5,)), id="BitMatrix-float-row"),
+    # Row 1 has its lowest bit at 0, not at its pivot 1, so reduce(1) would
+    # not reach 0 and contains would put the row outside its own span.
+    pytest.param(lambda: f2linalg.Subspace(4, {1: 0b0001}), id="Subspace-pivot"),
+    pytest.param(lambda: f2linalg.Subspace(2, {5: 1 << 5}), id="Subspace-ambient"),
+    pytest.param(lambda: pickle.loads(pickle.dumps(f2linalg.Subspace._make(2, {5: 1 << 5}))),
+                 id="Subspace-unpickled"),
     pytest.param(lambda: HomotopySystem(G, -1), id="HomotopySystem-order"),
     pytest.param(lambda: HomotopySystem(G, 1, 0), id="HomotopySystem-position"),
     pytest.param(lambda: HomotopySystem(G, 1.0), id="HomotopySystem-order-float"),
