@@ -16,25 +16,14 @@ import argparse
 import json
 import os
 import sys
-from typing import List, NamedTuple, Optional
+from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
-from . import hit
-from .modules import (
-    MAX_ARITY,
-    Bidegree,
-    Element,
-    ExpansionTooLarge,
-    Expansions,
-    InternalInconsistencyError,
-    ModuleKind,
-    POSITIVE_KINDS,
-    basis,
-    basis_size,
-    element_from_json,
-    element_to_json,
-    monomial_str,
-    sq,
-)
+# Each command imports the modules it runs when it runs, so that a cold
+# process compiles only those: --help and a usage error, which end inside
+# parse_args, compile this module alone.
+if TYPE_CHECKING:
+    from . import hit
+    from .modules import Element, ModuleKind
 
 
 class Config(NamedTuple):
@@ -76,6 +65,8 @@ def _die(code: int, message: str) -> int:
 
 
 def _parse_kind(tag: str) -> ModuleKind:
+    from .modules import ModuleKind
+
     try:
         return ModuleKind(tag)
     except ValueError:
@@ -83,11 +74,15 @@ def _parse_kind(tag: str) -> ModuleKind:
 
 
 def _check_arity(s: int) -> None:
+    from .modules import MAX_ARITY
+
     if s > MAX_ARITY:
         raise CliError(3, f"arity s={s} exceeds the largest supported arity {MAX_ARITY}")
 
 
 def _check_dim(cfg: Config, kind: ModuleKind, s: int, d: int) -> None:
+    from .modules import Bidegree, basis_size
+
     if basis_size(Bidegree(s, d), kind, cfg.max_dim) > cfg.max_dim:
         raise CliError(3, f"{kind.value} bidegree (s,d)=({s},{d}): basis size exceeds max_dim={cfg.max_dim}")
     _check_arity(s)
@@ -113,6 +108,8 @@ def _check_pieces(cfg: Config, kind: ModuleKind, s: int, d: int, k: int) -> None
 def _read_element(path: str) -> Element:
     """The element in a JSON file; any failure to read or parse it, nesting
     too deep for the decoder included, is one ValueError."""
+    from .modules import element_from_json
+
     try:
         with open(path) as f:
             return element_from_json(json.load(f))
@@ -126,6 +123,8 @@ def _terms(x: Element) -> str:
 
 
 def _write_element(x: Element, path: Optional[str]) -> None:
+    from .modules import element_to_json
+
     text = json.dumps(element_to_json(x), indent=None, sort_keys=True)
     if path is None or path == "-":
         print(text)
@@ -137,6 +136,8 @@ def _write_element(x: Element, path: Optional[str]) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_basis(args, cfg: Config) -> int:
+    from .modules import Bidegree, basis, basis_size
+
     _check_dim(cfg, args.kind, args.s, args.d)
     b = Bidegree(args.s, args.d)
     count = basis_size(b, args.kind)
@@ -156,6 +157,8 @@ def cmd_basis(args, cfg: Config) -> int:
 
 
 def cmd_sq(args, cfg: Config) -> int:
+    from .modules import POSITIVE_KINDS, ExpansionTooLarge, Expansions, sq
+
     x = _read_element(args.input)
     _check_arity(x.s)
     if x.kind in POSITIVE_KINDS and args.l > x.d:
@@ -171,15 +174,20 @@ def cmd_sq(args, cfg: Config) -> int:
 
 
 def cmd_subspace(args, cfg: Config) -> int:
-    """delta or image: args.subspace is hit.delta_basis or hit.spike_image_basis.
-    delta reads no piece above (s,d), so only image checks the spike sources."""
+    """delta (hit.delta_basis) or image (hit.spike_image_basis).  delta reads
+    no piece above (s,d), so only image checks the spike sources."""
+    from . import hit
+    from .modules import Bidegree, element_to_json
+
     _check_order(cfg, args.k)
     if args.command == "delta":
         _check_dim(cfg, args.kind, args.s, args.d)
+        subspace = hit.delta_basis
     else:
         _check_pieces(cfg, args.kind, args.s, args.d, args.k)
+        subspace = hit.spike_image_basis
     b = Bidegree(args.s, args.d)
-    sub = args.subspace(b, args.k, args.kind)
+    sub = subspace(b, args.k, args.kind)
     elems = hit.subspace_elements(sub, b, args.kind)
     if args.json:
         print(json.dumps({"dim": sub.dim, "basis": [element_to_json(e) for e in elems]}))
@@ -200,6 +208,9 @@ def _report_row(rep: hit.DeltaReport) -> dict:
 
 
 def cmd_unhit(args, cfg: Config) -> int:
+    from . import hit
+    from .modules import Bidegree, element_to_json
+
     _check_order(cfg, args.k)
     _check_pieces(cfg, args.kind, args.s, args.d, args.k)
     b = Bidegree(args.s, args.d)
@@ -213,6 +224,8 @@ def cmd_unhit(args, cfg: Config) -> int:
 
 
 def cmd_report(args, cfg: Config) -> int:
+    from . import hit
+
     _check_order(cfg, args.k)
     # Refuse a box before computing any of its cells, or listing them.
     ss, ds = range(args.s_min, args.s_max + 1), range(args.d_min, args.d_max + 1)
@@ -258,6 +271,7 @@ def cmd_verify(args, cfg: Config) -> int:
 def cmd_preimage(args, cfg: Config) -> int:
     from .homotopy import (  # the one command that needs it
         AnnihilationError, HomotopySystem, NullMembershipError, preimage_chain)
+    from .modules import ExpansionTooLarge, Expansions, monomial_str
 
     x = _read_element(args.input)
     _check_order(cfg, args.k)
@@ -290,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_piece(p, *names, kind=None):
         """--kind (required unless a default kind is given), then one
         required integer option per name."""
-        default = {"required": True} if kind is None else {"default": _parse_kind(kind)}
+        default = {"required": True} if kind is None else {"default": kind}
         p.add_argument("--kind", type=_parse_kind, **default)
         for name in names:
             p.add_argument(f"--{name}", type=int, required=True)
@@ -307,15 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", default=None)
     p.set_defaults(func=cmd_sq)
 
-    for name, help_text, flag, func, subspace in (
-        ("delta", "basis of the intersected kernels", "--json", cmd_subspace, hit.delta_basis),
-        ("image", "basis of the intersected spike images", "--json", cmd_subspace, hit.spike_image_basis),
-        ("unhit", "per-bidegree quotient report", "--witnesses", cmd_unhit, None),
+    for name, help_text, flag, func in (
+        ("delta", "basis of the intersected kernels", "--json", cmd_subspace),
+        ("image", "basis of the intersected spike images", "--json", cmd_subspace),
+        ("unhit", "per-bidegree quotient report", "--witnesses", cmd_unhit),
     ):
         p = sub.add_parser(name, help=help_text)
         add_piece(p, "s", "d", "k")
         p.add_argument(flag, action="store_true")
-        p.set_defaults(func=func, subspace=subspace)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="dimension table over a bidegree box")
     add_piece(p, "k", kind="gamma")
@@ -345,6 +359,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run one command; the one place a failure becomes an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .modules import InternalInconsistencyError  # past --help and usage errors
+
     try:
         cfg = load_config(args.config)
     except (OSError, ValueError) as exc:

@@ -28,6 +28,12 @@ def _check_bits(bits: int, length: int) -> None:
         raise ValueError(f"bits set outside length {length}")
 
 
+def _check_size(field: str, value) -> None:
+    """A matrix side or an ambient dimension is a plain int >= 0."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{field} must be a plain int >= 0, not {value!r}")
+
+
 class _BitMatrixFields(NamedTuple):
     rows: int
     cols: int
@@ -40,6 +46,8 @@ class BitMatrix(_BitMatrixFields):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, data: tuple):
+        _check_size("rows", rows)
+        _check_size("cols", cols)
         if type(data) is not tuple:
             raise ValueError(f"data must be a tuple, not {type(data).__name__}")
         if len(data) != rows:
@@ -53,13 +61,14 @@ class BitMatrix(_BitMatrixFields):
 class Subspace:
     """A subspace of F_2^ambient_dim in semi-echelon form: pivots maps each
     pivot to the one row whose lowest set bit it is.  The constructor checks
-    that, and that each row lies in F_2^ambient_dim; the eliminations here
-    build with ``_make`` and skip the checks.  Its fields are read only;
-    __dict__ holds the cached basis."""
+    that, that ambient_dim is a plain int >= 0, and that each row lies in
+    F_2^ambient_dim; the eliminations here build with ``_make`` and skip the
+    checks.  Its fields are read only; __dict__ holds the cached basis."""
 
     __slots__ = ("ambient_dim", "pivots", "__dict__")
 
     def __init__(self, ambient_dim: int, pivots: Dict[int, int]):
+        _check_size("ambient_dim", ambient_dim)
         for p, r in pivots.items():
             if type(r) is not int or r <= 0 or (r & -r).bit_length() - 1 != p:
                 raise ValueError(f"row {r!r} does not have its lowest set bit at its pivot {p!r}")

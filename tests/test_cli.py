@@ -83,12 +83,12 @@ class TestBasis:
         # One basis element, but of an arity past MAX_ARITY.
         code, out, err = run(capsys, "basis", "--kind", kind, "--s", s, "--d", d, "--count")
         assert code == 3 and out == ""
-        assert err.strip() == f"arity s={s} exceeds the largest supported arity {cli.MAX_ARITY}"
+        assert err.strip() == f"arity s={s} exceeds the largest supported arity {modules.MAX_ARITY}"
 
     def test_largest_supported_arity(self, capsys):
-        code, out, _ = run(capsys, "basis", "--kind", "gamma", "--s", str(cli.MAX_ARITY),
-                           "--d", str(cli.MAX_ARITY + 1), "--count")
-        assert code == 0 and out.strip() == str(cli.MAX_ARITY)
+        code, out, _ = run(capsys, "basis", "--kind", "gamma", "--s", str(modules.MAX_ARITY),
+                           "--d", str(modules.MAX_ARITY + 1), "--count")
+        assert code == 0 and out.strip() == str(modules.MAX_ARITY)
 
     @pytest.mark.parametrize("kind,s,d,count", [
         ("gamma", "5", "9", 70),
@@ -99,7 +99,7 @@ class TestBasis:
         def no_basis(b, kind):
             raise AssertionError(f"basis enumerated at {b}")
 
-        monkeypatch.setattr(cli, "basis", no_basis)
+        monkeypatch.setattr(modules, "basis", no_basis)  # cmd_basis imports it from here
         code, out, _ = run(capsys, "basis", "--kind", kind, "--s", s, "--d", d, "--count")
         assert code == 0 and out.strip() == str(count)
 
@@ -122,6 +122,7 @@ class TestBasis:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "basis", "--kind", "bogus", "--s", "1", "--d", "1")
         assert exc.value.code == 2
+        assert "argument --kind: unknown kind 'bogus'" in capsys.readouterr().err
 
     def test_closed_stdout_exits_141_quietly(self):
         # 135047 bytes, more than the one read buffer the reader fills plus a
@@ -285,13 +286,13 @@ class TestSq:
         x = Element.single(ModuleKind.GAMMA, (2,) + (1,) * 1499)
         code, out, err = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "1")
         assert code == 3 and out == ""
-        assert err.strip() == f"arity s=1500 exceeds the largest supported arity {cli.MAX_ARITY}"
+        assert err.strip() == f"arity s=1500 exceeds the largest supported arity {modules.MAX_ARITY}"
 
     def test_largest_supported_arity(self, capsys, tmp_path):
-        x = Element.single(ModuleKind.GAMMA, (2,) + (1,) * (cli.MAX_ARITY - 1))
+        x = Element.single(ModuleKind.GAMMA, (2,) + (1,) * (modules.MAX_ARITY - 1))
         code, out, _ = run(capsys, "sq", "--in", write_element(tmp_path, x), "--l", "1")
         assert code == 0
-        assert element_from_json(json.loads(out)).sorted_support() == [(1,) * cli.MAX_ARITY]
+        assert element_from_json(json.loads(out)).sorted_support() == [(1,) * modules.MAX_ARITY]
 
     @pytest.mark.parametrize("kind", ["gamma", "gamma-sym", "gamma-cyc"])
     def test_positive_square_past_max_dim_refused_at_once(self, capsys, tmp_path, kind):
@@ -579,6 +580,14 @@ class TestReport:
         assert code == 0
         rows = json.loads(out)
         assert all(row["dim_unhit"] == 0 for row in rows)
+
+    def test_kind_defaults_to_gamma(self, capsys):
+        # The default is the string "gamma", which argparse passes through
+        # _parse_kind as it would the same option given.
+        box = ("--k", "1", "--s-max", "3", "--d-max", "6", "--format", "json")
+        default = run(capsys, "report", *box)
+        assert default == run(capsys, "report", "--kind", "gamma", *box)
+        assert default[0] == 0 and {row["kind"] for row in json.loads(default[1])} == {"gamma"}
 
     def test_box_refused_before_any_cell_is_computed(self, capsys, monkeypatch):
         # Only the last cell, (7,24), is refused: it reads (7,27), which has

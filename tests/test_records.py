@@ -39,6 +39,40 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     assert proc.stdout.strip() == ""
 
 
+# A fresh process imports sqhit.cli, runs main on argv (when argv is not
+# None) and prints its exit code and every sqhit module it loaded.
+LOADED = ("import sys, sqhit.cli\n"
+          "try:\n"
+          "    code = sqhit.cli.main(sys.argv[2:]) if sys.argv[1] == 'main' else None\n"
+          "except SystemExit as exc:\n"
+          "    code = exc.code\n"
+          "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] == 'sqhit'))")
+CLI = ["sqhit", "sqhit.cli"]
+
+
+@pytest.mark.parametrize("argv,code,loaded", [
+    pytest.param(None, None, CLI, id="import"),
+    pytest.param(["--help"], 0, CLI, id="help"),
+    pytest.param(["report", "--help"], 0, CLI, id="report-help"),
+    pytest.param(["basis", "--s", "x"], 2, CLI, id="usage-error"),
+    pytest.param(["basis", "--kind", "gamma", "--s", "5", "--d", "9", "--count"], 0, CLI + ["sqhit.modules"],
+                 id="basis-count"),
+    pytest.param(["sq", "--in", "{x}", "--l", "1"], 0, CLI + ["sqhit.modules"], id="sq"),
+    pytest.param(["preimage", "--in", "{x}", "--k", "1"], 0, CLI + ["sqhit.homotopy", "sqhit.modules"],
+                 id="preimage"),
+    pytest.param(["unhit", "--kind", "gamma", "--s", "1", "--d", "3", "--k", "1"], 0,
+                 CLI + ["sqhit.f2linalg", "sqhit.hit", "sqhit.modules"], id="unhit"),
+])
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, code, loaded):
+    # --help and usage errors end inside parse_args, before any command runs.
+    x = tmp_path / "x.json"
+    x.write_text('{"kind": "gamma", "s": 1, "d": 3, "monomials": [[3]]}')
+    args = ["import"] if argv is None else ["main", *(a.format(x=x) for a in argv)]
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", LOADED, *args], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1].split() == [str(code), *loaded]
+
+
 def test_only_two_caches_outlive_a_context():
     # Every memo that grows with a piece lives in a modules.Expansions; the
     # two process-wide caches hold one int or one predicate a key.  Every
@@ -107,10 +141,17 @@ def test_subspaces_equal_by_rref_basis():
     pytest.param(lambda: f2linalg.BitMatrix(1, 2, (0b100,)), id="BitMatrix-cols"),
     pytest.param(lambda: f2linalg.BitMatrix(2, 2, [1, 2]), id="BitMatrix-data-list"),
     pytest.param(lambda: f2linalg.BitMatrix(1, 2, (1.5,)), id="BitMatrix-float-row"),
+    pytest.param(lambda: f2linalg.BitMatrix(1.0, 2, (1,)), id="BitMatrix-rows-float"),
+    pytest.param(lambda: f2linalg.BitMatrix(True, 2, (1,)), id="BitMatrix-rows-bool"),
+    pytest.param(lambda: f2linalg.BitMatrix(1, 2.0, (1,)), id="BitMatrix-cols-float"),
+    pytest.param(lambda: f2linalg.BitMatrix(0, -1, ()), id="BitMatrix-cols-negative"),
     # Row 1 has its lowest bit at 0, not at its pivot 1, so reduce(1) would
     # not reach 0 and contains would put the row outside its own span.
     pytest.param(lambda: f2linalg.Subspace(4, {1: 0b0001}), id="Subspace-pivot"),
     pytest.param(lambda: f2linalg.Subspace(2, {5: 1 << 5}), id="Subspace-ambient"),
+    pytest.param(lambda: f2linalg.Subspace(-1, {}), id="Subspace-ambient-negative"),
+    pytest.param(lambda: f2linalg.Subspace(2.0, {1: 2}), id="Subspace-ambient-float"),
+    pytest.param(lambda: f2linalg.Subspace(True, {0: 1}), id="Subspace-ambient-bool"),
     pytest.param(lambda: pickle.loads(pickle.dumps(f2linalg.Subspace._make(2, {5: 1 << 5}))),
                  id="Subspace-unpickled"),
     pytest.param(lambda: HomotopySystem(G, -1), id="HomotopySystem-order"),
@@ -123,6 +164,16 @@ def test_subspaces_equal_by_rref_basis():
 ])
 def test_constructors_validate(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build,field", [
+    pytest.param(lambda: f2linalg.BitMatrix(1.0, 2, (1,)), "rows", id="BitMatrix-rows"),
+    pytest.param(lambda: f2linalg.BitMatrix(0, -1, ()), "cols", id="BitMatrix-cols"),
+    pytest.param(lambda: f2linalg.Subspace(-1, {}), "ambient_dim", id="Subspace-ambient_dim"),
+])
+def test_shape_refusals_name_the_field(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a plain int >= 0"):
         build()
 
 
