@@ -19,12 +19,12 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 from . import f2linalg, modules
 from .f2linalg import BitMatrix, Subspace
 from .modules import (
-    MAX_ARITY,
     Bidegree,
     Element,
     InternalInconsistencyError,
     ModuleKind,
     _check_kind,
+    _check_max_arity,
     _frozen,
     _sym_count,
     basis,
@@ -139,9 +139,9 @@ def _splits(kind: ModuleKind, s: int, d: int, l: int):
 
 
 def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) -> Tuple[int, ...]:
-    """Rows of Sq^l on (s, d), s >= 1, d - l >= s: ``ctx.rows[kind][s, d, l]``,
-    built on a miss from the arity-(s-1) rows that this same call reads or
-    builds, so a build recurses one level per arity.
+    """Rows of Sq^l on (s, d), s >= 1, d - l >= s, kept in ``ctx.pieces`` at
+    (_block, kind, s, d, l): built on a miss from the arity-(s-1) rows that
+    this same call reads or builds, so a build recurses one level per arity.
 
     The basis is in ascending lex order, so the monomials (a | m) with
     first entry a form one block.  By the Cartan formula the row of (a | m)
@@ -152,14 +152,15 @@ def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) ->
     the block is a prefix of the basis of (s-1, d-a).  b goes in front of
     the tail columns that start at most at b, a low prefix that shifts as
     a whole, and is sorted into the others through the column tables that
-    ``_high_block`` keeps in ``ctx.high``, where terms of different i may
+    ``_high_block`` keeps in ``ctx.pieces``, where terms of different i may
     meet and cancel.
 
     A necklace is not closed under the split, so a gamma-cyc row is the
     support ``ctx.support`` gives its basis monomial, not kept: the plain
     gamma support, built on ctx's gamma tails, projected to necklaces.
     """
-    out = ctx.rows[kind].get((s, d, l))
+    key = _block, kind, s, d, l
+    out = ctx.pieces.get(key)
     if out is not None:
         return out
     if s == 1:
@@ -177,7 +178,7 @@ def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) ->
                 tail = tail[:dom[a + 1] - dom[a]]  # the m with no part above a
                 if b < d - l - b - s + 2:  # some tail columns start above b
                     low = cod[b + 1] - shift
-                    high, mask = _high_block(ctx.high, s - 1, d - l - b, b), (1 << low) - 1
+                    high, mask = _high_block(ctx.pieces, s - 1, d - l - b, b), (1 << low) - 1
                     rows = [(r & mask) << shift | _scatter(r >> low, high) if r >> low else r << shift
                             for r in tail]
                     blocks[a] = rows if acc is None else [x ^ y for x, y in zip(acc, rows)]
@@ -185,7 +186,7 @@ def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) ->
             blocks[a] = [r << shift for r in tail] if acc is None else [x ^ r << shift for x, r in zip(acc, tail)]
         out = tuple(chain.from_iterable(blocks[a] if a in blocks else [0] * (dom[a + 1] - dom[a])
                                         for a in _first_entries(kind, s, d)))
-    ctx.rows[kind][s, d, l] = out
+    ctx.pieces[key] = out
     return out
 
 
@@ -199,15 +200,17 @@ def _scatter(bits: int, columns: Tuple[int, ...]) -> int:
     return out
 
 
-def _high_block(high: dict, s: int, e: int, b: int) -> Tuple[int, ...]:
+def _high_block(pieces: dict, s: int, e: int, b: int) -> Tuple[int, ...]:
     """For the partitions t of (s, e) with first entry above b, in basis
-    order, the index of sorted(b | t) in (s+1, e+b): ``high[s, e, b]``,
-    built on a miss from the arity-(s-1) tables that this same call reads
-    or builds.  t = (c | t') sorts with b to (c | sorted(b | t')): in block
-    c of (s+1, e+b), at the index of sorted(b | t') in (s, e+b-c).  For
-    the t' with no part above b, the low prefix of (s-1, e-c), that is b
-    in front of t'; for the others it is in ``high[s-1, e-c, b]``."""
-    out = high.get((s, e, b))
+    order, the index of sorted(b | t) in (s+1, e+b), kept in ``pieces`` at
+    (_high_block, s, e, b) and built on a miss from the arity-(s-1) tables
+    that this same call reads or builds.  t = (c | t') sorts with b to
+    (c | sorted(b | t')): in block c of (s+1, e+b), at the index of
+    sorted(b | t') in (s, e+b-c).  For the t' with no part above b, the low
+    prefix of (s-1, e-c), that is b in front of t'; for the others, the
+    table of (s-1, e-c, b)."""
+    key = _high_block, s, e, b
+    out = pieces.get(key)
     if out is not None:
         return out
     columns: List[int] = []
@@ -217,8 +220,8 @@ def _high_block(high: dict, s: int, e: int, b: int) -> Tuple[int, ...]:
         front = base + _sym_count(s, e + b - c, b - 1)
         columns.extend(range(front, front + low))
         if e - c - s + 2 > b:  # some t' starts above b
-            columns.extend(base + j for j in _high_block(high, s - 1, e - c, b)[:_sym_count(s - 1, e - c, c) - low])
-    out = high[s, e, b] = tuple(columns)
+            columns.extend(base + j for j in _high_block(pieces, s - 1, e - c, b)[:_sym_count(s - 1, e - c, c) - low])
+    out = pieces[key] = tuple(columns)
     return out
 
 
@@ -226,17 +229,16 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     """Matrix of the right action of Sq^l from (s,d) to (s,d-l).
 
     Row u is the coordinate vector of (basis monomial u)Sq^l in the
-    lexicographic basis of the target piece, kept at ``rows[kind][s, d, l]``
-    of the current context, read once a call and built by ``_block`` on a
-    miss: a ``sweep``'s own for ``report`` and the chain certificates, else
+    lexicographic basis of the target piece, kept in the current context
+    by ``_block``, read once a call and built by it on a miss: a
+    ``sweep``'s own for ``report`` and the chain certificates, else
     the default ``modules.EXPANSIONS``.  Gamma and gamma-sym rows come from
     first-entry blocks, built from the rows one arity down with no basis
     enumerated and no monomial expanded; gamma-cyc rows project plain gamma
     supports.  Every build recurses one level per arity, so an arity above
     ``MAX_ARITY`` is refused with ValueError before any is built.
     """
-    if b.s > MAX_ARITY:
-        raise ValueError(f"arity s={b.s} exceeds the largest supported arity {MAX_ARITY}")
+    _check_max_arity(b.s)
     n = basis_size(b, kind)
     target = Bidegree(b.s, b.d - modules._square_index(l))
     cols = basis_size(target, kind) if target.d >= 0 else 0

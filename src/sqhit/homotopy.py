@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import itemgetter, sub, xor
-from typing import Callable, Collection, List, NamedTuple, Tuple
+from typing import Callable, Collection, Iterable, List, NamedTuple, Tuple
 
 from . import modules
 from .modules import (
@@ -195,17 +195,41 @@ def _failed_certificate(x: Element, h: HomotopySystem, i: int, what: str) -> Exc
                                  f"position {h.position}: y_{i} {what}")
 
 
+def _mask(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, terms: Iterable[Tuple[int, ...]]) -> int:
+    """The XOR of the bits of terms, all of piece (kind, s, d), interned in
+    ``ctx.pieces`` at (_mask, kind, s, d).  A term not yet interned there
+    gets the next bit, 1 << j, j counting the terms of the piece in the
+    order they were first seen, so a mask is at most as wide as the number
+    of terms interned for its piece, and within one piece the XOR of masks
+    is the sum mod 2 of their terms."""
+    bits = ctx.pieces.setdefault((_mask, kind, s, d), {})
+    out = 0
+    for t in terms:
+        b = bits.get(t)
+        if b is None:
+            b = bits[t] = 1 << len(bits)
+        out ^= b
+    return out
+
+
+def _shifted(ctx: modules.Expansions, x: Element, p: int, r: int, t: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+    """The entry of t, a term of x, in the memo that ``preimage_chain``
+    keeps at (_shifted, x.kind, p, r)."""
+    u = t[:p - 1] + (t[p - 1] + r,) + t[p:]
+    return u, _mask(ctx, x.kind, x.s, x.d, (t, *ctx.support(x.kind, u, r, keep=False)))
+
+
 def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
     """The elements y_i = x psi^(2^i) ... psi^2 psi^1, each with
     y_i Sq^R = x for R = 2^(i+1) - 1, for i = 0..order.
 
     Every psi adds to the same entry, so y_i = x psi^R, built straight from
     x as ``shift`` builds it (an orbit term stays canonical).  One lookup
-    per term of x builds y_i and checks it: both read
-    ``shifted[kind, position, R]`` of the current context
+    per term of x builds y_i and checks it: both read the memo at
+    (_shifted, kind, position, R) in the ``pieces`` of the current context
     ``modules.EXPANSIONS``, which maps a term t to (u, err), u being t
-    shifted by R and err the mask of t plus the terms of u Sq^R in the
-    bits that ``Expansions.bits`` gives x's piece.  The u's become y_i's
+    shifted by R and err the ``_mask`` of t plus the terms of u Sq^R in
+    the bits interned for x's piece.  The u's become y_i's
     support by ``modules._frozen``, a set copied into a frozenset, sized
     for its length like every support the library returns; a term that
     missed the memo stops that build (its lookup gave None), and the
@@ -233,19 +257,17 @@ def preimage_chain(x: Element, h: HomotopySystem) -> List[Element]:
         raise NullMembershipError(h.kind, min(t for t in x.support if not null((t,))))
     ctx = modules.EXPANSIONS
     kind, p = h.kind, h.position
-    j = p - 1
     chain: List[Element] = []
     for i in range(h.order + 1):
         r = (2 << i) - 1
-        memo = ctx.shifted[kind, p, r]
+        memo = ctx.pieces.setdefault((_shifted, kind, p, r), {})
         pairs = [*map(memo.get, x.support)]
         try:
             support = _frozen(map(_first, pairs))
         except TypeError:  # _first(None): some term missed the memo
             for n, t in enumerate(x.support):
                 if pairs[n] is None:
-                    u = t[:j] + (t[j] + r,) + t[p:]
-                    pairs[n] = memo[t] = (u, ctx.mask(kind, x.s, x.d, (t, *ctx.support(kind, u, r, keep=False))))
+                    pairs[n] = memo[t] = _shifted(ctx, x, p, r, t)
             support = _frozen(map(_first, pairs))
         y = Element._make((kind, x.s, x.d + r, support))
         if len(support) != len(pairs) or reduce(xor, map(_second, pairs), 0):

@@ -246,16 +246,24 @@ class ExpansionTooLarge(Exception):
 # Expansions.support (the gamma-sym split on the largest part included)
 # recurses one level per entry and hit.sq_matrix one level per arity, so
 # larger arities are refused well before Python's recursion limit of 1000:
-# by sq_matrix itself, and by every command that takes --s or an element.
+# by both, through _check_max_arity, and by every command that takes --s or an
+# element.
 MAX_ARITY = 256
+
+
+def _check_max_arity(s: int) -> None:
+    if s > MAX_ARITY:
+        raise ValueError(f"arity s={s} exceeds the largest supported arity {MAX_ARITY}")
 
 
 class Expansions:
     """A context of monomial expansions: their memos, and the allowance of
     Cartan steps they may still take; every memo read and every charge is
     the current context's, ``EXPANSIONS``.  ``with Expansions(n):`` makes a
-    fresh one current for one block at a time and restores the ``outer``
-    one however the block ends, so the n steps are the block's own budget.
+    fresh one current for one block at a time and restores the one it
+    replaced however the block ends, so the n steps are the block's own
+    budget.  ``outer`` stacks the contexts it replaced, so it may be entered
+    again, inside its own block too.
 
     ``tables[kind][l]`` is a plain dict from entry tuples to the support of
     [entries]Sq^l in that kind, for gamma, nabla and gamma-sym.  gamma-cyc has
@@ -265,25 +273,13 @@ class Expansions:
     keeps every tail it recurses into, but the support it was asked for only if
     the caller asks: ``sq`` does, as its terms repeat, while the gamma-cyc rows
     of ``hit.sq_matrix`` and the memo misses of ``homotopy.preimage_chain``
-    keep theirs in ``rows`` and ``shifted``.  A support it builds is a set
+    pack theirs at once.  A support it builds is a set
     copied into a frozenset, sized as ``_frozen`` sizes every support the
     library returns; a gamma-cyc projection is not resized, as its caller
     packs it into a row or a mask, or sums it, at once.  Each expansion that misses its
     table charges the allowance: the loop steps, counted before the loop runs,
     and the entries of the terms they build, so the work done before a refusal
     does not grow with the arity.
-
-    ``rows[kind]`` holds the rows of ``hit.sq_matrix``, keyed (s, d, l), and
-    ``high`` the gamma-sym column tables they are sorted through, (s, e, b).
-    ``report`` and the chain certificates keep both in a ``hit.sweep``'s own
-    context, and the rest in the default one.  ``shifted[kind, position, r]``
-    serves ``homotopy.preimage_chain``: it maps an entry tuple t to the pair
-    (u, err), u being t with r added at the position and err the ``mask`` of t
-    and of the terms of u Sq^r, all of t's piece.  ``bits[kind, s, d]`` interns
-    the terms of one piece: it gives each its own bit, 1 << j, j counting the
-    terms in the order they were first seen, so a mask is at most as wide as
-    the number of terms interned for its piece, and within one piece the XOR of
-    masks is the sum mod 2 of their terms.
 
     ``terms[kind, s, d]`` serves ``element_from_json``: it maps each term
     that has passed ``Element``'s checks for that piece to the one tuple
@@ -293,32 +289,33 @@ class Expansions:
     large as the piece's basis.  It lives as long as the context, and a
     refused decode adds nothing to it.
 
-    ``pieces`` holds each ``basis``, and ``hit``'s basis indices and offsets.
-    So a fresh context is as empty as a fresh process: only ``_sym_count``
-    and ``homotopy._null_condition`` cache across contexts, as their values
-    (one int, one predicate a key) do not grow with a piece.
+    ``pieces`` holds every other memo that grows with a piece.  ``piece``
+    keeps build(kind, s, d) there under (build, kind, s, d): each ``basis``,
+    and ``hit``'s basis indices and offsets.  A module that fills a memo of
+    its own there keys it by one of its private functions, which documents
+    it.  So a fresh context is as empty as a fresh process: only
+    ``_sym_count`` and ``homotopy._null_condition`` cache across contexts,
+    as their values (one int, one predicate a key) do not grow with a piece.
     """
 
-    __slots__ = ("allowance", "tables", "rows", "high", "shifted", "bits", "terms", "pieces", "outer")
+    __slots__ = ("allowance", "tables", "terms", "pieces", "outer")
 
     def __init__(self, allowance=math.inf):
         self.allowance = allowance
         self.tables = {kind: defaultdict(dict) for kind in ModuleKind if kind is not ModuleKind.GAMMA_CYC}
-        self.rows = {kind: {} for kind in POSITIVE_KINDS}
-        self.high = {}
-        self.shifted = defaultdict(dict)
-        self.bits = defaultdict(dict)
         self.terms = {}
         self.pieces = {}
+        self.outer = []
 
     def __enter__(self) -> "Expansions":
         global EXPANSIONS
-        self.outer, EXPANSIONS = EXPANSIONS, self
+        self.outer.append(EXPANSIONS)
+        EXPANSIONS = self
         return self
 
     def __exit__(self, *exc) -> None:
         global EXPANSIONS
-        EXPANSIONS = self.outer
+        EXPANSIONS = self.outer.pop()
 
     def charge(self, steps: int) -> None:
         self.allowance -= steps
@@ -332,22 +329,11 @@ class Expansions:
             self.pieces[key] = build(kind, s, d)
         return self.pieces[key]
 
-    def mask(self, kind: ModuleKind, s: int, d: int, terms: Iterable[Tuple[int, ...]]) -> int:
-        """The XOR of the bits of terms, all of piece (kind, s, d), in
-        ``bits``; a term not yet interned there gets the next bit."""
-        bits = self.bits[kind, s, d]
-        out = 0
-        for t in terms:
-            b = bits.get(t)
-            if b is None:
-                b = bits[t] = 1 << len(bits)
-            out ^= b
-        return out
-
     def support(self, kind: ModuleKind, entries: Tuple[int, ...], l: int, keep: bool = True) -> frozenset:
         """The support of [entries]Sq^l in kind, from its table or expanded,
         its tails kept there and itself only with keep; in gamma-cyc, the
-        gamma support projected to necklaces.
+        gamma support projected to necklaces.  A miss above ``MAX_ARITY``
+        is refused with ValueError before it expands anything.
 
         An expansion is the Cartan formula on the first entry a, whose
         shared tails are reused from the tables: entry tuples for gamma and
@@ -370,6 +356,7 @@ class Expansions:
         out = tables[l].get(entries)
         if out is not None:
             return out
+        _check_max_arity(len(entries))  # before the recursion and any charge
         if not entries:
             return frozenset([()]) if l == 0 else frozenset()
         a, rest = entries[0], entries[1:]

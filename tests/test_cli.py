@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import sqhit
+from test_hit import rows_of
+from test_modules import owned
 from sqhit import cli, f2linalg, hit, homotopy, modules, structure, suites
 from sqhit.cli import main
 from sqhit.homotopy import ChainCertificateError
@@ -633,7 +635,7 @@ class TestReport:
         hit.unhit_report(Bidegree(3, 9), 1, ModuleKind(kind))
 
         def sizes():
-            return ([len(rows) for rows in ctx.rows.values()], len(ctx.high),
+            return ([len(rows_of(ctx, kind)) for kind in modules.POSITIVE_KINDS], len(owned(ctx, hit._high_block)),
                     [sum(map(len, by_l.values())) for by_l in ctx.tables.values()])
 
         before = sizes()

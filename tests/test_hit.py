@@ -1,12 +1,13 @@
 import random
 import re
+import sys
 from functools import partial
 
 import pytest
 
 import oracles
 from oracles import naive_sq
-from test_modules import memo_size
+from test_modules import memo_size, owned
 from sqhit import f2linalg, hit, homotopy, modules, structure, suites
 from sqhit.f2linalg import BitMatrix, subspace_from_rows
 from sqhit.modules import Bidegree, Element, ModuleKind, basis, sq
@@ -29,11 +30,16 @@ def from_depth(frames, fn, *args):
     return fn(*args) if frames == 0 else from_depth(frames - 1, fn, *args)
 
 
+def rows_of(ctx, kind):
+    """The action rows of kind that ``hit._block`` keeps in ctx, keyed (s, d, l)."""
+    return {key[1:]: rows for key, rows in owned(ctx, hit._block).items() if key[0] is kind}
+
+
 def memo_counts(ctx):
     """The entries of each memo of a context: per kind its expansion tables
     and its action rows, then the gamma-sym column tables."""
     return ([sum(map(len, by_l.values())) for by_l in ctx.tables.values()],
-            [len(rows) for rows in ctx.rows.values()], len(ctx.high))
+            [len(rows_of(ctx, kind)) for kind in modules.POSITIVE_KINDS], len(owned(ctx, hit._high_block)))
 
 
 class TestSqMatrix:
@@ -97,7 +103,7 @@ class TestSqMatrix:
         # would be 450 blocks of 24090 rows; first entries reach 347.
         monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         hit.unhit_report(Bidegree(4, 18), 2, G)
-        rows = modules.EXPANSIONS.rows[G]
+        rows = rows_of(modules.EXPANSIONS, G)
         assert len(rows) == 347
         assert sum(map(len, rows.values())) == 15388
 
@@ -144,7 +150,7 @@ class TestSqMatrix:
         assert max(len(t) for by_l in modules.EXPANSIONS.tables[G].values() for t in by_l) == 4
 
     def test_cyc_rows_keep_only_the_tails(self, monkeypatch):
-        # A row is packed into ctx.rows, so the plain support of its
+        # A row is packed into the context's rows, so the plain support of its
         # necklace is not kept; the arity-5 tails it was built from are.
         b = Bidegree(6, 25)
         with modules.Expansions() as ctx:
@@ -174,7 +180,7 @@ class TestSqMatrix:
         assert [sq(z, (2 << i) - 1) for i, z in enumerate(chain)] == [y, y]
         hit.sq_matrix(Bidegree(4, 13), 1, self.C)
         assert self.C not in ctx.tables and ctx.tables[G]
-        assert {key[0] for key in ctx.shifted} == {self.C}
+        assert {key[0] for key in owned(ctx, homotopy._shifted)} == {self.C}
 
     def test_cyc_build_fills_the_current_context(self, monkeypatch):
         # hit reads modules.EXPANSIONS when it is called, so a context put in
@@ -183,7 +189,7 @@ class TestSqMatrix:
         before = memo_counts(old)
         monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         m = hit.sq_matrix(Bidegree(4, 13), 1, self.C)
-        assert modules.EXPANSIONS.rows[self.C] == {(4, 13, 1): m.data}
+        assert rows_of(modules.EXPANSIONS, self.C) == {(4, 13, 1): m.data}
         assert memo_size(G) > 0
         assert memo_counts(old) == before
 
@@ -255,12 +261,34 @@ class TestSqMatrix:
         # column tables recurse too, from arity top - 1 down to top - 9.
         m = from_depth(300, hit.sq_matrix, Bidegree(top, top + 10), 7, self.S)
         assert (m.rows, m.cols, m.data) == oracles.gamma_action_rows(10, 20, 7, oracles.sym_sq_support, self.S)
-        assert {s for s, _, _ in ctx.high} == set(range(top - 9, top))
+        assert {s for s, _, _ in owned(ctx, hit._high_block)} == set(range(top - 9, top))
         built = memo_counts(ctx)
         for s in (top + 1, 1500):
             with pytest.raises(ValueError, match=f"^arity s={s} exceeds the largest supported arity {top}$"):
                 hit.sq_matrix(Bidegree(s, s + 1), 1, self.S)
         assert memo_counts(ctx) == built
+
+    def test_max_arity_builds_take_one_frame_per_arity(self):
+        # 300 frames above the caller's leave room for one frame per arity
+        # at MAX_ARITY, not for two.
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        top, limit = modules.MAX_ARITY, sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 300)
+        try:
+            with modules.Expansions():
+                plain = hit.sq_matrix(Bidegree(top, top + 1), 1, G)
+                sym = hit.sq_matrix(Bidegree(top, top + 11), 3, self.S)
+                cyc = hit.sq_matrix(Bidegree(top, top + 2), 1, self.C)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (plain.rows, plain.cols, plain.data) == (top, 1, (1,) * top)
+        # Parts 1 are fixed by every positive square: the rows of (11, 22).
+        assert (sym.rows, sym.cols, sym.data) == oracles.gamma_action_rows(11, 22, 3, oracles.sym_sq_support, self.S)
+        # A necklace with one 3 is killed; one with two 2s has two terms, and
+        # both project to the one necklace of (top, top + 1), so they cancel.
+        assert (cyc.rows, cyc.cols, cyc.data) == (1 + top // 2, 1, (0,) * (1 + top // 2))
 
     def test_sym_unhit_expands_no_monomial(self, monkeypatch):
         def no_basis(b, kind):
@@ -557,16 +585,17 @@ class TestSweep:
             with modules.Expansions() as inner:
                 m = hit.sq_matrix(rep.bidegree, 1, rep.kind)
                 assert modules.EXPANSIONS is inner
-                assert inner.rows[rep.kind][(*rep.bidegree, 1)] == m.data
+                assert rows_of(inner, rep.kind)[(*rep.bidegree, 1)] == m.data
             assert modules.EXPANSIONS is outer
         # The sweep's cells filled its own context, not the caller's.
         assert memo_counts(outer) == memo_counts(modules.Expansions())
 
     @pytest.mark.parametrize("kind,builds", [
-        (ModuleKind.GAMMA_CYC, {modules._enumerate, hit._basis_index}), (G, {hit._offsets})])
+        (ModuleKind.GAMMA_CYC, {modules._enumerate, hit._basis_index, hit._block}),
+        (G, {hit._offsets, hit._block})])
     def test_piece_memos_go_with_the_sweep(self, monkeypatch, kind, builds):
         # gamma-cyc rows read bases and column indices, gamma rows offsets;
-        # the sweep's cells keep them in its own context.
+        # the sweep's cells keep them, and the rows, in its own context.
         outer = modules.Expansions()
         monkeypatch.setattr(modules, "EXPANSIONS", outer)
         assert len(list(hit.sweep(kind, self.CELLS, 1))) == len(self.CELLS)

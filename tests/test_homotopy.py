@@ -4,6 +4,7 @@ import re
 import pytest
 
 from oracles import first_unkilled, naive_sq, nested_chain, null_monomial, toggled_shift
+from test_modules import owned
 from sqhit import f2linalg, hit, homotopy, modules
 from sqhit.homotopy import (
     AnnihilationError,
@@ -329,7 +330,22 @@ class TestPreimageChain:
             preimage_chain(x, h)
         with pytest.raises(ValueError, match=r"^position 3 out of range for arity 1$"):
             in_null(x, h)
-        assert not modules.EXPANSIONS.shifted
+        assert not owned(modules.EXPANSIONS, homotopy._shifted)
+
+    def test_chain_at_max_arity(self):
+        # [1, ..., 1] is killed by Sq^1, and [2, 1, ..., 1]Sq^1 = [1, ..., 1].
+        top = modules.MAX_ARITY
+        with modules.Expansions():
+            assert preimage_chain(mono(*(1,) * top), HomotopySystem(G, 0)) == [mono(2, *(1,) * (top - 1))]
+
+    @pytest.mark.parametrize("s", [257, 1500])
+    def test_chain_miss_refused_above_max_arity(self, s):
+        # A memo miss expands y_0 Sq^1, which is refused before it charges.
+        with modules.Expansions(100) as ctx:
+            with pytest.raises(ValueError, match=f"^arity s={s} exceeds the largest supported arity 256$"):
+                preimage_chain(mono(*(1,) * s), HomotopySystem(G, 0))
+        assert ctx.allowance == 100 and not any(ctx.tables[G].values())
+        assert not any(ctx.pieces.values())
 
     @CHAIN_PIECES
     def test_matches_nested_chain(self, monkeypatch, kind, s, d, orders, positions):
@@ -343,7 +359,7 @@ class TestPreimageChain:
                 monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
             for x, h in cases:
                 assert preimage_chain(x, h) == nested_chain(x, h.order, h.position), (run, h, x)
-            assert {key for key, memo in modules.EXPANSIONS.shifted.items() if memo} == {
+            assert {key for key, memo in owned(modules.EXPANSIONS, homotopy._shifted).items() if memo} == {
                 (kind, p, (2 << i) - 1) for k in orders for p in positions for i in range(k + 1)}
 
     @pytest.mark.parametrize("kind,s,d,k,positions", [
@@ -363,8 +379,8 @@ class TestPreimageChain:
 
     def test_pieces_stay_isolated_in_one_context(self, monkeypatch):
         # The chains of every system in one shuffled order through one fresh
-        # context: the gamma pieces share shifted[G, 1, 1], and each mask
-        # there comes from the interning table of its own term's piece.
+        # context: the gamma pieces share the memo at (_shifted, G, 1, 1), and
+        # each mask there comes from the interning table of its own term's piece.
         ctx = modules.Expansions()
         monkeypatch.setattr(modules, "EXPANSIONS", ctx)
         rng = random.Random(31)
@@ -373,11 +389,12 @@ class TestPreimageChain:
         rng.shuffle(cases)
         for x, h in cases:
             assert preimage_chain(x, h) == nested_chain(x, h.order, h.position), (h, x)
-        assert set(ctx.bits) == {(kind, s, d) for kind, s, d, _, _ in CHAIN_SYSTEMS}
-        memo = ctx.shifted[G, 1, 1]
+        interned = owned(ctx, homotopy._mask)
+        assert set(interned) == {(kind, s, d) for kind, s, d, _, _ in CHAIN_SYSTEMS}
+        memo = ctx.pieces[homotopy._shifted, G, 1, 1]
         assert {(len(t), sum(t)) for t in memo} == {(4, 14), (4, 16), (4, 18)}
         for t, (u, err) in memo.items():
-            bits = ctx.bits[G, len(t), sum(t)]
+            bits = interned[G, len(t), sum(t)]
             assert err < 1 << len(bits)
             assert {v for v, b in bits.items() if err & b} == {t} ^ naive_sq(mono(*u), 1).support, t
 
@@ -422,13 +439,13 @@ class TestPreimageChain:
         h = HomotopySystem(G, 1, 1)
         assert preimage_chain(x, h) == nested_chain(x, 1, 1)
         assert sq_calls == []
-        memo = modules.EXPANSIONS.shifted[G, 1, 3]
+        memo = modules.EXPANSIONS.pieces[homotopy._shifted, G, 1, 3]
         t, other = sorted(x.support)[:2]
         u, err = memo[t]
         if corrupt == "support":
             # The bit of t flipped: the mask of t's image support with t
             # added or taken out.
-            memo[t] = (u, err ^ modules.EXPANSIONS.bits[G, 4, 16][t])
+            memo[t] = (u, err ^ modules.EXPANSIONS.pieces[homotopy._mask, G, 4, 16][t])
         elif corrupt == "shifted onto another":
             memo[t] = (memo[other][0], err)
         elif corrupt == "shifted out of null":

@@ -227,6 +227,12 @@ def memo_size(kind=None):
     return sum(len(table) for k in (tables if kind is None else (kind,)) for table in tables[k].values())
 
 
+def owned(ctx, owner):
+    """The memo that owner, a private function of its module, keeps in a
+    context's pieces: each key with owner taken off, mapped to its value."""
+    return {key[1:]: value for key, value in ctx.pieces.items() if key[0] is owner}
+
+
 def limited_sq(x, l, steps):
     """x Sq^l in a fresh context of its own, with an allowance of steps."""
     with modules.Expansions(steps):
@@ -358,6 +364,47 @@ class TestCartanSteps:
             assert (a.allowance, b.allowance) == (100, 0)
             assert memo_size() == 0
         assert modules.EXPANSIONS is outer
+
+    def test_context_entered_inside_its_own_block(self):
+        # Entering c again must not forget the context c replaced first.
+        outer, c = modules.EXPANSIONS, modules.Expansions()
+        with c:
+            with c:
+                assert modules.EXPANSIONS is c
+            assert modules.EXPANSIONS is c
+        assert modules.EXPANSIONS is outer
+
+    def test_context_entered_again_inside_another(self):
+        outer, c, d = modules.EXPANSIONS, modules.Expansions(), modules.Expansions()
+        with c:
+            with d:
+                with c:
+                    assert modules.EXPANSIONS is c
+                assert modules.EXPANSIONS is d
+            assert modules.EXPANSIONS is c
+        assert modules.EXPANSIONS is outer
+        with d:  # and each may be entered once more afterwards
+            assert modules.EXPANSIONS is d
+        assert modules.EXPANSIONS is outer
+
+    def test_sq_at_max_arity(self):
+        # [2, ..., 2]Sq^1 lowers one entry to 1 with C(1, 1) = 1.
+        top = modules.MAX_ARITY
+        with modules.Expansions():
+            out = sq(gamma((2,) * top), 1)
+        assert out.support == {(2,) * i + (1,) + (2,) * (top - 1 - i) for i in range(top)}
+
+    @pytest.mark.parametrize("s", [257, 1500])
+    def test_sq_refused_above_max_arity(self, s):
+        # An expansion recurses one level per entry, so a miss above
+        # MAX_ARITY is refused before it expands or charges anything.
+        message = f"^arity s={s} exceeds the largest supported arity {modules.MAX_ARITY}$"
+        for kind in (G, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC):
+            with modules.Expansions(100) as ctx:
+                with pytest.raises(ValueError, match=message):
+                    sq(Element.single(kind, (2,) * s), 1)
+            assert ctx.allowance == 100
+            assert not any(by_l for table in ctx.tables.values() for by_l in table.values())
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from sqhit import f2linalg, modules, structure, suites
+from test_modules import owned
+from sqhit import f2linalg, hit, modules, structure, suites
 from sqhit.homotopy import ChainCertificateError, preimage_chain
 from sqhit.modules import Element, ModuleKind
 
@@ -66,7 +67,7 @@ class TestCertifyNullDelta:
         assert res.ok and res.passed == len(contexts) > 0
         assert {*map(id, contexts)} == {id(ctx)}
         # The chains filled the caller's expansion tables; no matrix row is left there.
-        assert ctx.tables[G] and not any(ctx.rows.values()) and not ctx.high
+        assert ctx.tables[G] and not owned(ctx, hit._block) and not owned(ctx, hit._high_block)
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(x, h):
