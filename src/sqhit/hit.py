@@ -25,8 +25,8 @@ from .modules import (
     ModuleKind,
     _check_kind,
     _check_max_arity,
+    _cyc_canonical,
     _frozen,
-    _sym_count,
     basis,
     basis_size,
     binom_mod2,
@@ -104,7 +104,7 @@ def _basis_index(kind: ModuleKind, s: int, d: int) -> Dict[Tuple[int, ...], int]
     return {t: j for j, t in enumerate(basis(Bidegree(s, d), kind))}
 
 
-_SYM, _CYC = ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC
+_G, _SYM, _CYC = ModuleKind.GAMMA, ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC
 
 
 def _first_entries(kind: ModuleKind, s: int, d: int) -> range:
@@ -113,51 +113,62 @@ def _first_entries(kind: ModuleKind, s: int, d: int) -> range:
     return range(-(-d // s) if kind is _SYM else 1, d - s + 2)
 
 
-def _offsets(kind: ModuleKind, s: int, d: int) -> Tuple[int, ...]:
+def _offsets(pieces: dict, kind: ModuleKind, s: int, d: int) -> Tuple[int, ...]:
     """Entry c: the basis monomials of (s, d), s >= 2, with first entry
-    below c, for c up to one past the last first entry.  The block of first
-    entry a holds the (a | m) with m in the basis of (s-1, d-a): all
-    C(d-a-1, s-2) of them for gamma, and for gamma-sym those with no part
-    above a."""
-    firsts = _first_entries(kind, s, d)
-    if kind is _SYM:
-        sizes = (_sym_count(s - 1, d - a, a) for a in firsts)
-    else:
-        sizes = (math.comb(d - a - 1, s - 2) for a in firsts)
-    return (0,) * firsts.start + tuple(accumulate(sizes, initial=0))
+    below c, for c up to one past the last first entry, kept in ``pieces``
+    at (_offsets, kind, s, d).  The block of first entry a holds the (a | m)
+    with m in the basis of (s-1, d-a): all C(d-a-1, s-2) of them for gamma,
+    and for gamma-sym those with no part above a, which ``_sym_fit`` reads
+    off the offsets of (s-1, d-a)."""
+    key = _offsets, kind, s, d
+    out = pieces.get(key)
+    if out is None:
+        firsts = _first_entries(kind, s, d)
+        if kind is _SYM:
+            sizes = [_sym_fit(pieces, s - 1, d - a, a) for a in firsts]
+        else:
+            sizes = [math.comb(d - a - 1, s - 2) for a in firsts]
+        out = pieces[key] = (0,) * firsts.start + tuple(accumulate(sizes, initial=0))
+    return out
 
 
-def _splits(kind: ModuleKind, s: int, d: int, l: int):
-    """The (a, i) whose tail rows the block of first entry a in Sq^l on
-    (s, d) reads: C(a-i, i) odd, and a - i <= top keeps the tail's codomain
-    (s-1, d-a-(l-i)) nonempty."""
-    top = d - l - s + 1  # the largest first entry in the codomain
-    for a in _first_entries(kind, s, d):
-        for i in range(max(0, a - top), min(l, a - 1) + 1):
-            if (a - i) & i == i:
-                yield a, i
+def _sym_fit(pieces: dict, s: int, d: int, c: int) -> int:
+    """The partitions of d into s parts, none above c >= 0: those with first
+    entry below c + 1, read off the offsets of (s, d).  The count is closed
+    at d <= s (all ones, at d == s) and at s <= 1, so the offsets recurse at
+    most d - s levels down, whatever the arity."""
+    if d <= s:
+        return int(d == s and (c > 0 or s == 0))
+    if s <= 1:
+        return int(s == 1 and d <= c)
+    offsets = _offsets(pieces, _SYM, s, d)
+    return offsets[min(c + 1, d - s + 2)]
 
 
 def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) -> Tuple[int, ...]:
     """Rows of Sq^l on (s, d), s >= 1, d - l >= s, kept in ``ctx.pieces`` at
-    (_block, kind, s, d, l): built on a miss from the arity-(s-1) rows that
-    this same call reads or builds, so a build recurses one level per arity.
+    (_block, kind, s, d, l): built on a miss from the arity-(s-1) rows it
+    reads there, each built by this same function on a miss, so a build
+    recurses one level per arity.
 
     The basis is in ascending lex order, so the monomials (a | m) with
     first entry a form one block.  By the Cartan formula the row of (a | m)
     is the sum, over the i with C(a-i, i) odd, of the row of m under
-    Sq^(l-i) with b = a - i put in front.  For gamma the block is laid out
+    Sq^(l-i) with b = a - i put in front; a - i <= top keeps the tail's
+    codomain (s-1, d-a-(l-i)) nonempty.  For gamma the block is laid out
     like the basis of (s-1, d-a), and b in front shifts a whole tail row to
     the columns of first entry b.  For gamma-sym m has no part above a, so
     the block is a prefix of the basis of (s-1, d-a).  b goes in front of
     the tail columns that start at most at b, a low prefix that shifts as
     a whole, and is sorted into the others through the column tables that
     ``_high_block`` keeps in ``ctx.pieces``, where terms of different i may
-    meet and cancel.
+    meet and cancel.  A Sq^0 tail is the identity, so it is never built:
+    row j of the block gets the bit of the column that tail column j goes
+    to.
 
-    A necklace is not closed under the split, so a gamma-cyc row is the
-    support ``ctx.support`` gives its basis monomial, not kept: the plain
-    gamma support, built on ctx's gamma tails, projected to necklaces.
+    A necklace is not closed under the split, so a gamma-cyc row is read
+    off the plain gamma support of its basis monomial, built on ctx's gamma
+    tails and not kept: each term sets, or clears, the bit of its necklace.
     """
     key = _block, kind, s, d, l
     out = ctx.pieces.get(key)
@@ -166,26 +177,43 @@ def _block(ctx: modules.Expansions, kind: ModuleKind, s: int, d: int, l: int) ->
     if s == 1:
         out = (binom_mod2(d - l, l),)
     elif kind is _CYC:
-        index = ctx.piece(_basis_index, kind, s, d - l)
-        out = tuple(sum(1 << index[t] for t in ctx.support(kind, m, l, keep=False)) for m in basis(Bidegree(s, d), kind))
+        index, rows = ctx.piece(_basis_index, kind, s, d - l), []
+        for m in basis(Bidegree(s, d), kind):
+            row = 0
+            for t in ctx.support(_G, m, l, keep=False):
+                row ^= 1 << index[_cyc_canonical(t)]
+            rows.append(row)
+        out = tuple(rows)
     else:
-        dom, cod = ctx.piece(_offsets, kind, s, d), ctx.piece(_offsets, kind, s, d - l)
-        blocks: Dict[int, List[int]] = {}
-        for a, i in _splits(kind, s, d, l):
-            b = a - i
-            tail, shift, acc = _block(ctx, kind, s - 1, d - a, l - i), cod[b], blocks.get(a)
-            if kind is _SYM:
-                tail = tail[:dom[a + 1] - dom[a]]  # the m with no part above a
-                if b < d - l - b - s + 2:  # some tail columns start above b
-                    low = cod[b + 1] - shift
-                    high, mask = _high_block(ctx.pieces, s - 1, d - l - b, b), (1 << low) - 1
-                    rows = [(r & mask) << shift | _scatter(r >> low, high) if r >> low else r << shift
-                            for r in tail]
-                    blocks[a] = rows if acc is None else [x ^ y for x, y in zip(acc, rows)]
+        pieces, sym = ctx.pieces, kind is _SYM
+        dom, cod = _offsets(pieces, kind, s, d), _offsets(pieces, kind, s, d - l)
+        top = d - l - s + 1  # the largest first entry in the codomain
+        rows: List[int] = []
+        for a in _first_entries(kind, s, d):
+            n, acc = dom[a + 1] - dom[a], None  # acc: the block's n rows, once a split adds to them
+            for i in range(max(0, a - top), min(l, a - 1) + 1):
+                b = a - i
+                if b & i != i:
                     continue
-            blocks[a] = [r << shift for r in tail] if acc is None else [x ^ r << shift for x, r in zip(acc, tail)]
-        out = tuple(chain.from_iterable(blocks[a] if a in blocks else [0] * (dom[a + 1] - dom[a])
-                                        for a in _first_entries(kind, s, d)))
+                shift = cod[b]
+                high = sym and b <= top - b  # some tail columns start above b
+                if high:
+                    low, columns = cod[b + 1] - shift, _high_block(pieces, s - 1, d - l - b, b)
+                if i == l:  # a Sq^0 tail: its row j is its column j
+                    cols = chain(range(shift, shift + low), columns[:n - low]) if high else range(shift, shift + n)
+                    acc = [1 << c for c in cols] if acc is None else [x ^ 1 << c for x, c in zip(acc, cols)]
+                    continue
+                tail = pieces.get((_block, kind, s - 1, d - a, l - i)) or _block(ctx, kind, s - 1, d - a, l - i)
+                if high:
+                    mask = (1 << low) - 1
+                    acc = [x ^ ((r & mask) << shift | _scatter(r >> low, columns) if r >> low else r << shift)
+                           for x, r in zip(acc or [0] * n, tail)]
+                elif acc is None:
+                    acc = [r << shift for r in tail[:n]]
+                else:
+                    acc = [x ^ r << shift for x, r in zip(acc, tail)]
+            rows += acc or [0] * n
+        out = tuple(rows)
     ctx.pieces[key] = out
     return out
 
@@ -215,12 +243,13 @@ def _high_block(pieces: dict, s: int, e: int, b: int) -> Tuple[int, ...]:
         return out
     columns: List[int] = []
     for c in range(max(b + 1, -(-e // s)), e - s + 2):
-        base = _sym_count(s + 1, e + b, c - 1)
-        low = _sym_count(s - 1, e - c, b)
-        front = base + _sym_count(s, e + b - c, b - 1)
+        base = _sym_fit(pieces, s + 1, e + b, c - 1)
+        low = _sym_fit(pieces, s - 1, e - c, b)
+        front = base + _sym_fit(pieces, s, e + b - c, b - 1)
         columns.extend(range(front, front + low))
         if e - c - s + 2 > b:  # some t' starts above b
-            columns.extend(base + j for j in _high_block(pieces, s - 1, e - c, b)[:_sym_count(s - 1, e - c, c) - low])
+            high = _high_block(pieces, s - 1, e - c, b)[:_sym_fit(pieces, s - 1, e - c, c) - low]
+            columns.extend(base + j for j in high)
     out = pieces[key] = tuple(columns)
     return out
 
@@ -255,15 +284,12 @@ def sq_stack(b: Bidegree, squares: Iterable[int], kind: ModuleKind) -> BitMatrix
     """The matrices of the given squares out of (s,d), side by side in that
     order: row u is (basis monomial u)[Sq^l1 | Sq^l2 | ...]."""
     n = basis_size(b, kind)
-    blocks = [sq_matrix(b, l, kind) for l in squares]
-    rows = []
-    for u in range(n):
-        combined, offset = 0, 0
-        for blk in blocks:
-            combined |= blk.data[u] << offset
-            offset += blk.cols
-        rows.append(combined)
-    return BitMatrix._make((n, sum(blk.cols for blk in blocks), tuple(rows)))
+    rows, offset = (0,) * n, 0
+    for l in squares:
+        blk = sq_matrix(b, l, kind)
+        rows = [r | x << offset for r, x in zip(rows, blk.data)]
+        offset += blk.cols
+    return BitMatrix._make((n, offset, tuple(rows)))
 
 
 def _check_order(k: int) -> None:

@@ -271,12 +271,14 @@ class Expansions:
     projected to necklaces, which reads the gamma table.  Every square of a
     monomial goes through ``support``, the one code that reads ``tables``.  It
     keeps every tail it recurses into, but the support it was asked for only if
-    the caller asks: ``sq`` does, as its terms repeat, while the gamma-cyc rows
-    of ``hit.sq_matrix`` and the memo misses of ``homotopy.preimage_chain``
-    pack theirs at once.  A support it builds is a set
-    copied into a frozenset, sized as ``_frozen`` sizes every support the
-    library returns; a gamma-cyc projection is not resized, as its caller
-    packs it into a row or a mask, or sums it, at once.  Each expansion that misses its
+    the caller asks: ``sq`` does, as its terms repeat, while the memo misses
+    of ``homotopy.preimage_chain`` pack theirs at once, and so do the
+    gamma-cyc rows of ``hit.sq_matrix``, which ask for the plain gamma
+    support and set or clear the bit of each term's necklace themselves.
+    A support it builds is a set copied into a frozenset, sized as
+    ``_frozen`` sizes every support the library returns; a gamma-cyc
+    projection is not resized, as its caller packs it into a mask, or sums
+    it, at once.  Each expansion that misses its
     table charges the allowance: the loop steps, counted before the loop runs,
     and the entries of the terms they build, so the work done before a refusal
     does not grow with the arity.
@@ -291,7 +293,7 @@ class Expansions:
 
     ``pieces`` holds every other memo that grows with a piece.  ``piece``
     keeps build(kind, s, d) there under (build, kind, s, d): each ``basis``,
-    and ``hit``'s basis indices and offsets.  A module that fills a memo of
+    and ``hit``'s basis indices.  A module that fills a memo of
     its own there keys it by one of its private functions, which documents
     it.  So a fresh context is as empty as a fresh process: only
     ``_sym_count`` and ``homotopy._null_condition`` cache across contexts,
@@ -482,7 +484,8 @@ def _enumerate(kind: ModuleKind, s: int, d: int) -> Tuple[Tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _sym_count(s: int, d: int, c: int) -> int:
-    """Partitions of d into s parts, each at most c.  Taking 1 from each
+    """Partitions of d into s parts, each at most c, for ``basis_size``;
+    ``hit`` reads its counts off offsets of its own.  Taking 1 from each
     part leaves the partitions of d - s that fit in a box of s rows and
     c - 1 columns.  With k <= m the sides of the box, they are counted by
     the coefficient of x^(d-s) in the Gaussian binomial [k + m, k], the

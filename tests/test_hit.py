@@ -100,12 +100,13 @@ class TestSqMatrix:
 
     def test_unhit_builds_only_the_blocks_it_reads(self, monkeypatch):
         # Every arity-t block with t <= e <= d-s+t and j <= min(l, e-t)
-        # would be 450 blocks of 24090 rows; first entries reach 347.
+        # would be 450 blocks of 24090 rows; first entries reach 347, and
+        # the 45 of them under Sq^0 (815 rows) are identity columns, not built.
         monkeypatch.setattr(modules, "EXPANSIONS", modules.Expansions())
         hit.unhit_report(Bidegree(4, 18), 2, G)
         rows = rows_of(modules.EXPANSIONS, G)
-        assert len(rows) == 347
-        assert sum(map(len, rows.values())) == 15388
+        assert len(rows) == 302
+        assert sum(map(len, rows.values())) == 14573
 
     def test_first_entry_blocks_match_naive_sq(self):
         def support(entries, l):
@@ -223,6 +224,26 @@ class TestSqMatrix:
                 parts = oracles.orbit_basis(self.S, s, d) if s else ((),) * (d == 0)
                 for c in range(0, d + 2):
                     assert modules._sym_count(s, d, c) == sum(max(p, default=0) <= c for p in parts), (s, d, c)
+
+    def test_sym_offsets_match_brute_force(self):
+        # Entry c of the offsets of (s, d) counts the partitions whose first
+        # (largest) part is below c.
+        for s in range(2, 8):
+            for d in range(s, 21):
+                firsts = [p[0] for p in oracles.orbit_basis(self.S, s, d)]
+                offsets = hit._offsets({}, self.S, s, d)
+                assert len(offsets) == d - s + 3, (s, d)
+                for c, got in enumerate(offsets):
+                    assert got == sum(a < c for a in firsts), (s, d, c)
+
+    def test_sym_fit_matches_the_partition_counter(self):
+        # The counts that hit reads off the offsets are modules._sym_count's,
+        # from one memo shared by the whole grid.
+        pieces = {}
+        for s in range(0, 9):
+            for d in range(0, 31):
+                for c in range(0, 32):
+                    assert hit._sym_fit(pieces, s, d, c) == modules._sym_count(s, d, c), (s, d, c)
 
     def test_sym_blocks_match_expansion_over_report_box(self):
         # Every square of order 1 (l <= 3) out of the pieces a gamma-sym
@@ -602,6 +623,19 @@ class TestSweep:
         assert outer.pieces == {}
         hit.unhit_report(Bidegree(4, 12), 1, kind)  # one of the cells, in the caller's context
         assert {key[0] for key in outer.pieces} == builds
+
+    def test_report_sym_box_builds_only_the_blocks_it_reads(self, monkeypatch):
+        # The benchmark's report-sym box: Sq^0 tails are never built, so its
+        # sweep keeps 375 blocks of 12363 rows, where building them kept 455
+        # blocks of 13562 rows.
+        ctx = modules.Expansions()
+        monkeypatch.setattr(modules, "Expansions", lambda: ctx)
+        cells = [(s, d) for s in range(1, 7) for d in range(1, 25)]
+        assert len(list(hit.sweep(ModuleKind.GAMMA_SYM, cells, 1))) == len(cells)
+        rows = rows_of(ctx, ModuleKind.GAMMA_SYM)
+        assert len(rows) == 375
+        assert sum(map(len, rows.values())) == 12363
+        assert not any(l == 0 for _, _, l in rows)
 
     def test_outer_context_current_after_an_early_stop(self, monkeypatch):
         outer = modules.Expansions()

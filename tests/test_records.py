@@ -92,6 +92,15 @@ def test_only_two_caches_outlive_a_context():
     assert len(uses) == len(decorated), uses
 
 
+def test_hit_counts_partitions_from_its_offsets():
+    # hit reads every gamma-sym block size and column offset off its own
+    # memo; modules._sym_count serves basis_size alone.  Every name and
+    # attribute is counted, so an import under another name fails too.
+    tree = ast.parse((SRC / "sqhit" / "hit.py").read_text(), filename="hit.py")
+    names = [getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) for node in ast.walk(tree)]
+    assert "_sym_count" not in names
+
+
 # Each factory builds a fresh record, equal to the one built before; the
 # test id names the record, the second entry one of its fields.
 HASHABLE = [
