@@ -483,26 +483,13 @@ def _enumerate(kind: ModuleKind, s: int, d: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _sym_count(s: int, d: int, c: int) -> int:
-    """Partitions of d into s parts, each at most c, for ``basis_size``;
-    ``hit`` reads its counts off offsets of its own.  Taking 1 from each
-    part leaves the partitions of d - s that fit in a box of s rows and
-    c - 1 columns.  With k <= m the sides of the box, they are counted by
-    the coefficient of x^(d-s) in the Gaussian binomial [k + m, k], the
-    product over i = 1..k of (1 - x^(m+i)) / (1 - x^i).  It is symmetric of
-    degree km, so the coefficient of x^n with n <= km/2 is read, and the
-    factors with i > n are 1 up to x^n.  A box of one row holds one
-    partition of each size up to m."""
-    k, m = sorted((s, c - 1))
-    n = min(d - s, k * m - d + s)
-    if k < 0 or n < 0:
-        return int(s == d == 0)
-    if k == 1 or n == 0:
-        return 1
+def _sym_count(n: int, k: int) -> int:
+    """Partitions of n >= 0 into at most k parts, for ``basis_size``;
+    ``hit`` reads its counts off offsets of its own.  They are the
+    coefficient of x^n in the product over i = 1..k of 1 / (1 - x^i),
+    built one factor at a time."""
     coef = [1] + [0] * n
-    for i in range(1, min(k, n) + 1):
-        for j in range(n, m + i - 1, -1):  # times 1 - x^(m+i)
-            coef[j] -= coef[j - m - i]
+    for i in range(1, k + 1):
         for j in range(i, n + 1):  # over 1 - x^i
             coef[j] += coef[j - i]
     return coef[n]
@@ -527,10 +514,10 @@ def basis_size(b: Bidegree, kind: ModuleKind, limit: Optional[int] = None) -> in
     gamma: C(d-1, s-1) compositions.  gamma-sym: the partitions of
     n = d - s into at most s parts (take 1 from each part), k = min(s, n)
     of them nonzero: 1 for k = 1, n // 2 + 1 for k = 2, else
-    ``_sym_count``, after two lower bounds refuse a count past the limit:
-    at least (n+3)^2 // 12 partitions into at most three parts, and for
-    k >= 4 at least C(n+3, 3) / 24 into at most four, as each gives at most
-    4! compositions of n into four parts >= 0.  gamma-cyc: by Burnside,
+    ``_sym_count(n, k)``, after two lower bounds refuse a count past the
+    limit: at least (n+3)^2 // 12 partitions into at most three parts, and
+    for k >= 4 at least C(n+3, 3) / 24 into at most four, as each gives at
+    most 4! compositions of n into four parts >= 0.  gamma-cyc: by Burnside,
     (1/s) * sum over j | gcd(s, d) of phi(j) * C(d/j - 1, s/j - 1) necklaces.
     """
     s, d = _finite_piece(b, kind)
@@ -546,7 +533,7 @@ def basis_size(b: Bidegree, kind: ModuleKind, limit: Optional[int] = None) -> in
             return 1 if k == 1 else min(n // 2 + 1, cap + 1)
         if (n + 3) ** 2 // 12 > cap or k > 3 and math.comb(n + 3, 3) > 24 * cap:
             return cap + 1
-        return min(_sym_count(s, d, n + 1), cap + 1)
+        return min(_sym_count(n, k), cap + 1)
     # The j = 1 term alone is at most s times the count.
     if _binomial(d - 1, s - 1, s * cap) > s * cap:
         return cap + 1

@@ -6,9 +6,10 @@ itertools enumeration over compositions, bases are itertools compositions
 (canonicalised for the orbit kinds), and action matrices are built
 monomial by monomial.  The gamma-sym action keeps its old path, on its
 own plain Cartan recursion: expand, then sort and cancel.  Partition counts
-keep the old part-by-part recurrence.  Homotopy chains keep their old nested
-shifts, each one canonicalised and toggled, and the first square that does
-not kill a chain's input comes from naive passes, one square at a time.
+keep the old part-by-part recurrence, and counts in a box split on the
+largest part.  Homotopy chains keep their old nested shifts, each one
+canonicalised and toggled, and the first square that does not kill a
+chain's input comes from naive passes, one square at a time.
 Element JSON keeps its old per-monomial parse.  The reference elimination
 at the end is the slow dense-scan algorithm that the library's single
 sparse core must match basis for basis.
@@ -78,6 +79,18 @@ def partitions_at_most(n: int, k: int, cap) -> int:
         if ways[n] > cap:
             return cap + 1
     return ways[n]
+
+
+@functools.lru_cache(maxsize=None)
+def partitions_in_box(s: int, d: int, c: int) -> int:
+    """Partitions of d into exactly s parts, none above c >= 0, split on the
+    largest part: it is below c, or it is c and the other s - 1 parts
+    partition d - c, none above c."""
+    if s == 0:
+        return int(d == 0)
+    if c == 0 or d < s:
+        return 0
+    return partitions_in_box(s, d, c - 1) + partitions_in_box(s - 1, d - c, c)
 
 
 @functools.lru_cache(maxsize=None)

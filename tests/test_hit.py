@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import sys
@@ -217,13 +218,13 @@ class TestSqMatrix:
                 assert (m.rows, m.cols, m.data) == want, (s, d, l)
 
     def test_sym_counts_match_brute_force(self):
-        # Block sizes and column offsets count the partitions with no part
-        # above c.
-        for s in range(0, 7):
-            for d in range(0, 16):
-                parts = oracles.orbit_basis(self.S, s, d) if s else ((),) * (d == 0)
-                for c in range(0, d + 2):
-                    assert modules._sym_count(s, d, c) == sum(max(p, default=0) <= c for p in parts), (s, d, c)
+        # basis_size counts a gamma-sym piece through modules._sym_count:
+        # the partitions of n into at most k parts, which are those of n + k
+        # into k parts once 1 is added to each part.
+        for k in range(0, 8):
+            for n in range(0, 16):
+                want = len(oracles.orbit_basis(self.S, k, n + k)) if k else int(n == 0)
+                assert modules._sym_count(n, k) == want, (n, k)
 
     def test_sym_offsets_match_brute_force(self):
         # Entry c of the offsets of (s, d) counts the partitions whose first
@@ -237,13 +238,14 @@ class TestSqMatrix:
                     assert got == sum(a < c for a in firsts), (s, d, c)
 
     def test_sym_fit_matches_the_partition_counter(self):
-        # The counts that hit reads off the offsets are modules._sym_count's,
-        # from one memo shared by the whole grid.
+        # The counts that hit reads off the offsets, from one memo shared by
+        # the whole grid, against the partitions of d into s parts counted
+        # in a box of c columns.
         pieces = {}
         for s in range(0, 9):
             for d in range(0, 31):
                 for c in range(0, 32):
-                    assert hit._sym_fit(pieces, s, d, c) == modules._sym_count(s, d, c), (s, d, c)
+                    assert hit._sym_fit(pieces, s, d, c) == oracles.partitions_in_box(s, d, c), (s, d, c)
 
     def test_sym_blocks_match_expansion_over_report_box(self):
         # Every square of order 1 (l <= 3) out of the pieces a gamma-sym
@@ -463,10 +465,44 @@ class TestDeltaAndImage:
             assert sq(x, 1).is_zero() and sq(x, 2).is_zero()
 
     def test_unhit_report_everything_hit_at_order_zero(self):
-        for d in range(1, 13):
-            for s in range(1, 4):
-                rep = hit.unhit_report(Bidegree(s, d), 0, G)
-                assert rep.dim_unhit == 0
+        # Sq^1 is acyclic on gamma: the order-0 homotopy gives
+        # psi^1 Sq^1 + Sq^1 psi^1 = id, so ker Sq^1 = im Sq^1.
+        cells = [(s, d) for s in range(1, 6) for d in range(1, 19)]
+        assert [rep.bidegree for rep in hit.sweep(G, cells, 0) if rep.dim_unhit] == []
+
+    # The orbit kinds are not Sq^1-acyclic: U(0) where it is nonzero, over
+    # s <= 6 and d <= 20 with at most 6000 monomials in (s, d+1).
+    UNHIT_0 = {
+        ModuleKind.GAMMA_SYM: {(2, 4): 1, (2, 8): 1, (2, 12): 1, (2, 16): 1, (2, 20): 1, (4, 8): 1, (4, 12): 1,
+                               (4, 16): 2, (4, 20): 2, (6, 12): 1, (6, 16): 1, (6, 20): 2},
+        ModuleKind.GAMMA_CYC: {(2, 4): 1, (2, 8): 1, (2, 12): 1, (2, 16): 1, (2, 20): 1, (4, 6): 1, (4, 8): 1,
+                               (4, 10): 1, (4, 12): 1, (4, 14): 2, (4, 16): 2, (4, 18): 2, (4, 20): 2, (6, 8): 1,
+                               (6, 12): 2, (6, 14): 2, (6, 16): 3, (6, 18): 4, (6, 20): 6},
+    }
+
+    @pytest.mark.parametrize("kind", [ModuleKind.GAMMA_SYM, ModuleKind.GAMMA_CYC])
+    def test_orbit_unhit_at_order_zero_only_at_even_arity(self, kind):
+        # At odd s, gamma-cyc is a summand of gamma and so acyclic too.
+        cells = [(s, d) for s in range(1, 7) for d in range(max(s, 2), 21)
+                 if modules.basis_size(Bidegree(s, d + 1), kind) <= 6000]
+        got = {tuple(rep.bidegree): rep.dim_unhit for rep in hit.sweep(kind, cells, 0) if rep.dim_unhit}
+        assert got == self.UNHIT_0[kind]
+        assert all(s % 2 == 0 for s, _ in got)
+
+    @pytest.mark.parametrize("s", [3, 5])
+    def test_odd_arity_gamma_splits_off_gamma_cyc(self, s):
+        # For odd s, F_2[C_s] is semisimple and the squares commute with
+        # rotation, so gamma is gamma-cyc plus a vector space over the
+        # fields F_2[x]/(f), f != x + 1 an irreducible factor of x^s - 1.
+        # For prime s each has degree ord_s(2), which then divides the
+        # excess of Delta, I and U on gamma over gamma-cyc.
+        order = next(j for j in range(1, s) if pow(2, j, s) == 1)
+        for k in range(3):
+            cells = [(s, d) for d in range(s, 22) if modules.basis_size(Bidegree(s, d + (2 << k) - 1), G) <= 6000]
+            for g, c in zip(hit.sweep(G, cells, k), hit.sweep(ModuleKind.GAMMA_CYC, cells, k)):
+                for key in ("dim_delta", "dim_image", "dim_unhit"):
+                    excess = getattr(g, key) - getattr(c, key)
+                    assert excess >= 0 and excess % order == 0, (g.bidegree, k, key)
 
     def test_unhit_report_degenerate_flag(self):
         assert hit.unhit_report(Bidegree(1, 3), 1, G).degenerate
@@ -695,6 +731,35 @@ class TestFirstFactorStructure:
                     assert (structure.check_sq2_relations(x) == []) == sq(x, 2).is_zero()
                     joint = sq(x, 1).is_zero() and sq(x, 2).is_zero()
                     assert (structure.check_delta1_structure(x) == []) == joint
+
+    @staticmethod
+    def ker_sq1_dim(r, e):
+        # Sq^1 is exact on gamma, so dim ker Sq^1 on (r, e) is the
+        # alternating sum of the sizes C(e-j-1, r-1) of the pieces (r, e-j).
+        return sum((-1) ** j * math.comb(e - j - 1, r - 1) for j in range(e - r + 1))
+
+    def test_sq1_kernel_closed_form(self):
+        with modules.Expansions():
+            for r in range(1, 6):
+                for e in range(r, 19):
+                    ker = f2linalg.kernel_basis(hit.sq_matrix(Bidegree(r, e), 1, G))
+                    assert self.ker_sq1_dim(r, e) == ker.dim, (r, e)
+
+    def test_order_one_from_arity_one_down(self):
+        # A class x = sum_a [a].x_a of Delta(1) has x_1 in ker Sq^2 at arity
+        # s - 1, and x_1 fixes x up to an x_i in ker Sq^1 for each
+        # i = 3 mod 4; x lies in I(1) iff x_1 lies in (ker Sq^3)Sq^2.
+        with modules.Expansions():
+            for s in range(2, 6):
+                for d in range(s, 17):
+                    ker2 = f2linalg.kernel_basis(hit.sq_matrix(Bidegree(s - 1, d - 1), 2, G))
+                    ker3 = f2linalg.kernel_basis(hit.sq_matrix(Bidegree(s - 1, d + 1), 3, G))
+                    sq2 = hit.sq_matrix(Bidegree(s - 1, d + 1), 2, G)
+                    hit_x1 = BitMatrix(ker3.dim, sq2.cols, tuple(oracles.apply(sq2, v) for v in ker3.basis))
+                    rep = hit.unhit_report(Bidegree(s, d), 1, G)
+                    assert rep.dim_unhit == ker2.dim - f2linalg.image_basis(hit_x1).dim, (s, d)
+                    free = sum(self.ker_sq1_dim(s - 1, d - i) for i in range(3, d - s + 2, 4))
+                    assert rep.dim_delta == ker2.dim + free, (s, d)
 
     def test_builder_minimal_case(self):
         out = structure.build_delta1_element(gamma((3,)), 4)
