@@ -58,40 +58,26 @@ class BitMatrix(_BitMatrixFields):
         return tuple.__new__(cls, (rows, cols, data))
 
 
-class Subspace:
+class _SubspaceFields(NamedTuple):
+    ambient_dim: int
+    pivots: Dict[int, int]
+
+
+class Subspace(_SubspaceFields):
     """A subspace of F_2^ambient_dim in semi-echelon form: pivots maps each
     pivot to the one row whose lowest set bit it is.  The constructor checks
     that, that ambient_dim is a plain int >= 0, and that each row lies in
     F_2^ambient_dim; the eliminations here build with ``_make`` and skip the
-    checks.  Its fields are read only; __dict__ holds the cached basis."""
+    checks.  Its fields are read only; with no __slots__ of its own, its
+    __dict__ holds the cached basis."""
 
-    __slots__ = ("ambient_dim", "pivots", "__dict__")
-
-    def __init__(self, ambient_dim: int, pivots: Dict[int, int]):
+    def __new__(cls, ambient_dim: int, pivots: Dict[int, int]):
         _check_size("ambient_dim", ambient_dim)
         for p, r in pivots.items():
             if type(r) is not int or r <= 0 or (r & -r).bit_length() - 1 != p:
                 raise ValueError(f"row {r!r} does not have its lowest set bit at its pivot {p!r}")
             _check_bits(r, ambient_dim)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "pivots", pivots)
-
-    @classmethod
-    def _make(cls, ambient_dim: int, pivots: Dict[int, int]) -> "Subspace":
-        self = object.__new__(cls)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "pivots", pivots)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, as __setattr__ refuses.
-        return Subspace, (self.ambient_dim, self.pivots)
-
-    def __repr__(self):
-        return f"Subspace(ambient_dim={self.ambient_dim}, pivots={self.pivots})"
+        return tuple.__new__(cls, (ambient_dim, pivots))
 
     @property
     def dim(self) -> int:
@@ -110,6 +96,9 @@ class Subspace:
         if not isinstance(other, Subspace):
             return NotImplemented
         return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    # tuple.__ne__ would compare the semi-echelon rows; negate __eq__ instead.
+    __ne__ = object.__ne__
 
 
 def _reduce(pivots: Dict[int, int], r: int) -> int:
@@ -170,18 +159,18 @@ def subspace_from_rows(ambient_dim: int, rows: Iterable[int]) -> Subspace:
     rows = list(rows)
     for r in rows:
         _check_bits(r, ambient_dim)
-    return Subspace._make(ambient_dim, _echelon(rows))
+    return Subspace._make((ambient_dim, _echelon(rows)))
 
 
 def image_basis(m: BitMatrix) -> Subspace:
     """Row space of m: the image of the right-action map v -> v*m.  The
     rows of a BitMatrix are in range already, so none is checked again."""
-    return Subspace._make(m.cols, _echelon(m.data))
+    return Subspace._make((m.cols, _echelon(m.data)))
 
 
 def kernel_basis(m: BitMatrix) -> Subspace:
     """Left kernel: all v with v*m = 0.  dim = rows - rank."""
-    return Subspace._make(m.rows, _carried(_echelon(_tagged(m)), m.cols))
+    return Subspace._make((m.rows, _carried(_echelon(_tagged(m)), m.cols)))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -194,7 +183,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     # b's rows go first: their pivots are distinct, so they are kept as they
     # are and only a's rows are reduced.
     stacked = list(b.pivots.values()) + [r | (r << n) for r in a.pivots.values()]
-    return Subspace._make(n, _carried(_echelon(stacked), n))
+    return Subspace._make((n, _carried(_echelon(stacked), n)))
 
 
 def contains(s: Subspace, bits: int) -> bool:
@@ -216,7 +205,7 @@ def complement(outer: Subspace, inner: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     rref = dict(zip(sorted(inner.pivots), inner.basis))
     mask = sum(1 << p for p in inner.pivots)
-    return Subspace._make(outer.ambient_dim, _echelon(_clear(r, rref, mask) for r in outer.pivots.values()))
+    return Subspace._make((outer.ambient_dim, _echelon(_clear(r, rref, mask) for r in outer.pivots.values())))
 
 
 def solve(m: BitMatrix, bits: int) -> Optional[int]:

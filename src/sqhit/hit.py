@@ -268,14 +268,17 @@ def sq_matrix(b: Bidegree, l: int, kind: ModuleKind) -> BitMatrix:
     ``MAX_ARITY`` is refused with ValueError before any is built.
     """
     _check_max_arity(b.s)
-    n = basis_size(b, kind)
+    # basis_size's refusals of b, without its count: _block's rows count it.
+    modules._finite_piece(b, kind)
     target = Bidegree(b.s, b.d - modules._square_index(l))
     cols = basis_size(target, kind) if target.d >= 0 else 0
     if cols == 0 or b.s == 0:
         # No codomain gives zero rows.  At arity 0 a nonempty codomain
         # means (0, 0) Sq^0, the identity on the one monomial ().
+        n = basis_size(b, kind)
         return BitMatrix._make((n, cols, (int(cols > 0),) * n))
-    return BitMatrix._make((n, cols, _block(modules.EXPANSIONS, kind, b.s, b.d, l)))
+    rows = _block(modules.EXPANSIONS, kind, b.s, b.d, l)
+    return BitMatrix._make((len(rows), cols, rows))
 
 
 # --- kernel / image / quotient ---------------------------------------------

@@ -94,7 +94,9 @@ def monomial_str(kind: ModuleKind, entries: Tuple[int, ...]) -> str:
 def _frozen(terms: Iterable) -> frozenset:
     """The frozenset of terms, a repeat kept once, sized as every support
     the library returns is: copied from a set, its table is sized for its
-    length, where one grown from an iterator may be up to 4x as large."""
+    length.  By sys.getsizeof on Python 3.11, one grown from an iterator is
+    at most about 2x as large, and at 16-18, 64-76 and 256-306 terms the
+    copy is about 2x the grown one instead."""
     return frozenset({*terms})
 
 

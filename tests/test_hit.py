@@ -359,6 +359,16 @@ class TestSqMatrix:
         with pytest.raises(ValueError, match="infinite"):
             hit.sq_matrix(Bidegree(1, 1), 1, ModuleKind.NABLA)
 
+    @pytest.mark.parametrize("b,kind,message", [
+        (Bidegree(-1, 3), G, r"^gamma bidegree \(s,d\)=\(-1,3\) out of range"),
+        (Bidegree(1, 1), ModuleKind.NABLA, r"^nabla bidegree \(s,d\)=\(1,1\): its graded piece is infinite$"),
+    ], ids=["negative-arity", "nabla"])
+    def test_refusal_names_the_domain(self, b, kind, message):
+        # The domain is not counted when the codomain is not empty, but it is
+        # still checked first, so the refusal names (s, d), not (s, d - l).
+        with pytest.raises(ValueError, match=message):
+            hit.sq_matrix(b, 1, kind)
+
     @pytest.mark.parametrize("call,tag", [
         (lambda: hit.sq_matrix(Bidegree(3, 6), 1, "gamma"), "gamma"),
         (lambda: hit.unhit_report(Bidegree(2, 3), 1, "gamma-cyc"), "gamma-cyc"),
@@ -469,6 +479,13 @@ class TestDeltaAndImage:
         # psi^1 Sq^1 + Sq^1 psi^1 = id, so ker Sq^1 = im Sq^1.
         cells = [(s, d) for s in range(1, 6) for d in range(1, 19)]
         assert [rep.bidegree for rep in hit.sweep(G, cells, 0) if rep.dim_unhit] == []
+
+    def test_low_degree_unhit_at_order_one(self):
+        # U(1) on gamma over 1 <= s <= d <= 14: one class at each of the
+        # degenerate (1,1) and (2,2), and at (5,9) and (6,10).
+        cells = [(s, d) for d in range(1, 15) for s in range(1, d + 1)]
+        got = {tuple(rep.bidegree): (rep.dim_unhit, rep.degenerate) for rep in hit.sweep(G, cells, 1) if rep.dim_unhit}
+        assert got == {(1, 1): (1, True), (2, 2): (1, True), (5, 9): (1, False), (6, 10): (1, False)}
 
     # The orbit kinds are not Sq^1-acyclic: U(0) where it is nonzero, over
     # s <= 6 and d <= 20 with at most 6000 monomials in (s, d+1).

@@ -140,6 +140,14 @@ def test_subspaces_equal_by_rref_basis():
     assert a.basis is a.basis  # built once, on first read
 
 
+def test_subspace_is_a_namedtuple_record():
+    # Like BitMatrix: the NamedTuple base gives read-only fields, copy,
+    # pickle, repr and _make, so Subspace writes none of them by hand.
+    assert issubclass(f2linalg.Subspace, tuple)
+    assert f2linalg.Subspace._fields == ("ambient_dim", "pivots")
+    assert not {"__init__", "__setattr__", "__reduce__", "__repr__", "_make"} & set(vars(f2linalg.Subspace))
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: Element(G, 2, 3, frozenset([(1, 1)])), id="Element-degree"),
     pytest.param(lambda: Element(G, 2, 2, frozenset([(0, 2)])), id="Element-entry"),
@@ -161,7 +169,7 @@ def test_subspaces_equal_by_rref_basis():
     pytest.param(lambda: f2linalg.Subspace(-1, {}), id="Subspace-ambient-negative"),
     pytest.param(lambda: f2linalg.Subspace(2.0, {1: 2}), id="Subspace-ambient-float"),
     pytest.param(lambda: f2linalg.Subspace(True, {0: 1}), id="Subspace-ambient-bool"),
-    pytest.param(lambda: pickle.loads(pickle.dumps(f2linalg.Subspace._make(2, {5: 1 << 5}))),
+    pytest.param(lambda: pickle.loads(pickle.dumps(f2linalg.Subspace._make((2, {5: 1 << 5})))),
                  id="Subspace-unpickled"),
     pytest.param(lambda: HomotopySystem(G, -1), id="HomotopySystem-order"),
     pytest.param(lambda: HomotopySystem(G, 1, 0), id="HomotopySystem-position"),
